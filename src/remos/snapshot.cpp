@@ -1,13 +1,25 @@
 #include "remos/snapshot.hpp"
 
 #include <algorithm>
+#include <cmath>
 #include <limits>
 #include <stdexcept>
+#include <string>
 
 #include "obs/flight.hpp"
 #include "util/rng.hpp"
 
 namespace netsel::remos {
+
+namespace {
+
+/// The throw path of the setter guards, out of line so the guards
+/// themselves stay small enough to inline into the setters.
+[[noreturn]] void reject_write(const char* what, const char* why) {
+  throw std::invalid_argument(std::string(what) + ": " + why);
+}
+
+}  // namespace
 
 NetworkSnapshot::NetworkSnapshot(const topo::TopologyGraph& g)
     : graph_(&g),
@@ -154,9 +166,16 @@ double NetworkSnapshot::bw_reference(topo::LinkId l,
   return bw(l) / reference_capacity;
 }
 
+void NetworkSnapshot::check_node_write(topo::NodeId n, const char* what) const {
+  if (n < 0 || static_cast<std::size_t>(n) >= cpu_.size())
+    reject_write(what, "node out of range");
+  if (!graph_->is_compute(n)) reject_write(what, "not a compute node");
+}
+
 void NetworkSnapshot::set_free_memory(topo::NodeId n, double bytes) {
-  if (!graph_->is_compute(n))
-    throw std::invalid_argument("set_free_memory: not a compute node");
+  check_node_write(n, "set_free_memory");
+  if (!std::isfinite(bytes))
+    throw std::invalid_argument("set_free_memory: bytes must be finite");
   if (bytes < 0.0) bytes = 0.0;
   free_memory_[static_cast<std::size_t>(n)] = bytes;
   Delta d;
@@ -167,9 +186,8 @@ void NetworkSnapshot::set_free_memory(topo::NodeId n, double bytes) {
 }
 
 void NetworkSnapshot::set_cpu(topo::NodeId n, double fraction) {
-  if (!graph_->is_compute(n))
-    throw std::invalid_argument("set_cpu: not a compute node");
-  if (fraction < 0.0 || fraction > 1.0)
+  check_node_write(n, "set_cpu");
+  if (!(fraction >= 0.0 && fraction <= 1.0))  // also rejects NaN
     throw std::invalid_argument("set_cpu: fraction must be in [0,1]");
   cpu_[static_cast<std::size_t>(n)] = fraction;
   Delta d;
@@ -184,9 +202,16 @@ void NetworkSnapshot::set_loadavg(topo::NodeId n, double loadavg) {
   set_cpu(n, 1.0 / (1.0 + loadavg));
 }
 
+void NetworkSnapshot::check_bw_write(topo::LinkId l, double bits_per_second,
+                                     const char* what) const {
+  if (l < 0 || static_cast<std::size_t>(l) >= bw_.size())
+    reject_write(what, "link out of range");
+  if (!std::isfinite(bits_per_second) || bits_per_second < 0.0)
+    reject_write(what, "bandwidth must be finite and >= 0");
+}
+
 void NetworkSnapshot::set_bw(topo::LinkId l, double bits_per_second) {
-  if (bits_per_second < 0.0)
-    throw std::invalid_argument("set_bw: bandwidth must be >= 0");
+  check_bw_write(l, bits_per_second, "set_bw");
   bw_[static_cast<std::size_t>(l)] = bits_per_second;
   bw_dir_[static_cast<std::size_t>(l) * 2 + 0] = bits_per_second;
   bw_dir_[static_cast<std::size_t>(l) * 2 + 1] = bits_per_second;
@@ -199,8 +224,7 @@ void NetworkSnapshot::set_bw(topo::LinkId l, double bits_per_second) {
 
 void NetworkSnapshot::set_bw_dir(topo::LinkId l, bool forward,
                                  double bits_per_second) {
-  if (bits_per_second < 0.0)
-    throw std::invalid_argument("set_bw_dir: bandwidth must be >= 0");
+  check_bw_write(l, bits_per_second, "set_bw_dir");
   bw_dir_[static_cast<std::size_t>(l) * 2 + (forward ? 0 : 1)] = bits_per_second;
   bw_[static_cast<std::size_t>(l)] =
       std::min(bw_dir_[static_cast<std::size_t>(l) * 2 + 0],

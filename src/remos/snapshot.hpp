@@ -61,6 +61,11 @@ class NetworkSnapshot {
   double free_memory(topo::NodeId n) const {
     return free_memory_.at(static_cast<std::size_t>(n));
   }
+  /// The setters below throw std::invalid_argument on an out-of-range id,
+  /// a cpu or memory write to a network node or removed host, and a NaN or
+  /// infinite value: a NaN key would break the strict weak ordering the
+  /// cached deletion-order sorts rely on. Negative free memory clamps to 0;
+  /// an infinite loadavg is a fully loaded host (fraction 0).
   void set_free_memory(topo::NodeId n, double bytes);
 
   void set_cpu(topo::NodeId n, double fraction);
@@ -110,6 +115,11 @@ class NetworkSnapshot {
 
  private:
   void record(const Delta& d);
+  /// Setter guards: throw std::invalid_argument unless `n` is an in-range
+  /// compute node / `l` an in-range link and the bandwidth finite and >= 0.
+  void check_node_write(topo::NodeId n, const char* what) const;
+  void check_bw_write(topo::LinkId l, double bits_per_second,
+                      const char* what) const;
 
   const topo::TopologyGraph* graph_;
   std::uint64_t epoch_ = 0;

@@ -40,7 +40,8 @@
 // (re-evaluate the one surviving component with its raised min-fraction).
 //
 // That turns O(E) component sweeps each doing O(V+E) work into one
-// near-linear replay plus one candidate evaluation per event —
+// near-linear replay plus one O(1) candidate evaluation per event (the
+// winner's m nodes are copied and sorted once, after the sweep) —
 // bit-identical to detail::reference_select_balanced (the literal loop,
 // still used for the Steiner ablation, whose bandwidth term is not a
 // per-component constant); see tests/test_select_context.cpp.
@@ -91,13 +92,20 @@ struct ForestNode {
   std::int32_t top_len = 0;
 };
 
+/// The best component seen so far in the forward sweep. Only its forest
+/// index is kept: its node list is materialised once, after the sweep.
+/// `minbw` is recorded at evaluation time because a cycle event later in the
+/// sweep may raise the forest node's minfrac.
 struct Candidate {
-  std::vector<topo::NodeId> nodes;
+  int forest = -1;
   double mincpu = 0.0;
   double minbw = 0.0;
   double minresource = -kInf;
 };
 
+/// Score forest node `f` in O(1): its top slice is ordered by (cpu desc,
+/// id asc), so the minimum cpu is the last element's, and the component's
+/// bandwidth term is its current minfrac.
 Candidate evaluate_forest_node(const std::vector<double>& cpu,
                                const SelectionOptions& opt,
                                const std::vector<ForestNode>& forest,
@@ -105,12 +113,9 @@ Candidate evaluate_forest_node(const std::vector<double>& cpu,
                                int f) {
   const auto& fn = forest[static_cast<std::size_t>(f)];
   Candidate cand;
-  const auto lo = static_cast<std::ptrdiff_t>(fn.top_off);
-  cand.nodes.assign(top_pool.begin() + lo, top_pool.begin() + lo + fn.top_len);
-  // top is ordered by (cpu desc, id asc): the minimum cpu is the last
-  // element's, and top_m_by_cpu returns its selection ascending by id.
-  cand.mincpu = cpu[static_cast<std::size_t>(cand.nodes.back())];
-  std::sort(cand.nodes.begin(), cand.nodes.end());
+  cand.forest = f;
+  cand.mincpu = cpu[static_cast<std::size_t>(
+      top_pool[static_cast<std::size_t>(fn.top_off + fn.top_len - 1)])];
   cand.minbw = fn.minfrac;
   cand.minresource =
       std::min(cand.mincpu / opt.cpu_priority, cand.minbw / opt.bw_priority);
@@ -348,16 +353,24 @@ SelectionResult select_balanced_forest(const SelectionContext& ctx,
 
   SelectionResult result;
 
-  // Forward sweep, step 0: evaluate every feasible initial component.
+  // Score forest node f and keep it when it strictly beats `best` (the
+  // Fig. 3 acceptance rule).
   Candidate best;
+  auto improves = [&](int f) {
+    const Candidate c = evaluate_forest_node(cpu, opt, forest, top_pool, f);
+    if (!(c.minresource > best.minresource)) return false;
+    best = c;
+    return true;
+  };
+
+  // Forward sweep, step 0: evaluate every feasible initial component.
   int feasible_live = 0;
   for (int f : roots) {
     if (forest[static_cast<std::size_t>(f)].eligible < m) continue;
     ++feasible_live;
-    auto cand = evaluate_forest_node(cpu, opt, forest, top_pool, f);
-    if (cand.minresource > best.minresource) best = std::move(cand);
+    improves(f);
   }
-  if (best.nodes.empty()) {
+  if (best.forest == -1) {
     result.note = "no component with enough eligible nodes";
     return result;
   }
@@ -381,28 +394,25 @@ SelectionResult select_balanced_forest(const SelectionContext& ctx,
       for (int f : {a, b}) {
         if (forest[static_cast<std::size_t>(f)].eligible < m) continue;
         ++feasible_live;
-        auto cand = evaluate_forest_node(cpu, opt, forest, top_pool, f);
-        if (cand.minresource > best.minresource) {
-          best = std::move(cand);
-          newsetflag = true;
-        }
+        if (improves(f)) newsetflag = true;
       }
     } else {
       const int f = cycle_at[p];
       forest[static_cast<std::size_t>(f)].minfrac = cycle_minfrac[p];
-      if (forest[static_cast<std::size_t>(f)].eligible >= m) {
-        auto cand = evaluate_forest_node(cpu, opt, forest, top_pool, f);
-        if (cand.minresource > best.minresource) {
-          best = std::move(cand);
-          newsetflag = true;
-        }
-      }
+      if (forest[static_cast<std::size_t>(f)].eligible >= m && improves(f))
+        newsetflag = true;
     }
     if (opt.exhaustive_balanced ? feasible_live == 0 : !newsetflag) break;
   }
 
+  // The winner's top slice is immutable once merged, so copying it now
+  // yields the set it held when it won; top_m_by_cpu returns its selection
+  // ascending by id.
+  const auto& win = forest[static_cast<std::size_t>(best.forest)];
+  const auto lo = static_cast<std::ptrdiff_t>(win.top_off);
   result.feasible = true;
-  result.nodes = best.nodes;
+  result.nodes.assign(top_pool.begin() + lo, top_pool.begin() + lo + win.top_len);
+  std::sort(result.nodes.begin(), result.nodes.end());
   result.min_cpu = best.mincpu;
   result.min_bw_fraction = best.minbw;
   result.objective = best.minresource;

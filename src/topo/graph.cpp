@@ -1,32 +1,82 @@
 #include "topo/graph.hpp"
 
 #include <algorithm>
+#include <cmath>
+#include <functional>
 #include <queue>
 #include <sstream>
 #include <stdexcept>
-#include <unordered_set>
 
 namespace netsel::topo {
+
+namespace {
+
+std::size_t name_hash(std::string_view name) {
+  return std::hash<std::string_view>{}(name);
+}
+
+/// Smallest power-of-two table that holds `names` names at most half full.
+std::size_t name_table_size(std::size_t names) {
+  std::size_t slots = 16;
+  while (slots < 2 * names) slots *= 2;
+  return slots;
+}
+
+}  // namespace
 
 bool Node::has_tag(std::string_view t) const {
   return std::find(tags.begin(), tags.end(), t) != tags.end();
 }
 
+void TopologyGraph::reserve(std::size_t nodes, std::size_t links) {
+  nodes_.reserve(nodes);
+  incident_.reserve(nodes);
+  links_.reserve(links);
+  if (const std::size_t slots = name_table_size(nodes);
+      slots > name_slots_.size())
+    rehash_names(slots);
+}
+
+std::size_t TopologyGraph::name_slot(std::string_view name) const {
+  const std::size_t mask = name_slots_.size() - 1;
+  for (std::size_t s = name_hash(name) & mask;; s = (s + 1) & mask) {
+    const NodeId id = name_slots_[s];
+    if (id == kInvalidNode || nodes_[static_cast<std::size_t>(id)].name == name)
+      return s;
+  }
+}
+
+void TopologyGraph::rehash_names(std::size_t slots) {
+  name_slots_.assign(slots, kInvalidNode);
+  const std::size_t mask = slots - 1;
+  for (std::size_t i = 0; i < nodes_.size(); ++i) {
+    if (node_removed(static_cast<NodeId>(i))) continue;
+    std::size_t s = name_hash(nodes_[i].name) & mask;
+    while (name_slots_[s] != kInvalidNode) s = (s + 1) & mask;
+    name_slots_[s] = static_cast<NodeId>(i);
+  }
+}
+
 NodeId TopologyGraph::add_node(Node n) {
   if (n.name.empty()) throw std::invalid_argument("node name must be non-empty");
-  if (name_index_.contains(n.name))
+  if (2 * (name_count_ + 1) > name_slots_.size())
+    rehash_names(name_table_size(name_count_ + 1));
+  const std::size_t s = name_slot(n.name);
+  if (name_slots_[s] != kInvalidNode)
     throw std::invalid_argument("duplicate node name: " + n.name);
   auto id = static_cast<NodeId>(nodes_.size());
-  name_index_.emplace(n.name, id);
   nodes_.push_back(std::move(n));
   incident_.emplace_back();
+  name_slots_[s] = id;
+  ++name_count_;
   return id;
 }
 
 NodeId TopologyGraph::add_compute(std::string name, double cpu_capacity,
                                   std::vector<std::string> tags) {
-  if (cpu_capacity <= 0.0)
-    throw std::invalid_argument("cpu_capacity must be > 0 for " + name);
+  if (!std::isfinite(cpu_capacity) || cpu_capacity <= 0.0)
+    throw std::invalid_argument("cpu_capacity must be finite and > 0 for " +
+                                name);
   Node n;
   n.name = std::move(name);
   n.kind = NodeKind::Compute;
@@ -40,7 +90,8 @@ void TopologyGraph::set_memory(NodeId n, double bytes) {
     throw std::invalid_argument("set_memory: node out of range");
   if (nodes_[static_cast<std::size_t>(n)].kind != NodeKind::Compute)
     throw std::invalid_argument("set_memory: not a compute node");
-  if (bytes < 0.0) throw std::invalid_argument("set_memory: bytes must be >= 0");
+  if (!std::isfinite(bytes) || bytes < 0.0)
+    throw std::invalid_argument("set_memory: bytes must be finite and >= 0");
   nodes_[static_cast<std::size_t>(n)].memory_bytes = bytes;
 }
 
@@ -57,10 +108,14 @@ LinkId TopologyGraph::add_link(NodeId a, NodeId b, double capacity_bps) {
 }
 
 LinkId TopologyGraph::add_link(NodeId a, NodeId b, LinkSpec spec) {
-  if (spec.latency < 0.0)
-    throw std::invalid_argument("add_link: latency must be >= 0");
+  if (!std::isfinite(spec.latency) || spec.latency < 0.0)
+    throw std::invalid_argument("add_link: latency must be finite and >= 0");
+  // A NaN capacity_ba is passed on (and rejected) rather than read as
+  // "same as capacity_ab".
   LinkId id = add_link(a, b, spec.capacity_ab,
-                       spec.capacity_ba > 0.0 ? spec.capacity_ba : spec.capacity_ab,
+                       spec.capacity_ba > 0.0 || std::isnan(spec.capacity_ba)
+                           ? spec.capacity_ba
+                           : spec.capacity_ab,
                        std::move(spec.name));
   links_[static_cast<std::size_t>(id)].latency = spec.latency;
   return id;
@@ -74,8 +129,9 @@ LinkId TopologyGraph::add_link(NodeId a, NodeId b, double capacity_ab,
   if (!valid(a) || !valid(b))
     throw std::invalid_argument("add_link: endpoint out of range");
   if (a == b) throw std::invalid_argument("add_link: self loops not allowed");
-  if (capacity_ab <= 0.0 || capacity_ba <= 0.0)
-    throw std::invalid_argument("add_link: capacities must be > 0");
+  auto valid_capacity = [](double c) { return std::isfinite(c) && c > 0.0; };
+  if (!valid_capacity(capacity_ab) || !valid_capacity(capacity_ba))
+    throw std::invalid_argument("add_link: capacities must be finite and > 0");
   Link l;
   l.a = a;
   l.b = b;
@@ -117,8 +173,24 @@ void TopologyGraph::remove_node(NodeId n) {
   if (!incident_[static_cast<std::size_t>(n)].empty())
     throw std::invalid_argument("remove_node: remove incident links first");
   if (node_removed_.size() < nodes_.size()) node_removed_.resize(nodes_.size(), 0);
+  // Free the name by backward-shift deletion: walk the rest of the probe
+  // cluster and move into the hole every entry whose probe path from its
+  // home slot passes the hole, so no lookup meets a gap before its key.
+  const std::size_t mask = name_slots_.size() - 1;
+  std::size_t hole = name_slot(nodes_[static_cast<std::size_t>(n)].name);
+  for (std::size_t s = (hole + 1) & mask; name_slots_[s] != kInvalidNode;
+       s = (s + 1) & mask) {
+    const NodeId id = name_slots_[s];
+    const std::size_t home =
+        name_hash(nodes_[static_cast<std::size_t>(id)].name) & mask;
+    if (((s - hole) & mask) <= ((s - home) & mask)) {
+      name_slots_[hole] = id;
+      hole = s;
+    }
+  }
+  name_slots_[hole] = kInvalidNode;
+  --name_count_;
   node_removed_[static_cast<std::size_t>(n)] = 1;
-  name_index_.erase(nodes_[static_cast<std::size_t>(n)].name);
 }
 
 std::span<const LinkId> TopologyGraph::links_of(NodeId n) const {
@@ -133,9 +205,10 @@ NodeId TopologyGraph::other_end(LinkId l, NodeId n) const {
 }
 
 std::optional<NodeId> TopologyGraph::find_node(std::string_view name) const {
-  auto it = name_index_.find(name);
-  if (it == name_index_.end()) return std::nullopt;
-  return it->second;
+  if (name_slots_.empty()) return std::nullopt;
+  const NodeId id = name_slots_[name_slot(name)];
+  if (id == kInvalidNode) return std::nullopt;
+  return id;
 }
 
 std::vector<NodeId> TopologyGraph::compute_nodes() const {

@@ -8,12 +8,10 @@
 // varying `bw(i,j)` lives in remos::NetworkSnapshot.
 
 #include <cstdint>
-#include <functional>
 #include <optional>
 #include <span>
 #include <string>
 #include <string_view>
-#include <unordered_map>
 #include <vector>
 
 namespace netsel::topo {
@@ -67,6 +65,11 @@ struct Link {
 /// (simulator, snapshots) is stored in flat arrays.
 class TopologyGraph {
  public:
+  /// Pre-size for `nodes` nodes and `links` links, so a builder that knows
+  /// its counts (the topo/synthetic.hpp generators) adds them without
+  /// regrowing the node, link or name storage. Purely a capacity hint.
+  void reserve(std::size_t nodes, std::size_t links);
+
   /// Add a compute node. Names must be unique across the graph.
   NodeId add_compute(std::string name, double cpu_capacity = 1.0,
                      std::vector<std::string> tags = {});
@@ -131,9 +134,10 @@ class TopologyGraph {
   /// Degree (number of incident links).
   std::size_t degree(NodeId n) const { return links_of(n).size(); }
 
-  /// Throws std::invalid_argument if the graph is empty, disconnected, has
-  /// duplicate names, or has a link with non-positive capacity. Call after
-  /// building.
+  /// Throws std::invalid_argument if the graph is empty, has no compute
+  /// node, or is disconnected. Call after building. Duplicate names and
+  /// non-positive or non-finite capacities never get this far: the add_*
+  /// and set_memory calls reject them.
   void validate() const;
 
   /// True if the graph contains no cycle (the baseline assumption of §3.2).
@@ -141,15 +145,11 @@ class TopologyGraph {
 
  private:
   NodeId add_node(Node n);
-
-  /// Heterogeneous string hashing so find_node(string_view) needs no
-  /// temporary std::string.
-  struct NameHash {
-    using is_transparent = void;
-    std::size_t operator()(std::string_view s) const {
-      return std::hash<std::string_view>{}(s);
-    }
-  };
+  /// The name_slots_ slot holding `name`'s id, or the empty slot where its
+  /// probe sequence ends. Requires a non-empty table.
+  std::size_t name_slot(std::string_view name) const;
+  /// Rebuild name_slots_ at `slots` (a power of two) from the present nodes.
+  void rehash_names(std::size_t slots);
 
   std::vector<Node> nodes_;
   std::vector<Link> links_;
@@ -158,10 +158,14 @@ class TopologyGraph {
   /// append-only fast paths allocate nothing.
   std::vector<char> link_removed_;
   std::vector<char> node_removed_;
-  /// name -> id. Keeps graph construction O(V + E) — the synthetic
-  /// datacenter generators build 10k+-node graphs, where the linear-scan
-  /// lookup add_node used for duplicate detection was quadratic.
-  std::unordered_map<std::string, NodeId, NameHash, std::equal_to<>> name_index_;
+  /// name -> id for the present nodes: an open-addressed, linear-probing
+  /// table of node ids keyed by a hash of nodes_[id].name. Each name is
+  /// stored once (in its Node) and an entry allocates nothing, which is
+  /// what keeps building a 1M-node graph cheap. Power-of-two size, at most
+  /// half full; kInvalidNode marks an empty slot. remove_node
+  /// backward-shifts the probe cluster instead of leaving tombstones.
+  std::vector<NodeId> name_slots_;
+  std::size_t name_count_ = 0;
 };
 
 }  // namespace netsel::topo

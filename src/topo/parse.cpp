@@ -1,6 +1,7 @@
 #include "topo/parse.hpp"
 
 #include <charconv>
+#include <cmath>
 #include <sstream>
 #include <vector>
 
@@ -36,11 +37,20 @@ std::vector<std::string> split_on(std::string_view text, char sep) {
   }
 }
 
-double parse_number(std::string_view text, int line, const char* what) {
+/// `text` as a number times `scale`. std::from_chars accepts "nan" and
+/// "inf", and a large mantissa can overflow once scaled, so a non-finite
+/// result is rejected here rather than left to slip past the callers'
+/// sign checks.
+double parse_number(std::string_view text, int line, const char* what,
+                    double scale = 1.0) {
   double value = 0.0;
   auto [ptr, ec] = std::from_chars(text.data(), text.data() + text.size(), value);
   if (ec != std::errc() || ptr != text.data() + text.size())
     throw ParseError(line, std::string("malformed ") + what + ": '" +
+                               std::string(text) + "'");
+  value *= scale;
+  if (!std::isfinite(value))
+    throw ParseError(line, std::string(what) + " must be finite: '" +
                                std::string(text) + "'");
   return value;
 }
@@ -76,7 +86,7 @@ double parse_bandwidth_at(std::string_view text, int line) {
     throw ParseError(line, "bandwidth needs a bps/Kbps/Mbps/Gbps suffix: '" +
                                std::string(text) + "'");
   }
-  double v = parse_number(digits, line, "bandwidth") * scale;
+  double v = parse_number(digits, line, "bandwidth", scale);
   if (v <= 0.0) throw ParseError(line, "bandwidth must be > 0");
   return v;
 }
@@ -100,7 +110,7 @@ double parse_duration_at(std::string_view text, int line) {
     throw ParseError(line, "duration needs an s/ms/us suffix: '" +
                                std::string(text) + "'");
   }
-  double v = parse_number(digits, line, "duration") * scale;
+  double v = parse_number(digits, line, "duration", scale);
   if (v < 0.0) throw ParseError(line, "duration must be >= 0");
   return v;
 }
@@ -127,7 +137,7 @@ double parse_bytes_at(std::string_view text, int line) {
     throw ParseError(line, "byte size needs a B/KB/MB/GB suffix: '" +
                                std::string(text) + "'");
   }
-  double v = parse_number(digits, line, "byte size") * scale;
+  double v = parse_number(digits, line, "byte size", scale);
   if (v <= 0.0) throw ParseError(line, "byte size must be > 0");
   return v;
 }

@@ -1,5 +1,6 @@
 #include "topo/synthetic.hpp"
 
+#include <algorithm>
 #include <cmath>
 #include <stdexcept>
 #include <string>
@@ -27,8 +28,13 @@ TopologyGraph fat_tree(const FatTreeOptions& opt) {
     throw std::invalid_argument("fat_tree: latencies must be >= 0");
   util::Rng rng(opt.seed);
   TopologyGraph g;
+  const auto edges = static_cast<std::size_t>(opt.edge_switches);
+  const auto core_count = static_cast<std::size_t>(opt.core_switches);
+  const auto per_edge = static_cast<std::size_t>(opt.hosts_per_edge);
+  g.reserve(core_count + edges * (1 + per_edge),
+            edges * (core_count + per_edge));
   std::vector<NodeId> cores;
-  cores.reserve(static_cast<std::size_t>(opt.core_switches));
+  cores.reserve(core_count);
   for (int c = 0; c < opt.core_switches; ++c)
     cores.push_back(g.add_network("core" + std::to_string(c)));
   for (int e = 0; e < opt.edge_switches; ++e) {
@@ -97,8 +103,14 @@ TopologyGraph three_level_fat_tree(const ThreeLevelFatTreeOptions& opt) {
   util::Rng rng(opt.seed);
   TopologyGraph g;
   const int u = opt.agg_per_pod;
+  const auto planes = static_cast<std::size_t>(u);
+  const auto pods = static_cast<std::size_t>(opt.pods);
+  const auto edges = static_cast<std::size_t>(opt.edge_per_pod);
+  const auto per_edge = static_cast<std::size_t>(opt.hosts_per_edge);
+  g.reserve(planes * planes + pods * (planes + edges * (1 + per_edge)),
+            pods * (planes * planes + edges * (planes + per_edge)));
   std::vector<NodeId> cores;
-  cores.reserve(static_cast<std::size_t>(u) * static_cast<std::size_t>(u));
+  cores.reserve(planes * planes);
   for (int c = 0; c < u * u; ++c)
     cores.push_back(g.add_network("core" + std::to_string(c)));
   std::vector<NodeId> aggs(static_cast<std::size_t>(u));
@@ -194,6 +206,13 @@ TopologyGraph campus_wan(const CampusWanOptions& opt) {
     throw std::invalid_argument("campus_wan: bad capacity range");
   util::Rng rng(opt.seed);
   TopologyGraph g;
+  // One link per non-core node: every node but the WAN core hangs off its
+  // parent.
+  const std::size_t below_core =
+      static_cast<std::size_t>(opt.campuses) *
+      (1 + static_cast<std::size_t>(opt.buildings_per_campus) *
+               (1 + static_cast<std::size_t>(opt.hosts_per_building)));
+  g.reserve(1 + below_core, below_core);
   NodeId core = g.add_network("wan-core");
   for (int c = 0; c < opt.campuses; ++c) {
     const std::string campus = "c" + std::to_string(c);
@@ -245,6 +264,18 @@ TopologyGraph random_core_edge(const RandomCoreEdgeOptions& opt) {
     throw std::invalid_argument("random_core_edge: extra_core_links < 0");
   util::Rng rng(opt.seed);
   TopologyGraph g;
+  const int chords = static_cast<int>(opt.extra_core_links *
+                                      static_cast<double>(opt.core_switches));
+  const int uplinks = std::min(opt.uplinks_per_edge, opt.core_switches);
+  // The chord count is an upper bound: rejection sampling may add fewer.
+  g.reserve(static_cast<std::size_t>(opt.core_switches) +
+                static_cast<std::size_t>(opt.edge_switches) +
+                static_cast<std::size_t>(opt.hosts),
+            static_cast<std::size_t>(opt.core_switches) - 1 +
+                static_cast<std::size_t>(chords) +
+                static_cast<std::size_t>(opt.edge_switches) *
+                    static_cast<std::size_t>(uplinks) +
+                static_cast<std::size_t>(opt.hosts));
 
   // Random spanning tree over the core (each switch joins a uniformly
   // random earlier one), then chord links for redundancy/cycles.
@@ -260,8 +291,6 @@ TopologyGraph random_core_edge(const RandomCoreEdgeOptions& opt) {
     }
     cores.push_back(sw);
   }
-  const int chords = static_cast<int>(opt.extra_core_links *
-                                      static_cast<double>(opt.core_switches));
   if (chords > 0 && opt.core_switches >= 2) {
     std::vector<char> linked(cores.size() * cores.size(), 0);
     for (std::size_t l = 0; l < g.link_count(); ++l) {
@@ -293,7 +322,6 @@ TopologyGraph random_core_edge(const RandomCoreEdgeOptions& opt) {
 
   // Edge switches multi-home to distinct random core switches (partial
   // Fisher-Yates over the core ids).
-  const int uplinks = std::min(opt.uplinks_per_edge, opt.core_switches);
   std::vector<NodeId> deck = cores;
   std::vector<NodeId> edges;
   edges.reserve(static_cast<std::size_t>(opt.edge_switches));

@@ -2,8 +2,14 @@
 
 #include <gtest/gtest.h>
 
+#include <limits>
+#include <string>
+#include <unordered_map>
+#include <vector>
+
 #include "topo/dot.hpp"
 #include "topo/generators.hpp"
+#include "util/rng.hpp"
 
 namespace netsel::topo {
 namespace {
@@ -97,6 +103,180 @@ TEST(Graph, RejectsBadLinks) {
   EXPECT_THROW(g.add_link(a, b, 0.0), std::invalid_argument);   // zero cap
   EXPECT_THROW(g.add_link(a, 99, 1e6), std::invalid_argument);  // bad id
   EXPECT_THROW(g.add_link(-1, b, 1e6), std::invalid_argument);
+}
+
+constexpr double kNaN = std::numeric_limits<double>::quiet_NaN();
+constexpr double kInf = std::numeric_limits<double>::infinity();
+
+TEST(GraphNonFinite, AddComputeRejectsNonFiniteCapacity) {
+  TopologyGraph g;
+  EXPECT_THROW(g.add_compute("x", kNaN), std::invalid_argument);
+  EXPECT_THROW(g.add_compute("x", kInf), std::invalid_argument);
+  EXPECT_EQ(g.node_count(), 0u);
+  EXPECT_FALSE(g.find_node("x").has_value());
+  EXPECT_NO_THROW(g.add_compute("x", 2.0));
+}
+
+TEST(GraphNonFinite, SetMemoryRejectsNonFiniteBytes) {
+  TopologyGraph g;
+  NodeId a = g.add_compute("a");
+  EXPECT_THROW(g.set_memory(a, kNaN), std::invalid_argument);
+  EXPECT_THROW(g.set_memory(a, kInf), std::invalid_argument);
+  EXPECT_THROW(g.set_memory(a, -1.0), std::invalid_argument);
+  EXPECT_EQ(g.node(a).memory_bytes, 0.0);
+  g.set_memory(a, 4e9);
+  EXPECT_EQ(g.node(a).memory_bytes, 4e9);
+}
+
+TEST(GraphNonFinite, AddLinkRejectsNonFiniteCapacity) {
+  TopologyGraph g;
+  NodeId a = g.add_compute("a");
+  NodeId b = g.add_compute("b");
+  EXPECT_THROW(g.add_link(a, b, kNaN), std::invalid_argument);
+  EXPECT_THROW(g.add_link(a, b, kInf), std::invalid_argument);
+  EXPECT_THROW(g.add_link(a, b, 1e6, kNaN), std::invalid_argument);
+  EXPECT_THROW(g.add_link(a, b, kInf, 1e6), std::invalid_argument);
+  TopologyGraph::LinkSpec spec;
+  spec.capacity_ab = 1e6;
+  spec.capacity_ba = kNaN;  // not "same as capacity_ab"
+  EXPECT_THROW(g.add_link(a, b, spec), std::invalid_argument);
+  spec.capacity_ba = kInf;
+  EXPECT_THROW(g.add_link(a, b, spec), std::invalid_argument);
+  spec.capacity_ab = kNaN;
+  spec.capacity_ba = 0.0;
+  EXPECT_THROW(g.add_link(a, b, spec), std::invalid_argument);
+  EXPECT_EQ(g.link_count(), 0u);
+  EXPECT_EQ(g.degree(a), 0u);
+}
+
+TEST(GraphNonFinite, AddLinkRejectsNonFiniteLatency) {
+  TopologyGraph g;
+  NodeId a = g.add_compute("a");
+  NodeId b = g.add_compute("b");
+  TopologyGraph::LinkSpec spec;
+  spec.capacity_ab = 1e6;
+  spec.latency = kNaN;
+  EXPECT_THROW(g.add_link(a, b, spec), std::invalid_argument);
+  spec.latency = kInf;
+  EXPECT_THROW(g.add_link(a, b, spec), std::invalid_argument);
+  EXPECT_EQ(g.link_count(), 0u);
+  spec.latency = 1e-3;
+  LinkId l = g.add_link(a, b, spec);
+  EXPECT_EQ(g.link(l).latency, 1e-3);
+}
+
+TEST(GraphNameIndex, RemovedNameIsReusable) {
+  auto g = tiny();
+  const NodeId a = g.find_node("a").value();
+  g.remove_link(0);  // sw--a
+  g.remove_node(a);
+  EXPECT_FALSE(g.find_node("a").has_value());
+  // The removed record stays readable under its old id.
+  EXPECT_EQ(g.node(a).name, "a");
+  EXPECT_TRUE(g.node_removed(a));
+  const NodeId again = g.add_compute("a", 3.0);
+  EXPECT_NE(again, a);
+  EXPECT_EQ(g.find_node("a"), std::optional<NodeId>(again));
+  EXPECT_EQ(g.node(again).cpu_capacity, 3.0);
+  // The other names are untouched.
+  EXPECT_EQ(g.find_node("sw"), std::optional<NodeId>(0));
+  EXPECT_EQ(g.find_node("b"), std::optional<NodeId>(2));
+  // The reused name is taken again.
+  EXPECT_THROW(g.add_network("a"), std::invalid_argument);
+}
+
+/// "n<i>": the node names of the index tests.
+std::string node_name(int i) {
+  std::string name = "n";
+  name += std::to_string(i);
+  return name;
+}
+
+TEST(GraphNameIndex, DuplicatesThrowAndLeaveTheGraphUnchanged) {
+  TopologyGraph g;
+  g.reserve(4, 0);
+  for (int i = 0; i < 100; ++i) g.add_network(node_name(i));
+  for (int i = 0; i < 100; i += 7) {
+    EXPECT_THROW(g.add_compute(node_name(i)), std::invalid_argument);
+    EXPECT_THROW(g.add_network(node_name(i)), std::invalid_argument);
+  }
+  EXPECT_EQ(g.node_count(), 100u);
+  for (int i = 0; i < 100; ++i)
+    EXPECT_EQ(g.find_node(node_name(i)), std::optional<NodeId>(i));
+}
+
+TEST(GraphNameIndex, SeededChurnMatchesReferenceMap) {
+  // Adds, removals, re-adds and lookups over a pool of names, checked
+  // against std::unordered_map after every operation. The live set grows
+  // past 1,000 names, so the table doubles from its initial 16 slots
+  // through several growths, and removals run on full, clustered tables.
+  util::Rng rng(20260517);
+  TopologyGraph g;
+  std::unordered_map<std::string, NodeId> ref;
+  std::vector<std::string> pool;
+  for (int i = 0; i < 2000; ++i)
+    pool.push_back((i % 3 == 0 ? "host-" : i % 3 == 1 ? "sw" : "p7-e") +
+                   std::to_string(i * 7919 % 100003));
+  auto pick = [&] {
+    return pool[static_cast<std::size_t>(
+        rng.uniform_int(0, static_cast<std::int64_t>(pool.size()) - 1))];
+  };
+  for (int op = 0; op < 30000; ++op) {
+    const std::string name = pick();
+    const auto it = ref.find(name);
+    const auto kind = rng.uniform_int(0, 9);
+    if (kind < 5) {
+      if (it != ref.end()) {
+        EXPECT_THROW(g.add_network(name), std::invalid_argument) << name;
+      } else {
+        const NodeId id = g.add_network(name);
+        EXPECT_EQ(static_cast<std::size_t>(id) + 1, g.node_count());
+        ref.emplace(name, id);
+      }
+    } else if (kind < 8) {
+      if (it != ref.end()) {
+        g.remove_node(it->second);
+        ref.erase(it);
+      }
+    } else {
+      const auto found = g.find_node(name);
+      if (it == ref.end()) {
+        EXPECT_FALSE(found.has_value()) << name;
+      } else {
+        EXPECT_EQ(found, std::optional<NodeId>(it->second)) << name;
+      }
+    }
+    if (op % 1000 == 999) {
+      for (const auto& n : pool) {
+        const auto r = ref.find(n);
+        EXPECT_EQ(g.find_node(n), r == ref.end() ? std::optional<NodeId>()
+                                                 : std::optional<NodeId>(r->second))
+            << n << " after op " << op;
+      }
+    }
+  }
+  EXPECT_GT(ref.size(), 1000u);
+  EXPECT_GT(g.node_count(), 5000u);  // many ids were removed and re-added
+}
+
+TEST(GraphNameIndex, CopiedGraphLooksUpTheSame) {
+  TopologyGraph g;
+  for (int i = 0; i < 300; ++i) g.add_network(node_name(i));
+  for (int i = 0; i < 300; i += 3) g.remove_node(i);
+  const NodeId readded = g.add_network("n0");
+  TopologyGraph copy = g;
+  for (int i = 0; i < 300; ++i) {
+    const std::string name = node_name(i);
+    EXPECT_EQ(copy.find_node(name), g.find_node(name)) << name;
+  }
+  EXPECT_EQ(copy.find_node("n0"), std::optional<NodeId>(readded));
+  // The copy's index is its own: mutating one leaves the other intact.
+  copy.remove_node(readded);
+  copy.add_network("n3");
+  EXPECT_FALSE(copy.find_node("n0").has_value());
+  EXPECT_EQ(g.find_node("n0"), std::optional<NodeId>(readded));
+  EXPECT_FALSE(g.find_node("n3").has_value());
+  EXPECT_TRUE(copy.find_node("n3").has_value());
 }
 
 TEST(GraphValidate, AcceptsConnected) {

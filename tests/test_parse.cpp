@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <string>
+
 #include "topo/generators.hpp"
 
 namespace netsel::topo {
@@ -35,6 +37,15 @@ TEST(ParseBandwidth, Rejections) {
   EXPECT_THROW(parse_bandwidth("-5Mbps"), ParseError);
 }
 
+TEST(ParseBandwidth, RejectsNonFinite) {
+  EXPECT_THROW(parse_bandwidth("nanMbps"), ParseError);
+  EXPECT_THROW(parse_bandwidth("infGbps"), ParseError);
+  EXPECT_THROW(parse_bandwidth("infinitybps"), ParseError);
+  EXPECT_THROW(parse_bandwidth("-nanKbps"), ParseError);
+  // Finite digits whose scaled value overflows.
+  EXPECT_THROW(parse_bandwidth("1e300Gbps"), ParseError);
+}
+
 TEST(ParseDuration, Units) {
   EXPECT_DOUBLE_EQ(parse_duration("1.5s"), 1.5);
   EXPECT_DOUBLE_EQ(parse_duration("200ms"), 0.2);
@@ -44,6 +55,33 @@ TEST(ParseDuration, Units) {
 TEST(ParseDuration, Rejections) {
   EXPECT_THROW(parse_duration("10"), ParseError);
   EXPECT_THROW(parse_duration("-1ms"), ParseError);
+}
+
+TEST(ParseDuration, RejectsNonFinite) {
+  EXPECT_THROW(parse_duration("nanms"), ParseError);
+  EXPECT_THROW(parse_duration("infs"), ParseError);
+}
+
+TEST(ParseBytes, RejectsNonFinite) {
+  EXPECT_THROW(parse_bytes("nanGB"), ParseError);
+  EXPECT_THROW(parse_bytes("infMB"), ParseError);
+  EXPECT_THROW(parse_bytes("1e305GB"), ParseError);
+  EXPECT_DOUBLE_EQ(parse_bytes("2GB"), 2e9);
+}
+
+TEST(ParseTopology, RejectsNonFiniteNumbersWithTheirLine) {
+  const std::string head = "node a compute\nnode b compute\n";
+  for (const char* bad :
+       {"link a b nanMbps", "link a b 10Mbps/infMbps",
+        "link a b 10Mbps latency=nanms", "node c compute capacity=nan",
+        "node c compute capacity=inf", "node c compute memory=infGB"}) {
+    try {
+      parse_topology(head + bad + "\n");
+      ADD_FAILURE() << "accepted: " << bad;
+    } catch (const ParseError& e) {
+      EXPECT_EQ(e.line(), 3) << bad;
+    }
+  }
 }
 
 TEST(ParseTopology, SampleParses) {

@@ -379,5 +379,74 @@ TEST_F(RemosFixture, OwnerExclusionClampsToZero) {
   EXPECT_DOUBLE_EQ(load, 0.0);
 }
 
+// Every snapshot write entry point rejects NaN, infinite and out-of-range
+// input before touching state: no value changes and no delta is recorded.
+class SnapshotInputs : public ::testing::Test {
+ protected:
+  static constexpr double kNaN = std::numeric_limits<double>::quiet_NaN();
+  static constexpr double kInf = std::numeric_limits<double>::infinity();
+
+  topo::TopologyGraph g = topo::testbed();
+  NetworkSnapshot snap{g};
+  topo::NodeId m1 = g.find_node("m-1").value();
+  topo::NodeId past_nodes = static_cast<topo::NodeId>(g.node_count());
+  topo::LinkId past_links = static_cast<topo::LinkId>(g.link_count());
+};
+
+TEST_F(SnapshotInputs, SetCpuRejectsNaNAndOutOfRange) {
+  const auto e0 = snap.epoch();
+  EXPECT_THROW(snap.set_cpu(m1, kNaN), std::invalid_argument);
+  EXPECT_THROW(snap.set_cpu(m1, kInf), std::invalid_argument);
+  EXPECT_THROW(snap.set_cpu(past_nodes, 0.5), std::invalid_argument);
+  EXPECT_THROW(snap.set_cpu(-1, 0.5), std::invalid_argument);
+  // set_loadavg goes through set_cpu: a NaN load is rejected, an infinite
+  // one is a fully loaded host.
+  EXPECT_THROW(snap.set_loadavg(m1, kNaN), std::invalid_argument);
+  EXPECT_THROW(snap.set_loadavg(past_nodes, 1.0), std::invalid_argument);
+  EXPECT_EQ(snap.epoch(), e0);
+  EXPECT_EQ(snap.cpu(m1), 1.0);
+  snap.set_loadavg(m1, kInf);
+  EXPECT_EQ(snap.cpu(m1), 0.0);
+}
+
+TEST_F(SnapshotInputs, SetFreeMemoryRejectsNonFiniteAndOutOfRange) {
+  const auto e0 = snap.epoch();
+  const double before = snap.free_memory(m1);
+  EXPECT_THROW(snap.set_free_memory(m1, kNaN), std::invalid_argument);
+  EXPECT_THROW(snap.set_free_memory(m1, kInf), std::invalid_argument);
+  EXPECT_THROW(snap.set_free_memory(past_nodes, 1e9), std::invalid_argument);
+  EXPECT_THROW(snap.set_free_memory(-1, 1e9), std::invalid_argument);
+  EXPECT_EQ(snap.epoch(), e0);
+  EXPECT_EQ(snap.free_memory(m1), before);
+  snap.set_free_memory(m1, -5.0);  // negative still clamps to 0
+  EXPECT_EQ(snap.free_memory(m1), 0.0);
+}
+
+TEST_F(SnapshotInputs, SetBwRejectsNonFiniteAndOutOfRange) {
+  const auto e0 = snap.epoch();
+  const double before = snap.bw(0);
+  EXPECT_THROW(snap.set_bw(0, kNaN), std::invalid_argument);
+  EXPECT_THROW(snap.set_bw(0, kInf), std::invalid_argument);
+  EXPECT_THROW(snap.set_bw(past_links, 1e6), std::invalid_argument);
+  EXPECT_THROW(snap.set_bw(-1, 1e6), std::invalid_argument);
+  EXPECT_EQ(snap.epoch(), e0);
+  EXPECT_EQ(snap.bw(0), before);
+  EXPECT_EQ(snap.bw_dir(0, true), before);
+}
+
+TEST_F(SnapshotInputs, SetBwDirRejectsNonFiniteAndOutOfRange) {
+  const auto e0 = snap.epoch();
+  const double before = snap.bw(0);
+  for (bool forward : {true, false}) {
+    EXPECT_THROW(snap.set_bw_dir(0, forward, kNaN), std::invalid_argument);
+    EXPECT_THROW(snap.set_bw_dir(0, forward, kInf), std::invalid_argument);
+    EXPECT_THROW(snap.set_bw_dir(past_links, forward, 1e6),
+                 std::invalid_argument);
+    EXPECT_THROW(snap.set_bw_dir(-1, forward, 1e6), std::invalid_argument);
+  }
+  EXPECT_EQ(snap.epoch(), e0);
+  EXPECT_EQ(snap.bw(0), before);
+}
+
 }  // namespace
 }  // namespace netsel::remos

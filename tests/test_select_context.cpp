@@ -20,6 +20,7 @@
 #include "select/objective.hpp"
 #include "select/reference.hpp"
 #include "topo/generators.hpp"
+#include "topo/synthetic.hpp"
 
 namespace netsel::select {
 namespace {
@@ -277,6 +278,97 @@ TEST(CyclicGraphs, BalancedHandlesCyclesUnderGeneralisations) {
                        detail::reference_select_balanced(*inst.snap, opt),
                        "cyclic general seed " + std::to_string(seed));
   }
+}
+
+/// A ~600-host instance of one synthetic datacenter family, loaded with
+/// remos::apply_synthetic_load: the shape the million-host cold query runs
+/// on, small enough for the literal Fig. 3 loop.
+enum class Family { FatTree2, FatTree3, CampusWan, CoreEdge };
+
+Instance datacenter_instance(Family family, std::uint64_t seed) {
+  Instance inst;
+  switch (family) {
+    case Family::FatTree2: {
+      auto opt = topo::fat_tree_for_hosts(600, 24, 3.0, seed);  // 612 hosts
+      opt.cpu_jitter = 0.25;
+      inst.graph = std::make_unique<topo::TopologyGraph>(topo::fat_tree(opt));
+      break;
+    }
+    case Family::FatTree3: {
+      auto opt = topo::three_level_fat_tree_for_hosts(600, 12, 3.0, 1024,
+                                                      seed);  // 648 hosts
+      opt.cpu_jitter = 0.25;
+      inst.graph = std::make_unique<topo::TopologyGraph>(
+          topo::three_level_fat_tree(opt));
+      break;
+    }
+    case Family::CampusWan: {
+      topo::CampusWanOptions opt;
+      opt.campuses = 4;
+      opt.buildings_per_campus = 5;
+      opt.hosts_per_building = 30;
+      opt.seed = seed;
+      inst.graph = std::make_unique<topo::TopologyGraph>(topo::campus_wan(opt));
+      break;
+    }
+    case Family::CoreEdge: {
+      topo::RandomCoreEdgeOptions opt;
+      opt.core_switches = 8;
+      opt.edge_switches = 30;
+      opt.hosts = 600;
+      opt.seed = seed;
+      inst.graph =
+          std::make_unique<topo::TopologyGraph>(topo::random_core_edge(opt));
+      break;
+    }
+  }
+  inst.snap = std::make_unique<remos::NetworkSnapshot>(*inst.graph);
+  remos::apply_synthetic_load(*inst.snap, seed * 31 + 7);
+  return inst;
+}
+
+void expect_balanced_matches_reference(Family family, const char* name) {
+  for (std::uint64_t seed : {11u, 12u, 13u}) {
+    auto inst = datacenter_instance(family, seed);
+    for (int m : {16, 64}) {
+      for (bool exhaustive : {false, true}) {
+        SelectionOptions opt;
+        opt.num_nodes = m;
+        opt.exhaustive_balanced = exhaustive;
+        SelectionContext ctx(*inst.snap);
+        const auto fast = select_balanced(ctx, opt);
+        const auto ref = detail::reference_select_balanced(*inst.snap, opt);
+        const std::string what = std::string(name) + " seed " +
+                                 std::to_string(seed) + " m " +
+                                 std::to_string(m) +
+                                 (exhaustive ? " exhaustive" : " paper");
+        ASSERT_TRUE(ref.feasible) << what;
+        ASSERT_EQ(fast.feasible, ref.feasible) << what;
+        EXPECT_EQ(fast.nodes, ref.nodes) << what;
+        EXPECT_EQ(fast.iterations, ref.iterations) << what;
+        // Bit-identical, not merely close.
+        EXPECT_EQ(fast.objective, ref.objective) << what;
+        EXPECT_EQ(fast.min_cpu, ref.min_cpu) << what;
+        EXPECT_EQ(fast.min_bw_fraction, ref.min_bw_fraction) << what;
+      }
+    }
+  }
+}
+
+TEST(DatacenterGolden, TwoLevelFatTreeBalancedMatchesReferenceLoop) {
+  expect_balanced_matches_reference(Family::FatTree2, "fat_tree");
+}
+
+TEST(DatacenterGolden, ThreeLevelFatTreeBalancedMatchesReferenceLoop) {
+  expect_balanced_matches_reference(Family::FatTree3, "fat_tree_3l");
+}
+
+TEST(DatacenterGolden, CampusWanBalancedMatchesReferenceLoop) {
+  expect_balanced_matches_reference(Family::CampusWan, "campus_wan");
+}
+
+TEST(DatacenterGolden, RandomCoreEdgeBalancedMatchesReferenceLoop) {
+  expect_balanced_matches_reference(Family::CoreEdge, "random_core_edge");
 }
 
 TEST(EpochInvalidation, MutationsAreObservedThroughTheContext) {
