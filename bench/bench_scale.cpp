@@ -200,6 +200,19 @@ bool same_row(const topo::BottleneckRow& a, const topo::BottleneckRow& b) {
          a.tree_link == b.tree_link && a.order == b.order;
 }
 
+/// Two cached context rows, read at every node.
+bool same_row(const select::SelectionContext::PairRow& a,
+              const select::SelectionContext::PairRow& b, std::size_t nodes) {
+  for (std::size_t v = 0; v < nodes; ++v) {
+    const auto x = a.at(static_cast<topo::NodeId>(v));
+    const auto y = b.at(static_cast<topo::NodeId>(v));
+    if (x.reached != y.reached || x.bottleneck != y.bottleneck ||
+        x.bottleneck2 != y.bottleneck2 || x.latency != y.latency)
+      return false;
+  }
+  return true;
+}
+
 struct CriterionTiming {
   select::Criterion criterion;
   double cold_seconds = 0.0;   // first call on a fresh context, pruned
@@ -422,7 +435,7 @@ WarmRowsResult time_warm_rows(const remos::NetworkSnapshot& snap,
     ctx.warm_rows(pool, sources);
     p.seconds = seconds_since(t0);
     for (topo::NodeId s : sources)
-      if (!same_row(serial_ctx.pair_row(s), ctx.pair_row(s)))
+      if (!same_row(serial_ctx.pair_row(s), ctx.pair_row(s), r.nodes))
         p.identical = false;
     r.curve.push_back(p);
   }

@@ -13,9 +13,10 @@ Profiles pick the required metric set for the producing benchmark:
   service           scheduler-loop runs: bench_service (adds the sched.*
                     state-machine counters, the placement-latency and
                     queue-wait histograms, the obs.ts.* / obs.trace.* /
-                    obs.flight.* telemetry mirrors, and requires the
+                    obs.flight.* telemetry mirrors, requires the
                     10k-host candidate-set histogram to stay out of its
-                    overflow bucket)
+                    overflow bucket, and reconciles the job counters; see
+                    reconcile_service)
   exact             optimality-gap certification runs: bench_exact (the
                     select.bnb.* branch-and-bound search counters and the
                     B&B latency histogram; select.selections covers both
@@ -167,6 +168,37 @@ PROFILES = {
 TS_SCHEMA = "netsel-timeseries-v1"
 
 
+def reconcile_service(path, counters, gauges):
+    """Job-accounting identities of a drained scheduler run (bench_service
+    drains every pass; the gauges hold the last pass's end state, and the
+    counters sum over passes, each of which satisfies them)."""
+    c = counters
+    queued = gauges["sched.queue.depth"]
+    running = gauges["sched.jobs.running"]
+    tenant_rungs = sum(v for k, v in c.items()
+                       if k.startswith("sched.ladder.tenant."))
+    identities = [
+        ("sched.jobs.submitted", c["sched.jobs.submitted"],
+         "admitted + rejected",
+         c["sched.jobs.admitted"] + c["sched.jobs.rejected"]),
+        ("sched.jobs.admitted", c["sched.jobs.admitted"],
+         "placed + timeout + sched.queue.depth",
+         c["sched.jobs.placed"] + c["sched.jobs.timeout"] + queued),
+        ("sched.jobs.placed", c["sched.jobs.placed"],
+         "completed + sched.jobs.running",
+         c["sched.jobs.completed"] + running),
+        ("sched.jobs.placed", c["sched.jobs.placed"],
+         "sched.ladder.full + smoothed + prior",
+         c["sched.ladder.full"] + c["sched.ladder.smoothed"]
+         + c["sched.ladder.prior"]),
+        ("sched.jobs.placed", c["sched.jobs.placed"],
+         "sum of sched.ladder.tenant.*", tenant_rungs),
+    ]
+    for name, value, rhs, expected in identities:
+        if value != expected:
+            fail(f"{path}: {name} = {value} != {rhs} = {expected}")
+
+
 def fail(msg):
     print(f"check_metrics_json: FAIL: {msg}", file=sys.stderr)
     sys.exit(1)
@@ -236,6 +268,9 @@ def check_metrics(path, profile):
                 fail(f"{path}: required gauge {name!r} missing")
             if not isinstance(gauges[name], (int, float)) or gauges[name] < 0:
                 fail(f"{path}: gauge {name!r} is not a non-negative number")
+
+    if profile == "service":
+        reconcile_service(path, counters, doc["gauges"])
 
     if not isinstance(doc.get("spans"), int):
         fail(f"{path}: 'spans' missing or not an integer")

@@ -67,7 +67,8 @@ void FlightRecorder::record(FlightKind kind, double sim_time, std::uint64_t a,
   s.ev.a = a;
   s.ev.b = b;
   const std::size_t n = std::min(detail.size(), sizeof(s.ev.detail) - 1);
-  std::memcpy(s.ev.detail, detail.data(), n);
+  // An empty view may carry a null data(), which memcpy must not be given.
+  if (n > 0) std::memcpy(s.ev.detail, detail.data(), n);
   s.ev.detail[n] = '\0';
   s.ver.store(seq * 2, std::memory_order_release);
   flight_events_counter().inc();

@@ -161,14 +161,32 @@ void SchedulerService::set_tenant_policy(const std::string& tenant,
 }
 
 void SchedulerService::set_measurement_coverage(double coverage) {
+  if (std::isnan(coverage))
+    throw std::invalid_argument("set_measurement_coverage: NaN coverage");
   coverage_ = std::min(1.0, std::max(0.0, coverage));
 }
 
 std::uint64_t SchedulerService::submit(JobSpec spec, double arrival_time) {
+  // Every check runs before any state changes: a rejected job leaves no
+  // record, event or counter behind.
   if (spec.nodes < 1)
     throw std::invalid_argument("JobSpec: nodes < 1");
   if (!(spec.duration > 0.0))
     throw std::invalid_argument("JobSpec: duration must be positive");
+  if (!std::isfinite(arrival_time))
+    throw std::invalid_argument("submit: arrival time must be finite");
+  if (!std::isfinite(spec.load) || spec.load < 0.0)
+    throw std::invalid_argument("JobSpec: load must be finite and >= 0");
+  if (!(spec.traffic_fraction >= 0.0 && spec.traffic_fraction <= 1.0))
+    throw std::invalid_argument("JobSpec: traffic_fraction must be in [0, 1]");
+  if (!std::isfinite(spec.cpu_priority) || !(spec.cpu_priority > 0.0) ||
+      !std::isfinite(spec.bw_priority) || !(spec.bw_priority > 0.0))
+    throw std::invalid_argument("JobSpec: priorities must be finite and > 0");
+  for (const double req : {spec.min_bw_bps, spec.min_cpu_fraction,
+                           spec.min_free_memory_bytes})
+    if (!std::isfinite(req) || req < 0.0)
+      throw std::invalid_argument(
+          "JobSpec: requirements must be finite and >= 0");
   const std::uint64_t id = jobs_.size();
   JobRecord rec;
   rec.id = id;

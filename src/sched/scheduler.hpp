@@ -249,12 +249,17 @@ class SchedulerService {
 
   /// Cluster measurement coverage consulted by the degradation ladder
   /// (production: the QueryQuality coverage of the latest snapshot
-  /// refresh). Clamped to [0, 1].
+  /// refresh). Finite values are clamped to [0, 1]; NaN throws
+  /// std::invalid_argument.
   void set_measurement_coverage(double coverage);
   double measurement_coverage() const { return coverage_; }
 
   /// Enqueue an arrival at sim time `arrival_time` (>= now()). Returns the
-  /// job id. The admit decision happens when the arrival fires.
+  /// job id. The admit decision happens when the arrival fires. Throws
+  /// std::invalid_argument, before any state changes, unless nodes >= 1,
+  /// duration > 0, the arrival time is finite, load is finite and >= 0,
+  /// traffic_fraction is in [0, 1], both priorities are finite and > 0, and
+  /// the three fixed requirements are finite and >= 0.
   std::uint64_t submit(JobSpec spec, double arrival_time);
   /// Arrival at the current sim time.
   std::uint64_t submit(JobSpec spec) { return submit(std::move(spec), now_); }

@@ -170,15 +170,14 @@ struct Search {
     // Pairwise terms come from the *lower-id* endpoint's cached row — the
     // exact orientation brute_force_select uses — stored symmetrically.
     for (std::size_t i = 0; i < P; ++i) {
-      const auto& row = ctx.pair_row(pool[i]);
+      const SelectionContext::PairRow row = ctx.pair_row(pool[i]);
       for (std::size_t j = i + 1; j < P; ++j) {
-        const auto dst = pool[j];
-        const auto v = static_cast<std::size_t>(dst);
+        const SelectionContext::PairValue p = row.at(pool[j]);
         double abs = -1.0;
         double frac = -1.0;
-        if (row.reached[v]) {
-          abs = row.bottleneck[v];
-          frac = SelectionContext::row_fraction(row, dst, opt);
+        if (p.reached) {
+          abs = p.bottleneck;
+          frac = SelectionContext::row_fraction(p, opt);
         }
         const bool ok = opt.min_bw_bps <= 0.0 || abs >= opt.min_bw_bps;
         double term = kInf;
@@ -491,18 +490,16 @@ double exact_set_value(const SelectionContext& ctx, const SelectionOptions& opt,
   double min_frac = kInf;
   for (std::size_t i = 0; i < sorted.size(); ++i) {
     min_cpu = std::min(min_cpu, node_cpu(snap, sorted[i], opt));
-    const auto& row = ctx.pair_row(sorted[i]);
+    const SelectionContext::PairRow row = ctx.pair_row(sorted[i]);
     for (std::size_t j = i + 1; j < sorted.size(); ++j) {
-      const auto dst = sorted[j];
-      const auto v = static_cast<std::size_t>(dst);
-      if (!row.reached[v]) {
+      const SelectionContext::PairValue p = row.at(sorted[j]);
+      if (!p.reached) {
         min_abs = std::min(min_abs, -1.0);
         min_frac = std::min(min_frac, -1.0);
         continue;
       }
-      min_abs = std::min(min_abs, row.bottleneck[v]);
-      min_frac =
-          std::min(min_frac, SelectionContext::row_fraction(row, dst, opt));
+      min_abs = std::min(min_abs, p.bottleneck);
+      min_frac = std::min(min_frac, SelectionContext::row_fraction(p, opt));
     }
   }
   if (opt.min_bw_bps > 0.0 && min_abs < opt.min_bw_bps) return -kInf;

@@ -6,7 +6,6 @@
 
 #include "select/context.hpp"
 #include "select/detail.hpp"
-#include "topo/connectivity.hpp"
 
 namespace netsel::select {
 
@@ -45,9 +44,9 @@ BruteForceResult brute_force_select(const SelectionContext& ctx,
 
   // Pairwise bottleneck matrices over the pool — the context's per-source
   // rows follow the same deterministic BFS paths the old per-call BFS did.
-  std::vector<const topo::BottleneckRow*> rows;
+  std::vector<SelectionContext::PairRow> rows;
   rows.reserve(pool.size());
-  for (topo::NodeId n : pool) rows.push_back(&ctx.pair_row(n));
+  for (topo::NodeId n : pool) rows.push_back(ctx.pair_row(n));
   std::vector<double> cpu(pool.size());
   for (std::size_t i = 0; i < pool.size(); ++i)
     cpu[i] = node_cpu(snap, pool[i], opt);
@@ -64,10 +63,8 @@ BruteForceResult brute_force_select(const SelectionContext& ctx,
     for (std::size_t i = 0; i < m; ++i) {
       min_cpu = std::min(min_cpu, cpu[idx[i]]);
       for (std::size_t j = i + 1; j < m; ++j) {
-        const auto& row = *rows[idx[i]];
-        const auto dst = pool[idx[j]];
-        const auto v = static_cast<std::size_t>(dst);
-        if (!row.reached[v]) {
+        const SelectionContext::PairValue p = rows[idx[i]].at(pool[idx[j]]);
+        if (!p.reached) {
           // Disconnected pair: the historical per-call BFS left its -1.0
           // init sentinel in place, ranking disconnected subsets below any
           // connected one; keep that exact ordering.
@@ -75,9 +72,8 @@ BruteForceResult brute_force_select(const SelectionContext& ctx,
           min_frac = std::min(min_frac, -1.0);
           continue;
         }
-        min_abs = std::min(min_abs, row.bottleneck[v]);
-        min_frac =
-            std::min(min_frac, SelectionContext::row_fraction(row, dst, opt));
+        min_abs = std::min(min_abs, p.bottleneck);
+        min_frac = std::min(min_frac, SelectionContext::row_fraction(p, opt));
       }
     }
     bool ok = opt.min_bw_bps <= 0.0 || min_abs >= opt.min_bw_bps;

@@ -1,6 +1,7 @@
 #include "select/context.hpp"
 
 #include <algorithm>
+#include <limits>
 
 #include "obs/metrics.hpp"
 #include "util/thread_pool.hpp"
@@ -59,30 +60,6 @@ obs::Histogram& csr_patch_hist() {
       "select.ctx.csr_patch_s", obs::exp_buckets(1e-7, 4.0, 12));
   return h;
 }
-// Batched-kernel visibility (warm_rows): level-synchronous passes and
-// frontier-mask words sweep-summed across batches, plus how many rows the
-// word-parallel kernel served vs. rebuilt scalar after a discovery-order
-// rejection.
-obs::Counter& batch_passes() {
-  static obs::Counter& c =
-      obs::Registry::global().counter("select.ctx.batch.passes");
-  return c;
-}
-obs::Counter& batch_frontier_words() {
-  static obs::Counter& c =
-      obs::Registry::global().counter("select.ctx.batch.frontier_words");
-  return c;
-}
-obs::Counter& rows_batched() {
-  static obs::Counter& c =
-      obs::Registry::global().counter("select.ctx.rows.batched");
-  return c;
-}
-obs::Counter& rows_scalar_fallback() {
-  static obs::Counter& c =
-      obs::Registry::global().counter("select.ctx.rows.scalar_fallback");
-  return c;
-}
 obs::Gauge& arena_bytes_gauge() {
   static obs::Gauge& g =
       obs::Registry::global().gauge("select.ctx.arena_bytes");
@@ -107,11 +84,14 @@ SelectionContext::SelectionContext(const remos::NetworkSnapshot& snap)
   rows_invalidated_full();
   rows_repaired();
   csr_patch_hist();
-  batch_passes();
-  batch_frontier_words();
-  rows_batched();
-  rows_scalar_fallback();
   arena_bytes_gauge();
+  // The batched-kernel counters no longer move here (warm_rows builds one
+  // row per source), but the benchmark and the scale metrics profile list
+  // them, so they stay registered at 0.
+  for (const char* name :
+       {"select.ctx.batch.passes", "select.ctx.batch.frontier_words",
+        "select.ctx.rows.batched", "select.ctx.rows.scalar_fallback"})
+    obs::Registry::global().counter(name);
   // Owned by prune.cpp, but registered here too: the candidate-count
   // short-circuit can mean no selection ever reaches the pruner, and the
   // exported document must still carry the counter at 0.
@@ -138,14 +118,13 @@ void SelectionContext::revalidate() const {
 
 void SelectionContext::invalidate_all() const {
   invalidations().inc();
-  if (std::size_t built = built_row_count()) rows_invalidated_full().inc(built);
+  drop_rows();
   bw_.clear();
   bwfactor_.clear();
   by_bw_.clear();
   by_bwfactor_.clear();
   bw_valid_ = bwfactor_valid_ = by_bw_valid_ = by_bwfactor_valid_ = false;
   base_comps_.reset();
-  rows_.clear();
   // The unseen deltas may have been structural, so the graph-shaped caches
   // go too.
   csr_.reset();
@@ -203,6 +182,36 @@ void order_insert(std::vector<topo::LinkId>& order,
 
 }  // namespace
 
+template <class F>
+void SelectionContext::for_rows_using(topo::LinkId l, F&& f) const {
+  if (slot_of_.empty()) return;  // no layout, no rows
+  const topo::Link& ln = graph().link(l);
+  // The stored end the row's tree discovered through l, if any.
+  auto child = [&](const Cell* cells) {
+    for (const topo::NodeId x : {ln.a, ln.b}) {
+      const std::int32_t s = slot_of_[static_cast<std::size_t>(x)];
+      if (s >= 0 && cells[s].tree_link == l) return x;
+    }
+    return topo::kInvalidNode;
+  };
+  auto visit = [&](std::size_t src) {
+    if (!rows_[src]) return;
+    const topo::NodeId c = child(rows_[src].get());
+    if (c != topo::kInvalidNode)
+      f(static_cast<topo::NodeId>(src), rows_[src], c);
+  };
+  bool leaf_end = false;
+  for (const topo::NodeId x : {ln.a, ln.b}) {
+    if (slot_of_[static_cast<std::size_t>(x)] >= 0) continue;
+    // x has no other link: l is the first edge of x's own tree and reaches
+    // a derived leaf in every other row.
+    leaf_end = true;
+    visit(static_cast<std::size_t>(x));
+  }
+  if (leaf_end) return;
+  for (std::size_t src = 0; src < rows_.size(); ++src) visit(src);
+}
+
 void SelectionContext::apply_link_bandwidth(topo::LinkId l) const {
   const auto il = static_cast<std::size_t>(l);
   bool changed = false;
@@ -236,63 +245,55 @@ void SelectionContext::apply_link_bandwidth(topo::LinkId l) const {
     flat_->set_link_bw(l, snap_->bw(l));
     flat_->set_link_bwfactor(l, snap_->bwfactor(l));
   }
-  // Rows whose BFS tree does not use l do not depend on it at all; rows
-  // whose tree does are repaired in place (O(V) value replay, no BFS).
-  for (auto& e : rows_) {
-    if (!e) continue;
-    if (il < e->in_tree.size() && e->in_tree[il]) {
-      repair_row_values(*e, l);
-      rows_repaired().inc();
-    }
-  }
+  // Rows whose stored tree does not use l read it, if at all, through a
+  // derived leaf; rows whose tree does are repaired in place (value replay
+  // over the subtree below l, no BFS).
+  for_rows_using(l, [&](topo::NodeId src, std::unique_ptr<Cell[]>& row,
+                        topo::NodeId child) {
+    repair_row_values(row.get(), src, child);
+    rows_repaired().inc();
+  });
 }
 
-void SelectionContext::repair_row_values(RowEntry& e, topo::LinkId l) const {
+void SelectionContext::repair_row_values(Cell* cells, topo::NodeId src,
+                                         topo::NodeId child) const {
   // The BFS tree is weight-independent, so only the values changed, and
-  // only inside the subtree hanging below l: the unique node the tree
-  // discovered via l, and its tree descendants. Nodes discovered before
-  // that child cannot have l on their tree path (ancestors precede
-  // descendants in BFS order), and siblings' paths avoid l entirely. Each
-  // recomputation is the exact float operation the build performs, on a
-  // parent value that is already final (parents are dequeued before their
-  // children below), so the result is bit-identical to a from-scratch
-  // rebuild. latency and reached are weight-independent.
-  topo::BottleneckRow& row = e.row;
+  // only inside the subtree hanging below the changed link: `child`, the
+  // node the tree discovered through it, and its tree descendants. Nodes
+  // discovered before that child cannot have the link on their tree path
+  // (ancestors precede descendants in BFS order), and siblings' paths
+  // avoid it entirely. Each recomputation is the exact float operation the
+  // build performs, on a parent value that is already final (parents are
+  // dequeued before their children below), so the result is bit-identical
+  // to a from-scratch rebuild. latency and reachability are
+  // weight-independent. A stored node's parent is the source or stored:
+  // an unstored node other than the source discovers nothing.
+  constexpr double kInf = std::numeric_limits<double>::infinity();
   const auto& g = graph();
-  const topo::Link& ln = g.link(l);
-  const topo::NodeId child =
-      row.tree_link[static_cast<std::size_t>(ln.a)] == l ? ln.a : ln.b;
-  if (!csr_) {
-    // Defensive: no adjacency to walk (never expected while rows exist) —
-    // replay the full recorded discovery order instead.
-    for (std::size_t i = 1; i < row.order.size(); ++i) {
-      const topo::NodeId v = row.order[i];
-      const auto iv = static_cast<std::size_t>(v);
-      const auto il = static_cast<std::size_t>(row.tree_link[iv]);
-      const auto ip = static_cast<std::size_t>(g.other_end(row.tree_link[iv], v));
-      row.bottleneck[iv] = std::min(row.bottleneck[ip], bw_[il]);
-      if (!row.bottleneck2.empty())
-        row.bottleneck2[iv] = std::min(row.bottleneck2[ip], bwfactor_[il]);
-    }
-    return;
-  }
   const topo::CsrAdjacency& adj = *csr_;
   repair_queue_.clear();
   repair_queue_.push_back(child);
   for (std::size_t qi = 0; qi < repair_queue_.size(); ++qi) {
     const topo::NodeId v = repair_queue_[qi];
     const auto iv = static_cast<std::size_t>(v);
-    const topo::LinkId pl = row.tree_link[iv];
-    const auto ipl = static_cast<std::size_t>(pl);
-    const auto ip = static_cast<std::size_t>(g.other_end(pl, v));
-    row.bottleneck[iv] = std::min(row.bottleneck[ip], bw_[ipl]);
-    if (!row.bottleneck2.empty())
-      row.bottleneck2[iv] = std::min(row.bottleneck2[ip], bwfactor_[ipl]);
+    Cell& c = cells[slot_of_[iv]];
+    const auto il = static_cast<std::size_t>(c.tree_link);
+    const topo::NodeId p = g.other_end(c.tree_link, v);
+    double pb = kInf;
+    double pb2 = kInf;
+    if (p != src) {
+      const Cell& pc = cells[slot_of_[static_cast<std::size_t>(p)]];
+      pb = pc.bottleneck;
+      pb2 = pc.bottleneck2;
+    }
+    c.bottleneck = std::min(pb, bw_[il]);
+    c.bottleneck2 = std::min(pb2, bwfactor_[il]);
     for (auto k = adj.row_start[iv]; k < adj.row_start[iv + 1]; ++k) {
-      const topo::NodeId w = adj.neighbor[k];
       // w is v's tree child iff the edge that discovered w is this one.
-      if (row.tree_link[static_cast<std::size_t>(w)] == adj.via[k])
-        repair_queue_.push_back(w);
+      const std::int32_t sw =
+          slot_of_[static_cast<std::size_t>(adj.neighbor[k])];
+      if (sw >= 0 && cells[sw].tree_link == adj.via[k])
+        repair_queue_.push_back(adj.neighbor[k]);
     }
   }
 }
@@ -311,19 +312,9 @@ void SelectionContext::apply_node_added(topo::NodeId n) const {
     base_comps_->node_count.push_back(1);
     ++base_comps_->count;
   }
-  if (!rows_.empty()) {
-    // Extend every built row with the entry a rebuild would produce for an
-    // unreached node; existing values are untouched.
-    for (auto& e : rows_) {
-      if (!e) continue;
-      e->row.bottleneck.push_back(0.0);
-      if (!e->row.bottleneck2.empty()) e->row.bottleneck2.push_back(0.0);
-      e->row.latency.push_back(0.0);
-      e->row.reached.push_back(0);
-      e->row.tree_link.push_back(topo::kInvalidLink);
-    }
-    rows_.push_back(nullptr);
-  }
+  // No row grows: the node is unstored (it has no link), so every row
+  // reads it as unreached, and pair_row() sizes the row slots.
+  if (!slot_of_.empty()) slot_of_.push_back(-1);
   // acyclic_ is kept: an isolated node never creates a cycle.
 }
 
@@ -331,7 +322,8 @@ void SelectionContext::apply_node_removed(topo::NodeId n) const {
   // Removal requires degree 0, so by the time this delta arrives every
   // incident link has already been removed (and the rows those removals
   // touched dropped): no built row reaches n except n's own singleton row,
-  // which a rebuild reproduces unchanged. Only the compute flag flips.
+  // which a rebuild reproduces unchanged. Only the compute flag flips; a
+  // stored n keeps its (unreached) cells.
   flat_.reset();  // the arena carries is_compute
   if (csr_) {
     obs::ScopedTimer t(csr_patch_hist());
@@ -374,11 +366,9 @@ void SelectionContext::apply_link_added(topo::LinkId l) const {
     }
   }
   // A new edge can reroute any BFS tree (it is appended to its endpoints'
-  // adjacency, but may shorten paths elsewhere): drop all rows.
-  if (std::size_t built = built_row_count()) {
-    rows_invalidated_full().inc(built);
-    for (auto& e : rows_) e.reset();
-  }
+  // adjacency, but may shorten paths elsewhere), and it can give an
+  // unstored node a second link: drop all rows and the layout.
+  drop_rows();
 }
 
 void SelectionContext::apply_link_removed(topo::LinkId l) const {
@@ -400,15 +390,15 @@ void SelectionContext::apply_link_removed(topo::LinkId l) const {
   }
   // Removing a non-tree edge never changes a BFS tree (the tree edge into
   // each node is the *first* edge reaching it in scan order; dropping a
-  // later edge cannot promote an earlier one). Only rows whose tree used l
-  // are dropped.
-  for (auto& e : rows_) {
-    if (!e) continue;
-    if (il < e->in_tree.size() && e->in_tree[il]) {
-      e.reset();
-      rows_invalidated_partial().inc();
-    }
-  }
+  // later edge cannot promote an earlier one). Only rows whose stored tree
+  // used l are dropped: for a link with an unstored end that is the row
+  // sourced at that end, and the other rows stop reaching the leaf because
+  // the patched CSR no longer lists the link.
+  for_rows_using(l, [&](topo::NodeId, std::unique_ptr<Cell[]>& row,
+                        topo::NodeId) {
+    row.reset();
+    rows_invalidated_partial().inc();
+  });
 }
 
 // ---------------------------------------------------------------------------
@@ -530,48 +520,104 @@ const topo::Components& SelectionContext::base_components() const {
   return *base_comps_;
 }
 
-void SelectionContext::ensure_row_slots() const {
-  if (rows_.size() != graph().node_count()) rows_.resize(graph().node_count());
-}
-
-std::size_t SelectionContext::built_row_count() const {
-  std::size_t n = 0;
-  for (const auto& e : rows_)
-    if (e) ++n;
-  return n;
-}
-
-std::unique_ptr<SelectionContext::RowEntry> SelectionContext::build_row_entry(
-    topo::NodeId src) const {
-  auto e = std::make_unique<RowEntry>();
-  e->row = topo::bottleneck_row(flat(), src);
-  e->in_tree.assign(graph().link_count(), 0);
-  for (topo::NodeId v : e->row.order) {
-    const topo::LinkId l = e->row.tree_link[static_cast<std::size_t>(v)];
-    if (l != topo::kInvalidLink) e->in_tree[static_cast<std::size_t>(l)] = 1;
+void SelectionContext::ensure_layout() const {
+  const topo::CsrAdjacency& adj = csr();
+  const std::size_t n = graph().node_count();
+  if (slot_of_.empty() && n > 0) {
+    slot_of_.assign(n, -1);
+    stored_count_ = 0;
+    for (std::size_t v = 0; v < n; ++v)
+      if (adj.row_start[v + 1] - adj.row_start[v] >= 2)
+        slot_of_[v] = static_cast<std::int32_t>(stored_count_++);
   }
-  return e;
+  if (rows_.size() != n) rows_.resize(n);
 }
 
-const topo::BottleneckRow& SelectionContext::pair_row(topo::NodeId src) const {
+void SelectionContext::drop_rows() const {
+  std::size_t built = 0;
+  for (const auto& row : rows_)
+    if (row) ++built;
+  if (built) rows_invalidated_full().inc(built);
+  rows_.clear();
+  slot_of_.clear();
+  stored_count_ = 0;
+}
+
+std::unique_ptr<SelectionContext::Cell[]> SelectionContext::build_row(
+    const topo::FlatGraph& g, topo::NodeId src) const {
+  // topo::bottleneck_row's BFS over the arena with the unstored nodes left
+  // out of the FIFO: such a node (other than the source) has no link but
+  // the one it was discovered through, so it discovers nothing, and
+  // dropping it from the queue leaves every stored node's parent, hence its
+  // values, unchanged. Reads derive it from its parent's cell.
+  constexpr double kInf = std::numeric_limits<double>::infinity();
+  const auto row_start = g.row_start();
+  const auto neighbor = g.neighbor();
+  const auto via = g.via();
+  const auto bw = g.link_bw();
+  const auto bwfactor = g.link_bwfactor();
+  const auto latency = g.link_latency();
+  auto cells = std::make_unique<Cell[]>(stored_count_);
+  std::vector<topo::NodeId> fifo;
+  fifo.reserve(stored_count_ + 1);
+  fifo.push_back(src);
+  for (std::size_t head = 0; head < fifo.size(); ++head) {
+    const topo::NodeId u = fifo[head];
+    const auto iu = static_cast<std::size_t>(u);
+    double ub = kInf;
+    double ub2 = kInf;
+    double ulat = 0.0;
+    if (u != src) {
+      const Cell& uc = cells[slot_of_[iu]];
+      ub = uc.bottleneck;
+      ub2 = uc.bottleneck2;
+      ulat = uc.latency;
+    }
+    const auto lo = static_cast<std::size_t>(row_start[iu]);
+    const auto hi = static_cast<std::size_t>(row_start[iu + 1]);
+    for (std::size_t e = lo; e < hi; ++e) {
+      const topo::NodeId w = neighbor[e];
+      const std::int32_t sw = slot_of_[static_cast<std::size_t>(w)];
+      if (sw < 0 || w == src) continue;
+      Cell& c = cells[sw];
+      if (c.tree_link != topo::kInvalidLink) continue;
+      const auto il = static_cast<std::size_t>(via[e]);
+      c.tree_link = via[e];
+      c.bottleneck = std::min(ub, bw[il]);
+      c.bottleneck2 = std::min(ub2, bwfactor[il]);
+      c.latency = ulat + latency[il];
+      fifo.push_back(w);
+    }
+  }
+  return cells;
+}
+
+SelectionContext::PairRow SelectionContext::pair_row(topo::NodeId src) const {
   // link_bw()/link_bwfactor() revalidate; rows_ is maintained alongside.
   (void)link_bw();
   (void)link_bwfactor();
-  ensure_row_slots();
+  ensure_layout();
   auto& slot = rows_[static_cast<std::size_t>(src)];
   if (!slot) {
     row_misses().inc();
-    slot = build_row_entry(src);
+    slot = build_row(flat(), src);
   } else {
     row_hits().inc();
   }
-  return slot->row;
+  PairRow r;
+  r.src_ = src;
+  r.cells_ = slot.get();
+  r.slot_of_ = slot_of_.data();
+  r.adj_ = csr_.get();
+  r.bw_ = bw_.data();
+  r.bwfactor_ = bwfactor_.data();
+  return r;
 }
 
 void SelectionContext::warm_rows(
     util::ThreadPool& pool, const std::vector<topo::NodeId>& sources) const {
   const topo::FlatGraph& g = flat();
-  ensure_row_slots();
+  ensure_layout();
   std::vector<char> queued(graph().node_count(), 0);
   std::vector<topo::NodeId> todo;
   for (topo::NodeId src : sources) {
@@ -582,36 +628,10 @@ void SelectionContext::warm_rows(
   }
   if (todo.empty()) return;
   row_misses().inc(todo.size());
-  const std::size_t link_count = graph().link_count();
-  // 64-wide batches, each one multi-source bitset BFS; the batches fan out
-  // over the pool. Each task writes only its own pre-sized slots and the
-  // batch boundaries are fixed by `todo` order, so any thread count — and
-  // the zero-worker serial mode — produces identical rows (the kernel
-  // itself is bit-identical to the scalar one per its contract).
-  const std::size_t batches = (todo.size() + 63) / 64;
-  util::parallel_for(pool, batches, [&](std::size_t bi) {
-    const std::size_t lo = bi * 64;
-    const std::size_t W = std::min<std::size_t>(64, todo.size() - lo);
-    std::vector<topo::BottleneckRow> rows(W);
-    topo::BatchStats st;
-    topo::batched_bottleneck_rows(
-        g, std::span<const topo::NodeId>(todo).subspan(lo, W),
-        std::span<topo::BottleneckRow>(rows), &st);
-    for (std::size_t k = 0; k < W; ++k) {
-      auto e = std::make_unique<RowEntry>();
-      e->row = std::move(rows[k]);
-      e->in_tree.assign(link_count, 0);
-      for (topo::NodeId v : e->row.order) {
-        const topo::LinkId l = e->row.tree_link[static_cast<std::size_t>(v)];
-        if (l != topo::kInvalidLink)
-          e->in_tree[static_cast<std::size_t>(l)] = 1;
-      }
-      rows_[static_cast<std::size_t>(todo[lo + k])] = std::move(e);
-    }
-    batch_passes().inc(st.passes);
-    batch_frontier_words().inc(st.frontier_words);
-    rows_batched().inc(st.batched_rows);
-    rows_scalar_fallback().inc(st.scalar_fallback_rows);
+  // Each task builds one row into its own pre-sized slot and reads only
+  // shared immutable state, so any thread count produces identical rows.
+  util::parallel_for(pool, todo.size(), [&](std::size_t i) {
+    rows_[static_cast<std::size_t>(todo[i])] = build_row(g, todo[i]);
   });
 }
 

@@ -23,6 +23,18 @@
 //     lazily, so a context costs nothing until queried;
 //   - the base connected-component decomposition (all links active).
 //
+// Row layout: a cached row stores one cell (bottleneck, bottleneck2,
+// latency, tree link) per *stored* node — every node with two or more
+// links when the layout was made, which on a fat-tree is the switches
+// only. A node with at most one link is a leaf of every BFS tree but its
+// own, so its values follow from its neighbour's cell and its one link:
+// PairRow::at() derives them on read with the same std::min and + the
+// BFS kernel applies when it discovers that node, so every value is
+// bit-identical to topo::bottleneck_row. The layout is made by the first
+// pair_row()/warm_rows() call. A stored node stays stored if its degree
+// later falls; an unstored node never gains a second link without a
+// relayout, because only LinkAdded raises a degree and it drops the layout.
+//
 // Validity contract: the snapshot carries an epoch counter bumped on every
 // mutation plus a bounded journal of typed deltas (remos/delta.hpp). Each
 // accessor revalidates against snapshot().epoch(); when the journal still
@@ -33,21 +45,29 @@
 //     cpu rankings are per-call state);
 //   - a link-bandwidth delta repositions the link inside the cached
 //     deletion orders (binary erase + sorted reinsert, identical to a
-//     re-sort) and *repairs* affected bottleneck rows in place: the BFS
-//     tree is weight-independent, so replaying the min-recurrence over the
-//     recorded discovery order with the updated weights is bit-identical to
-//     a rebuild — rows whose tree does not use the link are untouched;
+//     re-sort) and *repairs* affected rows in place: the BFS tree is
+//     weight-independent, so replaying the min-recurrence over the subtree
+//     below the link with the updated weights is bit-identical to a
+//     rebuild. A link with an unstored end (a host's access link) is in
+//     the stored tree of one row only, the row sourced at that end; every
+//     other row reads that end through the link on the fly. A link between
+//     two stored nodes is in a row's tree iff the tree link of one of its
+//     ends is that link;
 //   - structural deltas patch the cached CSR adjacency in place
-//     (topo::CsrAdjacency::patch_*); link removal drops only the rows whose
-//     tree used that link, link addition drops all rows (the tree may
-//     reroute), node addition extends rows with an unreached entry.
+//     (topo::CsrAdjacency::patch_*). Removing a link with an unstored end
+//     drops only that end's row (other rows just stop reaching the leaf);
+//     removing a link between stored nodes drops the rows whose tree used
+//     it; adding a link drops every row and the layout (the tree may
+//     reroute); an added node grows no row and reads as unreached.
 //
 // When the journal has been trimmed past the context's epoch the context
-// falls back to the historical behaviour: drop every cache. The referenced
-// snapshot (and its graph) must outlive the context. Not thread-safe:
-// accessors mutate the lazy caches.
+// falls back to the historical behaviour: drop every cache, the row layout
+// included. The referenced snapshot (and its graph) must outlive the
+// context. Not thread-safe: accessors mutate the lazy caches.
 
+#include <algorithm>
 #include <cstdint>
+#include <limits>
 #include <memory>
 #include <vector>
 
@@ -130,19 +150,86 @@ class SelectionContext {
   /// unconstrained algorithms).
   const topo::Components& base_components() const;
 
+  /// One destination's entry of a pair_row(): the values
+  /// topo::bottleneck_row holds at that node. Unreached nodes read
+  /// {false, 0, 0, 0}, the source {true, +inf, +inf, 0}.
+  struct PairValue {
+    bool reached = false;
+    double bottleneck = 0.0;   ///< min available bandwidth along the path
+    double bottleneck2 = 0.0;  ///< min bwfactor along the path
+    double latency = 0.0;      ///< summed link latency along the path
+  };
+
+ private:
+  /// A cached row's entry at one stored node.
+  struct Cell {
+    double bottleneck = 0.0;
+    double bottleneck2 = 0.0;
+    double latency = 0.0;
+    /// Link that discovered the node; kInvalidLink while unreached (and
+    /// for the source, whose values PairRow::at() answers directly).
+    topo::LinkId tree_link = topo::kInvalidLink;
+  };
+
+ public:
+  /// Read-only view of one cached row. Valid until the snapshot is next
+  /// mutated and an accessor catches up with it; building further rows does
+  /// not move it.
+  class PairRow {
+   public:
+    /// The row's values at `v`, bit-identical to topo::bottleneck_row.
+    PairValue at(topo::NodeId v) const {
+      constexpr double kInf = std::numeric_limits<double>::infinity();
+      if (v == src_) return {true, kInf, kInf, 0.0};
+      const auto iv = static_cast<std::size_t>(v);
+      const std::int32_t s = slot_of_[iv];
+      if (s >= 0) {
+        const Cell& c = cells_[s];
+        if (c.tree_link == topo::kInvalidLink) return {};
+        return {true, c.bottleneck, c.bottleneck2, c.latency};
+      }
+      // At most one link: v is a leaf hanging off its neighbour, discovered
+      // exactly as the BFS kernel discovers it.
+      const auto k = static_cast<std::size_t>(adj_->row_start[iv]);
+      if (k == static_cast<std::size_t>(adj_->row_start[iv + 1])) return {};
+      const topo::NodeId u = adj_->neighbor[k];
+      PairValue p{true, kInf, kInf, 0.0};
+      if (u != src_) {
+        const std::int32_t su = slot_of_[static_cast<std::size_t>(u)];
+        if (su < 0) return {};  // an isolated pair away from the source
+        const Cell& c = cells_[su];
+        if (c.tree_link == topo::kInvalidLink) return {};
+        p = {true, c.bottleneck, c.bottleneck2, c.latency};
+      }
+      const auto il = static_cast<std::size_t>(adj_->via[k]);
+      return {true, std::min(p.bottleneck, bw_[il]),
+              std::min(p.bottleneck2, bwfactor_[il]),
+              p.latency + adj_->link_latency[il]};
+    }
+
+   private:
+    friend class SelectionContext;
+    topo::NodeId src_ = topo::kInvalidNode;
+    const Cell* cells_ = nullptr;
+    const std::int32_t* slot_of_ = nullptr;
+    const topo::CsrAdjacency* adj_ = nullptr;
+    const double* bw_ = nullptr;
+    const double* bwfactor_ = nullptr;
+  };
+
   /// Cached bottleneck row from `src` over the full graph: bottleneck =
   /// available bandwidth, bottleneck2 = bwfactor, plus path latency and
   /// reachability, along the same deterministic BFS paths evaluate_set and
-  /// bfs_path trace. Built lazily per source, O(V + E) once.
-  const topo::BottleneckRow& pair_row(topo::NodeId src) const;
+  /// bfs_path trace. Built lazily per source (one O(V + E) BFS over flat()
+  /// that writes only the stored nodes' cells); the first call also makes
+  /// the row layout.
+  PairRow pair_row(topo::NodeId src) const;
 
-  /// Fractional bottleneck from a pair_row() under the options' reference
-  /// rules (bw / reference_bw, or the cached bwfactor bottleneck).
-  static double row_fraction(const topo::BottleneckRow& row, topo::NodeId dst,
-                             const SelectionOptions& opt) {
-    if (opt.reference_bw > 0.0)
-      return row.bottleneck[static_cast<std::size_t>(dst)] / opt.reference_bw;
-    return row.bottleneck2[static_cast<std::size_t>(dst)];
+  /// Fractional bottleneck of a pair_row() value under the options'
+  /// reference rules (bw / reference_bw, or the bwfactor bottleneck).
+  static double row_fraction(const PairValue& p, const SelectionOptions& opt) {
+    if (opt.reference_bw > 0.0) return p.bottleneck / opt.reference_bw;
+    return p.bottleneck2;
   }
 
   /// Per-node eligibility under `opt` (compute, mask, min-cpu, memory).
@@ -151,25 +238,15 @@ class SelectionContext {
 
   /// Build the pair_row() cache entries for `sources` on a thread pool
   /// (duplicates and already-built rows are skipped; each build counts as a
-  /// row miss). The missing sources are grouped into 64-wide batches, each
-  /// served by one multi-source bitset BFS over flat()
-  /// (topo::batched_bottleneck_rows — bit-identical to the scalar kernel,
-  /// with transparent scalar fallback), and the batches fan out over the
-  /// pool. Safe because every row lands in its own pre-sized slot; no other
-  /// accessor may run concurrently — warm, then query. A zero-worker pool
-  /// degenerates to the serial batch order; results are identical at any
-  /// thread count.
+  /// row miss): the same compact rows pair_row() builds, one BFS per
+  /// missing source, fanned out over the pool. Safe because every row
+  /// lands in its own pre-sized slot; no other accessor may run
+  /// concurrently — warm, then query. Results are identical at any thread
+  /// count, the zero-worker serial mode included.
   void warm_rows(util::ThreadPool& pool,
                  const std::vector<topo::NodeId>& sources) const;
 
  private:
-  /// A cached bottleneck row plus the per-link membership mask of its BFS
-  /// tree, so "does delta on link l touch this row?" is an O(1) probe.
-  struct RowEntry {
-    topo::BottleneckRow row;
-    std::vector<char> in_tree;  // per link id: 1 iff a tree edge of row
-  };
-
   /// Catch up with the snapshot: consume the missed deltas fine-grainedly,
   /// or drop every cache when the journal no longer covers the gap.
   void revalidate() const;
@@ -180,14 +257,27 @@ class SelectionContext {
   void apply_node_removed(topo::NodeId n) const;
   void apply_link_added(topo::LinkId l) const;
   void apply_link_removed(topo::LinkId l) const;
+  /// Calls f(src, row, child) for every built row whose stored tree
+  /// contains link `l`, `child` being the stored end it discovered through
+  /// `l`. Only the rows sourced at an unstored end of `l` can (a host's
+  /// access link is a derived leaf elsewhere); with both ends stored every
+  /// row is asked, an O(1) probe of the two ends' tree links.
+  template <class F>
+  void for_rows_using(topo::LinkId l, F&& f) const;
   /// Replay the bottleneck min-recurrence with the current weight arrays
-  /// over the tree subtree hanging below changed link `l` (tree unchanged
-  /// -> bit-identical to rebuild; nodes outside that subtree cannot have
-  /// changed). For a fat-tree access link the subtree is a single leaf.
-  void repair_row_values(RowEntry& e, topo::LinkId l) const;
-  std::unique_ptr<RowEntry> build_row_entry(topo::NodeId src) const;
-  void ensure_row_slots() const;
-  std::size_t built_row_count() const;
+  /// over the stored subtree below `child` (tree unchanged -> bit-identical
+  /// to rebuild; nodes outside that subtree cannot have changed, and
+  /// unstored leaves are derived on read).
+  void repair_row_values(Cell* cells, topo::NodeId src,
+                         topo::NodeId child) const;
+  /// One row: a BFS from `src` over the arena writing the stored nodes'
+  /// cells.
+  std::unique_ptr<Cell[]> build_row(const topo::FlatGraph& g,
+                                    topo::NodeId src) const;
+  /// Make the row layout if there is none, and size the row slots.
+  void ensure_layout() const;
+  /// Drop every row and the layout, counting the drop as full.
+  void drop_rows() const;
 
   const remos::NetworkSnapshot* snap_;
   mutable std::uint64_t epoch_;
@@ -207,7 +297,12 @@ class SelectionContext {
   mutable bool by_bw_valid_ = false;
   mutable bool by_bwfactor_valid_ = false;
   mutable std::unique_ptr<topo::Components> base_comps_;
-  mutable std::vector<std::unique_ptr<RowEntry>> rows_;
+  /// Row layout: per node id, its cell index in every row, or -1 for an
+  /// unstored node. Empty while there is no layout.
+  mutable std::vector<std::int32_t> slot_of_;
+  mutable std::size_t stored_count_ = 0;
+  /// Per source node id: its row (stored_count_ cells), or null.
+  mutable std::vector<std::unique_ptr<Cell[]>> rows_;
   mutable std::vector<remos::Delta> pending_;      // revalidate scratch
   mutable std::vector<topo::NodeId> repair_queue_;  // repair BFS scratch
 };

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <limits>
+#include <optional>
 #include <queue>
 #include <stdexcept>
 
@@ -107,22 +108,21 @@ SetEvaluation evaluate_set(const SelectionContext& ctx,
     ev.min_pair_bw_fraction = nic_frac;
   } else {
     for (std::size_t i = 0; i + 1 < nodes.size(); ++i) {
-      const topo::BottleneckRow* row = nullptr;
+      std::optional<SelectionContext::PairRow> row;
       for (std::size_t j = i + 1; j < nodes.size(); ++j) {
         if (nodes[i] == nodes[j]) continue;
-        if (!row) row = &ctx.pair_row(nodes[i]);
-        const auto v = static_cast<std::size_t>(nodes[j]);
-        if (!row->reached[v]) {
+        if (!row) row = ctx.pair_row(nodes[i]);
+        const SelectionContext::PairValue p = row->at(nodes[j]);
+        if (!p.reached) {
           ev.connected = false;
           ev.min_pair_bw = 0.0;
           ev.min_pair_bw_fraction = 0.0;
           continue;
         }
-        ev.min_pair_bw = std::min(ev.min_pair_bw, row->bottleneck[v]);
+        ev.min_pair_bw = std::min(ev.min_pair_bw, p.bottleneck);
         ev.min_pair_bw_fraction = std::min(
-            ev.min_pair_bw_fraction,
-            SelectionContext::row_fraction(*row, nodes[j], opt));
-        ev.max_pair_latency = std::max(ev.max_pair_latency, row->latency[v]);
+            ev.min_pair_bw_fraction, SelectionContext::row_fraction(p, opt));
+        ev.max_pair_latency = std::max(ev.max_pair_latency, p.latency);
       }
     }
   }

@@ -143,12 +143,12 @@ struct BottleneckRow {
   std::vector<double> bottleneck2;  ///< same for weight2 (empty if not given)
   std::vector<double> latency;      ///< summed link latency along path
   std::vector<char> reached;        ///< 0 for nodes in other components
-  /// BFS-tree structure, recorded so a weight-only change can be replayed
-  /// in place (select::SelectionContext): the link that first reached each
-  /// node (kInvalidLink for src and unreached nodes) and the discovery
-  /// (FIFO) order of the reached nodes, src first. Replaying the bottleneck
-  /// recurrence over `order` with updated weights is bit-identical to a
-  /// rebuild, because the tree is weight-independent.
+  /// BFS-tree structure: the link that first reached each node
+  /// (kInvalidLink for src and unreached nodes) and the discovery (FIFO)
+  /// order of the reached nodes, src first — what the batched kernel's
+  /// bit-identity contract compares. Replaying the bottleneck recurrence
+  /// over `order` with updated weights is bit-identical to a rebuild,
+  /// because the tree is weight-independent.
   std::vector<LinkId> tree_link;
   std::vector<NodeId> order;
 };
@@ -158,8 +158,8 @@ BottleneckRow bottleneck_row(const TopologyGraph& g, NodeId src,
                              std::span<const double> weight2 = {});
 
 /// CSR-backed bottleneck_row: same BFS tree (CSR preserves links_of order),
-/// same values, no per-edge Link lookups. This is the kernel the
-/// SelectionContext row cache runs at scale.
+/// same values, no per-edge Link lookups. bench_scale times it as the CSR
+/// baseline of its kernel section.
 BottleneckRow bottleneck_row(const CsrAdjacency& adj, NodeId src,
                              std::span<const double> weight,
                              std::span<const double> weight2 = {});

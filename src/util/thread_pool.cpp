@@ -53,7 +53,13 @@ ThreadPool::ThreadPool(int threads) {
 }
 
 ThreadPool::~ThreadPool() {
-  stop_.store(true);
+  // Set stop_ under sleep_mu_, as submit() fences its pending_ increment: a
+  // worker between its wait predicate and its sleep would otherwise miss
+  // the notify and block its join forever.
+  {
+    std::lock_guard<std::mutex> lock(sleep_mu_);
+    stop_.store(true);
+  }
   sleep_cv_.notify_all();
   for (std::thread& t : threads_) t.join();
 }

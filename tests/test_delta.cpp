@@ -4,10 +4,12 @@
 // per-row drop on link removal) must stay *bit-identical* to a context
 // rebuilt from scratch after arbitrary delta sequences — orders, component
 // decompositions, bottleneck rows, selections under every criterion, and
-// set evaluations. Also covers the journal mechanics (typed emission,
-// bounded trimming, overflow fallback), the CSR patch-vs-rebuild equality,
-// row storage stability under value-only deltas, and the bounded-migration
-// reselect layer.
+// set evaluations; every checked row is also compared, node by node, with
+// topo::bottleneck_row over the TopologyGraph. Also covers the journal
+// mechanics (typed emission, bounded trimming, overflow fallback), the CSR
+// patch-vs-rebuild equality, no row rebuild under value-only deltas, one
+// test per compact-row delta rule, and the bounded-migration reselect
+// layer.
 
 #include <gtest/gtest.h>
 
@@ -17,6 +19,7 @@
 #include <vector>
 
 #include "api/reselect.hpp"
+#include "obs/metrics.hpp"
 #include "select/algorithms.hpp"
 #include "select/context.hpp"
 #include "select/objective.hpp"
@@ -149,15 +152,77 @@ void random_mutation(util::Rng& rng, topo::TopologyGraph& g,
   }
 }
 
-void expect_rows_equal(const topo::BottleneckRow& a,
-                       const topo::BottleneckRow& b, const std::string& what) {
-  EXPECT_EQ(a.bottleneck, b.bottleneck) << what;
-  EXPECT_EQ(a.bottleneck2, b.bottleneck2) << what;
-  EXPECT_EQ(a.latency, b.latency) << what;
-  EXPECT_EQ(a.reached, b.reached) << what;
-  EXPECT_EQ(a.tree_link, b.tree_link) << what;
-  EXPECT_EQ(a.order, b.order) << what;
+using PairRow = select::SelectionContext::PairRow;
+using PairValue = select::SelectionContext::PairValue;
+
+bool same_value(const PairValue& a, const PairValue& b) {
+  return a.reached == b.reached && a.bottleneck == b.bottleneck &&
+         a.bottleneck2 == b.bottleneck2 && a.latency == b.latency;
 }
+
+std::string describe(const PairValue& p) {
+  return "{reached " + std::to_string(p.reached) + ", bw " +
+         std::to_string(p.bottleneck) + ", bw2 " +
+         std::to_string(p.bottleneck2) + ", lat " +
+         std::to_string(p.latency) + "}";
+}
+
+/// Every node of two cached rows, bit for bit (first mismatch reported).
+void expect_rows_equal(const PairRow& a, const PairRow& b, std::size_t nodes,
+                       const std::string& what) {
+  for (std::size_t v = 0; v < nodes; ++v) {
+    const auto n = static_cast<topo::NodeId>(v);
+    if (!same_value(a.at(n), b.at(n))) {
+      ADD_FAILURE() << what << " node " << v << ": " << describe(a.at(n))
+                    << " vs " << describe(b.at(n));
+      return;
+    }
+  }
+}
+
+/// Every node of a cached row against the reference kernel,
+/// topo::bottleneck_row over the TopologyGraph with the snapshot's current
+/// weights — an oracle that shares no code with the context's rows.
+void expect_row_matches_kernel(const PairRow& row,
+                               const remos::NetworkSnapshot& snap,
+                               topo::NodeId src, const std::string& what) {
+  const auto& g = snap.graph();
+  std::vector<double> bw(g.link_count());
+  std::vector<double> f(g.link_count());
+  for (std::size_t l = 0; l < bw.size(); ++l) {
+    bw[l] = snap.bw(static_cast<topo::LinkId>(l));
+    f[l] = snap.bwfactor(static_cast<topo::LinkId>(l));
+  }
+  const topo::BottleneckRow want = topo::bottleneck_row(g, src, bw, f);
+  for (std::size_t v = 0; v < g.node_count(); ++v) {
+    const PairValue w{want.reached[v] != 0, want.bottleneck[v],
+                      want.bottleneck2[v], want.latency[v]};
+    const PairValue got = row.at(static_cast<topo::NodeId>(v));
+    if (!same_value(got, w)) {
+      ADD_FAILURE() << what << " src " << src << " node " << v << ": "
+                    << describe(got) << " vs kernel " << describe(w);
+      return;
+    }
+  }
+}
+
+/// Turns the obs registry on (zeroed) for one test, so the select.ctx.*
+/// counters can be read, and restores the disabled default afterwards.
+struct ScopedCounters {
+  ScopedCounters() {
+    obs::set_enabled(true);
+    obs::Registry::global().reset();
+  }
+  ~ScopedCounters() {
+    obs::Registry::global().reset();
+    obs::set_enabled(false);
+  }
+  ScopedCounters(const ScopedCounters&) = delete;
+  ScopedCounters& operator=(const ScopedCounters&) = delete;
+  std::uint64_t operator()(const char* name) const {
+    return obs::Registry::global().counter(name).value();
+  }
+};
 
 constexpr select::Criterion kCriteria[] = {select::Criterion::MaxCompute,
                                            select::Criterion::MaxBandwidth,
@@ -196,9 +261,12 @@ void expect_matches_rebuild(const select::SelectionContext& inc,
   EXPECT_EQ(xa.node_count, xb.node_count) << what;
 
   auto hosts = present_computes(g);
-  for (std::size_t i = 0; i < hosts.size() && i < 12; ++i)
-    expect_rows_equal(inc.pair_row(hosts[i]), fresh.pair_row(hosts[i]),
-                      what + " row " + std::to_string(hosts[i]));
+  for (std::size_t i = 0; i < hosts.size() && i < 12; ++i) {
+    const std::string tag = what + " row " + std::to_string(hosts[i]);
+    const PairRow row = inc.pair_row(hosts[i]);
+    expect_rows_equal(row, fresh.pair_row(hosts[i]), g.node_count(), tag);
+    expect_row_matches_kernel(row, snap, hosts[i], tag);
+  }
 
   for (select::Criterion c : kCriteria) {
     for (bool pruned : {true, false}) {
@@ -429,43 +497,41 @@ TEST(IncrementalOracle, JournalOverflowFallsBackToFullRebuild) {
 }
 
 TEST(IncrementalOracle, ValueDeltasKeepRowStorage) {
+  ScopedCounters counters;
   topo::TopologyGraph g;
   auto sw = g.add_network("sw");
   std::vector<topo::NodeId> h;
   std::vector<topo::LinkId> hl;
   for (int i = 0; i < 4; ++i) {
-    h.push_back(g.add_compute("h" + std::to_string(i)));
+    h.push_back(g.add_compute(std::string("h") + std::to_string(i)));
     hl.push_back(g.add_link(sw, h.back(), topo::k100Mbps));
   }
   remos::NetworkSnapshot snap(g);
   select::SelectionContext ctx(snap);
-  const topo::BottleneckRow* row = &ctx.pair_row(h[0]);
+  (void)ctx.pair_row(h[0]);
+  const std::uint64_t misses = counters("select.ctx.row_misses");
+  EXPECT_EQ(misses, 1u);
 
   // Node sensor deltas invalidate nothing.
   snap.set_loadavg(h[1], 2.0);
-  EXPECT_EQ(&ctx.pair_row(h[0]), row);
+  (void)ctx.pair_row(h[0]);
+  EXPECT_EQ(counters("select.ctx.row_misses"), misses);
 
-  // A bandwidth delta on a tree link repairs the row in place: same
-  // storage, updated values.
+  // A bandwidth delta is consumed without rebuilding the row: h1 is read
+  // through its access link, so the new value shows at once.
   snap.set_bw(hl[1], 40e6);
-  EXPECT_EQ(&ctx.pair_row(h[0]), row);
-  EXPECT_DOUBLE_EQ(
-      ctx.pair_row(h[0]).bottleneck[static_cast<std::size_t>(h[1])], 40e6);
-  {
-    select::SelectionContext fresh(snap);
-    expect_rows_equal(ctx.pair_row(h[0]), fresh.pair_row(h[0]), "post-bw");
-  }
+  const PairRow row = ctx.pair_row(h[0]);
+  EXPECT_EQ(counters("select.ctx.row_misses"), misses);
+  EXPECT_DOUBLE_EQ(row.at(h[1]).bottleneck, 40e6);
+  expect_row_matches_kernel(row, snap, h[0], "post-bw");
 
-  // A host added elsewhere extends the row in place (one unreached entry).
+  // A host added elsewhere grows no row and reads as unreached.
   auto extra = g.add_compute("extra");
   snap.notify_node_added(extra);
-  EXPECT_EQ(&ctx.pair_row(h[0]), row);
-  EXPECT_EQ(row->bottleneck.size(), g.node_count());
-  EXPECT_EQ(row->reached[static_cast<std::size_t>(extra)], 0);
-  {
-    select::SelectionContext fresh(snap);
-    expect_rows_equal(ctx.pair_row(h[0]), fresh.pair_row(h[0]), "post-add");
-  }
+  const PairRow grown = ctx.pair_row(h[0]);
+  EXPECT_EQ(counters("select.ctx.row_misses"), misses);
+  EXPECT_FALSE(grown.at(extra).reached);
+  expect_row_matches_kernel(grown, snap, h[0], "post-add");
 }
 
 TEST(IncrementalOracle, WarmedRowsStayConsistentAcrossDeltas) {
@@ -477,6 +543,152 @@ TEST(IncrementalOracle, WarmedRowsStayConsistentAcrossDeltas) {
   inst.snap->set_bw(links[1], 0.5 * inst.snap->maxbw(links[1]));
   inst.snap->set_bw(links[3], 0.25 * inst.snap->maxbw(links[3]));
   expect_matches_rebuild(ctx, *inst.snap, "after warm+delta");
+}
+
+// ---------------------------------------------------------------------------
+// Compact rows: one test per delta rule
+// ---------------------------------------------------------------------------
+
+/// 4 edge switches x 5 hosts under 2 core switches: the 6 switches are the
+/// stored nodes, the 20 hosts are read through their access links.
+Instance compact_fat_tree() {
+  Instance inst;
+  topo::FatTreeOptions o;
+  o.edge_switches = 4;
+  o.hosts_per_edge = 5;
+  o.core_switches = 2;
+  o.seed = 5;
+  inst.graph = std::make_unique<topo::TopologyGraph>(topo::fat_tree(o));
+  inst.snap = std::make_unique<remos::NetworkSnapshot>(*inst.graph);
+  remos::apply_synthetic_load(*inst.snap, 17);
+  return inst;
+}
+
+/// Every built row of `srcs` against the reference kernel, every node.
+void expect_rows_match_kernel(const select::SelectionContext& ctx,
+                              const remos::NetworkSnapshot& snap,
+                              const std::vector<topo::NodeId>& srcs,
+                              const std::string& what) {
+  for (topo::NodeId src : srcs)
+    expect_row_matches_kernel(ctx.pair_row(src), snap, src, what);
+}
+
+TEST(CompactRows, AccessLinkBandwidthRepairsOneRow) {
+  ScopedCounters counters;
+  auto inst = compact_fat_tree();
+  auto& snap = *inst.snap;
+  const auto hosts = present_computes(*inst.graph);
+  select::SelectionContext ctx(snap);
+  for (topo::NodeId h : hosts) (void)ctx.pair_row(h);
+  const std::uint64_t misses = counters("select.ctx.row_misses");
+  ASSERT_EQ(misses, hosts.size());
+
+  const topo::LinkId access = inst.graph->links_of(hosts[3])[0];
+  snap.set_bw(access, 0.3 * snap.maxbw(access));
+  (void)ctx.link_bw();  // consume the delta
+  EXPECT_EQ(counters("select.ctx.rows.repaired"), 1u);
+  expect_rows_match_kernel(ctx, snap, hosts, "after access-link write");
+  EXPECT_EQ(counters("select.ctx.row_misses"), misses);  // nothing rebuilt
+}
+
+TEST(CompactRows, RemovingAnAccessLinkDropsOnlyThatHostsRow) {
+  ScopedCounters counters;
+  auto inst = compact_fat_tree();
+  auto& g = *inst.graph;
+  auto& snap = *inst.snap;
+  const auto hosts = present_computes(g);
+  select::SelectionContext ctx(snap);
+  for (topo::NodeId h : hosts) (void)ctx.pair_row(h);
+  const std::uint64_t misses = counters("select.ctx.row_misses");
+
+  const topo::NodeId gone = hosts[7];
+  const topo::LinkId access = g.links_of(gone)[0];
+  g.remove_link(access);
+  snap.notify_link_removed(access);
+  (void)ctx.link_bw();
+  EXPECT_EQ(counters("select.ctx.rows.invalidated.partial"), 1u);
+  EXPECT_EQ(counters("select.ctx.rows.invalidated.full"), 0u);
+  for (topo::NodeId h : hosts) {
+    if (h == gone) continue;
+    const PairRow row = ctx.pair_row(h);
+    EXPECT_FALSE(row.at(gone).reached) << h;
+    expect_row_matches_kernel(row, snap, h, "after access-link removal");
+  }
+  EXPECT_EQ(counters("select.ctx.row_misses"), misses);
+  // The detached host's own row is rebuilt: it reaches only itself.
+  expect_row_matches_kernel(ctx.pair_row(gone), snap, gone, "detached row");
+  EXPECT_EQ(counters("select.ctx.row_misses"), misses + 1);
+}
+
+TEST(CompactRows, SwitchWhoseDegreeFallsToOneStaysStored) {
+  ScopedCounters counters;
+  auto inst = compact_fat_tree();
+  auto& g = *inst.graph;
+  auto& snap = *inst.snap;
+  const auto hosts = present_computes(g);
+  // Node order: the core switches, then each edge switch and its hosts.
+  const topo::NodeId edge = 2;
+  ASSERT_FALSE(g.is_compute(edge));
+  ASSERT_EQ(g.degree(edge), 7u);
+  std::vector<topo::NodeId> srcs = hosts;
+  srcs.push_back(edge);
+  select::SelectionContext ctx(snap);
+  for (topo::NodeId s : srcs) (void)ctx.pair_row(s);
+
+  // Detach the edge switch down to its first link, a core uplink (its
+  // uplinks come before its host links).
+  const auto span = g.links_of(edge);
+  const std::vector<topo::LinkId> incident(span.begin(), span.end());
+  for (std::size_t i = 1; i < incident.size(); ++i) {
+    g.remove_link(incident[i]);
+    snap.notify_link_removed(incident[i]);
+  }
+  ASSERT_EQ(g.degree(edge), 1u);
+  expect_rows_match_kernel(ctx, snap, srcs, "after detaching the switch");
+
+  // Its last link is still a link between two stored nodes: a write on it
+  // repairs every row whose tree reaches the switch through it, not just
+  // the switch's own row.
+  const topo::LinkId last = incident.front();
+  ASSERT_FALSE(g.is_compute(g.other_end(last, edge)));
+  std::uint64_t reaching = 0;
+  {
+    std::vector<double> bw(g.link_count(), 1.0);
+    for (topo::NodeId s : srcs)
+      if (topo::bottleneck_row(g, s, bw).reached[static_cast<std::size_t>(
+              edge)])
+        ++reaching;
+  }
+  const std::uint64_t repaired = counters("select.ctx.rows.repaired");
+  snap.set_bw(last, 0.2 * snap.maxbw(last));
+  (void)ctx.link_bw();
+  EXPECT_EQ(counters("select.ctx.rows.repaired") - repaired, reaching);
+  EXPECT_GT(reaching, 1u);
+  expect_rows_match_kernel(ctx, snap, srcs, "after a write on its last link");
+}
+
+TEST(CompactRows, LinkAddedDropsEveryRowAndRelayouts) {
+  ScopedCounters counters;
+  auto inst = compact_fat_tree();
+  auto& g = *inst.graph;
+  auto& snap = *inst.snap;
+  const auto hosts = present_computes(g);
+  select::SelectionContext ctx(snap);
+  for (topo::NodeId h : hosts) (void)ctx.pair_row(h);
+
+  // Give a host a second link, to another edge switch: it becomes a node
+  // with two links, stored after the relayout.
+  const topo::NodeId h = hosts[0];
+  const topo::NodeId other_edge = 2 + 6;  // the second edge switch
+  ASSERT_FALSE(g.is_compute(other_edge));
+  const topo::LinkId extra = g.add_link(h, other_edge, topo::k100Mbps);
+  snap.notify_link_added(extra);
+  snap.set_bw(extra, 0.4 * snap.maxbw(extra));
+  (void)ctx.link_bw();
+  EXPECT_EQ(counters("select.ctx.rows.invalidated.full"), hosts.size());
+  std::vector<topo::NodeId> srcs = hosts;
+  srcs.push_back(other_edge);
+  expect_rows_match_kernel(ctx, snap, srcs, "after the relayout");
 }
 
 // ---------------------------------------------------------------------------

@@ -261,9 +261,10 @@ TEST(FlatGraph, BatchedArgumentChecks) {
   batched_bottleneck_rows(g, none, outn);  // width 0 is a no-op
 }
 
-/// warm_rows end-to-end: the batched path behind SelectionContext, after
-/// live snapshot deltas (so the arena weight patches are exercised), must
-/// reproduce the TopologyGraph reference kernel at every thread count.
+/// warm_rows end-to-end: the context's compact rows, built over a
+/// delta-patched arena (so the arena weight patches are exercised), must
+/// reproduce the TopologyGraph reference kernel at every node and every
+/// thread count.
 TEST(FlatGraph, ContextWarmRowsBitIdenticalAcrossThreadCountsAndDeltas) {
   for (const auto& inst : instances(7)) {
     auto& snap = *inst.snap;
@@ -287,10 +288,18 @@ TEST(FlatGraph, ContextWarmRowsBitIdenticalAcrossThreadCountsAndDeltas) {
       EXPECT_GT(warm_ctx.arena_bytes(), 0u) << inst.what;
       for (NodeId src : sources) {
         const auto want = bottleneck_row(snap.graph(), src, bw, f);
-        expect_rows_identical(warm_ctx.pair_row(src), want,
-                              inst.what + " workers " +
-                                  std::to_string(workers) + " src " +
-                                  std::to_string(src));
+        const auto row = warm_ctx.pair_row(src);
+        const std::string what = inst.what + " workers " +
+                                 std::to_string(workers) + " src " +
+                                 std::to_string(src);
+        for (std::size_t v = 0; v < want.reached.size(); ++v) {
+          const auto got = row.at(static_cast<NodeId>(v));
+          const std::string at = what + " node " + std::to_string(v);
+          ASSERT_EQ(got.reached, want.reached[v] != 0) << at;
+          ASSERT_EQ(got.bottleneck, want.bottleneck[v]) << at;
+          ASSERT_EQ(got.bottleneck2, want.bottleneck2[v]) << at;
+          ASSERT_EQ(got.latency, want.latency[v]) << at;
+        }
       }
     }
   }

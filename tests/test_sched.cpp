@@ -4,12 +4,15 @@
 // thread counts (the bench_service headline contract), exact snapshot
 // restore after drain(), the per-tenant degradation ladder under partial
 // measurement coverage, the rebalance path honouring a kept_current
-// reselect, and the determinism of the JobStream workload generator.
+// reselect, the rejection of bad JobSpecs and arrival times at submit(),
+// and the determinism of the JobStream workload generator.
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <limits>
 #include <set>
+#include <string>
 #include <vector>
 
 #include "sched/scheduler.hpp"
@@ -299,6 +302,124 @@ TEST(SchedulerService, RebalanceHonoursKeptCurrent) {
   EXPECT_EQ(sched.job(a_id).migrations, 0);
   EXPECT_EQ(sched.job(a_id).nodes, a_nodes);
   EXPECT_EQ(sched.job(a_id).state, JobState::Running);
+}
+
+// ---------------------------------------------------------------------------
+// Input validation: a bad JobSpec or arrival time is refused at submit(),
+// before any state changes.
+// ---------------------------------------------------------------------------
+
+constexpr double kNaN = std::numeric_limits<double>::quiet_NaN();
+constexpr double kInf = std::numeric_limits<double>::infinity();
+
+/// A scheduler with one job running, so there is state to disturb.
+struct BusyScheduler {
+  topo::TopologyGraph g = small_fabric(53);
+  SchedulerService sched{g};
+  BusyScheduler() {
+    JobSpec spec;
+    spec.nodes = 4;
+    spec.duration = 50.0;
+    sched.submit(spec, 1.0);
+    sched.run_until(2.0);
+  }
+
+  /// submit(spec, t) throws std::invalid_argument and leaves the digest,
+  /// the job list and the snapshot epoch as they were.
+  void expect_rejected(const JobSpec& spec, double t, const std::string& what) {
+    const std::uint64_t digest = sched.state_digest();
+    const std::size_t jobs = sched.jobs().size();
+    const std::uint64_t epoch = sched.snapshot().epoch();
+    EXPECT_THROW(sched.submit(spec, t), std::invalid_argument) << what;
+    EXPECT_EQ(sched.state_digest(), digest) << what;
+    EXPECT_EQ(sched.jobs().size(), jobs) << what;
+    EXPECT_EQ(sched.snapshot().epoch(), epoch) << what;
+  }
+
+  /// After the rejections the scheduler still places and drains a job.
+  /// Skipped once a rejection failed: an accepted NaN arrival would make
+  /// drain() loop forever.
+  void expect_still_serves() {
+    if (::testing::Test::HasFailure()) return;
+    JobSpec ok;
+    ok.nodes = 2;
+    ok.duration = 5.0;
+    const std::uint64_t id = sched.submit(ok, 3.0);
+    sched.drain();
+    EXPECT_EQ(sched.job(id).state, JobState::Completed);
+    EXPECT_EQ(sched.job(0).state, JobState::Completed);
+  }
+};
+
+TEST(SubmitValidation, ArrivalTimeMustBeFinite) {
+  BusyScheduler b;
+  for (double t : {kNaN, kInf, -kInf})
+    b.expect_rejected(JobSpec{}, t, "arrival " + std::to_string(t));
+  b.expect_still_serves();
+}
+
+TEST(SubmitValidation, LoadMustBeFiniteAndNonNegative) {
+  BusyScheduler b;
+  for (double load : {kNaN, kInf, -1.0}) {
+    JobSpec spec;
+    spec.load = load;
+    b.expect_rejected(spec, 3.0, "load " + std::to_string(load));
+  }
+  b.expect_still_serves();
+}
+
+TEST(SubmitValidation, TrafficFractionMustBeInUnitInterval) {
+  BusyScheduler b;
+  for (double f : {kNaN, -0.25, 1.5, kInf}) {
+    JobSpec spec;
+    spec.traffic_fraction = f;
+    b.expect_rejected(spec, 3.0, "traffic_fraction " + std::to_string(f));
+  }
+  b.expect_still_serves();
+}
+
+TEST(SubmitValidation, PrioritiesMustBeFiniteAndPositive) {
+  BusyScheduler b;
+  for (double p : {0.0, -1.0, kNaN, kInf}) {
+    JobSpec cpu;
+    cpu.cpu_priority = p;
+    b.expect_rejected(cpu, 3.0, "cpu_priority " + std::to_string(p));
+    JobSpec bw;
+    bw.bw_priority = p;
+    b.expect_rejected(bw, 3.0, "bw_priority " + std::to_string(p));
+  }
+  b.expect_still_serves();
+}
+
+TEST(SubmitValidation, RequirementsMustBeFiniteAndNonNegative) {
+  BusyScheduler b;
+  for (double v : {kNaN, kInf, -1.0}) {
+    JobSpec bw;
+    bw.min_bw_bps = v;
+    b.expect_rejected(bw, 3.0, "min_bw_bps " + std::to_string(v));
+    JobSpec cpu;
+    cpu.min_cpu_fraction = v;
+    b.expect_rejected(cpu, 3.0, "min_cpu_fraction " + std::to_string(v));
+    JobSpec mem;
+    mem.min_free_memory_bytes = v;
+    b.expect_rejected(mem, 3.0, "min_free_memory_bytes " + std::to_string(v));
+  }
+  b.expect_still_serves();
+}
+
+TEST(SubmitValidation, CoverageRejectsNaNAndClampsFiniteValues) {
+  BusyScheduler b;
+  b.sched.set_measurement_coverage(0.5);
+  const std::uint64_t digest = b.sched.state_digest();
+  EXPECT_THROW(b.sched.set_measurement_coverage(kNaN), std::invalid_argument);
+  EXPECT_DOUBLE_EQ(b.sched.measurement_coverage(), 0.5);
+  EXPECT_EQ(b.sched.state_digest(), digest);
+  b.sched.set_measurement_coverage(-3.0);
+  EXPECT_DOUBLE_EQ(b.sched.measurement_coverage(), 0.0);
+  b.sched.set_measurement_coverage(7.0);
+  EXPECT_DOUBLE_EQ(b.sched.measurement_coverage(), 1.0);
+  b.sched.set_measurement_coverage(kInf);
+  EXPECT_DOUBLE_EQ(b.sched.measurement_coverage(), 1.0);
 }
 
 TEST(JobStream, DeterministicAndShaped) {

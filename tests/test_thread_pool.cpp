@@ -48,6 +48,17 @@ TEST(ThreadPool, NestedParallelForMakesProgress) {
   EXPECT_EQ(total.load(), 3 * 40);
 }
 
+TEST(ThreadPool, DestroyRightAfterWorkNeverHangs) {
+  // Workers go back to sleep as the pool is destroyed: the stop signal must
+  // reach a worker caught between its wait predicate and its sleep, or the
+  // join in the destructor blocks forever. Oversubscribed on purpose, to
+  // widen that window.
+  for (int round = 0; round < 3000; ++round) {
+    ThreadPool pool(8);
+    parallel_for(pool, 8, [](std::size_t) {});
+  }
+}
+
 TEST(ThreadPool, RethrowsLowestIndexException) {
   ThreadPool pool(4);
   for (int round = 0; round < 10; ++round) {
