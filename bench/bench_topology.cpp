@@ -57,7 +57,7 @@ int main() {
   for (std::size_t l = 0; l < g.link_count(); ++l) {
     auto id = static_cast<topo::LinkId>(l);
     if (snap.bwfactor(id) > 0.999) continue;  // print only impacted links
-    t.row({g.link(id).name, util::fmt_mbps(snap.maxbw(id)),
+    t.row({g.link_name(id), util::fmt_mbps(snap.maxbw(id)),
            util::fmt_mbps(snap.bw(id)), util::fmt(snap.bwfactor(id), 3)});
   }
   std::printf("%s\n(unlisted links are fully available; the flow m-3 -> m-15 "

@@ -33,8 +33,10 @@
 //                                made this way)
 //   --criterion compute|bandwidth|balanced|latency   (default balanced)
 //   --load NODE=LOADAVG          repeatable: set a node's load average
-//   --bw LINKNAME=BW             repeatable: set a link's available bw
-//                                (e.g. --bw m-1--panama=20Mbps)
+//   --bw LINKNAME=BW             repeatable: set a link's available bw;
+//                                LINKNAME is the link's name= or else
+//                                a--b (e.g. --bw atm=20Mbps or
+//                                --bw panama--m-1=20Mbps on testbed.topo)
 //   --min-bw BW                  fixed bandwidth requirement (§3.3)
 //   --min-cpu FRACTION           fixed cpu requirement (§3.3)
 //   --cpu-priority K / --bw-priority K               (§3.3)
@@ -81,7 +83,7 @@ namespace {
 std::optional<topo::LinkId> find_link(const topo::TopologyGraph& g,
                                       const std::string& name) {
   for (std::size_t l = 0; l < g.link_count(); ++l) {
-    if (g.link(static_cast<topo::LinkId>(l)).name == name)
+    if (g.link_name(static_cast<topo::LinkId>(l)) == name)
       return static_cast<topo::LinkId>(l);
   }
   return std::nullopt;

@@ -105,7 +105,7 @@ std::vector<char> group_mask(const topo::TopologyGraph& g,
     const topo::Node& node = g.node(n);
     bool ok = true;
     for (const auto& tag : group.required_tags) {
-      if (!node.has_tag(tag)) {
+      if (!g.has_tag(n, tag)) {
         ok = false;
         break;
       }

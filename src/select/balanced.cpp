@@ -66,19 +66,22 @@ namespace netsel::select {
 namespace {
 
 constexpr double kInf = std::numeric_limits<double>::infinity();
-constexpr std::size_t kNoPos = static_cast<std::size_t>(-1);
+/// A deletion-sequence position that names no link.
+constexpr std::int32_t kNoPos = -1;
 
-/// A component in the merge forest: either a single node (leaf) or the union
-/// of two children merged by the link whose forward deletion splits it.
+/// A component in the merge forest: either a single node (leaf; forest
+/// index i is node i) or the union of two children merged by the link whose
+/// forward deletion splits it.
 struct ForestNode {
   int left = -1;
   int right = -1;
-  topo::NodeId leaf = topo::kInvalidNode;
   int eligible = 0;
   topo::NodeId min_id = topo::kInvalidNode;
-  /// Min link fraction among the component's internal links; +inf for
-  /// leaves, matching detail::min_fraction_in_component on lone nodes.
-  double minfrac = kInf;
+  /// Deletion-sequence position of the component's min-fraction internal
+  /// link; kNoPos for leaves, whose fraction is +inf, matching
+  /// detail::min_fraction_in_component on lone nodes. Read through
+  /// seq_frac (see pos_frac).
+  std::int32_t min_pos = kNoPos;
   /// The component's m best eligible nodes ordered by (cpu desc, id asc) —
   /// exactly the prefix detail::top_m_by_cpu's stable sort would produce.
   /// Built bottom-up: a node in the parent's top-m is necessarily in its
@@ -88,14 +91,22 @@ struct ForestNode {
   /// small vectors dominate its time and memory at the million-node scale.
   /// When a merge takes every element from one child the parent *shares*
   /// the child's slice (no copy) — children are immutable once merged.
-  std::int64_t top_off = 0;
   std::int32_t top_len = 0;
+  std::int64_t top_off = 0;
 };
+// The replay holds ~V+E of these: at the million-node scale every byte
+// costs 2 MB of peak memory.
+static_assert(sizeof(ForestNode) == 32);
+
+/// The fraction of the link at deletion-sequence position `pos`.
+double pos_frac(const std::vector<double>& seq_frac, std::int32_t pos) {
+  return pos == kNoPos ? kInf : seq_frac[static_cast<std::size_t>(pos)];
+}
 
 /// The best component seen so far in the forward sweep. Only its forest
 /// index is kept: its node list is materialised once, after the sweep.
 /// `minbw` is recorded at evaluation time because a cycle event later in the
-/// sweep may raise the forest node's minfrac.
+/// sweep may move the forest node's min_pos.
 struct Candidate {
   int forest = -1;
   double mincpu = 0.0;
@@ -105,8 +116,9 @@ struct Candidate {
 
 /// Score forest node `f` in O(1): its top slice is ordered by (cpu desc,
 /// id asc), so the minimum cpu is the last element's, and the component's
-/// bandwidth term is its current minfrac.
+/// bandwidth term is the fraction at its current min_pos.
 Candidate evaluate_forest_node(const std::vector<double>& cpu,
+                               const std::vector<double>& seq_frac,
                                const SelectionOptions& opt,
                                const std::vector<ForestNode>& forest,
                                const std::vector<topo::NodeId>& top_pool,
@@ -116,7 +128,7 @@ Candidate evaluate_forest_node(const std::vector<double>& cpu,
   cand.forest = f;
   cand.mincpu = cpu[static_cast<std::size_t>(
       top_pool[static_cast<std::size_t>(fn.top_off + fn.top_len - 1)])];
-  cand.minbw = fn.minfrac;
+  cand.minbw = pos_frac(seq_frac, fn.min_pos);
   cand.minresource =
       std::min(cand.mincpu / opt.cpu_priority, cand.minbw / opt.bw_priority);
   return cand;
@@ -192,44 +204,41 @@ SelectionResult select_balanced_forest(const SelectionContext& ctx,
 
   // The active deletion sequence: links ascending by (fraction, id) — the
   // order min_fraction_link produces — minus those failing the fixed
-  // min-bandwidth requirement. With a reference capacity the fraction is a
-  // *rounded* multiple of the absolute bandwidth, so sort by the computed
-  // fractions rather than reusing the absolute-bandwidth order (two
-  // bandwidths may round to equal fractions, where the id tie-break kicks
-  // in).
+  // min-bandwidth requirement. By default that is the context's cached
+  // bwfactor order, read in place with the context's bwfactor array. With a
+  // reference capacity the fraction is a *rounded* multiple of the absolute
+  // bandwidth, so sort by the computed fractions rather than reusing the
+  // absolute-bandwidth order (two bandwidths may round to equal fractions,
+  // where the id tie-break kicks in).
   // Per-link/per-node key fills: pure per-index writes into pre-sized
   // vectors, so the optional pooled fill (ctx.set_pool) is bit-identical to
   // the serial loop at any thread count.
   util::ThreadPool* pp = ctx.pool();
-  std::vector<double> frac(g.link_count());
-  auto fill_frac = [&](std::size_t lo, std::size_t hi) {
-    for (std::size_t l = lo; l < hi; ++l)
-      frac[l] = link_fraction(snap, static_cast<topo::LinkId>(l), opt);
-  };
-  if (pp && frac.size() >= 8192)
-    util::parallel_for_chunked(*pp, frac.size(), 4096, fill_frac);
-  else
-    fill_frac(0, frac.size());
-  std::vector<topo::LinkId> seq;
-  seq.reserve(g.link_count());
-  if (opt.reference_bw > 0.0) {
+  const bool by_reference = opt.reference_bw > 0.0;
+  std::vector<double> ref_frac;
+  std::vector<topo::LinkId> ref_order;
+  if (by_reference) {
+    ref_frac.resize(g.link_count());
+    auto fill_frac = [&](std::size_t lo, std::size_t hi) {
+      for (std::size_t l = lo; l < hi; ++l)
+        ref_frac[l] = link_fraction(snap, static_cast<topo::LinkId>(l), opt);
+    };
+    if (pp && ref_frac.size() >= 8192)
+      util::parallel_for_chunked(*pp, ref_frac.size(), 4096, fill_frac);
+    else
+      fill_frac(0, ref_frac.size());
+    ref_order.reserve(g.link_count());
     for (std::size_t l = 0; l < g.link_count(); ++l)
       if (!g.link_removed(static_cast<topo::LinkId>(l)))
-        seq.push_back(static_cast<topo::LinkId>(l));
-    std::stable_sort(seq.begin(), seq.end(),
+        ref_order.push_back(static_cast<topo::LinkId>(l));
+    std::stable_sort(ref_order.begin(), ref_order.end(),
                      [&](topo::LinkId a, topo::LinkId b) {
-                       return frac[static_cast<std::size_t>(a)] <
-                              frac[static_cast<std::size_t>(b)];
+                       return ref_frac[static_cast<std::size_t>(a)] <
+                              ref_frac[static_cast<std::size_t>(b)];
                      });
-  } else {
-    seq = ctx.links_by_fraction(opt);
   }
-  if (opt.min_bw_bps > 0.0) {
-    std::erase_if(seq, [&](topo::LinkId l) {
-      return snap.bw(l) < opt.min_bw_bps;
-    });
-  }
-  const std::size_t steps = seq.size();
+  const auto& order = by_reference ? ref_order : ctx.links_by_fraction(opt);
+  const auto& frac = by_reference ? ref_frac : ctx.link_bwfactor();
 
   // Per-call cpu keys (they depend on reference_cpu_capacity); only eligible
   // nodes are ever ranked, the rest stay 0.
@@ -244,16 +253,32 @@ SelectionResult select_balanced_forest(const SelectionContext& ctx,
   else
     fill_cpu(0, V);
 
-  // Reverse replay: insert links back-to-front. A merge records the newborn
-  // component (split_at[p] is the forest node forward step p splits into its
-  // children); a cycle insertion records a re-evaluation event for the one
-  // component it lands in (cycle_at[p] / cycle_minfrac[p]). min_pos[root]
-  // tracks the minimum deletion-sequence position among a live reverse
-  // component's internal links: insertions run back-to-front over an
-  // ascending-fraction sequence, so the most recent internal insertion is
-  // both the position minimum and the fraction minimum. When forward step
-  // i+1 deletes cycle link seq[i], the component's min-fraction becomes the
-  // fraction at the position minimum *before* that insertion.
+  // Gather each step's endpoints and fraction once, in deletion-sequence
+  // order: the replay walks the sequence back-to-front with dependent
+  // union-find work per step, and random g.link()/frac[] loads on that
+  // critical path stall it at the million-link scale. Gathering first lets
+  // the misses overlap; the replay then streams these arrays sequentially.
+  std::vector<std::pair<topo::NodeId, topo::NodeId>> seq_ends(order.size());
+  std::vector<double> seq_frac(order.size());
+  std::size_t steps = 0;
+  for (const topo::LinkId l : order) {
+    if (opt.min_bw_bps > 0.0 && snap.bw(l) < opt.min_bw_bps) continue;
+    const topo::Link& lk = g.link(l);
+    seq_ends[steps] = {lk.a, lk.b};
+    seq_frac[steps] = frac[static_cast<std::size_t>(l)];
+    ++steps;
+  }
+
+  // Reverse replay: insert links back-to-front. Forward step i deletes the
+  // link at sequence position i, and event[i] records what that does: it
+  // splits the forest node event[i] into its children, or, for a cycle
+  // link, leaves the membership of forest node f = ~event[i] unchanged and
+  // moves its min_pos back to fallback[i]. A live reverse component's
+  // min_pos is the minimum sequence position among its internal links:
+  // insertions run back-to-front over an ascending-fraction sequence, so
+  // the most recent internal insertion is both the position minimum and the
+  // fraction minimum, and forward deletion of a cycle link restores the
+  // minimum from before its insertion.
   std::vector<ForestNode> forest;
   forest.reserve(V + steps);
   std::vector<int> forest_of_root(V);
@@ -265,49 +290,32 @@ SelectionResult select_balanced_forest(const SelectionContext& ctx,
   top_pool.reserve(V + steps);
   for (std::size_t i = 0; i < V; ++i) {
     ForestNode fn;
-    fn.leaf = static_cast<topo::NodeId>(i);
     fn.eligible = elig[i] ? 1 : 0;
-    fn.min_id = fn.leaf;
+    fn.min_id = static_cast<topo::NodeId>(i);
     fn.top_off = static_cast<std::int64_t>(top_pool.size());
     if (cand[i]) {
-      top_pool.push_back(fn.leaf);
+      top_pool.push_back(fn.min_id);
       fn.top_len = 1;
     }
     forest.push_back(fn);
     forest_of_root[i] = static_cast<int>(i);
   }
   topo::EligibleUnionFind uf(elig);
-  std::vector<int> split_at(steps + 1, -1);
-  std::vector<int> cycle_at(steps + 1, -1);
-  std::vector<double> cycle_minfrac(steps + 1, kInf);
-  std::vector<std::size_t> min_pos(V, kNoPos);
-  // Gather each step's endpoints and fraction once, in deletion-sequence
-  // order: the replay walks seq back-to-front with dependent union-find
-  // work per step, and random g.link()/frac[] loads on that critical path
-  // stall it at the million-link scale. Independent gather loops let the
-  // misses overlap; the replay then streams these arrays sequentially.
-  std::vector<std::pair<topo::NodeId, topo::NodeId>> seq_ends(steps);
-  std::vector<double> seq_frac(steps);
-  for (std::size_t i = 0; i < steps; ++i) {
-    const topo::Link& lk = g.link(seq[i]);
-    seq_ends[i] = {lk.a, lk.b};
-  }
-  for (std::size_t i = 0; i < steps; ++i)
-    seq_frac[i] = frac[static_cast<std::size_t>(seq[i])];
+  std::vector<std::int32_t> event(steps);
+  std::vector<std::int32_t> fallback(steps, kNoPos);
   for (std::size_t i = steps; i-- > 0;) {
     const auto [end_a, end_b] = seq_ends[i];
     const topo::NodeId ra = uf.find(end_a);
     const topo::NodeId rb = uf.find(end_b);
+    const auto pos = static_cast<std::int32_t>(i);
     if (ra == rb) {
       // Cycle link: membership unchanged; forward deletion raises the
       // component's min-fraction to its next-surviving internal link's.
       const int f = forest_of_root[static_cast<std::size_t>(ra)];
-      const std::size_t old = min_pos[static_cast<std::size_t>(ra)];
-      cycle_at[i + 1] = f;
-      cycle_minfrac[i + 1] =
-          old == kNoPos ? kInf : seq_frac[old];
-      forest[static_cast<std::size_t>(f)].minfrac = seq_frac[i];
-      min_pos[static_cast<std::size_t>(ra)] = i;
+      ForestNode& fn = forest[static_cast<std::size_t>(f)];
+      event[i] = ~f;
+      fallback[i] = fn.min_pos;
+      fn.min_pos = pos;
       continue;
     }
     const int fa = forest_of_root[static_cast<std::size_t>(ra)];
@@ -319,17 +327,16 @@ SelectionResult select_balanced_forest(const SelectionContext& ctx,
                   forest[static_cast<std::size_t>(fb)].eligible;
     fn.min_id = std::min(forest[static_cast<std::size_t>(fa)].min_id,
                          forest[static_cast<std::size_t>(fb)].min_id);
-    // seq[i] precedes every already-inserted internal link in the ascending
-    // deletion order, so it is the new component's fraction minimum.
-    fn.minfrac = seq_frac[i];
+    // Position i precedes every already-inserted internal link in the
+    // ascending deletion order, so it is the new component's minimum.
+    fn.min_pos = pos;
     merge_top(cpu, top_pool, forest[static_cast<std::size_t>(fa)],
               forest[static_cast<std::size_t>(fb)], mm, fn);
     const int idx = static_cast<int>(forest.size());
     forest.push_back(fn);
     const topo::NodeId r = uf.unite(end_a, end_b);
     forest_of_root[static_cast<std::size_t>(r)] = idx;
-    min_pos[static_cast<std::size_t>(r)] = i;
-    split_at[i + 1] = idx;
+    event[i] = idx;
   }
 
   // Initial components, in the order connected_components numbers them
@@ -357,7 +364,8 @@ SelectionResult select_balanced_forest(const SelectionContext& ctx,
   // Fig. 3 acceptance rule).
   Candidate best;
   auto improves = [&](int f) {
-    const Candidate c = evaluate_forest_node(cpu, opt, forest, top_pool, f);
+    const Candidate c =
+        evaluate_forest_node(cpu, seq_frac, opt, forest, top_pool, f);
     if (!(c.minresource > best.minresource)) return false;
     best = c;
     return true;
@@ -375,16 +383,16 @@ SelectionResult select_balanced_forest(const SelectionContext& ctx,
     return result;
   }
 
-  // Steps 1..E: deletion p changes exactly one component — it either splits
+  // Each deletion i changes exactly one component — it either splits
   // (evaluate the two newborn halves, in ascending-min-id order to match
   // the literal loop's component-id order) or loses a cycle link
   // (re-evaluate it with its raised min-fraction; membership and
   // feasibility are unchanged). Only changed components can beat `best`
   // (see header comment).
-  for (std::size_t p = 1; p <= steps; ++p) {
+  for (std::size_t i = 0; i < steps; ++i) {
     ++result.iterations;
     bool newsetflag = false;
-    if (const int d = split_at[p]; d != -1) {
+    if (const int d = event[i]; d >= 0) {
       int a = forest[static_cast<std::size_t>(d)].left;
       int b = forest[static_cast<std::size_t>(d)].right;
       if (forest[static_cast<std::size_t>(a)].min_id >
@@ -397,10 +405,10 @@ SelectionResult select_balanced_forest(const SelectionContext& ctx,
         if (improves(f)) newsetflag = true;
       }
     } else {
-      const int f = cycle_at[p];
-      forest[static_cast<std::size_t>(f)].minfrac = cycle_minfrac[p];
-      if (forest[static_cast<std::size_t>(f)].eligible >= m && improves(f))
-        newsetflag = true;
+      const int f = ~d;
+      ForestNode& fn = forest[static_cast<std::size_t>(f)];
+      fn.min_pos = fallback[i];
+      if (fn.eligible >= m && improves(f)) newsetflag = true;
     }
     if (opt.exhaustive_balanced ? feasible_live == 0 : !newsetflag) break;
   }

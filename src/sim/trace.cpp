@@ -59,7 +59,8 @@ std::vector<std::string> TraceRecorder::columns() const {
   }
   if (cfg_.links) {
     for (std::size_t l = 0; l < net_.topology().link_count(); ++l) {
-      const auto& name = net_.topology().link(static_cast<topo::LinkId>(l)).name;
+      const auto name =
+          net_.topology().link_name(static_cast<topo::LinkId>(l));
       cols.push_back("bw:" + name + ":fwd");
       cols.push_back("bw:" + name + ":rev");
     }

@@ -1,6 +1,7 @@
 #include "topo/graph.hpp"
 
 #include <algorithm>
+#include <cctype>
 #include <cmath>
 #include <functional>
 #include <queue>
@@ -22,11 +23,29 @@ std::size_t name_table_size(std::size_t names) {
   return slots;
 }
 
-}  // namespace
-
-bool Node::has_tag(std::string_view t) const {
-  return std::find(tags.begin(), tags.end(), t) != tags.end();
+/// Throws unless `text` can be written back as one .topo token: whitespace
+/// separates tokens and '#' starts a comment; within a tag list, ','
+/// separates tags.
+void require_token(std::string_view text, const char* what, bool tag = false) {
+  for (char c : text) {
+    if (std::isspace(static_cast<unsigned char>(c)) || c == '#' ||
+        (tag && c == ','))
+      throw std::invalid_argument(std::string(what) + " '" + std::string(text) +
+                                  (tag ? "' contains whitespace, '#' or ','"
+                                       : "' contains whitespace or '#'"));
+  }
 }
+
+/// The entry for `id` in an id-sorted side vector, or end().
+template <typename Vec>
+auto find_by_id(const Vec& v, std::int32_t id) {
+  auto it = std::lower_bound(
+      v.begin(), v.end(), id,
+      [](const auto& entry, std::int32_t x) { return entry.first < x; });
+  return it != v.end() && it->first == id ? it : v.end();
+}
+
+}  // namespace
 
 void TopologyGraph::reserve(std::size_t nodes, std::size_t links) {
   nodes_.reserve(nodes);
@@ -59,6 +78,7 @@ void TopologyGraph::rehash_names(std::size_t slots) {
 
 NodeId TopologyGraph::add_node(Node n) {
   if (n.name.empty()) throw std::invalid_argument("node name must be non-empty");
+  require_token(n.name, "node name");
   if (2 * (name_count_ + 1) > name_slots_.size())
     rehash_names(name_table_size(name_count_ + 1));
   const std::size_t s = name_slot(n.name);
@@ -77,12 +97,14 @@ NodeId TopologyGraph::add_compute(std::string name, double cpu_capacity,
   if (!std::isfinite(cpu_capacity) || cpu_capacity <= 0.0)
     throw std::invalid_argument("cpu_capacity must be finite and > 0 for " +
                                 name);
+  for (const auto& t : tags) require_token(t, "tag", /*tag=*/true);
   Node n;
   n.name = std::move(name);
   n.kind = NodeKind::Compute;
   n.cpu_capacity = cpu_capacity;
-  n.tags = std::move(tags);
-  return add_node(std::move(n));
+  const NodeId id = add_node(std::move(n));
+  if (!tags.empty()) node_tags_.emplace_back(id, std::move(tags));
+  return id;
 }
 
 void TopologyGraph::set_memory(NodeId n, double bytes) {
@@ -132,19 +154,15 @@ LinkId TopologyGraph::add_link(NodeId a, NodeId b, double capacity_ab,
   auto valid_capacity = [](double c) { return std::isfinite(c) && c > 0.0; };
   if (!valid_capacity(capacity_ab) || !valid_capacity(capacity_ba))
     throw std::invalid_argument("add_link: capacities must be finite and > 0");
+  require_token(name, "link name");
   Link l;
   l.a = a;
   l.b = b;
   l.capacity_ab = capacity_ab;
   l.capacity_ba = capacity_ba;
-  if (name.empty()) {
-    l.name = nodes_[static_cast<std::size_t>(a)].name + "--" +
-             nodes_[static_cast<std::size_t>(b)].name;
-  } else {
-    l.name = std::move(name);
-  }
-  links_.push_back(std::move(l));
+  links_.push_back(l);
   auto id = static_cast<LinkId>(links_.size() - 1);
+  if (!name.empty()) link_names_.emplace_back(id, std::move(name));
   incident_[static_cast<std::size_t>(a)].push_back(id);
   incident_[static_cast<std::size_t>(b)].push_back(id);
   return id;
@@ -191,6 +209,30 @@ void TopologyGraph::remove_node(NodeId n) {
   name_slots_[hole] = kInvalidNode;
   --name_count_;
   node_removed_[static_cast<std::size_t>(n)] = 1;
+}
+
+std::string TopologyGraph::link_name(LinkId l) const {
+  if (const std::string_view name = explicit_link_name(l); !name.empty())
+    return std::string(name);
+  const Link& lk = link(l);
+  return node(lk.a).name + "--" + node(lk.b).name;
+}
+
+std::string_view TopologyGraph::explicit_link_name(LinkId l) const {
+  (void)link(l);  // range check
+  const auto it = find_by_id(link_names_, l);
+  return it == link_names_.end() ? std::string_view() : it->second;
+}
+
+std::span<const std::string> TopologyGraph::tags(NodeId n) const {
+  (void)node(n);  // range check
+  const auto it = find_by_id(node_tags_, n);
+  return it == node_tags_.end() ? std::span<const std::string>() : it->second;
+}
+
+bool TopologyGraph::has_tag(NodeId n, std::string_view tag) const {
+  const auto t = tags(n);
+  return std::find(t.begin(), t.end(), tag) != t.end();
 }
 
 std::span<const LinkId> TopologyGraph::links_of(NodeId n) const {

@@ -12,6 +12,7 @@
 #include <span>
 #include <string>
 #include <string_view>
+#include <utility>
 #include <vector>
 
 namespace netsel::topo {
@@ -34,11 +35,7 @@ struct Node {
   /// availability on the compute nodes" as future factors; the
   /// memory-aware extension consumes this). 0 means "not modelled".
   double memory_bytes = 0.0;
-  /// Free-form attribute tags, used by placement constraints in the
-  /// application specification interface (e.g. "alpha", "gpu").
-  std::vector<std::string> tags;
-
-  bool has_tag(std::string_view t) const;
+  // Tags: TopologyGraph::tags(), which stores only non-empty lists.
 };
 
 struct Link {
@@ -53,7 +50,7 @@ struct Link {
   /// One-way propagation latency in seconds (paper §3.4 lists latency as a
   /// factor for future work; the latency-aware extension consumes this).
   double latency = 0.0;
-  std::string name;
+  // Name: TopologyGraph::link_name(), which stores only explicit names.
 
   /// Peak capacity used for selection: the paper takes the minimum of the
   /// two directions for bidirectional links (§3.3).
@@ -63,6 +60,10 @@ struct Link {
 /// An immutable-after-build undirected multigraph. Nodes and links are
 /// referenced by dense integer ids so per-node/per-link state elsewhere
 /// (simulator, snapshots) is stored in flat arrays.
+///
+/// Node and link names, and tags, are tokens of the .topo format
+/// (topo/parse.hpp): the add_* calls reject whitespace and '#' in them, and
+/// ',' in a tag, so format_topology can always write a graph back.
 class TopologyGraph {
  public:
   /// Pre-size for `nodes` nodes and `links` links, so a builder that knows
@@ -70,7 +71,8 @@ class TopologyGraph {
   /// regrowing the node, link or name storage. Purely a capacity hint.
   void reserve(std::size_t nodes, std::size_t links);
 
-  /// Add a compute node. Names must be unique across the graph.
+  /// Add a compute node. Names must be unique across the graph. Tags are
+  /// free-form attributes for placement constraints (e.g. "alpha", "gpu").
   NodeId add_compute(std::string name, double cpu_capacity = 1.0,
                      std::vector<std::string> tags = {});
   /// Set a compute node's physical memory (bytes; §3.4 extension).
@@ -79,7 +81,8 @@ class TopologyGraph {
   NodeId add_network(std::string name);
   /// Add an undirected link with symmetric capacity (bits/second).
   LinkId add_link(NodeId a, NodeId b, double capacity_bps);
-  /// Add a link with distinct per-direction capacities.
+  /// Add a link with distinct per-direction capacities. An empty name
+  /// leaves the link with its derived name (see link_name()).
   LinkId add_link(NodeId a, NodeId b, double capacity_ab, double capacity_ba,
                   std::string name = {});
 
@@ -88,7 +91,7 @@ class TopologyGraph {
     double capacity_ab = 0.0;
     double capacity_ba = 0.0;  ///< 0 means "same as capacity_ab"
     double latency = 0.0;      ///< one-way seconds
-    std::string name;
+    std::string name;          ///< empty: the derived "a--b" name
   };
   LinkId add_link(NodeId a, NodeId b, LinkSpec spec);
 
@@ -115,6 +118,15 @@ class TopologyGraph {
   std::size_t link_count() const { return links_.size(); }
   const Node& node(NodeId id) const { return nodes_.at(static_cast<std::size_t>(id)); }
   const Link& link(LinkId id) const { return links_.at(static_cast<std::size_t>(id)); }
+
+  /// The link's explicit name, or else "a--b" built from its endpoints'
+  /// names in add_link order. Only explicit names are stored.
+  std::string link_name(LinkId l) const;
+  /// The explicit name given to add_link, or "" when the name is derived.
+  std::string_view explicit_link_name(LinkId l) const;
+  /// The node's tags in add_compute order; empty for most nodes.
+  std::span<const std::string> tags(NodeId n) const;
+  bool has_tag(NodeId n, std::string_view tag) const;
 
   /// Ids of links incident to `n`.
   std::span<const LinkId> links_of(NodeId n) const;
@@ -153,6 +165,11 @@ class TopologyGraph {
 
   std::vector<Node> nodes_;
   std::vector<Link> links_;
+  /// The explicit link names and the non-empty tag lists, sorted by id.
+  /// Ids are only ever appended, so push_back keeps them sorted; most links
+  /// and nodes of a generated fabric have neither.
+  std::vector<std::pair<LinkId, std::string>> link_names_;
+  std::vector<std::pair<NodeId, std::vector<std::string>>> node_tags_;
   std::vector<std::vector<LinkId>> incident_;
   /// Tombstones; empty (all-present) until the first removal, so the
   /// append-only fast paths allocate nothing.

@@ -276,11 +276,9 @@ std::string format_topology(const TopologyGraph& g) {
     } else {
       os << "node " << n.name << " compute capacity=" << n.cpu_capacity;
       if (n.memory_bytes > 0.0) os << " memory=" << n.memory_bytes << "B";
-      if (!n.tags.empty()) {
-        os << " tags=";
-        for (std::size_t t = 0; t < n.tags.size(); ++t)
-          os << (t ? "," : "") << n.tags[t];
-      }
+      const auto tags = g.tags(static_cast<NodeId>(i));
+      for (std::size_t t = 0; t < tags.size(); ++t)
+        os << (t ? "," : " tags=") << tags[t];
       os << "\n";
     }
   }
@@ -292,6 +290,9 @@ std::string format_topology(const TopologyGraph& g) {
     if (lk.capacity_ba != lk.capacity_ab)
       os << "/" << lk.capacity_ba / 1e6 << "Mbps";
     if (lk.latency > 0.0) os << " latency=" << lk.latency << "s";
+    if (const auto name = g.explicit_link_name(static_cast<LinkId>(l));
+        !name.empty())
+      os << " name=" << name;
     os << "\n";
   }
   return os.str();

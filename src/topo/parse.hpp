@@ -51,7 +51,8 @@ double parse_duration(std::string_view text);
 double parse_bytes(std::string_view text);
 
 /// Serialise a graph back to the text format (round-trips with
-/// parse_topology up to formatting).
+/// parse_topology up to formatting). A link gets `name=` exactly when it
+/// has an explicit name; a derived "a--b" name is re-derived on parse.
 std::string format_topology(const TopologyGraph& g);
 
 }  // namespace netsel::topo

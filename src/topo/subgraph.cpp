@@ -65,7 +65,9 @@ LogicalSubgraph extract_subgraph(const TopologyGraph& parent,
     const Node& n = parent.node(static_cast<NodeId>(i));
     NodeId id;
     if (n.kind == NodeKind::Compute) {
-      id = sub.graph.add_compute(n.name, n.cpu_capacity, n.tags);
+      const auto tags = parent.tags(static_cast<NodeId>(i));
+      id = sub.graph.add_compute(n.name, n.cpu_capacity,
+                                 {tags.begin(), tags.end()});
       if (n.memory_bytes > 0.0) sub.graph.set_memory(id, n.memory_bytes);
     } else {
       id = sub.graph.add_network(n.name);
@@ -80,7 +82,8 @@ LogicalSubgraph extract_subgraph(const TopologyGraph& parent,
     spec.capacity_ab = lk.capacity_ab;
     spec.capacity_ba = lk.capacity_ba;
     spec.latency = lk.latency;
-    spec.name = lk.name;
+    // A derived name re-derives from the same endpoint names.
+    spec.name = parent.explicit_link_name(static_cast<LinkId>(l));
     sub.graph.add_link(sub.sub_of_parent_[static_cast<std::size_t>(lk.a)],
                        sub.sub_of_parent_[static_cast<std::size_t>(lk.b)],
                        std::move(spec));

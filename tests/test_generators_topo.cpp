@@ -37,7 +37,7 @@ TEST(Testbed, AtmLinkIs155Mbps) {
 
 TEST(Testbed, HostsAreTaggedAlpha) {
   auto g = testbed();
-  for (NodeId n : g.compute_nodes()) EXPECT_TRUE(g.node(n).has_tag("alpha"));
+  for (NodeId n : g.compute_nodes()) EXPECT_TRUE(g.has_tag(n, "alpha"));
 }
 
 TEST(Testbed, HostsAttachedSixPerRouter) {
@@ -61,7 +61,7 @@ TEST(Dumbbell, ShapeAndBottleneck) {
   auto g = dumbbell(3, 4, k100Mbps, 10e6);
   EXPECT_EQ(g.compute_node_count(), 7u);
   EXPECT_EQ(g.node_count(), 9u);
-  EXPECT_EQ(g.link(0).name, "bottleneck");
+  EXPECT_EQ(g.link_name(0), "bottleneck");
   EXPECT_DOUBLE_EQ(g.link(0).capacity_ab, 10e6);
   EXPECT_THROW(dumbbell(0, 1), std::invalid_argument);
 }

@@ -9,6 +9,7 @@
 
 #include "topo/dot.hpp"
 #include "topo/generators.hpp"
+#include "topo/parse.hpp"
 #include "util/rng.hpp"
 
 namespace netsel::topo {
@@ -33,8 +34,13 @@ TEST(Graph, BasicAccessors) {
   EXPECT_TRUE(g.is_compute(1));
   EXPECT_FALSE(g.is_compute(0));
   EXPECT_EQ(g.node(2).cpu_capacity, 2.0);
-  EXPECT_TRUE(g.node(2).has_tag("alpha"));
-  EXPECT_FALSE(g.node(1).has_tag("alpha"));
+  EXPECT_TRUE(g.has_tag(2, "alpha"));
+  EXPECT_FALSE(g.has_tag(1, "alpha"));
+  ASSERT_EQ(g.tags(2).size(), 1u);
+  EXPECT_EQ(g.tags(2)[0], "alpha");
+  EXPECT_TRUE(g.tags(1).empty());
+  EXPECT_TRUE(g.tags(0).empty());
+  EXPECT_THROW(g.tags(3), std::out_of_range);
 }
 
 TEST(Graph, FindNodeByName) {
@@ -72,9 +78,93 @@ TEST(Graph, LinkCapacities) {
   EXPECT_DOUBLE_EQ(g.link(0).capacity_min(), 100e6);
   // Asymmetric link: min over the two directions (paper §3.3).
   EXPECT_DOUBLE_EQ(g.link(1).capacity_min(), 55e6);
-  EXPECT_EQ(g.link(1).name, "asym");
-  // Auto-generated name.
-  EXPECT_EQ(g.link(0).name, "sw--a");
+  EXPECT_EQ(g.link_name(1), "asym");
+  EXPECT_EQ(g.explicit_link_name(1), "asym");
+  // Derived name, built on read and not stored.
+  EXPECT_EQ(g.link_name(0), "sw--a");
+  EXPECT_EQ(g.explicit_link_name(0), "");
+  EXPECT_THROW(g.link_name(2), std::out_of_range);
+}
+
+TEST(Graph, RecordLayout) {
+  // Names and tags live in id-sorted side vectors, not in every record.
+  static_assert(sizeof(Link) == 32);
+  static_assert(sizeof(Node) == sizeof(std::string) + 24);
+}
+
+TEST(Graph, SideVectorsFollowIdsThroughRemovals) {
+  TopologyGraph g;
+  const NodeId sw = g.add_network("sw");
+  const NodeId a = g.add_compute("a", 1.0, {"x"});
+  const NodeId b = g.add_compute("b");
+  const NodeId c = g.add_compute("c", 1.0, {"y", "z"});
+  const LinkId la = g.add_link(sw, a, 1e6, 1e6, "up-a");
+  const LinkId lb = g.add_link(sw, b, 1e6);
+  const LinkId lc = g.add_link(c, sw, 1e6, 2e6, "up-c");
+  g.remove_link(la);
+  g.remove_node(a);
+  // A removed record keeps its name and tags under its old id.
+  EXPECT_EQ(g.link_name(la), "up-a");
+  EXPECT_TRUE(g.has_tag(a, "x"));
+  const NodeId a2 = g.add_compute("a", 1.0, {"w"});
+  const LinkId la2 = g.add_link(sw, a2, 1e6);
+  EXPECT_EQ(g.link_name(lb), "sw--b");
+  EXPECT_EQ(g.link_name(lc), "up-c");
+  EXPECT_EQ(g.link_name(la2), "sw--a");
+  EXPECT_TRUE(g.has_tag(c, "z"));
+  EXPECT_FALSE(g.has_tag(b, "x"));
+  EXPECT_TRUE(g.has_tag(a2, "w"));
+  EXPECT_FALSE(g.has_tag(a2, "x"));
+}
+
+/// The graph as .topo text plus the counts format_topology leaves out.
+std::string state(const TopologyGraph& g) {
+  return std::to_string(g.node_count()) + "/" + std::to_string(g.link_count()) +
+         "\n" + format_topology(g);
+}
+
+TEST(GraphTokens, AddComputeRejectsNameOrTagTheFormatCannotCarry) {
+  auto g = tiny();
+  const std::string before = state(g);
+  for (const char* name : {"rack 1", "rack\t1", "rack#1", "rack\n1", " r"})
+    EXPECT_THROW(g.add_compute(name), std::invalid_argument) << name;
+  for (const char* tag : {"x,y", "x y", "x#", ",", "\t"})
+    EXPECT_THROW(g.add_compute("c", 1.0, {"ok", tag}), std::invalid_argument)
+        << tag;
+  EXPECT_EQ(state(g), before);
+  EXPECT_FALSE(g.find_node("c").has_value());
+  // The names a .topo token can carry are accepted.
+  const NodeId c = g.add_compute("c", 1.0, {"x-y", "x.y", "x=y"});
+  EXPECT_TRUE(g.has_tag(c, "x=y"));
+}
+
+TEST(GraphTokens, AddNetworkRejectsNameTheFormatCannotCarry) {
+  auto g = tiny();
+  const std::string before = state(g);
+  for (const char* name : {"core 1", "core#1", "core\r"})
+    EXPECT_THROW(g.add_network(name), std::invalid_argument) << name;
+  EXPECT_EQ(state(g), before);
+  EXPECT_FALSE(g.find_node("core").has_value());
+  // A comma is fine in a node name: only tag lists split on it.
+  EXPECT_NO_THROW(g.add_network("core,1"));
+}
+
+TEST(GraphTokens, AddLinkRejectsNameTheFormatCannotCarry) {
+  auto g = tiny();
+  const std::string before = state(g);
+  const std::vector<std::size_t> degrees{g.degree(0), g.degree(1), g.degree(2)};
+  for (const char* name : {"up link", "up#1", "up\t"}) {
+    EXPECT_THROW(g.add_link(0, 1, 1e6, 1e6, name), std::invalid_argument)
+        << name;
+    TopologyGraph::LinkSpec spec;
+    spec.capacity_ab = 1e6;
+    spec.name = name;
+    EXPECT_THROW(g.add_link(0, 2, spec), std::invalid_argument) << name;
+  }
+  EXPECT_EQ(state(g), before);
+  EXPECT_EQ(degrees,
+            (std::vector<std::size_t>{g.degree(0), g.degree(1), g.degree(2)}));
+  EXPECT_EQ(g.link_name(g.add_link(0, 1, 1e6, 1e6, "up,1")), "up,1");
 }
 
 TEST(Graph, RejectsDuplicateName) {

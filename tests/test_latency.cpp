@@ -151,7 +151,8 @@ TEST_P(MinLatencyQuality, NearOptimalOnRandomTrees) {
   for (std::size_t i = 0; i < g.node_count(); ++i) {
     const auto& n = g.node(static_cast<topo::NodeId>(i));
     if (n.kind == topo::NodeKind::Compute) {
-      lg.add_compute(n.name, n.cpu_capacity, n.tags);
+      const auto tags = g.tags(static_cast<topo::NodeId>(i));
+      lg.add_compute(n.name, n.cpu_capacity, {tags.begin(), tags.end()});
     } else {
       lg.add_network(n.name);
     }

@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <string>
 
 #include "topo/generators.hpp"
@@ -92,15 +93,15 @@ TEST(ParseTopology, SampleParses) {
   auto m2 = g.find_node("m-2");
   ASSERT_TRUE(m2.has_value());
   EXPECT_DOUBLE_EQ(g.node(*m2).cpu_capacity, 2.5);
-  EXPECT_TRUE(g.node(*m2).has_tag("big"));
-  EXPECT_TRUE(g.node(*m2).has_tag("alpha"));
+  EXPECT_TRUE(g.has_tag(*m2, "big"));
+  EXPECT_TRUE(g.has_tag(*m2, "alpha"));
   // Asymmetric trunk with latency.
   const Link& trunk = g.link(3);
   EXPECT_DOUBLE_EQ(trunk.capacity_ab, 155e6);
   EXPECT_DOUBLE_EQ(trunk.capacity_ba, 55e6);
   EXPECT_DOUBLE_EQ(trunk.latency, 1e-3);
   // Named link.
-  EXPECT_EQ(g.link(2).name, "slowlink");
+  EXPECT_EQ(g.link_name(2), "slowlink");
   // Latency parsed on the first link.
   EXPECT_DOUBLE_EQ(g.link(0).latency, 0.05e-3);
 }
@@ -151,10 +152,11 @@ TEST(ParseTopology, RoundTripsThroughFormat) {
     EXPECT_EQ(g1.node(id).name, g2.node(id).name);
     EXPECT_EQ(g1.node(id).kind, g2.node(id).kind);
     EXPECT_DOUBLE_EQ(g1.node(id).cpu_capacity, g2.node(id).cpu_capacity);
-    EXPECT_EQ(g1.node(id).tags, g2.node(id).tags);
+    EXPECT_TRUE(std::ranges::equal(g1.tags(id), g2.tags(id)));
   }
   for (std::size_t l = 0; l < g1.link_count(); ++l) {
     auto id = static_cast<LinkId>(l);
+    EXPECT_EQ(g1.link_name(id), g2.link_name(id));
     EXPECT_DOUBLE_EQ(g1.link(id).capacity_ab, g2.link(id).capacity_ab);
     EXPECT_DOUBLE_EQ(g1.link(id).capacity_ba, g2.link(id).capacity_ba);
     EXPECT_NEAR(g1.link(id).latency, g2.link(id).latency, 1e-12);

@@ -161,7 +161,7 @@ TEST_F(RemosFixture, SnapshotSeesLinkTraffic) {
   auto links = net.routes().route(m1, m13);
   for (auto l : links) {
     EXPECT_LE(snap.bw(l), snap.maxbw(l) - 100e6 + 1e4)
-        << "link " << net.topology().link(l).name;
+        << "link " << net.topology().link_name(l);
   }
 }
 

@@ -13,6 +13,7 @@
 #include <cmath>
 #include <memory>
 #include <string>
+#include <vector>
 
 #include "select/algorithms.hpp"
 #include "select/brute_force.hpp"
@@ -200,8 +201,13 @@ TEST(GoldenEquivalence, SteinerRestrictedFallsBackToReference) {
   }
 }
 
-/// A topology with a router cycle: sw0-sw1-sw2-sw0 plus hosts.
-Instance cyclic_instance(std::uint64_t seed) {
+/// A topology with a router cycle: sw0-sw1-sw2-sw0 plus hosts. With
+/// `parallel`, three more links follow: a 155 Mbps twin of sw0-sw1, a
+/// second h0-sw0 access link, and a second access link for h1 (on sw1) to
+/// sw2. Deleting one of a parallel pair leaves its twin behind: a cycle
+/// event, inside the two-node component {h0, sw0} once the sweep has cut
+/// sw0's other links.
+Instance cyclic_instance(std::uint64_t seed, bool parallel = false) {
   util::Rng rng(seed * 17 + 3);
   Instance inst;
   inst.graph = std::make_unique<topo::TopologyGraph>();
@@ -216,6 +222,11 @@ Instance cyclic_instance(std::uint64_t seed) {
     auto h = g.add_compute("h" + std::to_string(i));
     g.add_link(i % 3 == 0 ? sw0 : (i % 3 == 1 ? sw1 : sw2), h,
                topo::k100Mbps);
+  }
+  if (parallel) {
+    g.add_link(sw0, sw1, topo::k155Mbps);
+    g.add_link(sw0, g.find_node("h0").value(), topo::k100Mbps);
+    g.add_link(sw2, g.find_node("h1").value(), topo::k100Mbps);
   }
   inst.snap = std::make_unique<remos::NetworkSnapshot>(g);
   for (auto n : g.compute_nodes())
@@ -277,6 +288,75 @@ TEST(CyclicGraphs, BalancedHandlesCyclesUnderGeneralisations) {
     expect_same_result(select_balanced(ctx, opt),
                        detail::reference_select_balanced(*inst.snap, opt),
                        "cyclic general seed " + std::to_string(seed));
+  }
+}
+
+/// Balanced options for m nodes under one of the eight on/off combinations
+/// (bits 0, 1, 2 of `mix`) of a reference link capacity, a fixed 40 Mbps
+/// bandwidth requirement and the exhaustive sweep.
+SelectionOptions option_mix(int m, int mix) {
+  SelectionOptions opt;
+  opt.num_nodes = m;
+  if (mix & 1) opt.reference_bw = topo::k100Mbps;
+  if (mix & 2) opt.min_bw_bps = 40e6;
+  opt.exhaustive_balanced = (mix & 4) != 0;
+  return opt;
+}
+
+std::string mix_label(std::uint64_t seed, const SelectionOptions& opt) {
+  return "seed " + std::to_string(seed) + " m " +
+         std::to_string(opt.num_nodes) +
+         (opt.reference_bw > 0.0 ? " reference_bw" : "") +
+         (opt.min_bw_bps > 0.0 ? " min_bw" : "") +
+         (opt.exhaustive_balanced ? " exhaustive" : " paper");
+}
+
+TEST(CyclicGraphs, BalancedMergeForestHandlesParallelLinks) {
+  for (std::uint64_t seed = 0; seed < 20; ++seed) {
+    auto inst = cyclic_instance(seed, /*parallel=*/true);
+    for (int mix = 0; mix < 8; ++mix) {
+      const auto opt = option_mix(static_cast<int>(seed % 4) + 1, mix);
+      SelectionContext ctx(*inst.snap);
+      expect_same_result(select_balanced(ctx, opt),
+                         detail::reference_select_balanced(*inst.snap, opt),
+                         "parallel " + mix_label(seed, opt));
+    }
+  }
+}
+
+TEST(CyclicGraphs, BalancedReadsDeltaPatchedOrderAfterLinkRemoval) {
+  // Warm a context (both deletion orders cached), then remove links through
+  // remove_link + notify_link_removed: the context erases them from its
+  // cached orders in place, and the replay must read the patched order
+  // exactly as a fresh sort would give it.
+  for (std::uint64_t seed = 0; seed < 20; ++seed) {
+    for (int mix = 0; mix < 8; ++mix) {
+      auto inst = cyclic_instance(seed, /*parallel=*/true);
+      auto& g = *inst.graph;
+      const auto opt = option_mix(static_cast<int>(seed % 4) + 1, mix);
+      SelectionContext ctx(*inst.snap);
+      (void)select_balanced(ctx, opt);
+      (void)ctx.links_by_fraction(SelectionOptions{});
+      (void)ctx.links_by_bw();
+      // A ring link or the sw0-sw1 twin (ids 0-2, 12), a host's access
+      // link (3-11), and one of the extra host links (13-14).
+      util::Rng rng(seed * 31 + static_cast<std::uint64_t>(mix));
+      const std::vector<std::int64_t> removed{
+          rng.bernoulli(0.5) ? rng.uniform_int(0, 2) : 12,
+          rng.uniform_int(3, 11), rng.uniform_int(13, 14)};
+      for (const auto id : removed) {
+        const auto l = static_cast<topo::LinkId>(id);
+        g.remove_link(l);
+        inst.snap->notify_link_removed(l);
+      }
+      const std::string what = "removal " + mix_label(seed, opt);
+      expect_same_result(select_balanced(ctx, opt),
+                         detail::reference_select_balanced(*inst.snap, opt),
+                         what);
+      SelectionContext fresh(*inst.snap);
+      EXPECT_EQ(ctx.links_by_fraction(opt), fresh.links_by_fraction(opt))
+          << what;
+    }
   }
 }
 

@@ -29,7 +29,7 @@ TEST(Subgraph, PreservesAttributes) {
   auto sub = extract_subgraph(g, {m7, m13});
   auto sm7 = sub.graph.find_node("m-7");
   ASSERT_TRUE(sm7.has_value());
-  EXPECT_TRUE(sub.graph.node(*sm7).has_tag("alpha"));
+  EXPECT_TRUE(sub.graph.has_tag(*sm7, "alpha"));
   // The ATM trunk survives with its capacity.
   bool found_atm = false;
   for (std::size_t l = 0; l < sub.graph.link_count(); ++l) {

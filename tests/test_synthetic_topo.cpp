@@ -19,6 +19,7 @@
 #include <vector>
 
 #include "topo/connectivity.hpp"
+#include "topo/generators.hpp"
 #include "topo/parse.hpp"
 #include "topo/synthetic.hpp"
 
@@ -152,8 +153,8 @@ TEST(CampusWan, StructuralInvariantsAcrossSeeds) {
                   node.memory_bytes == 2e9)
           << node.memory_bytes;
       // c<k>-b<j>-h<i> carries the campus tag used by placement constraints.
-      ASSERT_EQ(node.tags.size(), 1u);
-      EXPECT_EQ(node.tags[0], "campus" + node.name.substr(1, 1));
+      ASSERT_EQ(g.tags(n).size(), 1u);
+      EXPECT_EQ(g.tags(n)[0], "campus" + node.name.substr(1, 1));
     }
     // WAN trunk latencies are seeded draws from the configured range.
     auto core = g.find_node("wan-core");
@@ -240,7 +241,11 @@ void expect_roundtrips(const TopologyGraph& g, const std::string& what) {
     const auto n = static_cast<NodeId>(i);
     EXPECT_EQ(parsed.node(n).name, g.node(n).name) << what;
     EXPECT_EQ(parsed.node(n).kind, g.node(n).kind) << what;
-    EXPECT_EQ(parsed.node(n).tags, g.node(n).tags) << what;
+    EXPECT_TRUE(std::ranges::equal(parsed.tags(n), g.tags(n))) << what;
+  }
+  for (std::size_t l = 0; l < g.link_count(); ++l) {
+    const auto id = static_cast<LinkId>(l);
+    EXPECT_EQ(parsed.link_name(id), g.link_name(id)) << what;
   }
   // The serialiser prints 6 significant digits, which is a fixed point:
   // reformatting the parsed graph reproduces the text exactly.
@@ -259,6 +264,9 @@ TEST(Synthetic, TopoFormatRoundTrips) {
   RandomCoreEdgeOptions ce;
   ce.seed = 5;
   expect_roundtrips(random_core_edge(ce), "random_core_edge");
+  // Explicitly named links ("bottleneck", "gibraltar--suez(ATM)").
+  expect_roundtrips(dumbbell(3, 4), "dumbbell");
+  expect_roundtrips(testbed(), "testbed");
 }
 
 // ------------------------------------------------------------- validation
