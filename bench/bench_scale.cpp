@@ -295,11 +295,10 @@ CellResult run_cell(const CaseSpec& spec, std::uint64_t seed, int m,
 // ------------------------------------------------------------------ kernels
 
 /// Scalar vs 64-wide batched bottleneck BFS, 64 rows each, best of three
-/// timed reps per variant. Three baselines so the ledger is honest about
+/// timed reps per variant. Two baselines so the ledger is honest about
 /// where time goes on this output-bound workload:
-///   graph_scalar  the seed's object-graph kernel (pre-CSR, pre-arena)
-///   csr_scalar    the kernel warm_rows used before the flat arena
-///   scalar        per-source BFS over the arena (this PR's scalar path)
+///   graph_scalar  the kernel over the graph's own CSR and Link records
+///   scalar        per-source BFS over the flat arena
 /// All scalar variants return rows by value (their API forces a fresh
 /// allocation per row, as the old warm_rows path paid every epoch); the
 /// batched kernel refreshes one preallocated row set in place, which is
@@ -312,7 +311,6 @@ struct KernelResult {
   double arena_build_seconds = 0.0;
   std::uint64_t arena_bytes = 0;
   double graph_scalar_seconds = 0.0;
-  double csr_scalar_seconds = 0.0;
   double scalar_seconds = 0.0;
   double batched_seconds = 0.0;
   std::uint64_t passes = 0;
@@ -340,7 +338,6 @@ KernelResult time_kernels(const remos::NetworkSnapshot& snap) {
   r.sources = static_cast<int>(sources.size());
 
   select::SelectionContext ctx(snap);
-  ctx.csr();  // pre-build the shared adjacency: time the arena alone
   auto t0 = Clock::now();
   const topo::FlatGraph& g = ctx.flat();
   r.arena_build_seconds = seconds_since(t0);
@@ -364,10 +361,6 @@ KernelResult time_kernels(const remos::NetworkSnapshot& snap) {
   r.graph_scalar_seconds = best_of([&] {
     for (std::size_t i = 0; i < sources.size(); ++i)
       scalar_rows[i] = topo::bottleneck_row(snap.graph(), sources[i], bw, bwf);
-  });
-  r.csr_scalar_seconds = best_of([&] {
-    for (std::size_t i = 0; i < sources.size(); ++i)
-      scalar_rows[i] = topo::bottleneck_row(ctx.csr(), sources[i], bw, bwf);
   });
   r.scalar_seconds = best_of([&] {
     for (std::size_t i = 0; i < sources.size(); ++i)
@@ -402,7 +395,7 @@ struct SweepPoint {
 
 /// Serial warm_rows baseline plus a worker-count curve, every point checked
 /// bit-identical against the serial rows. Fresh contexts each so all start
-/// cold; csr() prebuilt so the rows alone are timed.
+/// cold.
 struct WarmRowsResult {
   std::size_t nodes = 0;
   int sources = 0;
@@ -420,7 +413,6 @@ WarmRowsResult time_warm_rows(const remos::NetworkSnapshot& snap,
   select::SelectionContext serial_ctx(snap);
   {
     util::ThreadPool serial(0);
-    serial_ctx.csr();
     auto t0 = Clock::now();
     serial_ctx.warm_rows(serial, sources);
     r.serial_seconds = seconds_since(t0);
@@ -430,7 +422,6 @@ WarmRowsResult time_warm_rows(const remos::NetworkSnapshot& snap,
     SweepPoint p;
     p.workers = pool.workers();
     select::SelectionContext ctx(snap);
-    ctx.csr();
     auto t0 = Clock::now();
     ctx.warm_rows(pool, sources);
     p.seconds = seconds_since(t0);
@@ -634,11 +625,9 @@ int write_bench_json(const char* path, std::uint64_t seed, int m, int reps,
       "    \"arena_build_seconds\": %.5f,\n"
       "    \"arena_bytes\": %llu,\n"
       "    \"graph_scalar_seconds\": %.5f,\n"
-      "    \"csr_scalar_seconds\": %.5f,\n"
       "    \"scalar_seconds\": %.5f,\n"
       "    \"batched_seconds\": %.5f,\n"
       "    \"speedup_vs_graph_scalar\": %.2f,\n"
-      "    \"speedup_vs_csr_scalar\": %.2f,\n"
       "    \"speedup\": %.2f,\n"
       "    \"passes\": %llu,\n"
       "    \"frontier_words\": %llu,\n"
@@ -648,10 +637,8 @@ int write_bench_json(const char* path, std::uint64_t seed, int m, int reps,
       "  },\n",
       kr.nodes, kr.links, kr.sources, kr.arena_build_seconds,
       static_cast<unsigned long long>(kr.arena_bytes), kr.graph_scalar_seconds,
-      kr.csr_scalar_seconds, kr.scalar_seconds, kr.batched_seconds,
+      kr.scalar_seconds, kr.batched_seconds,
       kr.batched_seconds > 0.0 ? kr.graph_scalar_seconds / kr.batched_seconds
-                               : 0.0,
-      kr.batched_seconds > 0.0 ? kr.csr_scalar_seconds / kr.batched_seconds
                                : 0.0,
       kr.batched_seconds > 0.0 ? kr.scalar_seconds / kr.batched_seconds : 0.0,
       static_cast<unsigned long long>(kr.passes),
@@ -822,15 +809,12 @@ int main(int argc, char** argv) {
     kr = time_kernels(snap);
     std::printf(
         "\nkernels on %zu-node fat-tree, %d rows (best of 5): graph scalar "
-        "%.2f ms, csr scalar %.2f ms, flat scalar %.2f ms, batched %.2f ms "
-        "(%.2fx vs graph, %.2fx vs csr, %.2fx vs flat; %llu passes, "
+        "%.2f ms, flat scalar %.2f ms, batched %.2f ms "
+        "(%.2fx vs graph, %.2fx vs flat; %llu passes, "
         "%llu frontier words, %llu/%d rows batched)%s\n",
         kr.nodes, kr.sources, kr.graph_scalar_seconds * 1e3,
-        kr.csr_scalar_seconds * 1e3, kr.scalar_seconds * 1e3,
-        kr.batched_seconds * 1e3,
+        kr.scalar_seconds * 1e3, kr.batched_seconds * 1e3,
         kr.batched_seconds > 0.0 ? kr.graph_scalar_seconds / kr.batched_seconds
-                                 : 0.0,
-        kr.batched_seconds > 0.0 ? kr.csr_scalar_seconds / kr.batched_seconds
                                  : 0.0,
         kr.batched_seconds > 0.0 ? kr.scalar_seconds / kr.batched_seconds
                                  : 0.0,

@@ -99,7 +99,6 @@ PROFILES = {
             "api.degradation.prior",
         ],
         "histograms": [
-            "select.ctx.csr_patch_s",
             "select.latency_s.balanced",
         ],
     },

@@ -40,6 +40,7 @@ const char* flight_kind_name(FlightKind k) {
     case FlightKind::JournalOverflow: return "journal-overflow";
     case FlightKind::SweepDrop: return "sweep-drop";
     case FlightKind::SensorOutage: return "sensor-outage";
+    case FlightKind::NonFiniteForecast: return "nonfinite-forecast";
     case FlightKind::Custom: return "custom";
   }
   return "?";

@@ -43,6 +43,8 @@ enum class FlightKind : std::uint8_t {
                     ///< rebuild from scratch (a = epochs missed)
   SweepDrop,        ///< monitor sweep dropped whole (fault injection)
   SensorOutage,     ///< a sensor went down mid-run (a = sensor index)
+  NonFiniteForecast,  ///< a snapshot refresh skipped non-finite forecasts
+                      ///< (a = writes skipped)
   Custom,           ///< free-form (detail says what)
 };
 

@@ -1,9 +1,11 @@
 #include "remos/remos.hpp"
 
 #include <algorithm>
+#include <cmath>
 #include <limits>
 #include <stdexcept>
 
+#include "obs/flight.hpp"
 #include "obs/metrics.hpp"
 
 namespace netsel::remos {
@@ -23,6 +25,11 @@ obs::Histogram& query_oldest_age_hist() {
   static obs::Histogram& h = obs::Registry::global().histogram(
       "remos.query.oldest_age_s", obs::exp_buckets(0.125, 2.0, 10));
   return h;
+}
+obs::Counter& refresh_nonfinite() {
+  static obs::Counter& c =
+      obs::Registry::global().counter("remos.refresh.nonfinite");
+  return c;
 }
 }  // namespace
 
@@ -130,6 +137,16 @@ std::size_t Remos::refresh_snapshot(NetworkSnapshot& snap,
     throw std::invalid_argument(
         "refresh_snapshot: snapshot views a different topology");
   const std::uint64_t before = snap.epoch();
+  // The setters reject a non-finite value. A forecaster may produce one (a
+  // NaN sample, or a model that diverges), so such a reading is skipped and
+  // counted: the sensor keeps its previous value, and every other sensor is
+  // still written.
+  std::uint64_t skipped = 0;
+  auto finite = [&](double v) {
+    if (std::isfinite(v)) return true;
+    ++skipped;
+    return false;
+  };
   for (std::size_t i = 0; i < g.node_count(); ++i) {
     auto id = static_cast<topo::NodeId>(i);
     if (!g.is_compute(id)) continue;
@@ -137,11 +154,13 @@ std::size_t Remos::refresh_snapshot(NetworkSnapshot& snap,
     // an unchanged reading emits no delta at all.
     double la = load_average(id, opt);
     if (la < 0.0) la = 0.0;
-    if (1.0 / (1.0 + la) != snap.cpu(id)) snap.set_loadavg(id, la);
+    const double cpu = 1.0 / (1.0 + la);  // 0 for an infinite load
+    if (finite(cpu) && cpu != snap.cpu(id)) snap.set_loadavg(id, la);
     double mem = forecast_aux(monitor_.memory_history(id),
                               g.node(id).memory_bytes, opt);
     if (mem < 0.0) mem = 0.0;
-    if (mem != snap.free_memory(id)) snap.set_free_memory(id, mem);
+    if (finite(mem) && mem != snap.free_memory(id))
+      snap.set_free_memory(id, mem);
   }
   for (std::size_t l = 0; l < g.link_count(); ++l) {
     auto id = static_cast<topo::LinkId>(l);
@@ -151,9 +170,15 @@ std::size_t Remos::refresh_snapshot(NetworkSnapshot& snap,
         lk.capacity_ab - forecast_link_used(id, true, opt), kBwFloor);
     double avail_ba = std::max(
         lk.capacity_ba - forecast_link_used(id, false, opt), kBwFloor);
-    if (avail_ab != snap.bw_dir(id, true)) snap.set_bw_dir(id, true, avail_ab);
-    if (avail_ba != snap.bw_dir(id, false))
+    if (finite(avail_ab) && avail_ab != snap.bw_dir(id, true))
+      snap.set_bw_dir(id, true, avail_ab);
+    if (finite(avail_ba) && avail_ba != snap.bw_dir(id, false))
       snap.set_bw_dir(id, false, avail_ba);
+  }
+  if (skipped > 0) {
+    refresh_nonfinite().inc(skipped);
+    obs::FlightRecorder::global().record(obs::FlightKind::NonFiniteForecast,
+                                         net_.sim().now(), skipped);
   }
   if (opt.quality && obs::enabled() && opt.quality->sensors_total > 0) {
     query_coverage_hist().observe(opt.quality->coverage());

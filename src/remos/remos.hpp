@@ -85,8 +85,11 @@ class Remos {
   /// changed, so the snapshot's delta journal captures exactly the changed
   /// measurements. A long-lived select::SelectionContext over `snap` then
   /// revalidates fine-grainedly (per-link row repair) instead of dropping
-  /// every cache. `snap` must view this Remos's topology. Returns the
-  /// number of deltas emitted (epoch advance).
+  /// every cache. `snap` must view this Remos's topology. A non-finite
+  /// forecast is not written: its sensor keeps the previous reading, the
+  /// remos.refresh.nonfinite counter counts it, and the refresh records one
+  /// NonFiniteForecast flight event. Returns the number of deltas emitted
+  /// (epoch advance).
   std::size_t refresh_snapshot(NetworkSnapshot& snap,
                                const QueryOptions& opt = {}) const;
 

@@ -70,8 +70,9 @@ constexpr double kInf = std::numeric_limits<double>::infinity();
 constexpr std::int32_t kNoPos = -1;
 
 /// A component in the merge forest: either a single node (leaf; forest
-/// index i is node i) or the union of two children merged by the link whose
-/// forward deletion splits it.
+/// index i < V is node i) or the union of two children merged by the link
+/// whose forward deletion splits it. Only the merge nodes are stored; a
+/// leaf's record is derived when it is read (MergeForest::node).
 struct ForestNode {
   int left = -1;
   int right = -1;
@@ -87,16 +88,46 @@ struct ForestNode {
   /// Built bottom-up: a node in the parent's top-m is necessarily in its
   /// child's top-m, so merging the children's lists (capped at m) is exact.
   /// Stored as an (offset, len) slice of one shared pool rather than a
-  /// per-node vector: the replay creates ~V+E forest nodes, and that many
-  /// small vectors dominate its time and memory at the million-node scale.
-  /// When a merge takes every element from one child the parent *shares*
-  /// the child's slice (no copy) — children are immutable once merged.
+  /// per-node vector: the replay creates up to V-1 merge nodes, and that
+  /// many small vectors dominate its time and memory at the million-node
+  /// scale. When a merge takes every element from one child the parent
+  /// *shares* the child's slice (no copy) — children are immutable once
+  /// merged.
   std::int32_t top_len = 0;
   std::int64_t top_off = 0;
 };
-// The replay holds ~V+E of these: at the million-node scale every byte
-// costs 2 MB of peak memory.
+// The replay holds up to V-1 of these: at the million-node scale every
+// byte costs 1 MB of peak memory.
 static_assert(sizeof(ForestNode) == 32);
+
+/// The merge forest of a replay over V nodes. Index f < V is the leaf of
+/// node f: eligible = elig[f], min_id = f, min_pos = kNoPos, and top slice
+/// (f, cand[f] ? 1 : 0), which reads node f itself because the first V
+/// entries of top_pool are the ids 0..V-1. Storing no leaf records saves
+/// V x 32 bytes for at most V extra pool ids. Merge nodes are stored from
+/// index V on.
+struct MergeForest {
+  const std::vector<char>& elig;
+  const std::vector<char>& cand;
+  std::vector<ForestNode> merges;
+
+  std::size_t leaves() const { return elig.size(); }
+  std::size_t size() const { return leaves() + merges.size(); }
+  ForestNode node(int f) const {
+    const auto i = static_cast<std::size_t>(f);
+    if (i >= leaves()) return merges[i - leaves()];
+    ForestNode leaf;
+    leaf.eligible = elig[i] ? 1 : 0;
+    leaf.min_id = static_cast<topo::NodeId>(f);
+    leaf.top_len = cand[i] ? 1 : 0;
+    leaf.top_off = static_cast<std::int64_t>(i);
+    return leaf;
+  }
+  /// A stored merge node (f >= V), for the cycle events' min_pos updates.
+  ForestNode& merge(int f) {
+    return merges[static_cast<std::size_t>(f) - leaves()];
+  }
+};
 
 /// The fraction of the link at deletion-sequence position `pos`.
 double pos_frac(const std::vector<double>& seq_frac, std::int32_t pos) {
@@ -120,10 +151,10 @@ struct Candidate {
 Candidate evaluate_forest_node(const std::vector<double>& cpu,
                                const std::vector<double>& seq_frac,
                                const SelectionOptions& opt,
-                               const std::vector<ForestNode>& forest,
+                               const MergeForest& forest,
                                const std::vector<topo::NodeId>& top_pool,
                                int f) {
-  const auto& fn = forest[static_cast<std::size_t>(f)];
+  const ForestNode fn = forest.node(f);
   Candidate cand;
   cand.forest = f;
   cand.mincpu = cpu[static_cast<std::size_t>(
@@ -279,25 +310,18 @@ SelectionResult select_balanced_forest(const SelectionContext& ctx,
   // the most recent internal insertion is both the position minimum and the
   // fraction minimum, and forward deletion of a cycle link restores the
   // minimum from before its insertion.
-  std::vector<ForestNode> forest;
-  forest.reserve(V + steps);
+  // A merge joins two components, so there are at most V - 1 of them.
+  MergeForest forest{elig, cand, {}};
+  forest.merges.reserve(std::min(V, steps));
   std::vector<int> forest_of_root(V);
   const auto mm = static_cast<std::size_t>(m);
-  // Shared storage for every ForestNode::top slice. Leaf slices come first;
-  // slice sharing on lopsided merges keeps the tail near sum(min(m,
-  // subtree-eligible)) rather than m per forest node.
+  // Shared storage for every ForestNode::top slice: the leaf slices 0..V-1
+  // first, then the merged ones. Slice sharing on lopsided merges keeps the
+  // tail near sum(min(m, subtree-eligible)) rather than m per forest node.
   std::vector<topo::NodeId> top_pool;
   top_pool.reserve(V + steps);
   for (std::size_t i = 0; i < V; ++i) {
-    ForestNode fn;
-    fn.eligible = elig[i] ? 1 : 0;
-    fn.min_id = static_cast<topo::NodeId>(i);
-    fn.top_off = static_cast<std::int64_t>(top_pool.size());
-    if (cand[i]) {
-      top_pool.push_back(fn.min_id);
-      fn.top_len = 1;
-    }
-    forest.push_back(fn);
+    top_pool.push_back(static_cast<topo::NodeId>(i));
     forest_of_root[i] = static_cast<int>(i);
   }
   topo::EligibleUnionFind uf(elig);
@@ -311,8 +335,11 @@ SelectionResult select_balanced_forest(const SelectionContext& ctx,
     if (ra == rb) {
       // Cycle link: membership unchanged; forward deletion raises the
       // component's min-fraction to its next-surviving internal link's.
+      // The component is a merge node, never a leaf: both ends of a link in
+      // one single-node component would make it a self-loop, which add_link
+      // rejects.
       const int f = forest_of_root[static_cast<std::size_t>(ra)];
-      ForestNode& fn = forest[static_cast<std::size_t>(f)];
+      ForestNode& fn = forest.merge(f);
       event[i] = ~f;
       fallback[i] = fn.min_pos;
       fn.min_pos = pos;
@@ -320,20 +347,19 @@ SelectionResult select_balanced_forest(const SelectionContext& ctx,
     }
     const int fa = forest_of_root[static_cast<std::size_t>(ra)];
     const int fb = forest_of_root[static_cast<std::size_t>(rb)];
+    const ForestNode na = forest.node(fa);
+    const ForestNode nb = forest.node(fb);
     ForestNode fn;
     fn.left = fa;
     fn.right = fb;
-    fn.eligible = forest[static_cast<std::size_t>(fa)].eligible +
-                  forest[static_cast<std::size_t>(fb)].eligible;
-    fn.min_id = std::min(forest[static_cast<std::size_t>(fa)].min_id,
-                         forest[static_cast<std::size_t>(fb)].min_id);
+    fn.eligible = na.eligible + nb.eligible;
+    fn.min_id = std::min(na.min_id, nb.min_id);
     // Position i precedes every already-inserted internal link in the
     // ascending deletion order, so it is the new component's minimum.
     fn.min_pos = pos;
-    merge_top(cpu, top_pool, forest[static_cast<std::size_t>(fa)],
-              forest[static_cast<std::size_t>(fb)], mm, fn);
+    merge_top(cpu, top_pool, na, nb, mm, fn);
     const int idx = static_cast<int>(forest.size());
-    forest.push_back(fn);
+    forest.merges.push_back(fn);
     const topo::NodeId r = uf.unite(end_a, end_b);
     forest_of_root[static_cast<std::size_t>(r)] = idx;
     event[i] = idx;
@@ -353,8 +379,7 @@ SelectionResult select_balanced_forest(const SelectionContext& ctx,
       }
     }
     std::sort(roots.begin(), roots.end(), [&](int a, int b) {
-      return forest[static_cast<std::size_t>(a)].min_id <
-             forest[static_cast<std::size_t>(b)].min_id;
+      return forest.node(a).min_id < forest.node(b).min_id;
     });
   }
 
@@ -374,7 +399,7 @@ SelectionResult select_balanced_forest(const SelectionContext& ctx,
   // Forward sweep, step 0: evaluate every feasible initial component.
   int feasible_live = 0;
   for (int f : roots) {
-    if (forest[static_cast<std::size_t>(f)].eligible < m) continue;
+    if (forest.node(f).eligible < m) continue;
     ++feasible_live;
     improves(f);
   }
@@ -393,22 +418,20 @@ SelectionResult select_balanced_forest(const SelectionContext& ctx,
     ++result.iterations;
     bool newsetflag = false;
     if (const int d = event[i]; d >= 0) {
-      int a = forest[static_cast<std::size_t>(d)].left;
-      int b = forest[static_cast<std::size_t>(d)].right;
-      if (forest[static_cast<std::size_t>(a)].min_id >
-          forest[static_cast<std::size_t>(b)].min_id)
-        std::swap(a, b);
-      if (forest[static_cast<std::size_t>(d)].eligible >= m) --feasible_live;
+      const ForestNode& split = forest.merge(d);
+      int a = split.left;
+      int b = split.right;
+      if (forest.node(a).min_id > forest.node(b).min_id) std::swap(a, b);
+      if (split.eligible >= m) --feasible_live;
       for (int f : {a, b}) {
-        if (forest[static_cast<std::size_t>(f)].eligible < m) continue;
+        if (forest.node(f).eligible < m) continue;
         ++feasible_live;
         if (improves(f)) newsetflag = true;
       }
     } else {
-      const int f = ~d;
-      ForestNode& fn = forest[static_cast<std::size_t>(f)];
+      ForestNode& fn = forest.merge(~d);
       fn.min_pos = fallback[i];
-      if (fn.eligible >= m && improves(f)) newsetflag = true;
+      if (fn.eligible >= m && improves(~d)) newsetflag = true;
     }
     if (opt.exhaustive_balanced ? feasible_live == 0 : !newsetflag) break;
   }
@@ -416,7 +439,7 @@ SelectionResult select_balanced_forest(const SelectionContext& ctx,
   // The winner's top slice is immutable once merged, so copying it now
   // yields the set it held when it won; top_m_by_cpu returns its selection
   // ascending by id.
-  const auto& win = forest[static_cast<std::size_t>(best.forest)];
+  const ForestNode win = forest.node(best.forest);
   const auto lo = static_cast<std::ptrdiff_t>(win.top_off);
   result.feasible = true;
   result.nodes.assign(top_pool.begin() + lo, top_pool.begin() + lo + win.top_len);

@@ -55,11 +55,6 @@ obs::Counter& rows_repaired() {
       obs::Registry::global().counter("select.ctx.rows.repaired");
   return c;
 }
-obs::Histogram& csr_patch_hist() {
-  static obs::Histogram& h = obs::Registry::global().histogram(
-      "select.ctx.csr_patch_s", obs::exp_buckets(1e-7, 4.0, 12));
-  return h;
-}
 obs::Gauge& arena_bytes_gauge() {
   static obs::Gauge& g =
       obs::Registry::global().gauge("select.ctx.arena_bytes");
@@ -83,7 +78,6 @@ SelectionContext::SelectionContext(const remos::NetworkSnapshot& snap)
   rows_invalidated_partial();
   rows_invalidated_full();
   rows_repaired();
-  csr_patch_hist();
   arena_bytes_gauge();
   // The batched-kernel counters no longer move here (warm_rows builds one
   // row per source), but the benchmark and the scale metrics profile list
@@ -127,7 +121,6 @@ void SelectionContext::invalidate_all() const {
   base_comps_.reset();
   // The unseen deltas may have been structural, so the graph-shaped caches
   // go too.
-  csr_.reset();
   flat_.reset();
   arena_bytes_gauge().set(0.0);
   acyclic_ = -1;
@@ -267,10 +260,13 @@ void SelectionContext::repair_row_values(Cell* cells, topo::NodeId src,
   // dequeued before their children below), so the result is bit-identical
   // to a from-scratch rebuild. latency and reachability are
   // weight-independent. A stored node's parent is the source or stored:
-  // an unstored node other than the source discovers nothing.
+  // an unstored node other than the source discovers nothing. The walk
+  // reads the graph's final structure (see the validity contract in the
+  // header): a child reached through a link removed later in the batch is
+  // missed, but that removal drops this row.
   constexpr double kInf = std::numeric_limits<double>::infinity();
-  const auto& g = graph();
-  const topo::CsrAdjacency& adj = *csr_;
+  const auto adj = graph().adjacency();
+  const auto links = graph().links();
   repair_queue_.clear();
   repair_queue_.push_back(child);
   for (std::size_t qi = 0; qi < repair_queue_.size(); ++qi) {
@@ -278,7 +274,7 @@ void SelectionContext::repair_row_values(Cell* cells, topo::NodeId src,
     const auto iv = static_cast<std::size_t>(v);
     Cell& c = cells[slot_of_[iv]];
     const auto il = static_cast<std::size_t>(c.tree_link);
-    const topo::NodeId p = g.other_end(c.tree_link, v);
+    const topo::NodeId p = links[il].other(v);
     double pb = kInf;
     double pb2 = kInf;
     if (p != src) {
@@ -288,22 +284,23 @@ void SelectionContext::repair_row_values(Cell* cells, topo::NodeId src,
     }
     c.bottleneck = std::min(pb, bw_[il]);
     c.bottleneck2 = std::min(pb2, bwfactor_[il]);
-    for (auto k = adj.row_start[iv]; k < adj.row_start[iv + 1]; ++k) {
-      // w is v's tree child iff the edge that discovered w is this one.
-      const std::int32_t sw =
-          slot_of_[static_cast<std::size_t>(adj.neighbor[k])];
-      if (sw >= 0 && cells[sw].tree_link == adj.via[k])
-        repair_queue_.push_back(adj.neighbor[k]);
+    for (auto k = adj.start[iv]; k < adj.start[iv + 1]; ++k) {
+      // w is v's tree child iff the edge that discovered w is this one. A w
+      // past slot_of_ was added later in the batch, and so was its link:
+      // that LinkAdded drops every row.
+      const topo::LinkId l = adj.link[static_cast<std::size_t>(k)];
+      const auto iw = static_cast<std::size_t>(
+          links[static_cast<std::size_t>(l)].other(v));
+      if (iw >= slot_of_.size()) continue;
+      const std::int32_t sw = slot_of_[iw];
+      if (sw >= 0 && cells[sw].tree_link == l)
+        repair_queue_.push_back(static_cast<topo::NodeId>(iw));
     }
   }
 }
 
 void SelectionContext::apply_node_added(topo::NodeId n) const {
   flat_.reset();  // structural: the arena's sections no longer fit
-  if (csr_) {
-    obs::ScopedTimer t(csr_patch_hist());
-    csr_->patch_add_node(graph(), n);
-  }
   if (base_comps_) {
     // The new node has the highest id and no links, so a rebuild would
     // discover it last as a singleton component: append exactly that.
@@ -325,10 +322,6 @@ void SelectionContext::apply_node_removed(topo::NodeId n) const {
   // which a rebuild reproduces unchanged. Only the compute flag flips; a
   // stored n keeps its (unreached) cells.
   flat_.reset();  // the arena carries is_compute
-  if (csr_) {
-    obs::ScopedTimer t(csr_patch_hist());
-    csr_->patch_remove_node(n);
-  }
   if (base_comps_) {
     const int c = base_comps_->comp_of[static_cast<std::size_t>(n)];
     base_comps_->compute_count[c] = 0;  // degree-0 singleton, now tombstoned
@@ -339,10 +332,6 @@ void SelectionContext::apply_node_removed(topo::NodeId n) const {
 void SelectionContext::apply_link_added(topo::LinkId l) const {
   const auto il = static_cast<std::size_t>(l);
   flat_.reset();
-  if (csr_) {
-    obs::ScopedTimer t(csr_patch_hist());
-    csr_->patch_add_link(graph(), l);
-  }
   acyclic_ = -1;
   base_comps_.reset();
   if (bw_valid_) {
@@ -374,10 +363,6 @@ void SelectionContext::apply_link_added(topo::LinkId l) const {
 void SelectionContext::apply_link_removed(topo::LinkId l) const {
   const auto il = static_cast<std::size_t>(l);
   flat_.reset();
-  if (csr_) {
-    obs::ScopedTimer t(csr_patch_hist());
-    csr_->patch_remove_link(graph(), l);
-  }
   acyclic_ = -1;
   base_comps_.reset();
   if (bw_valid_ && il < bw_.size()) {
@@ -393,7 +378,7 @@ void SelectionContext::apply_link_removed(topo::LinkId l) const {
   // later edge cannot promote an earlier one). Only rows whose stored tree
   // used l are dropped: for a link with an unstored end that is the row
   // sourced at that end, and the other rows stop reaching the leaf because
-  // the patched CSR no longer lists the link.
+  // the graph no longer lists the link.
   for_rows_using(l, [&](topo::NodeId, std::unique_ptr<Cell[]>& row,
                         topo::NodeId) {
     row.reset();
@@ -411,20 +396,12 @@ bool SelectionContext::acyclic() const {
   return acyclic_ == 1;
 }
 
-const topo::CsrAdjacency& SelectionContext::csr() const {
-  revalidate();
-  if (!csr_)
-    csr_ = std::make_unique<topo::CsrAdjacency>(
-        topo::CsrAdjacency::build(graph()));
-  return *csr_;
-}
-
 const topo::FlatGraph& SelectionContext::flat() const {
   const auto& bw = link_bw();
   const auto& f = link_bwfactor();
   if (!flat_) {
     flat_ = std::make_unique<topo::FlatGraph>(
-        topo::FlatGraph::build(csr(), bw, f));
+        topo::FlatGraph::build(graph(), bw, f));
     arena_bytes_gauge().set(static_cast<double>(flat_->arena_bytes()));
   }
   return *flat_;
@@ -515,19 +492,19 @@ const topo::Components& SelectionContext::base_components() const {
   revalidate();
   if (!base_comps_) {
     base_comps_ =
-        std::make_unique<topo::Components>(topo::connected_components(csr()));
+        std::make_unique<topo::Components>(topo::connected_components(graph()));
   }
   return *base_comps_;
 }
 
 void SelectionContext::ensure_layout() const {
-  const topo::CsrAdjacency& adj = csr();
+  const auto start = graph().adjacency().start;
   const std::size_t n = graph().node_count();
   if (slot_of_.empty() && n > 0) {
     slot_of_.assign(n, -1);
     stored_count_ = 0;
     for (std::size_t v = 0; v < n; ++v)
-      if (adj.row_start[v + 1] - adj.row_start[v] >= 2)
+      if (start[v + 1] - start[v] >= 2)
         slot_of_[v] = static_cast<std::int32_t>(stored_count_++);
   }
   if (rows_.size() != n) rows_.resize(n);
@@ -608,7 +585,10 @@ SelectionContext::PairRow SelectionContext::pair_row(topo::NodeId src) const {
   r.src_ = src;
   r.cells_ = slot.get();
   r.slot_of_ = slot_of_.data();
-  r.adj_ = csr_.get();
+  const auto adj = graph().adjacency();
+  r.adj_start_ = adj.start.data();
+  r.adj_link_ = adj.link.data();
+  r.links_ = graph().links().data();
   r.bw_ = bw_.data();
   r.bwfactor_ = bwfactor_.data();
   return r;

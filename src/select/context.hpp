@@ -53,12 +53,22 @@
 //     other row reads that end through the link on the fly. A link between
 //     two stored nodes is in a row's tree iff the tree link of one of its
 //     ends is that link;
-//   - structural deltas patch the cached CSR adjacency in place
-//     (topo::CsrAdjacency::patch_*). Removing a link with an unstored end
-//     drops only that end's row (other rows just stop reaching the leaf);
-//     removing a link between stored nodes drops the rows whose tree used
-//     it; adding a link drops every row and the layout (the tree may
-//     reroute); an added node grows no row and reads as unreached.
+//   - structural deltas: the graph patches its own CSR when it is
+//     mutated, so the context keeps no adjacency of its own. Removing a
+//     link with an unstored end drops only that end's row (other rows just
+//     stop reaching the leaf); removing a link between stored nodes drops
+//     the rows whose tree used it; adding a link drops every row and the
+//     layout (the tree may reroute); an added node grows no row and reads
+//     as unreached.
+//
+// The deltas are replayed against the graph's *final* structure, not the
+// structure each delta saw. Only repair_row_values walks the adjacency
+// during a replay, and only to find a repaired node's tree children. A
+// child it can no longer reach was discovered through a link that a later
+// delta of the same batch removed — and that delta drops the row, since
+// its tree used the link. A link or node the final graph has but the
+// replay has not reached yet is no tree link of any cached row (tree links
+// predate the row), and a later LinkAdded of the batch drops every row.
 //
 // When the journal has been trimmed past the context's epoch the context
 // falls back to the historical behaviour: drop every cache, the row layout
@@ -100,18 +110,12 @@ class SelectionContext {
   /// Cached graph().is_acyclic(); invalidated only by structural deltas.
   bool acyclic() const;
 
-  /// Cached flat CSR view of the topology: the adjacency the component and
-  /// bottleneck kernels below run on. Built once, then *patched in place*
-  /// under structural deltas (host/link add/remove) instead of rebuilt.
-  /// Preserves links_of() order, so BFS trees — and hence every bottleneck
-  /// value — are bit-identical to the TopologyGraph kernels.
-  const topo::CsrAdjacency& csr() const;
-
   /// Cached single-allocation arena view (CSR structure + both weight
   /// arrays + compute flags) — the layout the hot BFS kernels run on. Built
-  /// lazily from csr()/link_bw()/link_bwfactor(); a link-bandwidth delta
-  /// patches its weight sections in place, structural deltas drop it (lazy
-  /// rebuild). Bit-identical traversals: same half-edge order as csr().
+  /// lazily from the graph and link_bw()/link_bwfactor(); a link-bandwidth
+  /// delta patches its weight sections in place, structural deltas drop it
+  /// (lazy rebuild). Bit-identical traversals: same half-edge order as
+  /// graph().links_of().
   const topo::FlatGraph& flat() const;
   /// Bytes of the flat() arena, 0 while not built (footprint accounting).
   std::size_t arena_bytes() const { return flat_ ? flat_->arena_bytes() : 0; }
@@ -172,9 +176,8 @@ class SelectionContext {
   };
 
  public:
-  /// Read-only view of one cached row. Valid until the snapshot is next
-  /// mutated and an accessor catches up with it; building further rows does
-  /// not move it.
+  /// Read-only view of one cached row. Valid until the next mutation of the
+  /// graph or the snapshot; building further rows does not move it.
   class PairRow {
    public:
     /// The row's values at `v`, bit-identical to topo::bottleneck_row.
@@ -190,9 +193,11 @@ class SelectionContext {
       }
       // At most one link: v is a leaf hanging off its neighbour, discovered
       // exactly as the BFS kernel discovers it.
-      const auto k = static_cast<std::size_t>(adj_->row_start[iv]);
-      if (k == static_cast<std::size_t>(adj_->row_start[iv + 1])) return {};
-      const topo::NodeId u = adj_->neighbor[k];
+      const std::int32_t k = adj_start_[iv];
+      if (k == adj_start_[iv + 1]) return {};
+      const topo::LinkId l = adj_link_[k];
+      const topo::Link& lk = links_[l];
+      const topo::NodeId u = lk.other(v);
       PairValue p{true, kInf, kInf, 0.0};
       if (u != src_) {
         const std::int32_t su = slot_of_[static_cast<std::size_t>(u)];
@@ -201,10 +206,8 @@ class SelectionContext {
         if (c.tree_link == topo::kInvalidLink) return {};
         p = {true, c.bottleneck, c.bottleneck2, c.latency};
       }
-      const auto il = static_cast<std::size_t>(adj_->via[k]);
-      return {true, std::min(p.bottleneck, bw_[il]),
-              std::min(p.bottleneck2, bwfactor_[il]),
-              p.latency + adj_->link_latency[il]};
+      return {true, std::min(p.bottleneck, bw_[l]),
+              std::min(p.bottleneck2, bwfactor_[l]), p.latency + lk.latency};
     }
 
    private:
@@ -212,7 +215,9 @@ class SelectionContext {
     topo::NodeId src_ = topo::kInvalidNode;
     const Cell* cells_ = nullptr;
     const std::int32_t* slot_of_ = nullptr;
-    const topo::CsrAdjacency* adj_ = nullptr;
+    const std::int32_t* adj_start_ = nullptr;
+    const topo::LinkId* adj_link_ = nullptr;
+    const topo::Link* links_ = nullptr;
     const double* bw_ = nullptr;
     const double* bwfactor_ = nullptr;
   };
@@ -283,7 +288,6 @@ class SelectionContext {
   mutable std::uint64_t epoch_;
   util::ThreadPool* pool_ = nullptr;
   mutable int acyclic_ = -1;  // tri-state: unknown / no / yes
-  mutable std::unique_ptr<topo::CsrAdjacency> csr_;
   mutable std::unique_ptr<topo::FlatGraph> flat_;
   mutable std::vector<double> bw_;
   mutable std::vector<double> bwfactor_;

@@ -45,50 +45,6 @@ Components connected_components(const TopologyGraph& g,
 /// Convenience: all links active.
 Components connected_components(const TopologyGraph& g);
 
-/// Compressed-sparse-row view of a TopologyGraph's adjacency, for the hot
-/// traversal kernels (bottleneck_row, connected_components). The per-node
-/// vector-of-vectors layout of TopologyGraph::links_of costs a pointer chase
-/// and a Link lookup per edge visit; the CSR form stores (neighbor, link)
-/// pairs in two flat arrays, *preserving the exact links_of() iteration
-/// order* so every traversal below is bit-identical to the graph-walking
-/// version. Purely structural (no bandwidths): build once per graph and
-/// reuse across snapshots.
-struct CsrAdjacency {
-  /// row_start[n] .. row_start[n+1] indexes the half-edges of node n.
-  std::vector<std::int32_t> row_start;
-  /// Other endpoint of each half-edge.
-  std::vector<NodeId> neighbor;
-  /// Link id of each half-edge.
-  std::vector<LinkId> via;
-  /// Per-link one-way latency, copied out of the Link records.
-  std::vector<double> link_latency;
-  /// Per-node compute flag (for component compute counts).
-  std::vector<char> is_compute;
-
-  std::size_t node_count() const { return is_compute.size(); }
-  std::size_t link_count() const { return link_latency.size(); }
-
-  static CsrAdjacency build(const TopologyGraph& g);
-
-  /// In-place structural patches, mirroring a TopologyGraph mutation so the
-  /// patched CSR equals build() on the mutated graph bit for bit — half-edge
-  /// order included. O(V + E) memmoves per patch instead of a full rebuild
-  /// with fresh allocations. `g` must already reflect the mutation; patches
-  /// must be applied in mutation order.
-  void patch_add_node(const TopologyGraph& g, NodeId n);
-  void patch_add_link(const TopologyGraph& g, LinkId l);
-  void patch_remove_link(const TopologyGraph& g, LinkId l);
-  /// Node removal only clears the compute flag (removal requires degree 0,
-  /// so there are no half-edges to drop).
-  void patch_remove_node(NodeId n);
-};
-
-/// connected_components over the CSR view; identical output (component
-/// numbering included) to the TopologyGraph overloads.
-Components connected_components(const CsrAdjacency& adj,
-                                const std::vector<char>& link_active);
-Components connected_components(const CsrAdjacency& adj);
-
 /// Id of the component with the most compute nodes (ties broken toward the
 /// lower component id, which is deterministic); -1 when there are none.
 int largest_compute_component(const Components& c);
@@ -154,13 +110,6 @@ struct BottleneckRow {
 };
 
 BottleneckRow bottleneck_row(const TopologyGraph& g, NodeId src,
-                             std::span<const double> weight,
-                             std::span<const double> weight2 = {});
-
-/// CSR-backed bottleneck_row: same BFS tree (CSR preserves links_of order),
-/// same values, no per-edge Link lookups. bench_scale times it as the CSR
-/// baseline of its kernel section.
-BottleneckRow bottleneck_row(const CsrAdjacency& adj, NodeId src,
                              std::span<const double> weight,
                              std::span<const double> weight2 = {});
 

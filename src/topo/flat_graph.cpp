@@ -15,14 +15,17 @@ std::size_t align8(std::size_t n) { return (n + 7u) & ~std::size_t{7}; }
 
 }  // namespace
 
-FlatGraph FlatGraph::build(const CsrAdjacency& adj, std::span<const double> bw,
+FlatGraph FlatGraph::build(const TopologyGraph& graph,
+                           std::span<const double> bw,
                            std::span<const double> bwfactor) {
-  if (bw.size() != adj.link_count() || bwfactor.size() != adj.link_count())
+  if (bw.size() != graph.link_count() || bwfactor.size() != graph.link_count())
     throw std::invalid_argument("FlatGraph::build: weight size mismatch");
+  const auto adj = graph.adjacency();
+  const auto links = graph.links();
   FlatGraph g;
-  g.node_count_ = adj.node_count();
-  g.link_count_ = adj.link_count();
-  g.half_edge_count_ = adj.neighbor.size();
+  g.node_count_ = graph.node_count();
+  g.link_count_ = graph.link_count();
+  g.half_edge_count_ = adj.link.size();
 
   const std::size_t off_row = 0;
   const std::size_t off_nbr =
@@ -48,32 +51,31 @@ FlatGraph FlatGraph::build(const CsrAdjacency& adj, std::span<const double> bw,
   g.is_compute_ = reinterpret_cast<char*>(base + off_cmp);
   g.ends_xor_ = reinterpret_cast<std::int32_t*>(base + off_xor);
 
-  std::memcpy(g.row_start_, adj.row_start.data(),
+  std::memcpy(g.row_start_, adj.start.data(),
               (g.node_count_ + 1) * sizeof(std::int32_t));
-  if (g.half_edge_count_ > 0) {
-    std::memcpy(g.neighbor_, adj.neighbor.data(),
-                g.half_edge_count_ * sizeof(NodeId));
-    std::memcpy(g.via_, adj.via.data(), g.half_edge_count_ * sizeof(LinkId));
-  }
+  if (g.half_edge_count_ > 0)
+    std::memcpy(g.via_, adj.link.data(), g.half_edge_count_ * sizeof(LinkId));
   if (g.link_count_ > 0) {
     std::memcpy(g.bw_, bw.data(), g.link_count_ * sizeof(double));
     std::memcpy(g.bwfactor_, bwfactor.data(), g.link_count_ * sizeof(double));
-    std::memcpy(g.latency_, adj.link_latency.data(),
-                g.link_count_ * sizeof(double));
   }
-  if (g.node_count_ > 0)
-    std::memcpy(g.is_compute_, adj.is_compute.data(),
-                g.node_count_ * sizeof(char));
+  for (std::size_t l = 0; l < g.link_count_; ++l)
+    g.latency_[l] = links[l].latency;
+  for (std::size_t n = 0; n < g.node_count_; ++n)
+    g.is_compute_[n] = graph.is_compute(static_cast<NodeId>(n)) ? 1 : 0;
   // Each link appears as two half-edges (u->v and v->u); both assignments
   // store the same symmetric value. Tombstoned link ids keep 0.
   std::memset(g.ends_xor_, 0, g.link_count_ * sizeof(std::int32_t));
   for (std::size_t u = 0; u < g.node_count_; ++u) {
     const auto lo = static_cast<std::size_t>(g.row_start_[u]);
     const auto hi = static_cast<std::size_t>(g.row_start_[u + 1]);
-    for (std::size_t e = lo; e < hi; ++e)
-      g.ends_xor_[static_cast<std::size_t>(g.via_[e])] =
+    for (std::size_t e = lo; e < hi; ++e) {
+      const auto il = static_cast<std::size_t>(g.via_[e]);
+      g.neighbor_[e] = links[il].other(static_cast<NodeId>(u));
+      g.ends_xor_[il] =
           static_cast<std::int32_t>(static_cast<std::uint32_t>(u) ^
                                     static_cast<std::uint32_t>(g.neighbor_[e]));
+    }
   }
   return g;
 }
@@ -99,8 +101,8 @@ BottleneckRow bottleneck_row(const FlatGraph& g, NodeId src) {
   row.bottleneck2[static_cast<std::size_t>(src)] = kInf;
   row.reached[static_cast<std::size_t>(src)] = 1;
   row.tree_link.assign(n, kInvalidLink);
-  // Same flat-FIFO frontier as the CsrAdjacency kernel: the discovery order
-  // IS the queue, recorded as row.order.
+  // Same flat-FIFO frontier as the TopologyGraph kernel: the discovery
+  // order IS the queue, recorded as row.order.
   std::vector<NodeId>& fifo = row.order;
   fifo.reserve(n);
   fifo.push_back(src);

@@ -2,21 +2,20 @@
 // topo::FlatGraph: a single-allocation arena view of a topology plus its
 // per-link weights, for the selection hot kernels.
 //
-// The SelectionContext's cached state — CSR adjacency, available-bandwidth
-// and bwfactor arrays, per-node compute flags — lives in five separate
-// heap-allocated std::vectors. Each BFS edge visit therefore touches up to
-// four unrelated cache-line streams, and a 64-row warm pass re-streams them
-// all per source. FlatGraph packs the same data into ONE contiguous arena
+// A BFS over the graph's own CSR and the SelectionContext's weight arrays
+// reads the adjacency, the 32-byte Link records and two weight vectors:
+// four unrelated cache-line streams per edge visit, re-streamed by every
+// source of a 64-row warm pass. FlatGraph packs the same data into ONE
+// contiguous arena
 // (8-byte-aligned sections, built with a single allocation) so a traversal
 // walks a compact, prefetch-friendly footprint and the whole structure can
 // be accounted for with one arena_bytes() figure.
 //
 // Layout (sections in allocation order, each 8-byte aligned):
-//   row_start    int32[V+1]   CSR offsets (same half-edge order as the
-//   neighbor     int32[2E]    CsrAdjacency it is built from — which itself
-//   via          int32[2E]    preserves TopologyGraph::links_of order, so
-//                             every kernel below is bit-identical to the
-//                             graph-walking versions)
+//   row_start    int32[V+1]   CSR offsets (the graph's own, so the
+//   neighbor     int32[2E]    half-edge order is TopologyGraph::links_of
+//   via          int32[2E]    order and every kernel below is bit-identical
+//                             to the graph-walking bottleneck_row)
 //   link_bw      double[E]    available bandwidth per link id
 //   link_bwfactor double[E]   fraction-of-peak per link id
 //   link_latency double[E]    one-way latency per link id
@@ -59,10 +58,10 @@ class FlatGraph {
   FlatGraph(const FlatGraph&) = delete;
   FlatGraph& operator=(const FlatGraph&) = delete;
 
-  /// Pack `adj` and the two weight arrays (indexed by link id, one entry
-  /// per link id including tombstoned slots) into a fresh arena.
-  /// `bw`/`bwfactor` must have adj.link_count() entries.
-  static FlatGraph build(const CsrAdjacency& adj, std::span<const double> bw,
+  /// Pack `g`'s adjacency and the two weight arrays (indexed by link id,
+  /// one entry per link id including tombstoned slots) into a fresh arena.
+  /// `bw`/`bwfactor` must have g.link_count() entries.
+  static FlatGraph build(const TopologyGraph& g, std::span<const double> bw,
                          std::span<const double> bwfactor);
 
   std::size_t node_count() const { return node_count_; }
@@ -122,8 +121,8 @@ class FlatGraph {
 
 /// Scalar per-source bottleneck row over the arena: bit-identical (values,
 /// tree links, FIFO discovery order) to
-/// bottleneck_row(CsrAdjacency, src, bw, bwfactor) on the arrays the arena
-/// was built from. bottleneck2 is always populated (the arena always
+/// bottleneck_row(TopologyGraph, src, bw, bwfactor) on the graph and arrays
+/// the arena was built from. bottleneck2 is always populated (the arena always
 /// carries both weights).
 BottleneckRow bottleneck_row(const FlatGraph& g, NodeId src);
 

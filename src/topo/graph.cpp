@@ -49,7 +49,6 @@ auto find_by_id(const Vec& v, std::int32_t id) {
 
 void TopologyGraph::reserve(std::size_t nodes, std::size_t links) {
   nodes_.reserve(nodes);
-  incident_.reserve(nodes);
   links_.reserve(links);
   if (const std::size_t slots = name_table_size(nodes);
       slots > name_slots_.size())
@@ -86,7 +85,7 @@ NodeId TopologyGraph::add_node(Node n) {
     throw std::invalid_argument("duplicate node name: " + n.name);
   auto id = static_cast<NodeId>(nodes_.size());
   nodes_.push_back(std::move(n));
-  incident_.emplace_back();
+  if (csr_.built) csr_.start.push_back(csr_.start.back());
   name_slots_[s] = id;
   ++name_count_;
   return id;
@@ -163,8 +162,11 @@ LinkId TopologyGraph::add_link(NodeId a, NodeId b, double capacity_ab,
   links_.push_back(l);
   auto id = static_cast<LinkId>(links_.size() - 1);
   if (!name.empty()) link_names_.emplace_back(id, std::move(name));
-  incident_[static_cast<std::size_t>(a)].push_back(id);
-  incident_[static_cast<std::size_t>(b)].push_back(id);
+  // The new id is the largest, so it goes at the end of both rows.
+  if (csr_.built) {
+    csr_append(a, id);
+    csr_append(b, id);
+  }
   return id;
 }
 
@@ -172,13 +174,13 @@ void TopologyGraph::remove_link(LinkId l) {
   if (l < 0 || static_cast<std::size_t>(l) >= links_.size())
     throw std::invalid_argument("remove_link: link out of range");
   if (link_removed(l)) throw std::invalid_argument("remove_link: already removed");
-  const Link& lk = links_[static_cast<std::size_t>(l)];
-  // Erase from both incident lists preserving the relative order of the
-  // survivors: links_of() order defines the deterministic BFS trees, and the
-  // incremental caches rely on removal not reshuffling them.
-  for (NodeId end : {lk.a, lk.b}) {
-    auto& inc = incident_[static_cast<std::size_t>(end)];
-    inc.erase(std::remove(inc.begin(), inc.end(), l), inc.end());
+  // Erase from both rows preserving the order of the survivors: links_of()
+  // order defines the deterministic BFS trees. Before the CSR is built the
+  // tombstone alone drops the link from the build.
+  if (csr_.built) {
+    const Link& lk = links_[static_cast<std::size_t>(l)];
+    csr_erase(lk.a, l);
+    csr_erase(lk.b, l);
   }
   if (link_removed_.size() < links_.size()) link_removed_.resize(links_.size(), 0);
   link_removed_[static_cast<std::size_t>(l)] = 1;
@@ -188,7 +190,7 @@ void TopologyGraph::remove_node(NodeId n) {
   if (n < 0 || static_cast<std::size_t>(n) >= nodes_.size())
     throw std::invalid_argument("remove_node: node out of range");
   if (node_removed(n)) throw std::invalid_argument("remove_node: already removed");
-  if (!incident_[static_cast<std::size_t>(n)].empty())
+  if (degree(n) != 0)
     throw std::invalid_argument("remove_node: remove incident links first");
   if (node_removed_.size() < nodes_.size()) node_removed_.resize(nodes_.size(), 0);
   // Free the name by backward-shift deletion: walk the rest of the probe
@@ -235,8 +237,88 @@ bool TopologyGraph::has_tag(NodeId n, std::string_view tag) const {
   return std::find(t.begin(), t.end(), tag) != t.end();
 }
 
+TopologyGraph::Csr& TopologyGraph::Csr::operator=(const Csr& o) {
+  if (this == &o) return *this;
+  const bool b = o.built;
+  start = b ? o.start : std::vector<std::int32_t>{};
+  link = b ? o.link : std::vector<LinkId>{};
+  built = b;
+  return *this;
+}
+
+TopologyGraph::Csr& TopologyGraph::Csr::operator=(Csr&& o) noexcept {
+  if (this == &o) return *this;
+  start = std::move(o.start);
+  link = std::move(o.link);
+  built = o.built.load();
+  o.start.clear();
+  o.link.clear();
+  o.built = false;
+  return *this;
+}
+
+const TopologyGraph::Csr& TopologyGraph::csr() const {
+  if (!csr_.built) build_csr();
+  return csr_;
+}
+
+void TopologyGraph::build_csr() const {
+  const std::lock_guard<std::mutex> lock(csr_.build_mutex);
+  if (csr_.built) return;  // another thread's first read built it
+  // Counting sort of the live links by endpoint, in id order: count the
+  // degrees into start[n + 1], prefix-sum them into row starts, then place
+  // each half-edge at its row's cursor start[n]++. That leaves start[n]
+  // at row n's end, which is row n + 1's start: shift back by one.
+  const std::size_t V = nodes_.size();
+  std::vector<std::int32_t> start(V + 1, 0);
+  for (std::size_t l = 0; l < links_.size(); ++l) {
+    if (link_removed(static_cast<LinkId>(l))) continue;
+    ++start[static_cast<std::size_t>(links_[l].a) + 1];
+    ++start[static_cast<std::size_t>(links_[l].b) + 1];
+  }
+  for (std::size_t n = 0; n < V; ++n) start[n + 1] += start[n];
+  std::vector<LinkId> link(static_cast<std::size_t>(start[V]));
+  for (std::size_t l = 0; l < links_.size(); ++l) {
+    if (link_removed(static_cast<LinkId>(l))) continue;
+    for (const NodeId end : {links_[l].a, links_[l].b})
+      link[static_cast<std::size_t>(start[static_cast<std::size_t>(end)]++)] =
+          static_cast<LinkId>(l);
+  }
+  for (std::size_t n = V; n > 0; --n) start[n] = start[n - 1];
+  start[0] = 0;
+  csr_.start = std::move(start);
+  csr_.link = std::move(link);
+  csr_.built = true;
+}
+
+void TopologyGraph::csr_append(NodeId at, LinkId l) {
+  auto& start = csr_.start;
+  const auto row_end = static_cast<std::size_t>(at) + 1;
+  csr_.link.insert(csr_.link.begin() + start[row_end], l);
+  for (std::size_t k = row_end; k < start.size(); ++k) ++start[k];
+}
+
+void TopologyGraph::csr_erase(NodeId at, LinkId l) {
+  auto& start = csr_.start;
+  const auto row = static_cast<std::size_t>(at);
+  const auto first = csr_.link.begin() + start[row];
+  csr_.link.erase(std::find(first, csr_.link.begin() + start[row + 1], l));
+  for (std::size_t k = row + 1; k < start.size(); ++k) --start[k];
+}
+
+TopologyGraph::Adjacency TopologyGraph::adjacency() const {
+  const Csr& c = csr();
+  return {c.start, c.link};
+}
+
 std::span<const LinkId> TopologyGraph::links_of(NodeId n) const {
-  return incident_.at(static_cast<std::size_t>(n));
+  if (n < 0 || static_cast<std::size_t>(n) >= nodes_.size())
+    throw std::out_of_range("links_of: node out of range");
+  const Csr& c = csr();
+  const auto i = static_cast<std::size_t>(n);
+  return std::span<const LinkId>(c.link).subspan(
+      static_cast<std::size_t>(c.start[i]),
+      static_cast<std::size_t>(c.start[i + 1] - c.start[i]));
 }
 
 NodeId TopologyGraph::other_end(LinkId l, NodeId n) const {

@@ -7,7 +7,9 @@
 // `maxbw(i,j)` is a static property stored here, while the dynamically
 // varying `bw(i,j)` lives in remos::NetworkSnapshot.
 
+#include <atomic>
 #include <cstdint>
+#include <mutex>
 #include <optional>
 #include <span>
 #include <string>
@@ -55,11 +57,27 @@ struct Link {
   /// Peak capacity used for selection: the paper takes the minimum of the
   /// two directions for bidirectional links (§3.3).
   double capacity_min() const { return capacity_ab < capacity_ba ? capacity_ab : capacity_ba; }
+  /// The endpoint opposite `n`, unchecked: `n` must be a or b (see
+  /// TopologyGraph::other_end for the checked form).
+  NodeId other(NodeId n) const { return a == n ? b : a; }
 };
 
 /// An immutable-after-build undirected multigraph. Nodes and links are
 /// referenced by dense integer ids so per-node/per-link state elsewhere
 /// (simulator, snapshots) is stored in flat arrays.
+///
+/// The adjacency is one CSR: per node an offset into an array of half-edge
+/// link ids. links_of(n) lists n's live links in ascending id — add_link
+/// hands out increasing ids and remove_link never reorders — so a counting
+/// sort over the link records rebuilds it exactly. That order fixes every
+/// BFS tree of the selection stack. Until the first adjacency read (or
+/// validate(), which every generator and the parser call last) the add and
+/// remove calls only append or tombstone, so generating a graph is one
+/// pass; the first read builds the CSR, safely from several threads at
+/// once, and from then on each structural mutation patches it in place in
+/// O(V + E). Any structural mutation (add_*, remove_*) invalidates every
+/// span links_of() and adjacency() have returned: copy a node's links
+/// before removing them. Mutating while other threads read is unsupported.
 ///
 /// Node and link names, and tags, are tokens of the .topo format
 /// (topo/parse.hpp): the add_* calls reject whitespace and '#' in them, and
@@ -128,8 +146,19 @@ class TopologyGraph {
   std::span<const std::string> tags(NodeId n) const;
   bool has_tag(NodeId n, std::string_view tag) const;
 
-  /// Ids of links incident to `n`.
+  /// Ids of the live links incident to `n`, ascending. Throws
+  /// std::out_of_range for an id outside [0, node_count()).
   std::span<const LinkId> links_of(NodeId n) const;
+
+  /// Unchecked CSR view for hot loops: node n's links are
+  /// link[start[n]] .. link[start[n+1] - 1], exactly links_of(n).
+  struct Adjacency {
+    std::span<const std::int32_t> start;  ///< node_count() + 1 offsets
+    std::span<const LinkId> link;         ///< 2 x live links, by node
+  };
+  Adjacency adjacency() const;
+  /// Every link record by id, removed ones included.
+  std::span<const Link> links() const { return links_; }
   /// The node at the other end of link `l` from node `n`; throws if `n` is
   /// not an endpoint of `l`.
   NodeId other_end(LinkId l, NodeId n) const;
@@ -163,6 +192,30 @@ class TopologyGraph {
   /// Rebuild name_slots_ at `slots` (a power of two) from the present nodes.
   void rehash_names(std::size_t slots);
 
+  /// The CSR adjacency, its built flag and the lock of its first build. A
+  /// copy carries the CSR only once it is built: a half-built one belongs to
+  /// another thread's first read, and the copy then builds its own on its
+  /// own first read.
+  struct Csr {
+    std::vector<std::int32_t> start;  ///< node_count() + 1 row offsets
+    std::vector<LinkId> link;         ///< half-edge link ids, by row
+    std::atomic<bool> built{false};
+    std::mutex build_mutex;
+    Csr() = default;
+    Csr(const Csr& o) { *this = o; }
+    Csr(Csr&& o) noexcept { *this = std::move(o); }
+    Csr& operator=(const Csr& o);
+    Csr& operator=(Csr&& o) noexcept;
+  };
+  /// The built CSR: builds it on the first call, under build_mutex, so
+  /// concurrent first reads are safe.
+  const Csr& csr() const;
+  void build_csr() const;
+  /// Insert link `l` at the end of node `at`'s row, or erase it from the
+  /// row. Both keep the other rows' order; O(V + E) memmoves.
+  void csr_append(NodeId at, LinkId l);
+  void csr_erase(NodeId at, LinkId l);
+
   std::vector<Node> nodes_;
   std::vector<Link> links_;
   /// The explicit link names and the non-empty tag lists, sorted by id.
@@ -170,7 +223,7 @@ class TopologyGraph {
   /// and nodes of a generated fabric have neither.
   std::vector<std::pair<LinkId, std::string>> link_names_;
   std::vector<std::pair<NodeId, std::vector<std::string>>> node_tags_;
-  std::vector<std::vector<LinkId>> incident_;
+  mutable Csr csr_;
   /// Tombstones; empty (all-present) until the first removal, so the
   /// append-only fast paths allocate nothing.
   std::vector<char> link_removed_;

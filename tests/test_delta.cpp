@@ -1,13 +1,14 @@
 // The incremental-vs-rebuilt oracle for the typed-delta snapshot path:
 // a long-lived SelectionContext that consumes remos::Delta journals with
-// fine-grained invalidation (in-place row value repair, CSR patching,
-// per-row drop on link removal) must stay *bit-identical* to a context
+// fine-grained invalidation (in-place row value repair, arena weight
+// patches, per-row drop on link removal) must stay *bit-identical* to a context
 // rebuilt from scratch after arbitrary delta sequences — orders, component
 // decompositions, bottleneck rows, selections under every criterion, and
 // set evaluations; every checked row is also compared, node by node, with
 // topo::bottleneck_row over the TopologyGraph. Also covers the journal
-// mechanics (typed emission, bounded trimming, overflow fallback), the CSR
-// patch-vs-rebuild equality, no row rebuild under value-only deltas, one
+// mechanics (typed emission, bounded trimming, overflow fallback), the
+// graph's CSR patches against a scan of its links, no row rebuild under
+// value-only deltas, one
 // test per compact-row delta rule, and the bounded-migration reselect
 // layer.
 
@@ -15,6 +16,7 @@
 
 #include <algorithm>
 #include <memory>
+#include <stdexcept>
 #include <string>
 #include <vector>
 
@@ -245,13 +247,19 @@ void expect_matches_rebuild(const select::SelectionContext& inc,
             fresh.links_by_fraction(fraction_opt))
       << what;
 
-  const topo::CsrAdjacency& ca = inc.csr();
-  const topo::CsrAdjacency& cb = fresh.csr();
-  EXPECT_EQ(ca.row_start, cb.row_start) << what;
-  EXPECT_EQ(ca.neighbor, cb.neighbor) << what;
-  EXPECT_EQ(ca.via, cb.via) << what;
-  EXPECT_EQ(ca.link_latency, cb.link_latency) << what;
-  EXPECT_EQ(ca.is_compute, cb.is_compute) << what;
+  const topo::FlatGraph& fa = inc.flat();
+  const topo::FlatGraph& fb = fresh.flat();
+  EXPECT_EQ(fa.arena_bytes(), fb.arena_bytes()) << what;
+  auto same = [](auto x, auto y) {
+    return std::equal(x.begin(), x.end(), y.begin(), y.end());
+  };
+  EXPECT_TRUE(same(fa.row_start(), fb.row_start())) << what;
+  EXPECT_TRUE(same(fa.neighbor(), fb.neighbor())) << what;
+  EXPECT_TRUE(same(fa.via(), fb.via())) << what;
+  EXPECT_TRUE(same(fa.link_bw(), fb.link_bw())) << what;
+  EXPECT_TRUE(same(fa.link_bwfactor(), fb.link_bwfactor())) << what;
+  EXPECT_TRUE(same(fa.link_latency(), fb.link_latency())) << what;
+  EXPECT_TRUE(same(fa.is_compute(), fb.is_compute())) << what;
 
   const topo::Components& xa = inc.base_components();
   const topo::Components& xb = fresh.base_components();
@@ -396,59 +404,100 @@ TEST(DeltaJournal, BoundedJournalTrimsOldest) {
 // CSR patching
 // ---------------------------------------------------------------------------
 
+/// n's live incident links in ascending id, found by scanning every link
+/// record: what links_of(n) must return whatever mix of build, patch and
+/// tombstone got it there.
+std::vector<topo::LinkId> scanned_links_of(const topo::TopologyGraph& g,
+                                           topo::NodeId n) {
+  std::vector<topo::LinkId> out;
+  for (const topo::LinkId l : present_links(g))
+    if (g.link(l).a == n || g.link(l).b == n) out.push_back(l);
+  return out;
+}
+
+void expect_links_match_scan(const topo::TopologyGraph& g,
+                             const std::string& what) {
+  for (std::size_t n = 0; n < g.node_count(); ++n) {
+    const auto id = static_cast<topo::NodeId>(n);
+    const auto got = g.links_of(id);
+    ASSERT_EQ(std::vector<topo::LinkId>(got.begin(), got.end()),
+              scanned_links_of(g, id))
+        << what << " node " << n;
+  }
+  EXPECT_THROW(g.links_of(-1), std::out_of_range) << what;
+  EXPECT_THROW(g.links_of(static_cast<topo::NodeId>(g.node_count())),
+               std::out_of_range)
+      << what;
+}
+
+/// The same nodes and links added one by one, never read: a graph still in
+/// its build phase.
+topo::TopologyGraph unread_copy(const topo::TopologyGraph& src) {
+  topo::TopologyGraph g;
+  for (std::size_t n = 0; n < src.node_count(); ++n) {
+    const topo::Node& node = src.node(static_cast<topo::NodeId>(n));
+    if (node.kind == topo::NodeKind::Compute)
+      g.add_compute(node.name, node.cpu_capacity);
+    else
+      g.add_network(node.name);
+  }
+  for (const topo::Link& l : src.links())
+    g.add_link(l.a, l.b, l.capacity_ab, l.capacity_ba);
+  return g;
+}
+
 TEST(CsrPatching, RandomMutationSequencesMatchRebuild) {
   for (std::uint64_t seed = 0; seed < 8; ++seed) {
-    topo::RandomCoreEdgeOptions o;
-    o.core_switches = 3;
-    o.edge_switches = 4;
-    o.hosts = 12;
-    o.seed = seed + 1;
-    topo::TopologyGraph g = topo::random_core_edge(o);
-    topo::CsrAdjacency patched = topo::CsrAdjacency::build(g);
-    util::Rng rng(seed * 271 + 9);
-    int names = 0;
-    for (int step = 0; step < 30; ++step) {
-      const double roll = rng.uniform(0.0, 1.0);
-      if (roll < 0.35) {
-        auto links = present_links(g);
-        if (links.size() <= 4) continue;
-        auto l = links[static_cast<std::size_t>(rng.uniform_int(
-            0, static_cast<std::int64_t>(links.size()) - 1))];
-        g.remove_link(l);
-        patched.patch_remove_link(g, l);
-      } else if (roll < 0.70) {
-        auto an = static_cast<topo::NodeId>(
-            rng.uniform_int(0, static_cast<std::int64_t>(g.node_count()) - 1));
-        auto bn = static_cast<topo::NodeId>(
-            rng.uniform_int(0, static_cast<std::int64_t>(g.node_count()) - 1));
-        if (an == bn || g.node_removed(an) || g.node_removed(bn)) continue;
-        auto id = g.add_link(an, bn, topo::k100Mbps);
-        patched.patch_add_link(g, id);
-      } else if (roll < 0.9) {
-        auto id = g.add_compute("p" + std::to_string(names++));
-        patched.patch_add_node(g, id);
-      } else {
-        auto hosts = present_computes(g);
-        if (hosts.size() <= 4) continue;
-        auto n = hosts[static_cast<std::size_t>(rng.uniform_int(
-            0, static_cast<std::int64_t>(hosts.size()) - 1))];
-        const auto span = g.links_of(n);
-        const std::vector<topo::LinkId> incident(span.begin(), span.end());
-        for (topo::LinkId l : incident) {
-          g.remove_link(l);
-          patched.patch_remove_link(g, l);
+    for (const bool built : {true, false}) {
+      topo::RandomCoreEdgeOptions o;
+      o.core_switches = 3;
+      o.edge_switches = 4;
+      o.hosts = 12;
+      o.seed = seed + 1;
+      // The generator validates, which builds the CSR; the unread copy
+      // stays in its build phase until its first read.
+      topo::TopologyGraph g = built ? topo::random_core_edge(o)
+                                    : unread_copy(topo::random_core_edge(o));
+      util::Rng rng(seed * 271 + 9);
+      int names = 0;
+      for (int step = 0; step < 30; ++step) {
+        const std::string what = "seed " + std::to_string(seed) +
+                                 (built ? " built" : " build phase") +
+                                 " step " + std::to_string(step);
+        const double roll = rng.uniform(0.0, 1.0);
+        if (roll < 0.35) {
+          auto links = present_links(g);
+          if (links.size() <= 4) continue;
+          g.remove_link(links[static_cast<std::size_t>(rng.uniform_int(
+              0, static_cast<std::int64_t>(links.size()) - 1))]);
+        } else if (roll < 0.70) {
+          auto an = static_cast<topo::NodeId>(rng.uniform_int(
+              0, static_cast<std::int64_t>(g.node_count()) - 1));
+          auto bn = static_cast<topo::NodeId>(rng.uniform_int(
+              0, static_cast<std::int64_t>(g.node_count()) - 1));
+          if (an == bn || g.node_removed(an) || g.node_removed(bn)) continue;
+          g.add_link(an, bn, topo::k100Mbps);
+        } else if (roll < 0.9) {
+          g.add_compute("p" + std::to_string(names++));
+        } else {
+          auto hosts = present_computes(g);
+          if (hosts.size() <= 4) continue;
+          auto n = hosts[static_cast<std::size_t>(rng.uniform_int(
+              0, static_cast<std::int64_t>(hosts.size()) - 1))];
+          const auto incident = scanned_links_of(g, n);
+          // A node with links left cannot go, in either phase; the first
+          // removal then ends the build phase (it reads n's degree).
+          if (!incident.empty()) {
+            EXPECT_THROW(g.remove_node(n), std::invalid_argument) << what;
+          }
+          for (topo::LinkId l : incident) g.remove_link(l);
+          g.remove_node(n);
         }
-        g.remove_node(n);
-        patched.patch_remove_node(n);
+        // A copy checks the build from the tombstones while g itself is
+        // unread; once g is built the copy carries its patched CSR.
+        expect_links_match_scan(topo::TopologyGraph(g), what + " (copy)");
       }
-      topo::CsrAdjacency rebuilt = topo::CsrAdjacency::build(g);
-      const std::string what =
-          "seed " + std::to_string(seed) + " step " + std::to_string(step);
-      ASSERT_EQ(patched.row_start, rebuilt.row_start) << what;
-      ASSERT_EQ(patched.neighbor, rebuilt.neighbor) << what;
-      ASSERT_EQ(patched.via, rebuilt.via) << what;
-      ASSERT_EQ(patched.link_latency, rebuilt.link_latency) << what;
-      ASSERT_EQ(patched.is_compute, rebuilt.is_compute) << what;
+      expect_links_match_scan(g, "seed " + std::to_string(seed));
     }
   }
 }

@@ -114,28 +114,32 @@ void expect_rows_identical(const BottleneckRow& got, const BottleneckRow& want,
 
 TEST(FlatGraph, SectionsMatchCsrAndGraph) {
   for (const auto& inst : instances(1)) {
-    const auto adj = CsrAdjacency::build(*inst.graph);
+    const TopologyGraph& graph = *inst.graph;
+    const auto adj = graph.adjacency();
     const auto bw = bw_of(*inst.snap);
     const auto f = bwfactor_of(*inst.snap);
-    const FlatGraph g = FlatGraph::build(adj, bw, f);
-    ASSERT_EQ(g.node_count(), adj.node_count()) << inst.what;
-    ASSERT_EQ(g.link_count(), adj.link_count()) << inst.what;
+    const FlatGraph g = FlatGraph::build(graph, bw, f);
+    ASSERT_EQ(g.node_count(), graph.node_count()) << inst.what;
+    ASSERT_EQ(g.link_count(), graph.link_count()) << inst.what;
     EXPECT_GT(g.arena_bytes(), 0u) << inst.what;
     EXPECT_TRUE(std::equal(g.row_start().begin(), g.row_start().end(),
-                           adj.row_start.begin(), adj.row_start.end()))
+                           adj.start.begin(), adj.start.end()))
         << inst.what;
-    EXPECT_TRUE(std::equal(g.neighbor().begin(), g.neighbor().end(),
-                           adj.neighbor.begin(), adj.neighbor.end()))
+    EXPECT_TRUE(std::equal(g.via().begin(), g.via().end(), adj.link.begin(),
+                           adj.link.end()))
         << inst.what;
-    EXPECT_TRUE(std::equal(g.via().begin(), g.via().end(), adj.via.begin(),
-                           adj.via.end()))
-        << inst.what;
-    EXPECT_TRUE(std::equal(g.link_latency().begin(), g.link_latency().end(),
-                           adj.link_latency.begin(), adj.link_latency.end()))
-        << inst.what;
-    EXPECT_TRUE(std::equal(g.is_compute().begin(), g.is_compute().end(),
-                           adj.is_compute.begin(), adj.is_compute.end()))
-        << inst.what;
+    for (std::size_t u = 0; u < g.node_count(); ++u) {
+      const auto n = static_cast<NodeId>(u);
+      EXPECT_EQ(g.is_compute()[u] != 0, graph.is_compute(n)) << inst.what;
+      for (auto e = g.row_start()[u]; e < g.row_start()[u + 1]; ++e) {
+        const auto ie = static_cast<std::size_t>(e);
+        EXPECT_EQ(g.neighbor()[ie], graph.other_end(g.via()[ie], n))
+            << inst.what;
+      }
+    }
+    for (std::size_t l = 0; l < g.link_count(); ++l)
+      EXPECT_EQ(g.link_latency()[l], graph.link(static_cast<LinkId>(l)).latency)
+          << inst.what;
     EXPECT_TRUE(std::equal(g.link_bw().begin(), g.link_bw().end(), bw.begin(),
                            bw.end()))
         << inst.what;
@@ -147,10 +151,10 @@ TEST(FlatGraph, SectionsMatchCsrAndGraph) {
 
 TEST(FlatGraph, WeightPatchInPlace) {
   const auto inst = std::move(instances(2)[0]);
-  const auto adj = CsrAdjacency::build(*inst.graph);
   auto bw = bw_of(*inst.snap);
   auto f = bwfactor_of(*inst.snap);
-  FlatGraph g = FlatGraph::build(adj, bw, f);
+  FlatGraph g = FlatGraph::build(*inst.graph, bw, f);
+  const std::vector<NodeId> neighbor(g.neighbor().begin(), g.neighbor().end());
   const auto l = static_cast<LinkId>(3);
   g.set_link_bw(l, 12345.0);
   g.set_link_bwfactor(l, 0.125);
@@ -158,19 +162,18 @@ TEST(FlatGraph, WeightPatchInPlace) {
   EXPECT_EQ(g.link_bwfactor()[3], 0.125);
   // Structure untouched.
   EXPECT_TRUE(std::equal(g.neighbor().begin(), g.neighbor().end(),
-                         adj.neighbor.begin(), adj.neighbor.end()));
+                         neighbor.begin(), neighbor.end()));
 }
 
 TEST(FlatGraph, ScalarKernelMatchesCsrKernel) {
   for (const auto& inst : instances(3)) {
-    const auto adj = CsrAdjacency::build(*inst.graph);
     const auto bw = bw_of(*inst.snap);
     const auto f = bwfactor_of(*inst.snap);
-    const FlatGraph g = FlatGraph::build(adj, bw, f);
+    const FlatGraph g = FlatGraph::build(*inst.graph, bw, f);
     for (std::size_t n = 0; n < g.node_count(); ++n) {
       const auto src = static_cast<NodeId>(n);
       expect_rows_identical(bottleneck_row(g, src),
-                            bottleneck_row(adj, src, bw, f),
+                            bottleneck_row(*inst.graph, src, bw, f),
                             inst.what + " src " + std::to_string(n));
     }
   }
@@ -179,10 +182,9 @@ TEST(FlatGraph, ScalarKernelMatchesCsrKernel) {
 TEST(FlatGraph, BatchedMatchesScalarFuzz) {
   for (std::uint64_t seed : {1u, 2u, 3u, 4u}) {
     for (const auto& inst : instances(seed)) {
-      const auto adj = CsrAdjacency::build(*inst.graph);
       const auto bw = bw_of(*inst.snap);
       const auto f = bwfactor_of(*inst.snap);
-      const FlatGraph g = FlatGraph::build(adj, bw, f);
+      const FlatGraph g = FlatGraph::build(*inst.graph, bw, f);
       util::Rng rng(seed * 977 + 5);
       const auto n = static_cast<std::int64_t>(g.node_count());
       // Random batch widths, including the full 64 and width 1; sources mix
@@ -202,7 +204,7 @@ TEST(FlatGraph, BatchedMatchesScalarFuzz) {
             << inst.what << " round " << round;
         for (std::size_t i = 0; i < w; ++i)
           expect_rows_identical(
-              rows[i], bottleneck_row(adj, sources[i], bw, f),
+              rows[i], bottleneck_row(*inst.graph, sources[i], bw, f),
               inst.what + " round " + std::to_string(round) + " lane " +
                   std::to_string(i));
       }
@@ -212,10 +214,9 @@ TEST(FlatGraph, BatchedMatchesScalarFuzz) {
 
 TEST(FlatGraph, BatchedMatchesScalarAfterWeightPatches) {
   for (const auto& inst : instances(5)) {
-    const auto adj = CsrAdjacency::build(*inst.graph);
     auto bw = bw_of(*inst.snap);
     auto f = bwfactor_of(*inst.snap);
-    FlatGraph g = FlatGraph::build(adj, bw, f);
+    FlatGraph g = FlatGraph::build(*inst.graph, bw, f);
     // Patch a third of the links in place, mirroring the delta path, and
     // keep the reference arrays in sync.
     util::Rng rng(404);
@@ -235,17 +236,16 @@ TEST(FlatGraph, BatchedMatchesScalarAfterWeightPatches) {
     batched_bottleneck_rows(g, sources, rows);
     for (std::size_t i = 0; i < sources.size(); ++i)
       expect_rows_identical(rows[i],
-                            bottleneck_row(adj, sources[i], bw, f),
+                            bottleneck_row(*inst.graph, sources[i], bw, f),
                             inst.what + " patched lane " + std::to_string(i));
   }
 }
 
 TEST(FlatGraph, BatchedArgumentChecks) {
   const auto inst = std::move(instances(6)[0]);
-  const auto adj = CsrAdjacency::build(*inst.graph);
   const auto bw = bw_of(*inst.snap);
   const auto f = bwfactor_of(*inst.snap);
-  const FlatGraph g = FlatGraph::build(adj, bw, f);
+  const FlatGraph g = FlatGraph::build(*inst.graph, bw, f);
   std::vector<NodeId> too_many(65, 0);
   std::vector<BottleneckRow> out65(65);
   EXPECT_THROW(batched_bottleneck_rows(g, too_many, out65),

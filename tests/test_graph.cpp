@@ -4,6 +4,7 @@
 
 #include <limits>
 #include <string>
+#include <thread>
 #include <unordered_map>
 #include <vector>
 
@@ -367,6 +368,74 @@ TEST(GraphNameIndex, CopiedGraphLooksUpTheSame) {
   EXPECT_EQ(g.find_node("n0"), std::optional<NodeId>(readded));
   EXPECT_FALSE(g.find_node("n3").has_value());
   EXPECT_TRUE(copy.find_node("n3").has_value());
+}
+
+/// A random tree over `nodes` switches plus a few cross links, some of them
+/// removed, built without a single adjacency read.
+TopologyGraph unread_mesh(int nodes) {
+  TopologyGraph g;
+  for (int i = 0; i < nodes; ++i) g.add_network(node_name(i));
+  util::Rng rng(4242);
+  for (int i = 1; i < nodes; ++i)
+    g.add_link(static_cast<NodeId>(rng.uniform_int(0, i - 1)), i, 1e9);
+  for (int k = 0; k < nodes / 4; ++k) {
+    const auto a = static_cast<NodeId>(rng.uniform_int(0, nodes - 1));
+    const auto b = static_cast<NodeId>(rng.uniform_int(0, nodes - 1));
+    if (a != b) g.add_link(a, b, 1e8);
+  }
+  for (std::size_t l = 0; l < g.link_count(); l += 7)
+    g.remove_link(static_cast<LinkId>(l));
+  return g;
+}
+
+std::vector<std::vector<LinkId>> all_links_of(const TopologyGraph& g) {
+  std::vector<std::vector<LinkId>> out;
+  for (std::size_t n = 0; n < g.node_count(); ++n) {
+    const auto s = g.links_of(static_cast<NodeId>(n));
+    out.emplace_back(s.begin(), s.end());
+  }
+  return out;
+}
+
+TEST(GraphAdjacency, ConcurrentFirstReadsMatchASerialRead) {
+  // Four threads race to make the first adjacency read of an unread graph:
+  // whichever builds the CSR, every thread must see the complete one.
+  TopologyGraph g = unread_mesh(3000);
+  const auto want = all_links_of(unread_mesh(3000));
+  std::vector<std::vector<std::vector<LinkId>>> got(4);
+  std::vector<std::vector<std::size_t>> degrees(4);
+  std::vector<std::thread> threads;
+  for (std::size_t t = 0; t < 4; ++t)
+    threads.emplace_back([&, t] {
+      for (std::size_t n = 0; n < g.node_count(); ++n) {
+        const auto id = static_cast<NodeId>(n);
+        const auto s = g.links_of(id);
+        got[t].emplace_back(s.begin(), s.end());
+        degrees[t].push_back(g.degree(id));
+      }
+    });
+  for (auto& th : threads) th.join();
+  for (std::size_t t = 0; t < 4; ++t) {
+    EXPECT_EQ(got[t], want) << "thread " << t;
+    ASSERT_EQ(degrees[t].size(), want.size());
+    for (std::size_t n = 0; n < want.size(); ++n)
+      EXPECT_EQ(degrees[t][n], want[n].size()) << "thread " << t;
+  }
+}
+
+TEST(GraphAdjacency, CopiesAndMovesCarryTheCsr) {
+  TopologyGraph built = unread_mesh(200);
+  const auto want = all_links_of(built);  // builds it
+  TopologyGraph copy = built;
+  EXPECT_EQ(all_links_of(copy), want);
+  TopologyGraph moved = std::move(copy);
+  EXPECT_EQ(all_links_of(moved), want);
+  // Patches after the copy stay in the graph they were made in.
+  const LinkId extra = moved.add_link(0, 199, 1e6);
+  EXPECT_EQ(moved.links_of(0).back(), extra);
+  EXPECT_EQ(all_links_of(built), want);
+  // An unread graph copies unread; the copy builds its own CSR.
+  EXPECT_EQ(all_links_of(TopologyGraph(unread_mesh(200))), want);
 }
 
 TEST(GraphValidate, AcceptsConnected) {

@@ -2,10 +2,15 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <limits>
+#include <memory>
+#include <string>
 
 #include "load/traffic_generator.hpp"
+#include "obs/flight.hpp"
+#include "obs/metrics.hpp"
 #include "topo/generators.hpp"
 
 namespace netsel::remos {
@@ -377,6 +382,77 @@ TEST_F(RemosFixture, OwnerExclusionClampsToZero) {
   double load = remos.load_average(m1, q);
   EXPECT_GE(load, 0.0);
   EXPECT_DOUBLE_EQ(load, 0.0);
+}
+
+/// Answers `value` for every series except two, which answer NaN (a
+/// diverged model, or a NaN sample recorded into the series).
+class PoisonForecaster final : public Forecaster {
+ public:
+  PoisonForecaster(const TimeSeries* a, const TimeSeries* b, double value)
+      : a_(a), b_(b), value_(value) {}
+  double estimate(const TimeSeries& ts, double) const override {
+    if (&ts == a_ || &ts == b_) return std::numeric_limits<double>::quiet_NaN();
+    return value_;
+  }
+  std::string name() const override { return "poison"; }
+
+ private:
+  const TimeSeries* a_;
+  const TimeSeries* b_;
+  double value_;
+};
+
+TEST_F(RemosFixture, RefreshSkipsNonFiniteForecasts) {
+  Remos remos(net);
+  remos.start();
+  net.sim().run_until(4.0);
+  NetworkSnapshot snap = remos.snapshot();
+  const auto& g = net.topology();
+  const topo::LinkId bad_link = net.routes().route(m1, m13)[0];
+  const double cpu_before = snap.cpu(m1);
+  const double bw_before = snap.bw_dir(bad_link, true);
+
+  obs::set_enabled(true);
+  obs::Registry::global().reset();
+  QueryOptions q;
+  constexpr double kUsed = 1e6;  // every other forecast: load, bytes, bps
+  q.forecaster = std::make_shared<PoisonForecaster>(
+      &remos.monitor().load_history(m1),
+      &remos.monitor().link_history(bad_link, true), kUsed);
+  const std::uint64_t flights = obs::FlightRecorder::global().recorded();
+  EXPECT_NO_THROW(remos.refresh_snapshot(snap, q));
+  const std::uint64_t skipped =
+      obs::Registry::global().counter("remos.refresh.nonfinite").value();
+  obs::Registry::global().reset();
+  obs::set_enabled(false);
+  EXPECT_EQ(skipped, 2u);
+
+  // The two poisoned sensors keep their readings; every other one, before
+  // and after them in id order, takes the new forecast.
+  EXPECT_EQ(snap.cpu(m1), cpu_before);
+  EXPECT_EQ(snap.bw_dir(bad_link, true), bw_before);
+  for (const topo::NodeId n : g.compute_nodes()) {
+    EXPECT_EQ(snap.free_memory(n), kUsed) << g.node(n).name;
+    if (n != m1) {
+      EXPECT_EQ(snap.cpu(n), 1.0 / (1.0 + kUsed)) << g.node(n).name;
+    }
+  }
+  for (std::size_t i = 0; i < g.link_count(); ++i) {
+    const auto l = static_cast<topo::LinkId>(i);
+    const topo::Link& lk = g.link(l);
+    if (l != bad_link) {
+      EXPECT_EQ(snap.bw_dir(l, true), std::max(lk.capacity_ab - kUsed, kBwFloor))
+          << g.link_name(l);
+    }
+    EXPECT_EQ(snap.bw_dir(l, false), std::max(lk.capacity_ba - kUsed, kBwFloor))
+        << g.link_name(l);
+  }
+
+  // One flight event for the refresh, carrying the count.
+  ASSERT_EQ(obs::FlightRecorder::global().recorded(), flights + 1);
+  const obs::FlightEvent ev = obs::FlightRecorder::global().tail(1).at(0);
+  EXPECT_EQ(ev.kind, obs::FlightKind::NonFiniteForecast);
+  EXPECT_EQ(ev.a, 2u);
 }
 
 // Every snapshot write entry point rejects NaN, infinite and out-of-range
