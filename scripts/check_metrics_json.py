@@ -63,10 +63,6 @@ PROFILES = {
         "counters": [
             "select.ctx.row_hits",
             "select.ctx.row_misses",
-            "select.ctx.rows.batched",
-            "select.ctx.rows.scalar_fallback",
-            "select.ctx.batch.passes",
-            "select.ctx.batch.frontier_words",
             "select.prune.dropped",
             "select.selections",
             "api.degradation.full",

@@ -6,6 +6,7 @@
 #include <cstring>
 #include <exception>
 #include <ostream>
+#include <thread>
 
 #include "obs/metrics.hpp"
 
@@ -57,11 +58,26 @@ FlightRecorder& FlightRecorder::global() {
 
 void FlightRecorder::record(FlightKind kind, double sim_time, std::uint64_t a,
                             std::uint64_t b, std::string_view detail) {
+  flight_events_counter().inc();
   const std::uint64_t seq = next_.fetch_add(1, std::memory_order_relaxed) + 1;
   Slot& s = slots_[seq & mask_];
-  // Seqlock write: odd while the payload is inconsistent. A reader that
-  // observes an odd or changed version discards the slot.
-  s.ver.store(seq * 2 - 1, std::memory_order_release);
+  // Claim the slot by moving its version to odd (mid-write). Writers whose
+  // sequence numbers wrap onto one slot take turns: wait while an older
+  // event is mid-write, and drop this one if a newer event already holds
+  // the slot, since it would overwrite this one anyway. The acquire orders
+  // the payload writes below after the previous holder's.
+  std::uint64_t v = s.ver.load(std::memory_order_relaxed);
+  for (;;) {
+    if (v >= seq * 2) return;
+    if (v & 1) {
+      std::this_thread::yield();
+      v = s.ver.load(std::memory_order_relaxed);
+    } else if (s.ver.compare_exchange_weak(v, seq * 2 - 1,
+                                           std::memory_order_acquire,
+                                           std::memory_order_relaxed)) {
+      break;
+    }
+  }
   s.ev.seq = seq;
   s.ev.sim_time = sim_time;
   s.ev.kind = kind;
@@ -71,8 +87,8 @@ void FlightRecorder::record(FlightKind kind, double sim_time, std::uint64_t a,
   // An empty view may carry a null data(), which memcpy must not be given.
   if (n > 0) std::memcpy(s.ev.detail, detail.data(), n);
   s.ev.detail[n] = '\0';
+  // A reader that observes an odd or changed version discards the slot.
   s.ver.store(seq * 2, std::memory_order_release);
-  flight_events_counter().inc();
 }
 
 std::vector<FlightEvent> FlightRecorder::tail(std::size_t n) const {

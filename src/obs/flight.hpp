@@ -5,15 +5,18 @@
 //
 // Unlike the metrics Registry, the flight recorder is NOT gated on
 // obs::enabled(): its whole point is to already hold the recent past when
-// something goes wrong in a run nobody instrumented. Recording is a single
+// something goes wrong in a run nobody instrumented. Recording is an
 // atomic slot claim plus a bounded memcpy-sized write; events are plain
 // structs (no allocation), so the cost per event is tens of nanoseconds at
 // decision granularity (admissions, rejections, ladder transitions — never
 // per-BFS-step).
 //
-// Concurrency: writers claim slots with one fetch_add; each slot carries a
-// seqlock-style version so readers (tail()/dump(), rare) detect and skip
-// slots that are mid-write or have been overwritten since. Events from
+// Concurrency: writers take sequence numbers with one fetch_add, then claim
+// the slot by CAS on its seqlock-style version, so two writers whose
+// numbers wrap onto one slot never write its payload at once (the older
+// waits out a mid-write, or is dropped once a newer event holds the slot).
+// Readers (tail()/dump(), rare) take no lock: they detect and skip slots
+// that are mid-write or have been overwritten since. Events from
 // concurrent writers interleave by claim order; the scheduler only records
 // from its serial event loop, so its runs produce a deterministic sequence.
 
@@ -96,7 +99,8 @@ class FlightRecorder {
 
  private:
   struct Slot {
-    /// Even = stable (value is the claiming seq * 2), odd = mid-write.
+    /// Even = stable (value is the holding seq * 2), odd = mid-write (the
+    /// writing seq * 2 - 1).
     std::atomic<std::uint64_t> ver{0};
     FlightEvent ev;
   };

@@ -59,7 +59,6 @@
 #include "select/prune.hpp"
 #include "select/reference.hpp"
 #include "topo/connectivity.hpp"
-#include "util/thread_pool.hpp"
 
 namespace netsel::select {
 
@@ -241,23 +240,13 @@ SelectionResult select_balanced_forest(const SelectionContext& ctx,
   // bandwidth, so sort by the computed fractions rather than reusing the
   // absolute-bandwidth order (two bandwidths may round to equal fractions,
   // where the id tie-break kicks in).
-  // Per-link/per-node key fills: pure per-index writes into pre-sized
-  // vectors, so the optional pooled fill (ctx.set_pool) is bit-identical to
-  // the serial loop at any thread count.
-  util::ThreadPool* pp = ctx.pool();
   const bool by_reference = opt.reference_bw > 0.0;
   std::vector<double> ref_frac;
   std::vector<topo::LinkId> ref_order;
   if (by_reference) {
     ref_frac.resize(g.link_count());
-    auto fill_frac = [&](std::size_t lo, std::size_t hi) {
-      for (std::size_t l = lo; l < hi; ++l)
-        ref_frac[l] = link_fraction(snap, static_cast<topo::LinkId>(l), opt);
-    };
-    if (pp && ref_frac.size() >= 8192)
-      util::parallel_for_chunked(*pp, ref_frac.size(), 4096, fill_frac);
-    else
-      fill_frac(0, ref_frac.size());
+    for (std::size_t l = 0; l < ref_frac.size(); ++l)
+      ref_frac[l] = link_fraction(snap, static_cast<topo::LinkId>(l), opt);
     ref_order.reserve(g.link_count());
     for (std::size_t l = 0; l < g.link_count(); ++l)
       if (!g.link_removed(static_cast<topo::LinkId>(l)))
@@ -275,14 +264,8 @@ SelectionResult select_balanced_forest(const SelectionContext& ctx,
   // nodes are ever ranked, the rest stay 0.
   const std::size_t V = g.node_count();
   std::vector<double> cpu(V, 0.0);
-  auto fill_cpu = [&](std::size_t lo, std::size_t hi) {
-    for (std::size_t n = lo; n < hi; ++n)
-      if (elig[n]) cpu[n] = node_cpu(snap, static_cast<topo::NodeId>(n), opt);
-  };
-  if (pp && V >= 8192)
-    util::parallel_for_chunked(*pp, V, 4096, fill_cpu);
-  else
-    fill_cpu(0, V);
+  for (std::size_t n = 0; n < V; ++n)
+    if (elig[n]) cpu[n] = node_cpu(snap, static_cast<topo::NodeId>(n), opt);
 
   // Gather each step's endpoints and fraction once, in deletion-sequence
   // order: the replay walks the sequence back-to-front with dependent

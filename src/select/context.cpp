@@ -2,6 +2,8 @@
 
 #include <algorithm>
 #include <limits>
+#include <stdexcept>
+#include <string>
 
 #include "obs/metrics.hpp"
 #include "util/thread_pool.hpp"
@@ -60,9 +62,13 @@ obs::Gauge& arena_bytes_gauge() {
       obs::Registry::global().gauge("select.ctx.arena_bytes");
   return g;
 }
-/// Minimum per-chunk work for the pool-parallel scoring fills: below this
-/// the submit overhead beats the loop.
-constexpr std::size_t kScoreChunk = 4096;
+
+/// pair_row()'s and warm_rows()' source check, made before any state change.
+void check_source(const topo::TopologyGraph& g, topo::NodeId src,
+                  const char* what) {
+  if (src < 0 || static_cast<std::size_t>(src) >= g.node_count())
+    throw std::out_of_range(std::string(what) + ": source out of range");
+}
 }  // namespace
 
 SelectionContext::SelectionContext(const remos::NetworkSnapshot& snap)
@@ -79,13 +85,6 @@ SelectionContext::SelectionContext(const remos::NetworkSnapshot& snap)
   rows_invalidated_full();
   rows_repaired();
   arena_bytes_gauge();
-  // The batched-kernel counters no longer move here (warm_rows builds one
-  // row per source), but the benchmark and the scale metrics profile list
-  // them, so they stay registered at 0.
-  for (const char* name :
-       {"select.ctx.batch.passes", "select.ctx.batch.frontier_words",
-        "select.ctx.rows.batched", "select.ctx.rows.scalar_fallback"})
-    obs::Registry::global().counter(name);
   // Owned by prune.cpp, but registered here too: the candidate-count
   // short-circuit can mean no selection ever reaches the pruner, and the
   // exported document must still carry the counter at 0.
@@ -121,7 +120,7 @@ void SelectionContext::invalidate_all() const {
   base_comps_.reset();
   // The unseen deltas may have been structural, so the graph-shaped caches
   // go too.
-  flat_.reset();
+  nbr_.clear();
   arena_bytes_gauge().set(0.0);
   acyclic_ = -1;
 }
@@ -232,12 +231,6 @@ void SelectionContext::apply_link_bandwidth(topo::LinkId l) const {
     }
   }
   if (!changed) return;
-  // The arena mirrors the weight arrays: a bandwidth delta is a two-double
-  // in-place patch, never a rebuild (the structure sections are untouched).
-  if (flat_) {
-    flat_->set_link_bw(l, snap_->bw(l));
-    flat_->set_link_bwfactor(l, snap_->bwfactor(l));
-  }
   // Rows whose stored tree does not use l read it, if at all, through a
   // derived leaf; rows whose tree does are repaired in place (value replay
   // over the subtree below l, no BFS).
@@ -300,7 +293,7 @@ void SelectionContext::repair_row_values(Cell* cells, topo::NodeId src,
 }
 
 void SelectionContext::apply_node_added(topo::NodeId n) const {
-  flat_.reset();  // structural: the arena's sections no longer fit
+  nbr_.clear();
   if (base_comps_) {
     // The new node has the highest id and no links, so a rebuild would
     // discover it last as a singleton component: append exactly that.
@@ -321,7 +314,7 @@ void SelectionContext::apply_node_removed(topo::NodeId n) const {
   // touched dropped): no built row reaches n except n's own singleton row,
   // which a rebuild reproduces unchanged. Only the compute flag flips; a
   // stored n keeps its (unreached) cells.
-  flat_.reset();  // the arena carries is_compute
+  nbr_.clear();
   if (base_comps_) {
     const int c = base_comps_->comp_of[static_cast<std::size_t>(n)];
     base_comps_->compute_count[c] = 0;  // degree-0 singleton, now tombstoned
@@ -331,7 +324,7 @@ void SelectionContext::apply_node_removed(topo::NodeId n) const {
 
 void SelectionContext::apply_link_added(topo::LinkId l) const {
   const auto il = static_cast<std::size_t>(l);
-  flat_.reset();
+  nbr_.clear();
   acyclic_ = -1;
   base_comps_.reset();
   if (bw_valid_) {
@@ -362,7 +355,7 @@ void SelectionContext::apply_link_added(topo::LinkId l) const {
 
 void SelectionContext::apply_link_removed(topo::LinkId l) const {
   const auto il = static_cast<std::size_t>(l);
-  flat_.reset();
+  nbr_.clear();
   acyclic_ = -1;
   base_comps_.reset();
   if (bw_valid_ && il < bw_.size()) {
@@ -396,15 +389,21 @@ bool SelectionContext::acyclic() const {
   return acyclic_ == 1;
 }
 
-const topo::FlatGraph& SelectionContext::flat() const {
-  const auto& bw = link_bw();
-  const auto& f = link_bwfactor();
-  if (!flat_) {
-    flat_ = std::make_unique<topo::FlatGraph>(
-        topo::FlatGraph::build(graph(), bw, f));
-    arena_bytes_gauge().set(static_cast<double>(flat_->arena_bytes()));
+const std::vector<topo::NodeId>& SelectionContext::flat() const {
+  revalidate();
+  if (nbr_.empty()) {
+    const auto adj = graph().adjacency();
+    const auto links = graph().links();
+    nbr_.resize(adj.link.size());
+    for (std::size_t u = 0; u + 1 < adj.start.size(); ++u)
+      for (auto e = adj.start[u]; e < adj.start[u + 1]; ++e) {
+        const auto ie = static_cast<std::size_t>(e);
+        nbr_[ie] = links[static_cast<std::size_t>(adj.link[ie])].other(
+            static_cast<topo::NodeId>(u));
+      }
+    arena_bytes_gauge().set(static_cast<double>(arena_bytes()));
   }
-  return *flat_;
+  return nbr_;
 }
 
 const std::vector<double>& SelectionContext::link_bw() const {
@@ -498,6 +497,10 @@ const topo::Components& SelectionContext::base_components() const {
 }
 
 void SelectionContext::ensure_layout() const {
+  // Each revalidates first; rows_ is maintained alongside.
+  (void)link_bw();
+  (void)link_bwfactor();
+  (void)flat();
   const auto start = graph().adjacency().start;
   const std::size_t n = graph().node_count();
   if (slot_of_.empty() && n > 0) {
@@ -521,19 +524,17 @@ void SelectionContext::drop_rows() const {
 }
 
 std::unique_ptr<SelectionContext::Cell[]> SelectionContext::build_row(
-    const topo::FlatGraph& g, topo::NodeId src) const {
-  // topo::bottleneck_row's BFS over the arena with the unstored nodes left
-  // out of the FIFO: such a node (other than the source) has no link but
-  // the one it was discovered through, so it discovers nothing, and
+    topo::NodeId src) const {
+  // topo::bottleneck_row's BFS over the graph's CSR with the unstored nodes
+  // left out of the FIFO: such a node (other than the source) has no link
+  // but the one it was discovered through, so it discovers nothing, and
   // dropping it from the queue leaves every stored node's parent, hence its
-  // values, unchanged. Reads derive it from its parent's cell.
+  // values, unchanged. Reads derive it from its parent's cell. A half-edge
+  // reads only its far end (nbr_) and that end's slot until it discovers a
+  // node; the link and its weights are read on a discovery only.
   constexpr double kInf = std::numeric_limits<double>::infinity();
-  const auto row_start = g.row_start();
-  const auto neighbor = g.neighbor();
-  const auto via = g.via();
-  const auto bw = g.link_bw();
-  const auto bwfactor = g.link_bwfactor();
-  const auto latency = g.link_latency();
+  const auto adj = graph().adjacency();
+  const auto links = graph().links();
   auto cells = std::make_unique<Cell[]>(stored_count_);
   std::vector<topo::NodeId> fifo;
   fifo.reserve(stored_count_ + 1);
@@ -550,19 +551,20 @@ std::unique_ptr<SelectionContext::Cell[]> SelectionContext::build_row(
       ub2 = uc.bottleneck2;
       ulat = uc.latency;
     }
-    const auto lo = static_cast<std::size_t>(row_start[iu]);
-    const auto hi = static_cast<std::size_t>(row_start[iu + 1]);
+    const auto lo = static_cast<std::size_t>(adj.start[iu]);
+    const auto hi = static_cast<std::size_t>(adj.start[iu + 1]);
     for (std::size_t e = lo; e < hi; ++e) {
-      const topo::NodeId w = neighbor[e];
+      const topo::NodeId w = nbr_[e];
       const std::int32_t sw = slot_of_[static_cast<std::size_t>(w)];
       if (sw < 0 || w == src) continue;
       Cell& c = cells[sw];
       if (c.tree_link != topo::kInvalidLink) continue;
-      const auto il = static_cast<std::size_t>(via[e]);
-      c.tree_link = via[e];
-      c.bottleneck = std::min(ub, bw[il]);
-      c.bottleneck2 = std::min(ub2, bwfactor[il]);
-      c.latency = ulat + latency[il];
+      const topo::LinkId l = adj.link[e];
+      const auto il = static_cast<std::size_t>(l);
+      c.tree_link = l;
+      c.bottleneck = std::min(ub, bw_[il]);
+      c.bottleneck2 = std::min(ub2, bwfactor_[il]);
+      c.latency = ulat + links[il].latency;
       fifo.push_back(w);
     }
   }
@@ -570,14 +572,12 @@ std::unique_ptr<SelectionContext::Cell[]> SelectionContext::build_row(
 }
 
 SelectionContext::PairRow SelectionContext::pair_row(topo::NodeId src) const {
-  // link_bw()/link_bwfactor() revalidate; rows_ is maintained alongside.
-  (void)link_bw();
-  (void)link_bwfactor();
+  check_source(graph(), src, "pair_row");
   ensure_layout();
   auto& slot = rows_[static_cast<std::size_t>(src)];
   if (!slot) {
     row_misses().inc();
-    slot = build_row(flat(), src);
+    slot = build_row(src);
   } else {
     row_hits().inc();
   }
@@ -596,7 +596,7 @@ SelectionContext::PairRow SelectionContext::pair_row(topo::NodeId src) const {
 
 void SelectionContext::warm_rows(
     util::ThreadPool& pool, const std::vector<topo::NodeId>& sources) const {
-  const topo::FlatGraph& g = flat();
+  for (topo::NodeId src : sources) check_source(graph(), src, "warm_rows");
   ensure_layout();
   std::vector<char> queued(graph().node_count(), 0);
   std::vector<topo::NodeId> todo;
@@ -611,25 +611,15 @@ void SelectionContext::warm_rows(
   // Each task builds one row into its own pre-sized slot and reads only
   // shared immutable state, so any thread count produces identical rows.
   util::parallel_for(pool, todo.size(), [&](std::size_t i) {
-    rows_[static_cast<std::size_t>(todo[i])] = build_row(g, todo[i]);
+    rows_[static_cast<std::size_t>(todo[i])] = build_row(todo[i]);
   });
 }
 
 std::vector<char> SelectionContext::eligibility(
     const SelectionOptions& opt) const {
   std::vector<char> out(graph().node_count(), 0);
-  auto fill = [&](std::size_t lo, std::size_t hi) {
-    for (std::size_t i = lo; i < hi; ++i) {
-      auto n = static_cast<topo::NodeId>(i);
-      if (node_eligible(*snap_, n, opt)) out[i] = 1;
-    }
-  };
-  // Per-index writes into a pre-sized vector: chunk order cannot affect the
-  // result, so the pooled fill is bit-identical to the serial one.
-  if (pool_ && out.size() >= 2 * kScoreChunk)
-    util::parallel_for_chunked(*pool_, out.size(), kScoreChunk, fill);
-  else
-    fill(0, out.size());
+  for (std::size_t i = 0; i < out.size(); ++i)
+    if (node_eligible(*snap_, static_cast<topo::NodeId>(i), opt)) out[i] = 1;
   return out;
 }
 

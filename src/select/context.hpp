@@ -54,12 +54,12 @@
 //     two stored nodes is in a row's tree iff the tree link of one of its
 //     ends is that link;
 //   - structural deltas: the graph patches its own CSR when it is
-//     mutated, so the context keeps no adjacency of its own. Removing a
-//     link with an unstored end drops only that end's row (other rows just
-//     stop reaching the leaf); removing a link between stored nodes drops
-//     the rows whose tree used it; adding a link drops every row and the
-//     layout (the tree may reroute); an added node grows no row and reads
-//     as unreached.
+//     mutated; of its own the context keeps only flat(), the far end of
+//     each half-edge, and clears it. Removing a link with an unstored end
+//     drops only that end's row (other rows just stop reaching the leaf);
+//     removing a link between stored nodes drops the rows whose tree used
+//     it; adding a link drops every row and the layout (the tree may
+//     reroute); an added node grows no row and reads as unreached.
 //
 // The deltas are replayed against the graph's *final* structure, not the
 // structure each delta saw. Only repair_row_values walks the adjacency
@@ -84,7 +84,6 @@
 #include "remos/snapshot.hpp"
 #include "select/options.hpp"
 #include "topo/connectivity.hpp"
-#include "topo/flat_graph.hpp"
 #include "topo/graph.hpp"
 
 namespace netsel::util {
@@ -110,23 +109,19 @@ class SelectionContext {
   /// Cached graph().is_acyclic(); invalidated only by structural deltas.
   bool acyclic() const;
 
-  /// Cached single-allocation arena view (CSR structure + both weight
-  /// arrays + compute flags) — the layout the hot BFS kernels run on. Built
-  /// lazily from the graph and link_bw()/link_bwfactor(); a link-bandwidth
-  /// delta patches its weight sections in place, structural deltas drop it
-  /// (lazy rebuild). Bit-identical traversals: same half-edge order as
-  /// graph().links_of().
-  const topo::FlatGraph& flat() const;
-  /// Bytes of the flat() arena, 0 while not built (footprint accounting).
-  std::size_t arena_bytes() const { return flat_ ? flat_->arena_bytes() : 0; }
-
-  /// Optional worker pool for the per-call scoring loops (eligibility and
-  /// the selectors' per-link/per-node key fills). Null (the default) keeps
-  /// every loop serial; results are bit-identical either way because each
-  /// index writes its own slot. The pool must outlive the context or be
-  /// unset before destruction.
-  void set_pool(util::ThreadPool* pool) { pool_ = pool; }
-  util::ThreadPool* pool() const { return pool_; }
+  /// The far end of every half-edge, parallel to graph().adjacency().link:
+  /// entry e is the node that link reaches from the node whose CSR row
+  /// holds e. The one thing the row builds need that the graph does not
+  /// store. Built lazily; structural deltas clear it (it is never patched).
+  /// It keeps the name of the arena it replaced because the benchmark's
+  /// traced pass still times it as topo.flat_build_ms.
+  const std::vector<topo::NodeId>& flat() const;
+  /// Bytes of the flat() array, 0 while not built. Named after the arena it
+  /// replaced, for the benchmark's topo.arena_bytes metric and the
+  /// select.ctx.arena_bytes gauge.
+  std::size_t arena_bytes() const {
+    return nbr_.size() * sizeof(topo::NodeId);
+  }
 
   /// Available bandwidth per link, copied out of the snapshot (dense, for
   /// the kernels below).
@@ -225,9 +220,10 @@ class SelectionContext {
   /// Cached bottleneck row from `src` over the full graph: bottleneck =
   /// available bandwidth, bottleneck2 = bwfactor, plus path latency and
   /// reachability, along the same deterministic BFS paths evaluate_set and
-  /// bfs_path trace. Built lazily per source (one O(V + E) BFS over flat()
-  /// that writes only the stored nodes' cells); the first call also makes
-  /// the row layout.
+  /// bfs_path trace. Built lazily per source (one O(V + E) BFS over the
+  /// graph's CSR that writes only the stored nodes' cells); the first call
+  /// also makes the row layout. Throws std::out_of_range, before any state
+  /// change, unless 0 <= src < graph().node_count().
   PairRow pair_row(topo::NodeId src) const;
 
   /// Fractional bottleneck of a pair_row() value under the options'
@@ -247,7 +243,9 @@ class SelectionContext {
   /// missing source, fanned out over the pool. Safe because every row
   /// lands in its own pre-sized slot; no other accessor may run
   /// concurrently — warm, then query. Results are identical at any thread
-  /// count, the zero-worker serial mode included.
+  /// count, the zero-worker serial mode included. Throws std::out_of_range,
+  /// before any row is built, if any source is outside
+  /// [0, graph().node_count()).
   void warm_rows(util::ThreadPool& pool,
                  const std::vector<topo::NodeId>& sources) const;
 
@@ -275,20 +273,19 @@ class SelectionContext {
   /// unstored leaves are derived on read).
   void repair_row_values(Cell* cells, topo::NodeId src,
                          topo::NodeId child) const;
-  /// One row: a BFS from `src` over the arena writing the stored nodes'
-  /// cells.
-  std::unique_ptr<Cell[]> build_row(const topo::FlatGraph& g,
-                                    topo::NodeId src) const;
-  /// Make the row layout if there is none, and size the row slots.
+  /// One row: a BFS from `src` over the graph's CSR writing the stored
+  /// nodes' cells. Needs the weight arrays, flat() and the layout built.
+  std::unique_ptr<Cell[]> build_row(topo::NodeId src) const;
+  /// Build what build_row() reads (the weight arrays, flat() and the row
+  /// layout) where missing, and size the row slots.
   void ensure_layout() const;
   /// Drop every row and the layout, counting the drop as full.
   void drop_rows() const;
 
   const remos::NetworkSnapshot* snap_;
   mutable std::uint64_t epoch_;
-  util::ThreadPool* pool_ = nullptr;
   mutable int acyclic_ = -1;  // tri-state: unknown / no / yes
-  mutable std::unique_ptr<topo::FlatGraph> flat_;
+  mutable std::vector<topo::NodeId> nbr_;  // flat(); empty while not built
   mutable std::vector<double> bw_;
   mutable std::vector<double> bwfactor_;
   mutable std::vector<topo::LinkId> by_bw_;

@@ -8,7 +8,7 @@
 // option variants, m values, and criteria. Budget degradation is checked
 // for soundness (incumbent <= bound, optimum <= bound, never a failure),
 // the exact dominance mask for lex-safe winner preservation, and the whole
-// search for determinism across thread counts and warm-start settings.
+// search for determinism across warm-start settings.
 
 #include <gtest/gtest.h>
 
@@ -24,7 +24,6 @@
 #include "select/context.hpp"
 #include "select/prune.hpp"
 #include "topo/synthetic.hpp"
-#include "util/thread_pool.hpp"
 
 namespace netsel::select {
 namespace {
@@ -252,39 +251,6 @@ TEST(BnbBudget, GapToleranceCertifiesTheStatedGap) {
     EXPECT_LE(r.objective, r.upper_bound);
     if (r.stop == BnbStop::GapReached)
       EXPECT_GE(r.objective, (1.0 - opt.exact.gap_tolerance) * r.upper_bound);
-  }
-}
-
-TEST(BnbDeterminism, SameBitsAtAnyThreadCount) {
-  for (const auto& inst : instances(2)) {
-    SelectionOptions opt;
-    opt.num_nodes = 6;
-    opt.exact.node_budget = 2000;  // budgeted runs must be deterministic too
-    for (Criterion c : {Criterion::MaxCompute, Criterion::MaxBandwidth,
-                        Criterion::Balanced}) {
-      BnbResult base;
-      bool first = true;
-      for (int threads : {0, 1, 4}) {
-        util::ThreadPool pool(threads);
-        SelectionContext ctx(*inst.snap);
-        ctx.set_pool(threads == 0 ? nullptr : &pool);
-        const auto r = branch_and_bound_select(ctx, opt, c);
-        if (first) {
-          base = r;
-          first = false;
-          continue;
-        }
-        const std::string what = inst.what + " " + criterion_name(c) +
-                                 " threads=" + std::to_string(threads);
-        EXPECT_EQ(r.feasible, base.feasible) << what;
-        EXPECT_EQ(r.nodes, base.nodes) << what;
-        EXPECT_EQ(r.objective, base.objective) << what;
-        EXPECT_EQ(r.upper_bound, base.upper_bound) << what;
-        EXPECT_EQ(r.certified, base.certified) << what;
-        EXPECT_EQ(r.stats.expanded, base.stats.expanded) << what;
-        EXPECT_EQ(r.stats.pushed, base.stats.pushed) << what;
-      }
-    }
   }
 }
 

@@ -1,16 +1,17 @@
 // The incremental-vs-rebuilt oracle for the typed-delta snapshot path:
 // a long-lived SelectionContext that consumes remos::Delta journals with
-// fine-grained invalidation (in-place row value repair, arena weight
-// patches, per-row drop on link removal) must stay *bit-identical* to a context
-// rebuilt from scratch after arbitrary delta sequences — orders, component
-// decompositions, bottleneck rows, selections under every criterion, and
-// set evaluations; every checked row is also compared, node by node, with
+// fine-grained invalidation (in-place row value repair, per-row drop on
+// link removal) must stay *bit-identical* to a context rebuilt from scratch
+// after arbitrary delta sequences — orders, component decompositions, the
+// half-edge neighbour array, bottleneck rows (built serially and by
+// warm_rows on a pool), selections under every criterion, and set
+// evaluations; every checked row is also compared, node by node, with
 // topo::bottleneck_row over the TopologyGraph. Also covers the journal
 // mechanics (typed emission, bounded trimming, overflow fallback), the
 // graph's CSR patches against a scan of its links, no row rebuild under
-// value-only deltas, one
-// test per compact-row delta rule, and the bounded-migration reselect
-// layer.
+// value-only deltas, one test per compact-row delta rule, the source
+// range check of pair_row and warm_rows, and the bounded-migration
+// reselect layer.
 
 #include <gtest/gtest.h>
 
@@ -247,19 +248,17 @@ void expect_matches_rebuild(const select::SelectionContext& inc,
             fresh.links_by_fraction(fraction_opt))
       << what;
 
-  const topo::FlatGraph& fa = inc.flat();
-  const topo::FlatGraph& fb = fresh.flat();
-  EXPECT_EQ(fa.arena_bytes(), fb.arena_bytes()) << what;
-  auto same = [](auto x, auto y) {
-    return std::equal(x.begin(), x.end(), y.begin(), y.end());
-  };
-  EXPECT_TRUE(same(fa.row_start(), fb.row_start())) << what;
-  EXPECT_TRUE(same(fa.neighbor(), fb.neighbor())) << what;
-  EXPECT_TRUE(same(fa.via(), fb.via())) << what;
-  EXPECT_TRUE(same(fa.link_bw(), fb.link_bw())) << what;
-  EXPECT_TRUE(same(fa.link_bwfactor(), fb.link_bwfactor())) << what;
-  EXPECT_TRUE(same(fa.link_latency(), fb.link_latency())) << what;
-  EXPECT_TRUE(same(fa.is_compute(), fb.is_compute())) << what;
+  const std::vector<topo::NodeId>& nbr = inc.flat();
+  EXPECT_EQ(nbr, fresh.flat()) << what;
+  const auto adj = g.adjacency();
+  ASSERT_EQ(nbr.size(), adj.link.size()) << what;
+  for (std::size_t u = 0; u + 1 < adj.start.size(); ++u)
+    for (auto e = adj.start[u]; e < adj.start[u + 1]; ++e) {
+      const auto ie = static_cast<std::size_t>(e);
+      const topo::Link& lk = g.links()[static_cast<std::size_t>(adj.link[ie])];
+      ASSERT_EQ(nbr[ie], lk.other(static_cast<topo::NodeId>(u)))
+          << what << " half-edge " << ie;
+    }
 
   const topo::Components& xa = inc.base_components();
   const topo::Components& xb = fresh.base_components();
@@ -583,6 +582,34 @@ TEST(IncrementalOracle, ValueDeltasKeepRowStorage) {
   expect_row_matches_kernel(grown, snap, h[0], "post-add");
 }
 
+/// warm_rows end to end: on a context that consumed value and structural
+/// deltas after building its caches, the rows built on a pool reproduce the
+/// TopologyGraph reference kernel at every node, at every worker count.
+TEST(IncrementalOracle, WarmRowsBitIdenticalAcrossThreadCountsAndDeltas) {
+  for (int family = 0; family < 3; ++family) {
+    for (int workers : {0, 2, 4}) {
+      auto inst = family_instance(family, 7);
+      select::SelectionContext ctx(*inst.snap);
+      (void)ctx.pair_row(present_computes(*inst.graph).front());
+      util::Rng rng(11);
+      int names = 0;
+      for (int step = 0; step < 12; ++step)
+        random_mutation(rng, *inst.graph, *inst.snap, names);
+      std::vector<topo::NodeId> sources;
+      for (std::size_t i = 0; i < inst.graph->node_count(); ++i)
+        if (!inst.graph->node_removed(static_cast<topo::NodeId>(i)))
+          sources.push_back(static_cast<topo::NodeId>(i));
+      util::ThreadPool pool(workers);
+      ctx.warm_rows(pool, sources);
+      EXPECT_GT(ctx.arena_bytes(), 0u);
+      const std::string what = "family " + std::to_string(family) +
+                               " workers " + std::to_string(workers);
+      for (topo::NodeId src : sources)
+        expect_row_matches_kernel(ctx.pair_row(src), *inst.snap, src, what);
+    }
+  }
+}
+
 TEST(IncrementalOracle, WarmedRowsStayConsistentAcrossDeltas) {
   auto inst = family_instance(0, 3);
   util::ThreadPool pool(2);
@@ -738,6 +765,24 @@ TEST(CompactRows, LinkAddedDropsEveryRowAndRelayouts) {
   std::vector<topo::NodeId> srcs = hosts;
   srcs.push_back(other_edge);
   expect_rows_match_kernel(ctx, snap, srcs, "after the relayout");
+}
+
+TEST(CompactRows, OutOfRangeSourcesAreRejectedBeforeAnyRow) {
+  ScopedCounters counters;
+  auto inst = compact_fat_tree();
+  const auto n = static_cast<topo::NodeId>(inst.graph->node_count());
+  const topo::NodeId host = present_computes(*inst.graph).front();
+  select::SelectionContext ctx(*inst.snap);
+  util::ThreadPool pool(0);
+  for (const topo::NodeId bad : {topo::NodeId{-1}, n}) {
+    EXPECT_THROW((void)ctx.pair_row(bad), std::out_of_range) << bad;
+    // One bad source rejects the whole call, the valid one included.
+    EXPECT_THROW(ctx.warm_rows(pool, {host, bad}), std::out_of_range) << bad;
+  }
+  EXPECT_EQ(counters("select.ctx.row_misses"), 0u);
+  EXPECT_EQ(ctx.arena_bytes(), 0u);  // nothing was prepared either
+  (void)ctx.pair_row(host);
+  EXPECT_EQ(counters("select.ctx.row_misses"), 1u);
 }
 
 // ---------------------------------------------------------------------------

@@ -1,14 +1,17 @@
 // Tests of the obs layer: metric primitives, the registry, exporters, and
-// the two load-bearing contracts — concurrent counter updates are exact
-// (exercised under TSan in CI), and enabling the registry never changes a
-// single bit of any experiment result.
+// the load-bearing contracts — concurrent counter updates are exact and
+// concurrent flight-recorder writers never tear an event (both exercised
+// under TSan in CI), and enabling the registry never changes a single bit
+// of any experiment result.
 
 #include "obs/export.hpp"
+#include "obs/flight.hpp"
 #include "obs/metrics.hpp"
 
 #include <gtest/gtest.h>
 
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "exp/table1.hpp"
@@ -198,6 +201,31 @@ TEST_F(Obs, ConcurrentCounterUpdatesAreExact) {
   });
   EXPECT_EQ(c.value(), kTasks * kIncsPerTask);
   EXPECT_EQ(h.count(), kTasks);
+}
+
+TEST_F(Obs, ConcurrentFlightRecordsNeverTear) {
+  // Four writers on a four-slot ring wrap onto the same slots constantly;
+  // a slot written by two of them at once would mix their fields.
+  FlightRecorder fr(4);
+  constexpr std::uint64_t kThreads = 4;
+  constexpr std::uint64_t kEvents = 20000;
+  std::vector<std::thread> writers;
+  for (std::uint64_t t = 0; t < kThreads; ++t)
+    writers.emplace_back([&fr, t] {
+      for (std::uint64_t i = 0; i < kEvents; ++i) {
+        const std::uint64_t a = t * kEvents + i;
+        fr.record(FlightKind::Custom, 0.0, a, a * 3 + 1, std::to_string(a));
+      }
+    });
+  for (std::thread& w : writers) w.join();
+  EXPECT_EQ(fr.recorded(), kThreads * kEvents);
+  // The newest event of each slot is never dropped, so the ring is full.
+  const std::vector<FlightEvent> tail = fr.tail();
+  EXPECT_EQ(tail.size(), 4u);
+  for (const FlightEvent& ev : tail) {
+    EXPECT_EQ(ev.b, ev.a * 3 + 1) << "seq " << ev.seq;
+    EXPECT_EQ(std::string(ev.detail), std::to_string(ev.a)) << "seq " << ev.seq;
+  }
 }
 
 /// The tentpole contract: the whole Table-1 pipeline is bit-identical with
