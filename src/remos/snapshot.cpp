@@ -25,7 +25,6 @@ NetworkSnapshot::NetworkSnapshot(const topo::TopologyGraph& g)
     : graph_(&g),
       cpu_(g.node_count(), 0.0),
       free_memory_(g.node_count(), 0.0),
-      bw_(g.link_count(), 0.0),
       bw_dir_(g.link_count() * 2, 0.0) {
   for (std::size_t i = 0; i < g.node_count(); ++i) {
     auto id = static_cast<topo::NodeId>(i);
@@ -37,7 +36,6 @@ NetworkSnapshot::NetworkSnapshot(const topo::TopologyGraph& g)
   for (std::size_t l = 0; l < g.link_count(); ++l) {
     if (g.link_removed(static_cast<topo::LinkId>(l))) continue;  // stays 0
     const topo::Link& lk = g.link(static_cast<topo::LinkId>(l));
-    bw_[l] = lk.capacity_min();
     bw_dir_[l * 2 + 0] = lk.capacity_ab;
     bw_dir_[l * 2 + 1] = lk.capacity_ba;
   }
@@ -120,25 +118,23 @@ void NetworkSnapshot::notify_node_removed(topo::NodeId n) {
 }
 
 void NetworkSnapshot::notify_link_added(topo::LinkId l) {
-  if (static_cast<std::size_t>(l) != bw_.size() ||
+  if (static_cast<std::size_t>(l) != link_count() ||
       static_cast<std::size_t>(l) + 1 != graph_->link_count())
     throw std::invalid_argument(
         "notify_link_added: notifications must follow additions in order");
   const topo::Link& lk = graph_->link(l);
-  bw_.push_back(lk.capacity_min());
   bw_dir_.push_back(lk.capacity_ab);
   bw_dir_.push_back(lk.capacity_ba);
   Delta d;
   d.kind = DeltaKind::LinkAdded;
   d.link = l;
-  d.value = lk.capacity_min();
+  d.value = bw(l);
   record(d);
 }
 
 void NetworkSnapshot::notify_link_removed(topo::LinkId l) {
-  if (l < 0 || static_cast<std::size_t>(l) >= bw_.size())
+  if (l < 0 || static_cast<std::size_t>(l) >= link_count())
     throw std::invalid_argument("notify_link_removed: link out of range");
-  bw_[static_cast<std::size_t>(l)] = 0.0;
   bw_dir_[static_cast<std::size_t>(l) * 2 + 0] = 0.0;
   bw_dir_[static_cast<std::size_t>(l) * 2 + 1] = 0.0;
   Delta d;
@@ -204,7 +200,7 @@ void NetworkSnapshot::set_loadavg(topo::NodeId n, double loadavg) {
 
 void NetworkSnapshot::check_bw_write(topo::LinkId l, double bits_per_second,
                                      const char* what) const {
-  if (l < 0 || static_cast<std::size_t>(l) >= bw_.size())
+  if (l < 0 || static_cast<std::size_t>(l) >= link_count())
     reject_write(what, "link out of range");
   if (!std::isfinite(bits_per_second) || bits_per_second < 0.0)
     reject_write(what, "bandwidth must be finite and >= 0");
@@ -212,7 +208,6 @@ void NetworkSnapshot::check_bw_write(topo::LinkId l, double bits_per_second,
 
 void NetworkSnapshot::set_bw(topo::LinkId l, double bits_per_second) {
   check_bw_write(l, bits_per_second, "set_bw");
-  bw_[static_cast<std::size_t>(l)] = bits_per_second;
   bw_dir_[static_cast<std::size_t>(l) * 2 + 0] = bits_per_second;
   bw_dir_[static_cast<std::size_t>(l) * 2 + 1] = bits_per_second;
   Delta d;
@@ -226,13 +221,10 @@ void NetworkSnapshot::set_bw_dir(topo::LinkId l, bool forward,
                                  double bits_per_second) {
   check_bw_write(l, bits_per_second, "set_bw_dir");
   bw_dir_[static_cast<std::size_t>(l) * 2 + (forward ? 0 : 1)] = bits_per_second;
-  bw_[static_cast<std::size_t>(l)] =
-      std::min(bw_dir_[static_cast<std::size_t>(l) * 2 + 0],
-               bw_dir_[static_cast<std::size_t>(l) * 2 + 1]);
   Delta d;
   d.kind = DeltaKind::LinkBandwidth;
   d.link = l;
-  d.value = bw_[static_cast<std::size_t>(l)];
+  d.value = bw(l);
   record(d);
 }
 

@@ -11,6 +11,7 @@
 // For bidirectional links the available capacity is the minimum of the two
 // directions (§3.3).
 
+#include <algorithm>
 #include <cstdint>
 #include <vector>
 
@@ -39,7 +40,9 @@ class NetworkSnapshot {
   double cpu_reference(topo::NodeId n, double reference_capacity = 1.0) const;
 
   /// Available bandwidth of a link, bits/second (min over directions).
-  double bw(topo::LinkId l) const { return bw_.at(static_cast<std::size_t>(l)); }
+  double bw(topo::LinkId l) const {
+    return std::min(bw_dir(l, true), bw_dir(l, false));
+  }
   /// Available bandwidth of one direction (forward = a->b). The paper's
   /// undirected treatment uses bw() = min of both; custom execution
   /// patterns (§3.4, client-server) evaluate the significant direction
@@ -121,11 +124,13 @@ class NetworkSnapshot {
   void check_bw_write(topo::LinkId l, double bits_per_second,
                       const char* what) const;
 
+  /// Links covered by the per-direction array (ids are dense).
+  std::size_t link_count() const { return bw_dir_.size() / 2; }
+
   const topo::TopologyGraph* graph_;
   std::uint64_t epoch_ = 0;
   std::vector<double> cpu_;          // per node; 0 for network nodes
   std::vector<double> free_memory_;  // per node, bytes
-  std::vector<double> bw_;           // per link, min over directions
   std::vector<double> bw_dir_;       // per link direction (2 per link)
   /// Bounded delta ring: the journal_size_ most recent deltas, oldest at
   /// journal_head_. journal_first_epoch_ is the epoch *before* the oldest

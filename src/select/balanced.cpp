@@ -65,8 +65,12 @@ namespace netsel::select {
 namespace {
 
 constexpr double kInf = std::numeric_limits<double>::infinity();
-/// A deletion-sequence position that names no link.
+/// A deletion-order position that names no link.
 constexpr std::int32_t kNoPos = -1;
+/// The event of a deletion-order slot the min-bandwidth filter drops (see
+/// Slot). No real event takes this value: ~kSkipped exceeds every forest
+/// index.
+constexpr std::int32_t kSkipped = std::numeric_limits<std::int32_t>::min();
 
 /// A component in the merge forest: either a single node (leaf; forest
 /// index i < V is node i) or the union of two children merged by the link
@@ -77,10 +81,10 @@ struct ForestNode {
   int right = -1;
   int eligible = 0;
   topo::NodeId min_id = topo::kInvalidNode;
-  /// Deletion-sequence position of the component's min-fraction internal
+  /// Deletion-order position of the component's min-fraction internal
   /// link; kNoPos for leaves, whose fraction is +inf, matching
-  /// detail::min_fraction_in_component on lone nodes. Read through
-  /// seq_frac (see pos_frac).
+  /// detail::min_fraction_in_component on lone nodes. Read through the
+  /// order (see DeletionOrder::frac_at).
   std::int32_t min_pos = kNoPos;
   /// The component's m best eligible nodes ordered by (cpu desc, id asc) —
   /// exactly the prefix detail::top_m_by_cpu's stable sort would produce.
@@ -128,10 +132,70 @@ struct MergeForest {
   }
 };
 
-/// The fraction of the link at deletion-sequence position `pos`.
-double pos_frac(const std::vector<double>& seq_frac, std::int32_t pos) {
-  return pos == kNoPos ? kInf : seq_frac[static_cast<std::size_t>(pos)];
-}
+/// One deletion-order position. The gather writes the link's endpoints;
+/// the reverse step that reads them overwrites the slot with what the
+/// forward deletion at this position does: `event` is the forest node it
+/// splits (>= 0), or ~f for a cycle link of forest node f, and `fallback`
+/// is the min_pos a cycle deletion restores (kNoPos after a split). A slot
+/// the min-bandwidth filter drops keeps event == kSkipped, and neither pass
+/// acts on it.
+struct Slot {
+  std::int32_t event = kSkipped;  ///< endpoint a until the reverse step
+  std::int32_t fallback = kNoPos;  ///< endpoint b until the reverse step
+};
+
+/// Union-find over the replay's nodes with one int32 per node: a non-root
+/// holds its parent's id, a root ~(the forest index of its component), so
+/// the merge forest needs no root-to-node map. Union by size plus path
+/// halving. Which root survives a union changes only the union-find's
+/// shape, never the forest.
+class ForestUnionFind {
+ public:
+  /// Every node starts as its own component, the leaf of the same index.
+  explicit ForestUnionFind(std::size_t n) : up_(n), size_(n, 1) {
+    for (std::size_t i = 0; i < n; ++i) up_[i] = ~static_cast<std::int32_t>(i);
+  }
+
+  topo::NodeId find(topo::NodeId n) {
+    while (up_[idx(n)] >= 0) {  // path halving
+      const topo::NodeId p = up_[idx(n)];
+      if (up_[idx(p)] < 0) return p;
+      up_[idx(n)] = up_[idx(p)];
+      n = up_[idx(n)];
+    }
+    return n;
+  }
+  /// True when node `n` roots its component.
+  bool is_root(topo::NodeId n) const { return up_[idx(n)] < 0; }
+  /// The forest index of the component rooted at `root`.
+  int forest(topo::NodeId root) const { return ~up_[idx(root)]; }
+  /// Merge the components rooted at ra != rb into forest node `f`.
+  void unite(topo::NodeId ra, topo::NodeId rb, int f) {
+    if (size_[idx(ra)] < size_[idx(rb)]) std::swap(ra, rb);
+    up_[idx(rb)] = ra;
+    size_[idx(ra)] += size_[idx(rb)];
+    up_[idx(ra)] = ~f;
+  }
+
+ private:
+  static std::size_t idx(topo::NodeId n) { return static_cast<std::size_t>(n); }
+  std::vector<std::int32_t> up_;
+  std::vector<std::int32_t> size_;
+};
+
+/// The deletion order and the fractions it is sorted by, read in place.
+struct DeletionOrder {
+  const std::vector<topo::LinkId>& links;
+  const std::vector<double>& frac;
+
+  /// The fraction of the link at position `pos`; +inf for kNoPos.
+  double frac_at(std::int32_t pos) const {
+    return pos == kNoPos
+               ? kInf
+               : frac[static_cast<std::size_t>(
+                     links[static_cast<std::size_t>(pos)])];
+  }
+};
 
 /// The best component seen so far in the forward sweep. Only its forest
 /// index is kept: its node list is materialised once, after the sweep.
@@ -148,7 +212,7 @@ struct Candidate {
 /// id asc), so the minimum cpu is the last element's, and the component's
 /// bandwidth term is the fraction at its current min_pos.
 Candidate evaluate_forest_node(const std::vector<double>& cpu,
-                               const std::vector<double>& seq_frac,
+                               const DeletionOrder& order,
                                const SelectionOptions& opt,
                                const MergeForest& forest,
                                const std::vector<topo::NodeId>& top_pool,
@@ -158,7 +222,7 @@ Candidate evaluate_forest_node(const std::vector<double>& cpu,
   cand.forest = f;
   cand.mincpu = cpu[static_cast<std::size_t>(
       top_pool[static_cast<std::size_t>(fn.top_off + fn.top_len - 1)])];
-  cand.minbw = pos_frac(seq_frac, fn.min_pos);
+  cand.minbw = order.frac_at(fn.min_pos);
   cand.minresource =
       std::min(cand.mincpu / opt.cpu_priority, cand.minbw / opt.bw_priority);
   return cand;
@@ -232,9 +296,9 @@ SelectionResult select_balanced_forest(const SelectionContext& ctx,
   // (winner-preserving, see select/prune.hpp).
   const auto cand = dominated_candidate_mask(snap, opt, elig);
 
-  // The active deletion sequence: links ascending by (fraction, id) — the
-  // order min_fraction_link produces — minus those failing the fixed
-  // min-bandwidth requirement. By default that is the context's cached
+  // The deletion order: links ascending by (fraction, id) — the order
+  // min_fraction_link produces; the gather below skips those failing the
+  // fixed min-bandwidth requirement. By default that is the context's cached
   // bwfactor order, read in place with the context's bwfactor array. With a
   // reference capacity the fraction is a *rounded* multiple of the absolute
   // bandwidth, so sort by the computed fractions rather than reusing the
@@ -259,6 +323,7 @@ SelectionResult select_balanced_forest(const SelectionContext& ctx,
   }
   const auto& order = by_reference ? ref_order : ctx.links_by_fraction(opt);
   const auto& frac = by_reference ? ref_frac : ctx.link_bwfactor();
+  const DeletionOrder deletion{order, frac};
 
   // Per-call cpu keys (they depend on reference_cpu_capacity); only eligible
   // nodes are ever ranked, the rest stay 0.
@@ -267,53 +332,52 @@ SelectionResult select_balanced_forest(const SelectionContext& ctx,
   for (std::size_t n = 0; n < V; ++n)
     if (elig[n]) cpu[n] = node_cpu(snap, static_cast<topo::NodeId>(n), opt);
 
-  // Gather each step's endpoints and fraction once, in deletion-sequence
-  // order: the replay walks the sequence back-to-front with dependent
-  // union-find work per step, and random g.link()/frac[] loads on that
-  // critical path stall it at the million-link scale. Gathering first lets
-  // the misses overlap; the replay then streams these arrays sequentially.
-  std::vector<std::pair<topo::NodeId, topo::NodeId>> seq_ends(order.size());
-  std::vector<double> seq_frac(order.size());
+  // Gather each position's endpoints once, in deletion order: the replay
+  // walks the order back-to-front with dependent union-find work per step,
+  // and random g.link() loads on that critical path stall it at the
+  // million-link scale. Gathering first lets the misses overlap; the replay
+  // then streams the slots sequentially. Links failing the fixed
+  // min-bandwidth requirement keep their default slot, marked skipped, so
+  // positions index the order itself.
+  std::vector<Slot> slots(order.size());
   std::size_t steps = 0;
-  for (const topo::LinkId l : order) {
+  for (std::size_t i = 0; i < order.size(); ++i) {
+    const topo::LinkId l = order[i];
     if (opt.min_bw_bps > 0.0 && snap.bw(l) < opt.min_bw_bps) continue;
     const topo::Link& lk = g.link(l);
-    seq_ends[steps] = {lk.a, lk.b};
-    seq_frac[steps] = frac[static_cast<std::size_t>(l)];
+    slots[i] = {lk.a, lk.b};
     ++steps;
   }
 
   // Reverse replay: insert links back-to-front. Forward step i deletes the
-  // link at sequence position i, and event[i] records what that does: it
-  // splits the forest node event[i] into its children, or, for a cycle
-  // link, leaves the membership of forest node f = ~event[i] unchanged and
-  // moves its min_pos back to fallback[i]. A live reverse component's
-  // min_pos is the minimum sequence position among its internal links:
-  // insertions run back-to-front over an ascending-fraction sequence, so
-  // the most recent internal insertion is both the position minimum and the
-  // fraction minimum, and forward deletion of a cycle link restores the
-  // minimum from before its insertion.
+  // link at order position i, and slots[i] records what that does: it
+  // splits the forest node event into its children, or, for a cycle link,
+  // leaves the membership of forest node f = ~event unchanged and moves its
+  // min_pos back to fallback. A live reverse component's min_pos is the
+  // minimum order position among its internal links: insertions run
+  // back-to-front over an ascending-fraction order, so the most recent
+  // internal insertion is both the position minimum and the fraction
+  // minimum, and forward deletion of a cycle link restores the minimum from
+  // before its insertion.
   // A merge joins two components, so there are at most V - 1 of them.
   MergeForest forest{elig, cand, {}};
   forest.merges.reserve(std::min(V, steps));
-  std::vector<int> forest_of_root(V);
   const auto mm = static_cast<std::size_t>(m);
   // Shared storage for every ForestNode::top slice: the leaf slices 0..V-1
   // first, then the merged ones. Slice sharing on lopsided merges keeps the
   // tail near sum(min(m, subtree-eligible)) rather than m per forest node.
   std::vector<topo::NodeId> top_pool;
   top_pool.reserve(V + steps);
-  for (std::size_t i = 0; i < V; ++i) {
+  for (std::size_t i = 0; i < V; ++i)
     top_pool.push_back(static_cast<topo::NodeId>(i));
-    forest_of_root[i] = static_cast<int>(i);
-  }
-  topo::EligibleUnionFind uf(elig);
-  std::vector<std::int32_t> event(steps);
-  std::vector<std::int32_t> fallback(steps, kNoPos);
-  for (std::size_t i = steps; i-- > 0;) {
-    const auto [end_a, end_b] = seq_ends[i];
-    const topo::NodeId ra = uf.find(end_a);
-    const topo::NodeId rb = uf.find(end_b);
+  ForestUnionFind uf(V);
+  for (std::size_t i = slots.size(); i-- > 0;) {
+    Slot& slot = slots[i];
+    if (slot.event == kSkipped) continue;
+    // The slot still holds the link's endpoints; both branches below
+    // overwrite it with the event.
+    const topo::NodeId ra = uf.find(slot.event);
+    const topo::NodeId rb = uf.find(slot.fallback);
     const auto pos = static_cast<std::int32_t>(i);
     if (ra == rb) {
       // Cycle link: membership unchanged; forward deletion raises the
@@ -321,15 +385,14 @@ SelectionResult select_balanced_forest(const SelectionContext& ctx,
       // The component is a merge node, never a leaf: both ends of a link in
       // one single-node component would make it a self-loop, which add_link
       // rejects.
-      const int f = forest_of_root[static_cast<std::size_t>(ra)];
+      const int f = uf.forest(ra);
       ForestNode& fn = forest.merge(f);
-      event[i] = ~f;
-      fallback[i] = fn.min_pos;
+      slot = {~f, fn.min_pos};
       fn.min_pos = pos;
       continue;
     }
-    const int fa = forest_of_root[static_cast<std::size_t>(ra)];
-    const int fb = forest_of_root[static_cast<std::size_t>(rb)];
+    const int fa = uf.forest(ra);
+    const int fb = uf.forest(rb);
     const ForestNode na = forest.node(fa);
     const ForestNode nb = forest.node(fb);
     ForestNode fn;
@@ -343,28 +406,18 @@ SelectionResult select_balanced_forest(const SelectionContext& ctx,
     merge_top(cpu, top_pool, na, nb, mm, fn);
     const int idx = static_cast<int>(forest.size());
     forest.merges.push_back(fn);
-    const topo::NodeId r = uf.unite(end_a, end_b);
-    forest_of_root[static_cast<std::size_t>(r)] = idx;
-    event[i] = idx;
+    uf.unite(ra, rb, idx);
+    slot = {idx, kNoPos};
   }
 
-  // Initial components, in the order connected_components numbers them
-  // (ascending smallest member id).
+  // Initial components, one per union-find root, in the order
+  // connected_components numbers them (ascending smallest member id).
   std::vector<int> roots;
-  {
-    std::vector<char> seen(forest.size(), 0);
-    for (std::size_t n = 0; n < V; ++n) {
-      const int f = forest_of_root[static_cast<std::size_t>(
-          uf.find(static_cast<topo::NodeId>(n)))];
-      if (!seen[static_cast<std::size_t>(f)]) {
-        seen[static_cast<std::size_t>(f)] = 1;
-        roots.push_back(f);
-      }
-    }
-    std::sort(roots.begin(), roots.end(), [&](int a, int b) {
-      return forest.node(a).min_id < forest.node(b).min_id;
-    });
-  }
+  for (topo::NodeId n = 0; static_cast<std::size_t>(n) < V; ++n)
+    if (uf.is_root(n)) roots.push_back(uf.forest(n));
+  std::sort(roots.begin(), roots.end(), [&](int a, int b) {
+    return forest.node(a).min_id < forest.node(b).min_id;
+  });
 
   SelectionResult result;
 
@@ -373,7 +426,7 @@ SelectionResult select_balanced_forest(const SelectionContext& ctx,
   Candidate best;
   auto improves = [&](int f) {
     const Candidate c =
-        evaluate_forest_node(cpu, seq_frac, opt, forest, top_pool, f);
+        evaluate_forest_node(cpu, deletion, opt, forest, top_pool, f);
     if (!(c.minresource > best.minresource)) return false;
     best = c;
     return true;
@@ -397,10 +450,11 @@ SelectionResult select_balanced_forest(const SelectionContext& ctx,
   // (re-evaluate it with its raised min-fraction; membership and
   // feasibility are unchanged). Only changed components can beat `best`
   // (see header comment).
-  for (std::size_t i = 0; i < steps; ++i) {
+  for (const Slot& slot : slots) {
+    if (slot.event == kSkipped) continue;
     ++result.iterations;
     bool newsetflag = false;
-    if (const int d = event[i]; d >= 0) {
+    if (const int d = slot.event; d >= 0) {
       const ForestNode& split = forest.merge(d);
       int a = split.left;
       int b = split.right;
@@ -413,7 +467,7 @@ SelectionResult select_balanced_forest(const SelectionContext& ctx,
       }
     } else {
       ForestNode& fn = forest.merge(~d);
-      fn.min_pos = fallback[i];
+      fn.min_pos = slot.fallback;
       if (fn.eligible >= m && improves(~d)) newsetflag = true;
     }
     if (opt.exhaustive_balanced ? feasible_live == 0 : !newsetflag) break;

@@ -1,5 +1,6 @@
 #include "select/options.hpp"
 
+#include <cmath>
 #include <stdexcept>
 
 namespace netsel::select {
@@ -56,15 +57,24 @@ void validate_options(const remos::NetworkSnapshot& snap,
                       const SelectionOptions& opt) {
   if (opt.num_nodes < 1)
     throw std::invalid_argument("selection: num_nodes must be >= 1");
-  if (opt.cpu_priority <= 0.0 || opt.bw_priority <= 0.0)
-    throw std::invalid_argument("selection: priorities must be > 0");
-  if (opt.reference_cpu_capacity <= 0.0)
-    throw std::invalid_argument("selection: reference cpu capacity must be > 0");
-  if (opt.reference_bw < 0.0)
-    throw std::invalid_argument("selection: reference_bw must be >= 0");
-  if (opt.min_bw_bps < 0.0 || opt.min_cpu_fraction < 0.0 ||
-      opt.min_free_memory_bytes < 0.0)
-    throw std::invalid_argument("selection: requirements must be >= 0");
+  // NaN fails every comparison, so each check tests finiteness first:
+  // otherwise a NaN priority passes and makes every selection infeasible,
+  // and a NaN requirement passes and is silently ignored.
+  if (!std::isfinite(opt.cpu_priority) || opt.cpu_priority <= 0.0 ||
+      !std::isfinite(opt.bw_priority) || opt.bw_priority <= 0.0)
+    throw std::invalid_argument("selection: priorities must be finite and > 0");
+  if (!std::isfinite(opt.reference_cpu_capacity) ||
+      opt.reference_cpu_capacity <= 0.0)
+    throw std::invalid_argument(
+        "selection: reference cpu capacity must be finite and > 0");
+  if (!std::isfinite(opt.reference_bw) || opt.reference_bw < 0.0)
+    throw std::invalid_argument(
+        "selection: reference_bw must be finite and >= 0");
+  for (const double req :
+       {opt.min_bw_bps, opt.min_cpu_fraction, opt.min_free_memory_bytes})
+    if (!std::isfinite(req) || req < 0.0)
+      throw std::invalid_argument(
+          "selection: requirements must be finite and >= 0");
   if (!opt.eligible.empty() && opt.eligible.size() != snap.graph().node_count())
     throw std::invalid_argument("selection: eligibility mask size mismatch");
 }

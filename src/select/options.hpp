@@ -154,7 +154,8 @@ std::vector<char> initial_link_mask(const remos::NetworkSnapshot& snap,
                                     const SelectionOptions& opt);
 
 /// Validate options against a snapshot; throws std::invalid_argument on
-/// nonsense (m < 1, bad priorities, mask size mismatch).
+/// nonsense (m < 1, a NaN or infinite value, bad priorities, mask size
+/// mismatch).
 void validate_options(const remos::NetworkSnapshot& snap,
                       const SelectionOptions& opt);
 

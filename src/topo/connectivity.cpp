@@ -58,11 +58,9 @@ Components connected_components(const TopologyGraph& g) {
 EligibleUnionFind::EligibleUnionFind(const std::vector<char>& eligible)
     : parent_(eligible.size()),
       size_(eligible.size(), 1),
-      eligible_(eligible.size()),
-      min_member_(eligible.size()) {
+      eligible_(eligible.size()) {
   for (std::size_t i = 0; i < eligible.size(); ++i) {
     parent_[i] = static_cast<NodeId>(i);
-    min_member_[i] = static_cast<NodeId>(i);
     eligible_[i] = eligible[i] ? 1 : 0;
     if (eligible_[i] > max_eligible_) max_eligible_ = eligible_[i];
   }
@@ -85,8 +83,6 @@ NodeId EligibleUnionFind::unite(NodeId a, NodeId b) {
   parent_[idx(rb)] = ra;
   size_[idx(ra)] += size_[idx(rb)];
   eligible_[idx(ra)] += eligible_[idx(rb)];
-  if (min_member_[idx(rb)] < min_member_[idx(ra)])
-    min_member_[idx(ra)] = min_member_[idx(rb)];
   if (eligible_[idx(ra)] > max_eligible_) max_eligible_ = eligible_[idx(ra)];
   return ra;
 }

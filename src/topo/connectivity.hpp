@@ -5,11 +5,13 @@
 //
 // Besides the literal per-sweep decomposition the paper describes, this
 // header provides the kernels the selection layer's fast paths are built on:
-//   - EligibleUnionFind: offline *incremental* connectivity. The Fig. 2/3
+//   - EligibleUnionFind: offline *incremental* connectivity for Fig. 2. The
 //     edge-deletion sequence, processed in reverse, is a sequence of edge
 //     *insertions*; a union-find that tracks per-component eligible-node
 //     counts answers "first state with a component of >= m eligible nodes"
-//     in near-linear time instead of one O(V+E) sweep per deletion.
+//     in near-linear time instead of one O(V+E) sweep per deletion. (Fig. 3's
+//     merge-forest replay keeps its own, leaner union-find in
+//     select/balanced.cpp.)
 //   - bottleneck_row: per-source widest-path/bottleneck values along the
 //     deterministic BFS tree (on acyclic graphs: the unique path, hence the
 //     true widest path). This is the cached kernel behind the pairwise
@@ -49,16 +51,14 @@ Components connected_components(const TopologyGraph& g);
 /// lower component id, which is deterministic); -1 when there are none.
 int largest_compute_component(const Components& c);
 
-/// Union-find over node ids with per-component bookkeeping tailored to the
-/// selection algorithms: each component tracks its *eligible*-node count
-/// (eligibility is whatever mask the caller supplies — typically "compute,
-/// unmasked, meets min-cpu/memory requirements") and its minimum member id
-/// (the tie-break `connected_components` implies, since component ids are
-/// assigned in increasing order of the smallest contained node id).
+/// Union-find over node ids where each component tracks its *eligible*-node
+/// count (eligibility is whatever mask the caller supplies — typically
+/// "compute, unmasked, meets min-cpu/memory requirements").
 ///
-/// Used to process an edge-deletion sequence offline: replay the deletions
-/// in reverse as unions, stopping at the first (reverse) state whose best
-/// component satisfies the caller's predicate. Union by size + path halving:
+/// Used by the Fig. 2 selector (select/max_bandwidth.cpp) to process an
+/// edge-deletion sequence offline: replay the deletions in reverse as
+/// unions, stopping at the first (reverse) state whose best component
+/// satisfies the caller's predicate. Union by size + path halving:
 /// effectively O(alpha) per operation.
 class EligibleUnionFind {
  public:
@@ -72,9 +72,6 @@ class EligibleUnionFind {
 
   /// Eligible members in the component rooted at `root`.
   int eligible_count(NodeId root) { return eligible_[idx(find(root))]; }
-  /// Smallest node id in the component rooted at `root` (the deterministic
-  /// component ordering of connected_components).
-  NodeId min_member(NodeId root) { return min_member_[idx(find(root))]; }
   /// Largest eligible count over all current components.
   int max_eligible() const { return max_eligible_; }
 
@@ -83,7 +80,6 @@ class EligibleUnionFind {
   std::vector<NodeId> parent_;
   std::vector<int> size_;
   std::vector<int> eligible_;
-  std::vector<NodeId> min_member_;
   int max_eligible_ = 0;
 };
 

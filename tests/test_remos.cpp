@@ -7,11 +7,13 @@
 #include <limits>
 #include <memory>
 #include <string>
+#include <vector>
 
 #include "load/traffic_generator.hpp"
 #include "obs/flight.hpp"
 #include "obs/metrics.hpp"
 #include "topo/generators.hpp"
+#include "util/rng.hpp"
 
 namespace netsel::remos {
 namespace {
@@ -522,6 +524,99 @@ TEST_F(SnapshotInputs, SetBwDirRejectsNonFiniteAndOutOfRange) {
   }
   EXPECT_EQ(snap.epoch(), e0);
   EXPECT_EQ(snap.bw(0), before);
+}
+
+// bw(l) is the min of the two directions after every kind of link write,
+// and each write's delta carries that value. Asymmetric links make the two
+// directions differ from the start.
+TEST_F(SnapshotInputs, BwIsMinOfDirectionsAfterEveryWrite) {
+  util::Rng rng(20);
+  const auto pick_node = [&] {
+    return static_cast<topo::NodeId>(
+        rng.uniform_int(0, static_cast<std::int64_t>(g.node_count()) - 1));
+  };
+  const auto pick_live_link = [&] {
+    topo::LinkId l;
+    do {
+      l = static_cast<topo::LinkId>(
+          rng.uniform_int(0, static_cast<std::int64_t>(g.link_count()) - 1));
+    } while (g.link_removed(l));
+    return l;
+  };
+  const auto add_asymmetric_link = [&] {
+    const topo::NodeId a = pick_node();
+    topo::NodeId b = pick_node();
+    while (b == a) b = pick_node();
+    const double ab = rng.uniform(1e6, 1e9);
+    const topo::LinkId l = g.add_link(a, b, ab, ab * rng.uniform(0.1, 0.9));
+    snap.notify_link_added(l);
+    return l;
+  };
+  for (int i = 0; i < 4; ++i) add_asymmetric_link();
+  std::size_t live = 0;
+  for (std::size_t k = 0; k < g.link_count(); ++k)
+    if (!g.link_removed(static_cast<topo::LinkId>(k))) ++live;
+
+  for (int op = 0; op < 400; ++op) {
+    const std::uint64_t e0 = snap.epoch();
+    topo::LinkId l = topo::kInvalidLink;
+    DeltaKind kind = DeltaKind::LinkBandwidth;
+    const std::string what = "op " + std::to_string(op);
+    // Removals stop while few links are left, so a live link always exists.
+    switch (std::min<std::int64_t>(rng.uniform_int(0, 5), live > 8 ? 5 : 4)) {
+      case 0:
+      case 1: {
+        l = pick_live_link();
+        const double v = rng.uniform(0.0, 2.0 * snap.maxbw(l));
+        snap.set_bw(l, v);
+        EXPECT_EQ(snap.bw_dir(l, true), v) << what;
+        EXPECT_EQ(snap.bw_dir(l, false), v) << what;
+        break;
+      }
+      case 2:
+      case 3: {
+        l = pick_live_link();
+        const bool forward = rng.bernoulli(0.5);
+        const double other = snap.bw_dir(l, !forward);
+        const double v = rng.uniform(0.0, 2.0 * snap.maxbw(l));
+        snap.set_bw_dir(l, forward, v);
+        EXPECT_EQ(snap.bw_dir(l, forward), v) << what;
+        EXPECT_EQ(snap.bw_dir(l, !forward), other) << what;
+        break;
+      }
+      case 4: {
+        l = add_asymmetric_link();
+        ++live;
+        kind = DeltaKind::LinkAdded;
+        EXPECT_EQ(snap.bw_dir(l, true), g.link(l).capacity_ab) << what;
+        EXPECT_EQ(snap.bw_dir(l, false), g.link(l).capacity_ba) << what;
+        break;
+      }
+      default: {
+        l = pick_live_link();
+        kind = DeltaKind::LinkRemoved;
+        g.remove_link(l);
+        snap.notify_link_removed(l);
+        --live;
+        EXPECT_EQ(snap.bw(l), 0.0) << what;
+        break;
+      }
+    }
+    for (std::size_t k = 0; k < g.link_count(); ++k) {
+      const auto lk = static_cast<topo::LinkId>(k);
+      ASSERT_EQ(snap.bw(lk),
+                std::min(snap.bw_dir(lk, true), snap.bw_dir(lk, false)))
+          << what << " link " << k;
+    }
+    std::vector<Delta> deltas;
+    ASSERT_TRUE(snap.deltas_since(e0, deltas)) << what;
+    ASSERT_EQ(deltas.size(), 1u) << what;
+    EXPECT_EQ(deltas.back().kind, kind) << what;
+    EXPECT_EQ(deltas.back().link, l) << what;
+    if (kind != DeltaKind::LinkRemoved) {
+      EXPECT_EQ(deltas.back().value, snap.bw(l)) << what;
+    }
+  }
 }
 
 }  // namespace

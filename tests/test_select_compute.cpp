@@ -1,5 +1,6 @@
 #include <gtest/gtest.h>
 
+#include <limits>
 #include <set>
 
 #include "select/algorithms.hpp"
@@ -127,6 +128,57 @@ TEST(MaxCompute, OptionValidation) {
   opt.num_nodes = 2;
   opt.eligible.assign(3, 1);  // wrong size
   EXPECT_THROW(select_max_compute(snap, opt), std::invalid_argument);
+}
+
+// Every non-finite option is rejected at the boundary. NaN slips past a
+// plain range check (every comparison with it is false): a NaN priority
+// would make every selection infeasible and a NaN requirement would be
+// ignored.
+class NonFiniteOption : public ::testing::Test {
+ protected:
+  void expect_rejected(double SelectionOptions::*field) {
+    auto snap = loaded_testbed();
+    for (double v : {std::numeric_limits<double>::quiet_NaN(),
+                     std::numeric_limits<double>::infinity(),
+                     -std::numeric_limits<double>::infinity()}) {
+      SelectionOptions opt;
+      opt.num_nodes = 4;
+      opt.*field = v;
+      EXPECT_THROW(validate_options(snap, opt), std::invalid_argument) << v;
+      for (Criterion c : {Criterion::MaxCompute, Criterion::MaxBandwidth,
+                          Criterion::Balanced})
+        EXPECT_THROW(select_nodes(c, snap, opt), std::invalid_argument)
+            << criterion_name(c) << " " << v;
+    }
+  }
+};
+
+TEST_F(NonFiniteOption, CpuPriority) {
+  expect_rejected(&SelectionOptions::cpu_priority);
+}
+
+TEST_F(NonFiniteOption, BwPriority) {
+  expect_rejected(&SelectionOptions::bw_priority);
+}
+
+TEST_F(NonFiniteOption, ReferenceCpuCapacity) {
+  expect_rejected(&SelectionOptions::reference_cpu_capacity);
+}
+
+TEST_F(NonFiniteOption, ReferenceBw) {
+  expect_rejected(&SelectionOptions::reference_bw);
+}
+
+TEST_F(NonFiniteOption, MinBwBps) {
+  expect_rejected(&SelectionOptions::min_bw_bps);
+}
+
+TEST_F(NonFiniteOption, MinCpuFraction) {
+  expect_rejected(&SelectionOptions::min_cpu_fraction);
+}
+
+TEST_F(NonFiniteOption, MinFreeMemoryBytes) {
+  expect_rejected(&SelectionOptions::min_free_memory_bytes);
 }
 
 TEST(Baselines, RandomIsDeterministicPerRng) {

@@ -407,7 +407,28 @@ Instance datacenter_instance(Family family, std::uint64_t seed) {
   return inst;
 }
 
-void expect_balanced_matches_reference(Family family, const char* name) {
+void expect_balanced_equal_reference(const Instance& inst,
+                                     const SelectionOptions& opt,
+                                     const std::string& what) {
+  SelectionContext ctx(*inst.snap);
+  const auto fast = select_balanced(ctx, opt);
+  const auto ref = detail::reference_select_balanced(*inst.snap, opt);
+  ASSERT_TRUE(ref.feasible) << what;
+  ASSERT_EQ(fast.feasible, ref.feasible) << what;
+  EXPECT_EQ(fast.nodes, ref.nodes) << what;
+  EXPECT_EQ(fast.iterations, ref.iterations) << what;
+  // Bit-identical, not merely close.
+  EXPECT_EQ(fast.objective, ref.objective) << what;
+  EXPECT_EQ(fast.min_cpu, ref.min_cpu) << what;
+  EXPECT_EQ(fast.min_bw_fraction, ref.min_bw_fraction) << what;
+}
+
+/// With `min_bw_filter`, one seed also runs with a 50 Mbps bandwidth floor,
+/// with and without a 100 Mbps reference capacity: the floor drops the host
+/// links with less than 50 Mbps available, so the replay skips positions
+/// inside the deletion order.
+void expect_balanced_matches_reference(Family family, const char* name,
+                                       bool min_bw_filter = false) {
   for (std::uint64_t seed : {11u, 12u, 13u}) {
     auto inst = datacenter_instance(family, seed);
     for (int m : {16, 64}) {
@@ -415,21 +436,32 @@ void expect_balanced_matches_reference(Family family, const char* name) {
         SelectionOptions opt;
         opt.num_nodes = m;
         opt.exhaustive_balanced = exhaustive;
-        SelectionContext ctx(*inst.snap);
-        const auto fast = select_balanced(ctx, opt);
-        const auto ref = detail::reference_select_balanced(*inst.snap, opt);
-        const std::string what = std::string(name) + " seed " +
-                                 std::to_string(seed) + " m " +
-                                 std::to_string(m) +
-                                 (exhaustive ? " exhaustive" : " paper");
-        ASSERT_TRUE(ref.feasible) << what;
-        ASSERT_EQ(fast.feasible, ref.feasible) << what;
-        EXPECT_EQ(fast.nodes, ref.nodes) << what;
-        EXPECT_EQ(fast.iterations, ref.iterations) << what;
-        // Bit-identical, not merely close.
-        EXPECT_EQ(fast.objective, ref.objective) << what;
-        EXPECT_EQ(fast.min_cpu, ref.min_cpu) << what;
-        EXPECT_EQ(fast.min_bw_fraction, ref.min_bw_fraction) << what;
+        expect_balanced_equal_reference(
+            inst, opt,
+            std::string(name) + " seed " + std::to_string(seed) + " m " +
+                std::to_string(m) + (exhaustive ? " exhaustive" : " paper"));
+      }
+    }
+  }
+  if (!min_bw_filter) return;
+  auto inst = datacenter_instance(family, 11);
+  std::size_t dropped = 0;
+  for (std::size_t l = 0; l < inst.graph->link_count(); ++l)
+    if (inst.snap->bw(static_cast<topo::LinkId>(l)) < 50e6) ++dropped;
+  ASSERT_GT(dropped, 0u) << name;
+  for (double reference_bw : {0.0, topo::k100Mbps}) {
+    for (int m : {16, 64}) {
+      for (bool exhaustive : {false, true}) {
+        SelectionOptions opt;
+        opt.num_nodes = m;
+        opt.min_bw_bps = 50e6;
+        opt.reference_bw = reference_bw;
+        opt.exhaustive_balanced = exhaustive;
+        expect_balanced_equal_reference(
+            inst, opt,
+            std::string(name) + " seed 11 min_bw 50e6 reference_bw " +
+                std::to_string(reference_bw) + " m " + std::to_string(m) +
+                (exhaustive ? " exhaustive" : " paper"));
       }
     }
   }
@@ -440,7 +472,8 @@ TEST(DatacenterGolden, TwoLevelFatTreeBalancedMatchesReferenceLoop) {
 }
 
 TEST(DatacenterGolden, ThreeLevelFatTreeBalancedMatchesReferenceLoop) {
-  expect_balanced_matches_reference(Family::FatTree3, "fat_tree_3l");
+  expect_balanced_matches_reference(Family::FatTree3, "fat_tree_3l",
+                                    /*min_bw_filter=*/true);
 }
 
 TEST(DatacenterGolden, CampusWanBalancedMatchesReferenceLoop) {
@@ -448,7 +481,8 @@ TEST(DatacenterGolden, CampusWanBalancedMatchesReferenceLoop) {
 }
 
 TEST(DatacenterGolden, RandomCoreEdgeBalancedMatchesReferenceLoop) {
-  expect_balanced_matches_reference(Family::CoreEdge, "random_core_edge");
+  expect_balanced_matches_reference(Family::CoreEdge, "random_core_edge",
+                                    /*min_bw_filter=*/true);
 }
 
 TEST(EpochInvalidation, MutationsAreObservedThroughTheContext) {
