@@ -202,7 +202,8 @@ void latency_extension_demo() {
     auto ev = select::evaluate_set(snap, r.nodes, opt);
     std::printf("  %-22s max pairwise latency %6.2f ms  (nodes:", name,
                 ev.max_pair_latency * 1e3);
-    for (auto n : r.nodes) std::printf(" %s", g.node(n).name.c_str());
+    for (auto n : r.nodes)
+      std::printf(" %s", std::string(g.node_name(n)).c_str());
     std::printf(")\n");
   };
   show("balanced (Fig. 3)", balanced);

@@ -210,8 +210,8 @@ BudgetPoint run_budget_curve(const topo::TopologyGraph& g, std::uint64_t seed,
   const auto links = usable_links(g);
   std::vector<topo::LinkId> hot;
   for (topo::NodeId n : placement) {
-    const auto span = g.links_of(n);
-    hot.insert(hot.end(), span.begin(), span.end());
+    const auto incident = g.links_of(n);
+    hot.insert(hot.end(), incident.begin(), incident.end());
   }
   std::vector<topo::LinkId> trunks;
   for (topo::LinkId l : links)

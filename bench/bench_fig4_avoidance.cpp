@@ -36,7 +36,7 @@ std::string names_of(const topo::TopologyGraph& g,
   std::string out = "{";
   for (std::size_t i = 0; i < nodes.size(); ++i) {
     if (i) out += ", ";
-    out += g.node(nodes[i]).name;
+    out += g.node_name(nodes[i]);
   }
   return out + "}";
 }
@@ -75,7 +75,7 @@ int main() {
 
   bool avoided = true;
   for (auto n : balanced.nodes) {
-    const std::string& name = g.node(n).name;
+    const std::string_view name = g.node_name(n);
     if (name == "m-16" || name == "m-18") avoided = false;
   }
   std::printf("balanced selection avoids the congested endpoints: %s\n",

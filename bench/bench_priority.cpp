@@ -47,7 +47,9 @@ void snapshot_demo() {
     opt.cpu_priority = kc;
     opt.bw_priority = kb;
     auto r = select::select_balanced(snap, opt);
-    std::string pair = g.node(r.nodes[0]).name + "," + g.node(r.nodes[1]).name;
+    std::string pair(g.node_name(r.nodes[0]));
+    pair += ",";
+    pair += g.node_name(r.nodes[1]);
     bool idle_pair = r.nodes[0] == 1;
     t.row({label, pair, util::fmt(r.objective, 3),
            idle_pair ? "idle cpu, congested links"

@@ -51,7 +51,7 @@ int main() {
     std::string names;
     for (std::size_t i = 0; i < nodes.size(); ++i) {
       if (i) names += " ";
-      names += net.topology().node(nodes[i]).name;
+      names += net.topology().node_name(nodes[i]);
     }
 
     appsim::LooselySynchronousApp app(net, appsim::airshed());

@@ -43,11 +43,11 @@ void show(const sim::NetworkSim& net, const api::Placement& p) {
     std::printf("  INFEASIBLE: %s\n", p.note.c_str());
     return;
   }
-  std::printf("  server:  %s\n",
-              net.topology().node(p.group_nodes[0][0]).name.c_str());
+  const std::string server(net.topology().node_name(p.group_nodes[0][0]));
+  std::printf("  server:  %s\n", server.c_str());
   std::printf("  clients:");
   for (auto n : p.group_nodes[1])
-    std::printf(" %s", net.topology().node(n).name.c_str());
+    std::printf(" %s", std::string(net.topology().node_name(n)).c_str());
   std::printf("\n");
 }
 

@@ -61,7 +61,7 @@ double run(bool with_migration) {
     std::printf("  migrations triggered: %d (job moved to ",
                 controller.migrations_triggered());
     for (auto n : app.placement())
-      std::printf("%s ", net.topology().node(n).name.c_str());
+      std::printf("%s ", std::string(net.topology().node_name(n)).c_str());
     std::printf(")\n");
   }
   return app.elapsed();

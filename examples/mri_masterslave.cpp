@@ -23,11 +23,11 @@ namespace {
 void report(const sim::NetworkSim& net, const appsim::MasterSlaveApp& app,
             const std::vector<topo::NodeId>& nodes) {
   std::printf("  master %s; per-slave task counts:",
-              net.topology().node(nodes[0]).name.c_str());
+              std::string(net.topology().node_name(nodes[0])).c_str());
   const auto& per = app.per_slave_completed();
   for (std::size_t s = 0; s < per.size(); ++s) {
-    std::printf("  %s=%d", net.topology().node(nodes[s + 1]).name.c_str(),
-                per[s]);
+    const std::string slave(net.topology().node_name(nodes[s + 1]));
+    std::printf("  %s=%d", slave.c_str(), per[s]);
   }
   std::printf("\n  total time: %.1f s\n\n", app.elapsed());
 }

@@ -373,7 +373,8 @@ int main(int argc, char** argv) {
     return 2;
   }
   std::printf("selected %zu node(s):", result.nodes.size());
-  for (auto n : result.nodes) std::printf(" %s", g.node(n).name.c_str());
+  for (auto n : result.nodes)
+    std::printf(" %s", std::string(g.node_name(n)).c_str());
   std::printf("\n");
   auto ev = select::evaluate_set(snap, result.nodes, opt);
   std::printf("min cpu availability:      %.3f\n", ev.min_cpu);

@@ -38,8 +38,10 @@ int main() {
   auto print = [](const char* label, const exp::TrialResult& r,
                   const topo::TopologyGraph& g) {
     std::printf("%-10s placed on {", label);
-    for (std::size_t i = 0; i < r.nodes.size(); ++i)
-      std::printf("%s%s", i ? ", " : "", g.node(r.nodes[i]).name.c_str());
+    for (std::size_t i = 0; i < r.nodes.size(); ++i) {
+      const std::string name(g.node_name(r.nodes[i]));
+      std::printf("%s%s", i ? ", " : "", name.c_str());
+    }
     std::printf("}  ->  %.1f s\n", r.elapsed);
   };
   topo::TopologyGraph g = topo::testbed();

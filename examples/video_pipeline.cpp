@@ -84,7 +84,7 @@ int main() {
                   const Outcome& o) {
     std::printf("%-18s stages:", label);
     for (auto n : nodes)
-      std::printf(" %s", net.topology().node(n).name.c_str());
+      std::printf(" %s", std::string(net.topology().node_name(n)).c_str());
     std::printf("\n  %-16s total %.1f s, first-frame latency %.2f s, "
                 "throughput %.2f frames/s\n\n",
                 "", o.elapsed, o.latency, o.throughput);

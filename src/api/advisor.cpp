@@ -284,7 +284,8 @@ ModelPlacement place_with_model(const appsim::LooselySyncConfig& cfg,
     auto nodes = hop_cluster(snap, opt, center, cfg.num_nodes);
     if (!nodes.empty())
       candidates.push_back(
-          {"cluster@" + snap.graph().node(center).name, std::move(nodes)});
+          {"cluster@" + std::string(snap.graph().node_name(center)),
+           std::move(nodes)});
   }
 
   ModelPlacement best;

@@ -82,10 +82,7 @@ std::string explain_report(const Placement& p, const topo::TopologyGraph& g) {
     }
     for (std::size_t i = 0; i < gi.nodes.size(); ++i) {
       if (i) os << ", ";
-      const auto& node = g.node(gi.nodes[i]);
-      os << (node.name.empty()
-                 ? "n" + std::to_string(static_cast<std::size_t>(gi.nodes[i]))
-                 : node.name);
+      os << g.node_name(gi.nodes[i]);
     }
     os << " (" << gi.nodes.size() << " of " << gi.candidates
        << " candidates)\n";

@@ -102,7 +102,6 @@ std::vector<char> group_mask(const topo::TopologyGraph& g,
   for (std::size_t i = 0; i < g.node_count(); ++i) {
     auto n = static_cast<topo::NodeId>(i);
     if (!g.is_compute(n) || taken[i]) continue;
-    const topo::Node& node = g.node(n);
     bool ok = true;
     for (const auto& tag : group.required_tags) {
       if (!g.has_tag(n, tag)) {
@@ -112,7 +111,7 @@ std::vector<char> group_mask(const topo::TopologyGraph& g,
     }
     if (ok && !group.allowed_hosts.empty()) {
       ok = std::find(group.allowed_hosts.begin(), group.allowed_hosts.end(),
-                     node.name) != group.allowed_hosts.end();
+                     g.node_name(n)) != group.allowed_hosts.end();
     }
     mask[i] = ok ? 1 : 0;
   }

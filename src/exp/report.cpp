@@ -61,7 +61,7 @@ std::string trials_csv(const AppCase& app, const Scenario& scenario,
     std::string joined;
     for (std::size_t i = 0; i < result.nodes.size(); ++i) {
       if (i) joined += "+";
-      joined += names.node(result.nodes[i]).name;
+      joined += names.node_name(result.nodes[i]);
     }
     os << csv_escape(app.name) << "," << condition << ","
        << policy_name(policy) << "," << seed << "," << result.elapsed << ","

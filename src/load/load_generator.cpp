@@ -20,7 +20,8 @@ HostLoadGenerator::HostLoadGenerator(sim::NetworkSim& net, LoadGenConfig cfg,
       cfg_.p_exponential);
   for (topo::NodeId n : net_.topology().compute_nodes()) {
     streams_.push_back(
-        NodeStream{n, rng.fork("loadgen/" + net_.topology().node(n).name)});
+        NodeStream{n, rng.fork("loadgen/" +
+                               std::string(net_.topology().node_name(n)))});
   }
 }
 

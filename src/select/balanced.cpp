@@ -67,20 +67,18 @@ namespace {
 constexpr double kInf = std::numeric_limits<double>::infinity();
 /// A deletion-order position that names no link.
 constexpr std::int32_t kNoPos = -1;
-/// The event of a deletion-order slot the min-bandwidth filter drops (see
-/// Slot). No real event takes this value: ~kSkipped exceeds every forest
+/// The first word of a deletion-order slot the min-bandwidth filter drops
+/// (see Slot). No event takes this value: ~kSkipped exceeds every forest
 /// index.
 constexpr std::int32_t kSkipped = std::numeric_limits<std::int32_t>::min();
 
 /// A component in the merge forest: either a single node (leaf; forest
-/// index i < V is node i) or the union of two children merged by the link
+/// index i < V is node i) or the union of two components merged by the link
 /// whose forward deletion splits it. Only the merge nodes are stored; a
-/// leaf's record is derived when it is read (MergeForest::node).
+/// leaf's record is derived when it is read (MergeForest::node). A merge
+/// node keeps no child ids: the slot of its link records the two halves.
 struct ForestNode {
-  int left = -1;
-  int right = -1;
   int eligible = 0;
-  topo::NodeId min_id = topo::kInvalidNode;
   /// Deletion-order position of the component's min-fraction internal
   /// link; kNoPos for leaves, whose fraction is +inf, matching
   /// detail::min_fraction_in_component on lone nodes. Read through the
@@ -90,25 +88,38 @@ struct ForestNode {
   /// exactly the prefix detail::top_m_by_cpu's stable sort would produce.
   /// Built bottom-up: a node in the parent's top-m is necessarily in its
   /// child's top-m, so merging the children's lists (capped at m) is exact.
-  /// Stored as an (offset, len) slice of one shared pool rather than a
-  /// per-node vector: the replay creates up to V-1 merge nodes, and that
-  /// many small vectors dominate its time and memory at the million-node
-  /// scale. When a merge takes every element from one child the parent
-  /// *shares* the child's slice (no copy) — children are immutable once
-  /// merged.
+  /// Stored as an (offset, len) slice of one shared pool (TopPool) rather
+  /// than a per-node vector: the replay creates up to V-1 merge nodes, and
+  /// that many small vectors dominate its time and memory at the
+  /// million-node scale. When a merge takes every element from one child the
+  /// parent *shares* the child's slice (no copy) — children are immutable
+  /// once merged.
   std::int32_t top_len = 0;
   std::int64_t top_off = 0;
 };
 // The replay holds up to V-1 of these: at the million-node scale every
 // byte costs 1 MB of peak memory.
-static_assert(sizeof(ForestNode) == 32);
+static_assert(sizeof(ForestNode) == 24);
+
+/// The shared storage of every ForestNode top slice. An offset below V (the
+/// leaf count) names a leaf's slice, which holds at most that leaf's own
+/// node and is stored nowhere; offset V + k starts at ids[k].
+struct TopPool {
+  std::size_t leaves;
+  std::vector<topo::NodeId> ids;
+
+  /// Element k of forest node `fn`'s top slice.
+  topo::NodeId at(const ForestNode& fn, std::size_t k) const {
+    const auto off = static_cast<std::size_t>(fn.top_off);
+    return off < leaves ? static_cast<topo::NodeId>(off)
+                        : ids[off - leaves + k];
+  }
+};
 
 /// The merge forest of a replay over V nodes. Index f < V is the leaf of
-/// node f: eligible = elig[f], min_id = f, min_pos = kNoPos, and top slice
-/// (f, cand[f] ? 1 : 0), which reads node f itself because the first V
-/// entries of top_pool are the ids 0..V-1. Storing no leaf records saves
-/// V x 32 bytes for at most V extra pool ids. Merge nodes are stored from
-/// index V on.
+/// node f: eligible = elig[f], min_pos = kNoPos, and top slice
+/// (f, cand[f] ? 1 : 0), which TopPool reads as node f itself. Merge nodes
+/// are stored from index V on.
 struct MergeForest {
   const std::vector<char>& elig;
   const std::vector<char>& cand;
@@ -121,7 +132,6 @@ struct MergeForest {
     if (i >= leaves()) return merges[i - leaves()];
     ForestNode leaf;
     leaf.eligible = elig[i] ? 1 : 0;
-    leaf.min_id = static_cast<topo::NodeId>(f);
     leaf.top_len = cand[i] ? 1 : 0;
     leaf.top_off = static_cast<std::int64_t>(i);
     return leaf;
@@ -134,25 +144,25 @@ struct MergeForest {
 
 /// One deletion-order position. The gather writes the link's endpoints;
 /// the reverse step that reads them overwrites the slot with what the
-/// forward deletion at this position does: `event` is the forest node it
-/// splits (>= 0), or ~f for a cycle link of forest node f, and `fallback`
-/// is the min_pos a cycle deletion restores (kNoPos after a split). A slot
-/// the min-bandwidth filter drops keeps event == kSkipped, and neither pass
-/// acts on it.
+/// forward deletion at this position does. A split writes the forest
+/// indices of its two halves (both >= 0), in ascending order of their
+/// smallest member; a cycle link of forest node f writes ~f and the min_pos
+/// its deletion restores. A slot the min-bandwidth filter drops keeps
+/// first == kSkipped, and neither pass acts on it.
 struct Slot {
-  std::int32_t event = kSkipped;  ///< endpoint a until the reverse step
-  std::int32_t fallback = kNoPos;  ///< endpoint b until the reverse step
+  std::int32_t first = kSkipped;  ///< endpoint a until the reverse step
+  std::int32_t second = kNoPos;   ///< endpoint b until the reverse step
 };
 
 /// Union-find over the replay's nodes with one int32 per node: a non-root
 /// holds its parent's id, a root ~(the forest index of its component), so
-/// the merge forest needs no root-to-node map. Union by size plus path
-/// halving. Which root survives a union changes only the union-find's
-/// shape, never the forest.
+/// the merge forest needs no root-to-node map. A union keeps the smaller
+/// root, so every root is its component's smallest member; path halving
+/// keeps the finds short.
 class ForestUnionFind {
  public:
   /// Every node starts as its own component, the leaf of the same index.
-  explicit ForestUnionFind(std::size_t n) : up_(n), size_(n, 1) {
+  explicit ForestUnionFind(std::size_t n) : up_(n) {
     for (std::size_t i = 0; i < n; ++i) up_[i] = ~static_cast<std::int32_t>(i);
   }
 
@@ -169,18 +179,16 @@ class ForestUnionFind {
   bool is_root(topo::NodeId n) const { return up_[idx(n)] < 0; }
   /// The forest index of the component rooted at `root`.
   int forest(topo::NodeId root) const { return ~up_[idx(root)]; }
-  /// Merge the components rooted at ra != rb into forest node `f`.
-  void unite(topo::NodeId ra, topo::NodeId rb, int f) {
-    if (size_[idx(ra)] < size_[idx(rb)]) std::swap(ra, rb);
-    up_[idx(rb)] = ra;
-    size_[idx(ra)] += size_[idx(rb)];
-    up_[idx(ra)] = ~f;
+  /// Merge the components rooted at lo < hi into forest node `f`, rooted
+  /// at lo.
+  void unite(topo::NodeId lo, topo::NodeId hi, int f) {
+    up_[idx(hi)] = lo;
+    up_[idx(lo)] = ~f;
   }
 
  private:
   static std::size_t idx(topo::NodeId n) { return static_cast<std::size_t>(n); }
   std::vector<std::int32_t> up_;
-  std::vector<std::int32_t> size_;
 };
 
 /// The deletion order and the fractions it is sorted by, read in place.
@@ -214,14 +222,13 @@ struct Candidate {
 Candidate evaluate_forest_node(const std::vector<double>& cpu,
                                const DeletionOrder& order,
                                const SelectionOptions& opt,
-                               const MergeForest& forest,
-                               const std::vector<topo::NodeId>& top_pool,
+                               const MergeForest& forest, const TopPool& pool,
                                int f) {
   const ForestNode fn = forest.node(f);
   Candidate cand;
   cand.forest = f;
   cand.mincpu = cpu[static_cast<std::size_t>(
-      top_pool[static_cast<std::size_t>(fn.top_off + fn.top_len - 1)])];
+      pool.at(fn, static_cast<std::size_t>(fn.top_len) - 1))];
   cand.minbw = order.frac_at(fn.min_pos);
   cand.minresource =
       std::min(cand.mincpu / opt.cpu_priority, cand.minbw / opt.bw_priority);
@@ -229,14 +236,14 @@ Candidate evaluate_forest_node(const std::vector<double>& cpu,
 }
 
 /// Merge the children's (cpu desc, id asc)-ordered top lists, keeping the
-/// first m, into `out`'s slice of `top_pool`. The key is a strict total
-/// order (ids are unique), so this is exactly the prefix a stable sort of
-/// the concatenated membership would yield. When one child contributes
-/// nothing the result is the other child's slice verbatim, shared instead
-/// of copied (children stay immutable once merged).
-void merge_top(const std::vector<double>& cpu,
-               std::vector<topo::NodeId>& top_pool, const ForestNode& a,
-               const ForestNode& b, std::size_t m, ForestNode& out) {
+/// first m, into `out`'s slice of `pool`. The key is a strict total order
+/// (ids are unique), so this is exactly the prefix a stable sort of the
+/// concatenated membership would yield. When one child contributes nothing
+/// the result is the other child's slice verbatim, shared instead of copied
+/// (children stay immutable once merged).
+void merge_top(const std::vector<double>& cpu, TopPool& pool,
+               const ForestNode& a, const ForestNode& b, std::size_t m,
+               ForestNode& out) {
   auto before = [&](topo::NodeId x, topo::NodeId y) {
     const double cx = cpu[static_cast<std::size_t>(x)];
     const double cy = cpu[static_cast<std::size_t>(y)];
@@ -252,33 +259,27 @@ void merge_top(const std::vector<double>& cpu,
   // it is empty, or this child is already full and its last (worst) element
   // still precedes the other's best.
   if (blen == 0 ||
-      (alen == m &&
-       before(top_pool[static_cast<std::size_t>(a.top_off) + alen - 1],
-              top_pool[static_cast<std::size_t>(b.top_off)]))) {
+      (alen == m && before(pool.at(a, alen - 1), pool.at(b, 0)))) {
     share(a);
     return;
   }
   if (alen == 0 ||
-      (blen == m &&
-       before(top_pool[static_cast<std::size_t>(b.top_off) + blen - 1],
-              top_pool[static_cast<std::size_t>(a.top_off)]))) {
+      (blen == m && before(pool.at(b, blen - 1), pool.at(a, 0)))) {
     share(b);
     return;
   }
   const std::size_t want = std::min(m, alen + blen);
-  const std::size_t start = top_pool.size();
-  out.top_off = static_cast<std::int64_t>(start);
+  const std::size_t start = pool.ids.size();
+  out.top_off = static_cast<std::int64_t>(pool.leaves + start);
   out.top_len = static_cast<std::int32_t>(want);
   std::size_t i = 0, j = 0;
   // Index the pool on every read: push_back may reallocate mid-merge.
-  while (top_pool.size() - start < want) {
-    const auto ai = static_cast<std::size_t>(a.top_off) + i;
-    const auto bj = static_cast<std::size_t>(b.top_off) + j;
-    if (j >= blen || (i < alen && before(top_pool[ai], top_pool[bj]))) {
-      top_pool.push_back(top_pool[ai]);
+  while (pool.ids.size() - start < want) {
+    if (j >= blen || (i < alen && before(pool.at(a, i), pool.at(b, j)))) {
+      pool.ids.push_back(pool.at(a, i));
       ++i;
     } else {
-      top_pool.push_back(top_pool[bj]);
+      pool.ids.push_back(pool.at(b, j));
       ++j;
     }
   }
@@ -300,10 +301,10 @@ SelectionResult select_balanced_forest(const SelectionContext& ctx,
   // min_fraction_link produces; the gather below skips those failing the
   // fixed min-bandwidth requirement. By default that is the context's cached
   // bwfactor order, read in place with the context's bwfactor array. With a
-  // reference capacity the fraction is a *rounded* multiple of the absolute
-  // bandwidth, so sort by the computed fractions rather than reusing the
-  // absolute-bandwidth order (two bandwidths may round to equal fractions,
-  // where the id tie-break kicks in).
+  // reference capacity the fraction bw / reference_bw is monotone in bw, so
+  // the context's cached (bw, id) order is already ascending by fraction;
+  // but two distinct bandwidths may round to one fraction, and there the id
+  // tie-break must decide, so a copy has those runs re-sorted by id.
   const bool by_reference = opt.reference_bw > 0.0;
   std::vector<double> ref_frac;
   std::vector<topo::LinkId> ref_order;
@@ -311,15 +312,16 @@ SelectionResult select_balanced_forest(const SelectionContext& ctx,
     ref_frac.resize(g.link_count());
     for (std::size_t l = 0; l < ref_frac.size(); ++l)
       ref_frac[l] = link_fraction(snap, static_cast<topo::LinkId>(l), opt);
-    ref_order.reserve(g.link_count());
-    for (std::size_t l = 0; l < g.link_count(); ++l)
-      if (!g.link_removed(static_cast<topo::LinkId>(l)))
-        ref_order.push_back(static_cast<topo::LinkId>(l));
-    std::stable_sort(ref_order.begin(), ref_order.end(),
-                     [&](topo::LinkId a, topo::LinkId b) {
-                       return ref_frac[static_cast<std::size_t>(a)] <
-                              ref_frac[static_cast<std::size_t>(b)];
-                     });
+    ref_order = ctx.links_by_bw();
+    const auto frac_of = [&](topo::LinkId l) {
+      return ref_frac[static_cast<std::size_t>(l)];
+    };
+    for (auto run = ref_order.begin(); run != ref_order.end();) {
+      auto end = run + 1;
+      while (end != ref_order.end() && frac_of(*end) == frac_of(*run)) ++end;
+      if (!std::is_sorted(run, end)) std::sort(run, end);
+      run = end;
+    }
   }
   const auto& order = by_reference ? ref_order : ctx.links_by_fraction(opt);
   const auto& frac = by_reference ? ref_frac : ctx.link_bwfactor();
@@ -351,33 +353,30 @@ SelectionResult select_balanced_forest(const SelectionContext& ctx,
 
   // Reverse replay: insert links back-to-front. Forward step i deletes the
   // link at order position i, and slots[i] records what that does: it
-  // splits the forest node event into its children, or, for a cycle link,
-  // leaves the membership of forest node f = ~event unchanged and moves its
-  // min_pos back to fallback. A live reverse component's min_pos is the
-  // minimum order position among its internal links: insertions run
-  // back-to-front over an ascending-fraction order, so the most recent
-  // internal insertion is both the position minimum and the fraction
-  // minimum, and forward deletion of a cycle link restores the minimum from
-  // before its insertion.
+  // splits a forest node into the two halves the slot names, or, for a
+  // cycle link, leaves the membership of forest node f = ~first unchanged
+  // and moves its min_pos back to second. A live reverse component's
+  // min_pos is the minimum order position among its internal links:
+  // insertions run back-to-front over an ascending-fraction order, so the
+  // most recent internal insertion is both the position minimum and the
+  // fraction minimum, and forward deletion of a cycle link restores the
+  // minimum from before its insertion.
   // A merge joins two components, so there are at most V - 1 of them.
   MergeForest forest{elig, cand, {}};
   forest.merges.reserve(std::min(V, steps));
   const auto mm = static_cast<std::size_t>(m);
-  // Shared storage for every ForestNode::top slice: the leaf slices 0..V-1
-  // first, then the merged ones. Slice sharing on lopsided merges keeps the
-  // tail near sum(min(m, subtree-eligible)) rather than m per forest node.
-  std::vector<topo::NodeId> top_pool;
-  top_pool.reserve(V + steps);
-  for (std::size_t i = 0; i < V; ++i)
-    top_pool.push_back(static_cast<topo::NodeId>(i));
+  // Slice sharing on lopsided merges keeps the pool near
+  // sum(min(m, subtree-eligible)) rather than m per forest node.
+  TopPool pool{V, {}};
+  pool.ids.reserve(steps);
   ForestUnionFind uf(V);
   for (std::size_t i = slots.size(); i-- > 0;) {
     Slot& slot = slots[i];
-    if (slot.event == kSkipped) continue;
+    if (slot.first == kSkipped) continue;
     // The slot still holds the link's endpoints; both branches below
     // overwrite it with the event.
-    const topo::NodeId ra = uf.find(slot.event);
-    const topo::NodeId rb = uf.find(slot.fallback);
+    const topo::NodeId ra = uf.find(slot.first);
+    const topo::NodeId rb = uf.find(slot.second);
     const auto pos = static_cast<std::int32_t>(i);
     if (ra == rb) {
       // Cycle link: membership unchanged; forward deletion raises the
@@ -391,33 +390,25 @@ SelectionResult select_balanced_forest(const SelectionContext& ctx,
       fn.min_pos = pos;
       continue;
     }
-    const int fa = uf.forest(ra);
-    const int fb = uf.forest(rb);
-    const ForestNode na = forest.node(fa);
-    const ForestNode nb = forest.node(fb);
+    // Each root is its component's smallest member, so lo's half is the
+    // one the literal loop numbers first.
+    const topo::NodeId lo = std::min(ra, rb);
+    const topo::NodeId hi = std::max(ra, rb);
+    const int flo = uf.forest(lo);
+    const int fhi = uf.forest(hi);
+    const ForestNode nlo = forest.node(flo);
+    const ForestNode nhi = forest.node(fhi);
     ForestNode fn;
-    fn.left = fa;
-    fn.right = fb;
-    fn.eligible = na.eligible + nb.eligible;
-    fn.min_id = std::min(na.min_id, nb.min_id);
+    fn.eligible = nlo.eligible + nhi.eligible;
     // Position i precedes every already-inserted internal link in the
     // ascending deletion order, so it is the new component's minimum.
     fn.min_pos = pos;
-    merge_top(cpu, top_pool, na, nb, mm, fn);
+    merge_top(cpu, pool, nlo, nhi, mm, fn);
     const int idx = static_cast<int>(forest.size());
     forest.merges.push_back(fn);
-    uf.unite(ra, rb, idx);
-    slot = {idx, kNoPos};
+    uf.unite(lo, hi, idx);
+    slot = {flo, fhi};
   }
-
-  // Initial components, one per union-find root, in the order
-  // connected_components numbers them (ascending smallest member id).
-  std::vector<int> roots;
-  for (topo::NodeId n = 0; static_cast<std::size_t>(n) < V; ++n)
-    if (uf.is_root(n)) roots.push_back(uf.forest(n));
-  std::sort(roots.begin(), roots.end(), [&](int a, int b) {
-    return forest.node(a).min_id < forest.node(b).min_id;
-  });
 
   SelectionResult result;
 
@@ -426,15 +417,20 @@ SelectionResult select_balanced_forest(const SelectionContext& ctx,
   Candidate best;
   auto improves = [&](int f) {
     const Candidate c =
-        evaluate_forest_node(cpu, deletion, opt, forest, top_pool, f);
+        evaluate_forest_node(cpu, deletion, opt, forest, pool, f);
     if (!(c.minresource > best.minresource)) return false;
     best = c;
     return true;
   };
 
-  // Forward sweep, step 0: evaluate every feasible initial component.
+  // Forward sweep, step 0: evaluate every feasible initial component, one
+  // per union-find root. A root is its component's smallest member, so the
+  // id-order scan meets them in the order connected_components numbers
+  // them.
   int feasible_live = 0;
-  for (int f : roots) {
+  for (topo::NodeId n = 0; static_cast<std::size_t>(n) < V; ++n) {
+    if (!uf.is_root(n)) continue;
+    const int f = uf.forest(n);
     if (forest.node(f).eligible < m) continue;
     ++feasible_live;
     improves(f);
@@ -445,30 +441,29 @@ SelectionResult select_balanced_forest(const SelectionContext& ctx,
   }
 
   // Each deletion i changes exactly one component — it either splits
-  // (evaluate the two newborn halves, in ascending-min-id order to match
-  // the literal loop's component-id order) or loses a cycle link
-  // (re-evaluate it with its raised min-fraction; membership and
-  // feasibility are unchanged). Only changed components can beat `best`
-  // (see header comment).
+  // (evaluate the two newborn halves, in the slot's order, which is the
+  // literal loop's component-id order) or loses a cycle link (re-evaluate
+  // it with its raised min-fraction; membership and feasibility are
+  // unchanged). Only changed components can beat `best` (see header
+  // comment).
   for (const Slot& slot : slots) {
-    if (slot.event == kSkipped) continue;
+    if (slot.first == kSkipped) continue;
     ++result.iterations;
     bool newsetflag = false;
-    if (const int d = slot.event; d >= 0) {
-      const ForestNode& split = forest.merge(d);
-      int a = split.left;
-      int b = split.right;
-      if (forest.node(a).min_id > forest.node(b).min_id) std::swap(a, b);
-      if (split.eligible >= m) --feasible_live;
-      for (int f : {a, b}) {
+    if (slot.first >= 0) {
+      const int halves[] = {slot.first, slot.second};
+      const int eligible =
+          forest.node(halves[0]).eligible + forest.node(halves[1]).eligible;
+      if (eligible >= m) --feasible_live;
+      for (int f : halves) {
         if (forest.node(f).eligible < m) continue;
         ++feasible_live;
         if (improves(f)) newsetflag = true;
       }
     } else {
-      ForestNode& fn = forest.merge(~d);
-      fn.min_pos = slot.fallback;
-      if (fn.eligible >= m && improves(~d)) newsetflag = true;
+      ForestNode& fn = forest.merge(~slot.first);
+      fn.min_pos = slot.second;
+      if (fn.eligible >= m && improves(~slot.first)) newsetflag = true;
     }
     if (opt.exhaustive_balanced ? feasible_live == 0 : !newsetflag) break;
   }
@@ -477,9 +472,9 @@ SelectionResult select_balanced_forest(const SelectionContext& ctx,
   // yields the set it held when it won; top_m_by_cpu returns its selection
   // ascending by id.
   const ForestNode win = forest.node(best.forest);
-  const auto lo = static_cast<std::ptrdiff_t>(win.top_off);
   result.feasible = true;
-  result.nodes.assign(top_pool.begin() + lo, top_pool.begin() + lo + win.top_len);
+  for (std::size_t k = 0; k < static_cast<std::size_t>(win.top_len); ++k)
+    result.nodes.push_back(pool.at(win, k));
   std::sort(result.nodes.begin(), result.nodes.end());
   result.min_cpu = best.mincpu;
   result.min_bw_fraction = best.minbw;

@@ -138,10 +138,13 @@ class SelectionContext {
   /// requirement.
   std::size_t first_link_at_or_above(double min_bw_bps) const;
 
-  /// Links sorted ascending by (link_fraction under opt, id): the Fig. 3
-  /// deletion sequence. With a reference link capacity the fraction is a
-  /// constant multiple of the absolute bandwidth, so the Fig. 2 order is
-  /// reused; otherwise the bwfactor order is cached separately.
+  /// Links sorted ascending by link_fraction under opt. Without a reference
+  /// link capacity this is the cached (bwfactor, id) order, the Fig. 3
+  /// deletion sequence. With one it is links_by_bw(): the fraction
+  /// bw / reference_bw is monotone in bw, so that order is ascending by
+  /// fraction, but where distinct bandwidths round to one fraction it keeps
+  /// them by bandwidth rather than by id, so it is not Fig. 3's
+  /// (fraction, id) sequence there (select_balanced re-sorts those runs).
   const std::vector<topo::LinkId>& links_by_fraction(
       const SelectionOptions& opt) const;
 

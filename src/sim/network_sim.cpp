@@ -13,10 +13,11 @@ NetworkSim::NetworkSim(topo::TopologyGraph topology, NetworkSimConfig cfg)
   for (std::size_t i = 0; i < topology_.node_count(); ++i) {
     auto id = static_cast<topo::NodeId>(i);
     const topo::Node& n = topology_.node(id);
-    if (n.kind != topo::NodeKind::Compute) continue;
+    if (n.kind() != topo::NodeKind::Compute) continue;
     HostConfig hc = cfg.host;
     hc.capacity = cfg.host.capacity * n.cpu_capacity;
-    hosts_[i] = std::make_unique<Host>(sim_, hc, n.name);
+    hosts_[i] =
+        std::make_unique<Host>(sim_, hc, std::string(topology_.node_name(id)));
   }
 }
 

@@ -55,7 +55,7 @@ std::vector<std::string> TraceRecorder::columns() const {
   std::vector<std::string> cols{"time"};
   if (cfg_.hosts) {
     for (topo::NodeId n : hosts_)
-      cols.push_back("load:" + net_.topology().node(n).name);
+      cols.push_back("load:" + std::string(net_.topology().node_name(n)));
   }
   if (cfg_.links) {
     for (std::size_t l = 0; l < net_.topology().link_count(); ++l) {

@@ -16,11 +16,11 @@ std::string to_dot(const TopologyGraph& g, const DotOptions& opt) {
   os << "  layout=neato; overlap=false; splines=true;\n";
   for (std::size_t i = 0; i < g.node_count(); ++i) {
     if (g.node_removed(static_cast<NodeId>(i))) continue;
-    const Node& n = g.node(static_cast<NodeId>(i));
-    bool hl = std::find(opt.highlight.begin(), opt.highlight.end(),
-                        static_cast<NodeId>(i)) != opt.highlight.end();
-    os << "  \"" << n.name << "\" [shape="
-       << (n.kind == NodeKind::Network ? "box" : "ellipse");
+    const auto id = static_cast<NodeId>(i);
+    bool hl = std::find(opt.highlight.begin(), opt.highlight.end(), id) !=
+              opt.highlight.end();
+    os << "  \"" << g.node_name(id) << "\" [shape="
+       << (g.node(id).kind() == NodeKind::Network ? "box" : "ellipse");
     if (hl) os << ", penwidth=3, style=bold";
     os << "];\n";
   }
@@ -33,7 +33,7 @@ std::string to_dot(const TopologyGraph& g, const DotOptions& opt) {
     } else {
       label = util::fmt_mbps(lk.capacity_min());
     }
-    os << "  \"" << g.node(lk.a).name << "\" -- \"" << g.node(lk.b).name
+    os << "  \"" << g.node_name(lk.a) << "\" -- \"" << g.node_name(lk.b)
        << "\" [label=\"" << label << "\"];\n";
   }
   os << "}\n";

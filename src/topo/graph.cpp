@@ -4,6 +4,7 @@
 #include <cctype>
 #include <cmath>
 #include <functional>
+#include <limits>
 #include <queue>
 #include <sstream>
 #include <stdexcept>
@@ -49,6 +50,7 @@ auto find_by_id(const Vec& v, std::int32_t id) {
 
 void TopologyGraph::reserve(std::size_t nodes, std::size_t links) {
   nodes_.reserve(nodes);
+  name_end_.reserve(nodes);
   links_.reserve(links);
   if (const std::size_t slots = name_table_size(nodes);
       slots > name_slots_.size())
@@ -59,7 +61,7 @@ std::size_t TopologyGraph::name_slot(std::string_view name) const {
   const std::size_t mask = name_slots_.size() - 1;
   for (std::size_t s = name_hash(name) & mask;; s = (s + 1) & mask) {
     const NodeId id = name_slots_[s];
-    if (id == kInvalidNode || nodes_[static_cast<std::size_t>(id)].name == name)
+    if (id == kInvalidNode || name_of(static_cast<std::size_t>(id)) == name)
       return s;
   }
 }
@@ -69,39 +71,42 @@ void TopologyGraph::rehash_names(std::size_t slots) {
   const std::size_t mask = slots - 1;
   for (std::size_t i = 0; i < nodes_.size(); ++i) {
     if (node_removed(static_cast<NodeId>(i))) continue;
-    std::size_t s = name_hash(nodes_[i].name) & mask;
+    std::size_t s = name_hash(name_of(i)) & mask;
     while (name_slots_[s] != kInvalidNode) s = (s + 1) & mask;
     name_slots_[s] = static_cast<NodeId>(i);
   }
 }
 
-NodeId TopologyGraph::add_node(Node n) {
-  if (n.name.empty()) throw std::invalid_argument("node name must be non-empty");
-  require_token(n.name, "node name");
+NodeId TopologyGraph::add_node(std::string_view name, Node n) {
+  if (name.empty()) throw std::invalid_argument("node name must be non-empty");
+  require_token(name, "node name");
+  if (name.size() >
+      std::numeric_limits<std::uint32_t>::max() - name_chars_.size())
+    throw std::length_error("node names exceed the 4 GiB name arena");
   if (2 * (name_count_ + 1) > name_slots_.size())
     rehash_names(name_table_size(name_count_ + 1));
-  const std::size_t s = name_slot(n.name);
+  const std::size_t s = name_slot(name);
   if (name_slots_[s] != kInvalidNode)
-    throw std::invalid_argument("duplicate node name: " + n.name);
+    throw std::invalid_argument("duplicate node name: " + std::string(name));
   auto id = static_cast<NodeId>(nodes_.size());
-  nodes_.push_back(std::move(n));
+  nodes_.push_back(n);
+  name_chars_.append(name);
+  name_end_.push_back(static_cast<std::uint32_t>(name_chars_.size()));
   if (csr_.built) csr_.start.push_back(csr_.start.back());
   name_slots_[s] = id;
   ++name_count_;
   return id;
 }
 
-NodeId TopologyGraph::add_compute(std::string name, double cpu_capacity,
+NodeId TopologyGraph::add_compute(std::string_view name, double cpu_capacity,
                                   std::vector<std::string> tags) {
   if (!std::isfinite(cpu_capacity) || cpu_capacity <= 0.0)
     throw std::invalid_argument("cpu_capacity must be finite and > 0 for " +
-                                name);
+                                std::string(name));
   for (const auto& t : tags) require_token(t, "tag", /*tag=*/true);
   Node n;
-  n.name = std::move(name);
-  n.kind = NodeKind::Compute;
   n.cpu_capacity = cpu_capacity;
-  const NodeId id = add_node(std::move(n));
+  const NodeId id = add_node(name, n);
   if (!tags.empty()) node_tags_.emplace_back(id, std::move(tags));
   return id;
 }
@@ -109,19 +114,17 @@ NodeId TopologyGraph::add_compute(std::string name, double cpu_capacity,
 void TopologyGraph::set_memory(NodeId n, double bytes) {
   if (n < 0 || static_cast<std::size_t>(n) >= nodes_.size())
     throw std::invalid_argument("set_memory: node out of range");
-  if (nodes_[static_cast<std::size_t>(n)].kind != NodeKind::Compute)
+  if (nodes_[static_cast<std::size_t>(n)].kind() != NodeKind::Compute)
     throw std::invalid_argument("set_memory: not a compute node");
   if (!std::isfinite(bytes) || bytes < 0.0)
     throw std::invalid_argument("set_memory: bytes must be finite and >= 0");
   nodes_[static_cast<std::size_t>(n)].memory_bytes = bytes;
 }
 
-NodeId TopologyGraph::add_network(std::string name) {
+NodeId TopologyGraph::add_network(std::string_view name) {
   Node n;
-  n.name = std::move(name);
-  n.kind = NodeKind::Network;
   n.cpu_capacity = 0.0;
-  return add_node(std::move(n));
+  return add_node(name, n);
 }
 
 LinkId TopologyGraph::add_link(NodeId a, NodeId b, double capacity_bps) {
@@ -197,12 +200,12 @@ void TopologyGraph::remove_node(NodeId n) {
   // cluster and move into the hole every entry whose probe path from its
   // home slot passes the hole, so no lookup meets a gap before its key.
   const std::size_t mask = name_slots_.size() - 1;
-  std::size_t hole = name_slot(nodes_[static_cast<std::size_t>(n)].name);
+  std::size_t hole = name_slot(name_of(static_cast<std::size_t>(n)));
   for (std::size_t s = (hole + 1) & mask; name_slots_[s] != kInvalidNode;
        s = (s + 1) & mask) {
     const NodeId id = name_slots_[s];
     const std::size_t home =
-        name_hash(nodes_[static_cast<std::size_t>(id)].name) & mask;
+        name_hash(name_of(static_cast<std::size_t>(id))) & mask;
     if (((s - hole) & mask) <= ((s - home) & mask)) {
       name_slots_[hole] = id;
       hole = s;
@@ -213,11 +216,20 @@ void TopologyGraph::remove_node(NodeId n) {
   node_removed_[static_cast<std::size_t>(n)] = 1;
 }
 
+std::string_view TopologyGraph::node_name(NodeId n) const {
+  if (n < 0 || static_cast<std::size_t>(n) >= nodes_.size())
+    throw std::out_of_range("node_name: node out of range");
+  return name_of(static_cast<std::size_t>(n));
+}
+
 std::string TopologyGraph::link_name(LinkId l) const {
   if (const std::string_view name = explicit_link_name(l); !name.empty())
     return std::string(name);
   const Link& lk = link(l);
-  return node(lk.a).name + "--" + node(lk.b).name;
+  std::string out(node_name(lk.a));
+  out += "--";
+  out += node_name(lk.b);
+  return out;
 }
 
 std::string_view TopologyGraph::explicit_link_name(LinkId l) const {
@@ -385,7 +397,7 @@ void TopologyGraph::validate() const {
     std::ostringstream os;
     os << "topology: graph is disconnected (" << reached << " of " << present
        << " nodes reachable from "
-       << nodes_[static_cast<std::size_t>(start)].name << ")";
+       << name_of(static_cast<std::size_t>(start)) << ")";
     throw std::invalid_argument(os.str());
   }
 }

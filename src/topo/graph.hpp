@@ -27,17 +27,20 @@ inline constexpr LinkId kInvalidLink = -1;
 enum class NodeKind : std::uint8_t { Compute, Network };
 
 struct Node {
-  std::string name;
-  NodeKind kind = NodeKind::Compute;
   /// Relative computation capacity; the reference node type is 1.0
-  /// (paper §3.3, "Heterogeneous links and nodes"). Ignored for network
-  /// nodes.
+  /// (paper §3.3, "Heterogeneous links and nodes"). Finite and > 0 for a
+  /// compute node, 0 for a network node, which is what kind() reads.
   double cpu_capacity = 1.0;
   /// Physical memory in bytes (paper §3.4 lists "memory and disk
   /// availability on the compute nodes" as future factors; the
   /// memory-aware extension consumes this). 0 means "not modelled".
   double memory_bytes = 0.0;
+  // Name: TopologyGraph::node_name(), which keeps every name in one arena.
   // Tags: TopologyGraph::tags(), which stores only non-empty lists.
+
+  NodeKind kind() const {
+    return cpu_capacity > 0.0 ? NodeKind::Compute : NodeKind::Network;
+  }
 };
 
 struct Link {
@@ -86,17 +89,19 @@ class TopologyGraph {
  public:
   /// Pre-size for `nodes` nodes and `links` links, so a builder that knows
   /// its counts (the topo/synthetic.hpp generators) adds them without
-  /// regrowing the node, link or name storage. Purely a capacity hint.
+  /// regrowing the node, link or name-index storage. Purely a capacity hint.
   void reserve(std::size_t nodes, std::size_t links);
 
-  /// Add a compute node. Names must be unique across the graph. Tags are
-  /// free-form attributes for placement constraints (e.g. "alpha", "gpu").
-  NodeId add_compute(std::string name, double cpu_capacity = 1.0,
+  /// Add a compute node. Names must be unique across the graph; an add that
+  /// would take the name arena past 4 GiB throws std::length_error before
+  /// any state change. Tags are free-form attributes for placement
+  /// constraints (e.g. "alpha", "gpu").
+  NodeId add_compute(std::string_view name, double cpu_capacity = 1.0,
                      std::vector<std::string> tags = {});
   /// Set a compute node's physical memory (bytes; §3.4 extension).
   void set_memory(NodeId n, double bytes);
-  /// Add a network (router/switch) node.
-  NodeId add_network(std::string name);
+  /// Add a network (router/switch) node; names as for add_compute.
+  NodeId add_network(std::string_view name);
   /// Add an undirected link with symmetric capacity (bits/second).
   LinkId add_link(NodeId a, NodeId b, double capacity_bps);
   /// Add a link with distinct per-direction capacities. An empty name
@@ -137,6 +142,10 @@ class TopologyGraph {
   const Node& node(NodeId id) const { return nodes_.at(static_cast<std::size_t>(id)); }
   const Link& link(LinkId id) const { return links_.at(static_cast<std::size_t>(id)); }
 
+  /// The node's name; a removed node keeps its own. Throws std::out_of_range
+  /// for an id outside [0, node_count()).
+  std::string_view node_name(NodeId n) const;
+
   /// The link's explicit name, or else "a--b" built from its endpoints'
   /// names in add_link order. Only explicit names are stored.
   std::string link_name(LinkId l) const;
@@ -169,7 +178,7 @@ class TopologyGraph {
   std::size_t compute_node_count() const;
 
   bool is_compute(NodeId n) const {
-    return node(n).kind == NodeKind::Compute && !node_removed(n);
+    return node(n).kind() == NodeKind::Compute && !node_removed(n);
   }
 
   /// Degree (number of incident links).
@@ -185,7 +194,12 @@ class TopologyGraph {
   bool is_acyclic() const;
 
  private:
-  NodeId add_node(Node n);
+  NodeId add_node(std::string_view name, Node n);
+  /// Node i's name, unchecked.
+  std::string_view name_of(std::size_t i) const {
+    const std::size_t begin = i == 0 ? 0 : name_end_[i - 1];
+    return {name_chars_.data() + begin, name_end_[i] - begin};
+  }
   /// The name_slots_ slot holding `name`'s id, or the empty slot where its
   /// probe sequence ends. Requires a non-empty table.
   std::size_t name_slot(std::string_view name) const;
@@ -218,6 +232,10 @@ class TopologyGraph {
 
   std::vector<Node> nodes_;
   std::vector<Link> links_;
+  /// Every node name, removed nodes' included, back to back in id order:
+  /// node i's name ends at name_end_[i] and starts where node i - 1's ends.
+  std::string name_chars_;
+  std::vector<std::uint32_t> name_end_;
   /// The explicit link names and the non-empty tag lists, sorted by id.
   /// Ids are only ever appended, so push_back keeps them sorted; most links
   /// and nodes of a generated fabric have neither.
@@ -229,8 +247,8 @@ class TopologyGraph {
   std::vector<char> link_removed_;
   std::vector<char> node_removed_;
   /// name -> id for the present nodes: an open-addressed, linear-probing
-  /// table of node ids keyed by a hash of nodes_[id].name. Each name is
-  /// stored once (in its Node) and an entry allocates nothing, which is
+  /// table of node ids keyed by a hash of the node's name. Each name is
+  /// stored once (in name_chars_) and an entry allocates nothing, which is
   /// what keeps building a 1M-node graph cheap. Power-of-two size, at most
   /// half full; kInvalidNode marks an empty slot. remove_node
   /// backward-shifts the probe cluster instead of leaving tombstones.

@@ -271,10 +271,11 @@ std::string format_topology(const TopologyGraph& g) {
   for (std::size_t i = 0; i < g.node_count(); ++i) {
     if (g.node_removed(static_cast<NodeId>(i))) continue;
     const Node& n = g.node(static_cast<NodeId>(i));
-    if (n.kind == NodeKind::Network) {
-      os << "node " << n.name << " router\n";
+    const std::string_view name = g.node_name(static_cast<NodeId>(i));
+    if (n.kind() == NodeKind::Network) {
+      os << "node " << name << " router\n";
     } else {
-      os << "node " << n.name << " compute capacity=" << n.cpu_capacity;
+      os << "node " << name << " compute capacity=" << n.cpu_capacity;
       if (n.memory_bytes > 0.0) os << " memory=" << n.memory_bytes << "B";
       const auto tags = g.tags(static_cast<NodeId>(i));
       for (std::size_t t = 0; t < tags.size(); ++t)
@@ -285,7 +286,7 @@ std::string format_topology(const TopologyGraph& g) {
   for (std::size_t l = 0; l < g.link_count(); ++l) {
     if (g.link_removed(static_cast<LinkId>(l))) continue;
     const Link& lk = g.link(static_cast<LinkId>(l));
-    os << "link " << g.node(lk.a).name << " " << g.node(lk.b).name << " "
+    os << "link " << g.node_name(lk.a) << " " << g.node_name(lk.b) << " "
        << lk.capacity_ab / 1e6 << "Mbps";
     if (lk.capacity_ba != lk.capacity_ab)
       os << "/" << lk.capacity_ba / 1e6 << "Mbps";

@@ -63,14 +63,15 @@ LogicalSubgraph extract_subgraph(const TopologyGraph& parent,
   for (std::size_t i = 0; i < parent.node_count(); ++i) {
     if (!node_in[i]) continue;
     const Node& n = parent.node(static_cast<NodeId>(i));
+    const std::string_view name = parent.node_name(static_cast<NodeId>(i));
     NodeId id;
-    if (n.kind == NodeKind::Compute) {
+    if (n.kind() == NodeKind::Compute) {
       const auto tags = parent.tags(static_cast<NodeId>(i));
-      id = sub.graph.add_compute(n.name, n.cpu_capacity,
+      id = sub.graph.add_compute(name, n.cpu_capacity,
                                  {tags.begin(), tags.end()});
       if (n.memory_bytes > 0.0) sub.graph.set_memory(id, n.memory_bytes);
     } else {
-      id = sub.graph.add_network(n.name);
+      id = sub.graph.add_network(name);
     }
     sub.sub_of_parent_[i] = id;
     sub.parent_node.push_back(static_cast<NodeId>(i));

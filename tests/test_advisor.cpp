@@ -258,7 +258,7 @@ TEST(PlaceWithModel, OvercomesSimultaneousStreamsBlindSpot) {
   auto choice = api::place_with_model(cfg, fx.snap);
   ASSERT_TRUE(choice.feasible);
   for (auto n : choice.nodes)
-    EXPECT_EQ(fx.g.node(n).name[0], 'a')
+    EXPECT_EQ(fx.g.node_name(n)[0], 'a')
         << "must cluster under swA (winner came from '" << choice.source
         << "')";
   // The pairwise-availability metric picks the spread idle set instead.
@@ -268,7 +268,7 @@ TEST(PlaceWithModel, OvercomesSimultaneousStreamsBlindSpot) {
   ASSERT_TRUE(balanced.feasible);
   bool spread = false;
   for (auto n : balanced.nodes)
-    if (fx.g.node(n).name[0] != 'a') spread = true;
+    if (fx.g.node_name(n)[0] != 'a') spread = true;
   EXPECT_TRUE(spread) << "availability metric should be misled here";
   // And the model's ranking is confirmed by simulation (idle-network
   // comparison isolates the self-contention effect).
@@ -285,7 +285,7 @@ TEST(PlaceWithModel, FallsBackToSpreadWhenCommIsLight) {
   auto choice = api::place_with_model(cfg, fx.snap);
   ASSERT_TRUE(choice.feasible);
   for (auto n : choice.nodes)
-    EXPECT_NE(fx.g.node(n).name[0], 'a') << "idle spread nodes must win";
+    EXPECT_NE(fx.g.node_name(n)[0], 'a') << "idle spread nodes must win";
   EXPECT_LT(choice.predicted_seconds, 15.0);
 }
 

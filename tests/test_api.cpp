@@ -66,7 +66,7 @@ TEST_F(ApiFixture, AvoidsLoadedNodes) {
   ASSERT_TRUE(placement.feasible);
   for (auto n : placement.flat()) {
     for (int i = 1; i <= 4; ++i)
-      EXPECT_NE(net.topology().node(n).name, "m-" + std::to_string(i));
+      EXPECT_NE(net.topology().node_name(n), "m-" + std::to_string(i));
   }
 }
 
@@ -103,10 +103,10 @@ TEST_F(ApiFixture, PinnedHostGroup) {
   auto placement = svc.place(spec);
   ASSERT_TRUE(placement.feasible);
   ASSERT_EQ(placement.group_nodes[0].size(), 1u);
-  EXPECT_EQ(net.topology().node(placement.group_nodes[0][0]).name, "m-9");
+  EXPECT_EQ(net.topology().node_name(placement.group_nodes[0][0]), "m-9");
   // The clients must not reuse the server node.
   for (auto n : placement.group_nodes[1])
-    EXPECT_NE(net.topology().node(n).name, "m-9");
+    EXPECT_NE(net.topology().node_name(n), "m-9");
 }
 
 TEST_F(ApiFixture, GroupsDoNotOverlap) {
@@ -129,7 +129,7 @@ TEST_F(ApiFixture, HigherPriorityGroupPlacedFirst) {
   // Load every node except m-5 lightly; the high-priority group should get
   // the best node even though it is declared second.
   for (auto n : net.topology().compute_nodes()) {
-    if (net.topology().node(n).name != "m-5")
+    if (net.topology().node_name(n) != "m-5")
       net.host(n).submit(1e9, sim::kBackgroundOwner);
   }
   net.sim().run_until(600.0);
@@ -142,7 +142,7 @@ TEST_F(ApiFixture, HigherPriorityGroupPlacedFirst) {
   opt.criterion = select::Criterion::MaxCompute;
   auto placement = svc.place(spec, opt);
   ASSERT_TRUE(placement.feasible);
-  EXPECT_EQ(net.topology().node(placement.group_nodes[1][0]).name, "m-5");
+  EXPECT_EQ(net.topology().node_name(placement.group_nodes[1][0]), "m-5");
 }
 
 TEST_F(ApiFixture, CriterionOverrideAndConvenienceSelect) {
@@ -181,7 +181,7 @@ TEST_F(ApiFixture, PlacementCarriesExplainDataAndReportRendersIt) {
   EXPECT_NE(report.find("[binding]"), std::string::npos);
   EXPECT_NE(report.find(placement.degradation_reason), std::string::npos);
   for (auto n : placement.group_nodes[0]) {
-    EXPECT_NE(report.find(remos.topology().node(n).name), std::string::npos)
+    EXPECT_NE(report.find(remos.topology().node_name(n)), std::string::npos)
         << report;
   }
 }

@@ -211,14 +211,20 @@ TEST(BnbBudget, DegradedRunsReturnSoundBounds) {
                                    " warm=" + std::to_string(warm);
           // The incumbent never exceeds the certified bound, and the true
           // optimum never does either — that is what makes it a bound.
-          if (r.feasible) EXPECT_LE(r.objective, r.upper_bound) << what;
+          if (r.feasible) {
+            EXPECT_LE(r.objective, r.upper_bound) << what;
+          }
           if (bf.feasible) {
             EXPECT_LE(bf.objective, r.upper_bound) << what;
-            if (r.feasible) EXPECT_LE(r.objective, bf.objective) << what;
+            if (r.feasible) {
+              EXPECT_LE(r.objective, bf.objective) << what;
+            }
           }
           if (r.certified) {
             ASSERT_EQ(r.feasible, bf.feasible) << what;
-            if (r.feasible) EXPECT_EQ(r.nodes, bf.nodes) << what;
+            if (r.feasible) {
+              EXPECT_EQ(r.nodes, bf.nodes) << what;
+            }
           } else {
             EXPECT_NE(r.stop, BnbStop::Proven) << what;
           }
@@ -232,7 +238,9 @@ TEST(BnbBudget, DegradedRunsReturnSoundBounds) {
       const auto r = branch_and_bound_select(ctx, v, c);
       if (bf.feasible) {
         EXPECT_LE(bf.objective, r.upper_bound) << inst.what;
-        if (r.feasible) EXPECT_LE(r.objective, bf.objective) << inst.what;
+        if (r.feasible) {
+          EXPECT_LE(r.objective, bf.objective) << inst.what;
+        }
       }
     }
   }
@@ -249,8 +257,9 @@ TEST(BnbBudget, GapToleranceCertifiesTheStatedGap) {
     const auto r = branch_and_bound_select(ctx, opt, c);
     ASSERT_TRUE(r.feasible);
     EXPECT_LE(r.objective, r.upper_bound);
-    if (r.stop == BnbStop::GapReached)
+    if (r.stop == BnbStop::GapReached) {
       EXPECT_GE(r.objective, (1.0 - opt.exact.gap_tolerance) * r.upper_bound);
+    }
   }
 }
 
@@ -374,9 +383,10 @@ TEST(BnbEdges, SelectNodesRoutesExactModeFirstClass) {
     SelectionOptions greedy = opt;
     greedy.exact.enabled = false;
     const auto g = select_nodes(c, ctx, greedy);
-    if (g.feasible && bf.feasible)
+    if (g.feasible && bf.feasible) {
       EXPECT_LE(exact_set_value(ctx, opt, c, g.nodes), bf.objective)
           << criterion_name(c);
+    }
   }
 }
 

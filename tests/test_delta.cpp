@@ -434,11 +434,12 @@ void expect_links_match_scan(const topo::TopologyGraph& g,
 topo::TopologyGraph unread_copy(const topo::TopologyGraph& src) {
   topo::TopologyGraph g;
   for (std::size_t n = 0; n < src.node_count(); ++n) {
-    const topo::Node& node = src.node(static_cast<topo::NodeId>(n));
-    if (node.kind == topo::NodeKind::Compute)
-      g.add_compute(node.name, node.cpu_capacity);
+    const auto id = static_cast<topo::NodeId>(n);
+    const topo::Node& node = src.node(id);
+    if (node.kind() == topo::NodeKind::Compute)
+      g.add_compute(src.node_name(id), node.cpu_capacity);
     else
-      g.add_network(node.name);
+      g.add_network(src.node_name(id));
   }
   for (const topo::Link& l : src.links())
     g.add_link(l.a, l.b, l.capacity_ab, l.capacity_ba);

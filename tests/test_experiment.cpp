@@ -143,7 +143,7 @@ TEST(Experiment, WarmupAffectsWhatSelectionSees) {
   EXPECT_EQ(blind.nodes.size(), 4u);
   EXPECT_EQ(sighted.nodes.size(), 4u);
   topo::TopologyGraph g = topo::testbed();
-  EXPECT_EQ(g.node(blind.nodes[0]).name, "m-1")
+  EXPECT_EQ(g.node_name(blind.nodes[0]), "m-1")
       << "no history -> all cpus look equal -> lowest ids win";
 }
 

@@ -31,10 +31,16 @@ TEST(Graph, BasicAccessors) {
   EXPECT_EQ(g.node_count(), 3u);
   EXPECT_EQ(g.link_count(), 2u);
   EXPECT_EQ(g.compute_node_count(), 2u);
-  EXPECT_EQ(g.node(0).kind, NodeKind::Network);
+  EXPECT_EQ(g.node(0).kind(), NodeKind::Network);
+  EXPECT_EQ(g.node(1).kind(), NodeKind::Compute);
   EXPECT_TRUE(g.is_compute(1));
   EXPECT_FALSE(g.is_compute(0));
   EXPECT_EQ(g.node(2).cpu_capacity, 2.0);
+  EXPECT_EQ(g.node_name(0), "sw");
+  EXPECT_EQ(g.node_name(2), "b");
+  EXPECT_THROW(g.node_name(-1), std::out_of_range);
+  EXPECT_THROW(g.node_name(static_cast<NodeId>(g.node_count())),
+               std::out_of_range);
   EXPECT_TRUE(g.has_tag(2, "alpha"));
   EXPECT_FALSE(g.has_tag(1, "alpha"));
   ASSERT_EQ(g.tags(2).size(), 1u);
@@ -42,6 +48,12 @@ TEST(Graph, BasicAccessors) {
   EXPECT_TRUE(g.tags(1).empty());
   EXPECT_TRUE(g.tags(0).empty());
   EXPECT_THROW(g.tags(3), std::out_of_range);
+  // kind() reads any capacity above 0 as a compute node.
+  const NodeId tiny_cpu =
+      g.add_compute("tiny", std::numeric_limits<double>::denorm_min());
+  EXPECT_EQ(g.node(tiny_cpu).kind(), NodeKind::Compute);
+  EXPECT_TRUE(g.is_compute(tiny_cpu));
+  EXPECT_EQ(g.node_name(tiny_cpu), "tiny");
 }
 
 TEST(Graph, FindNodeByName) {
@@ -88,9 +100,10 @@ TEST(Graph, LinkCapacities) {
 }
 
 TEST(Graph, RecordLayout) {
-  // Names and tags live in id-sorted side vectors, not in every record.
+  // Node names live in one arena, link names and tags in id-sorted side
+  // vectors, not in every record; a node's kind is read off its capacity.
   static_assert(sizeof(Link) == 32);
-  static_assert(sizeof(Node) == sizeof(std::string) + 24);
+  static_assert(sizeof(Node) == 16);
 }
 
 TEST(Graph, SideVectorsFollowIdsThroughRemovals) {
@@ -263,7 +276,7 @@ TEST(GraphNameIndex, RemovedNameIsReusable) {
   g.remove_node(a);
   EXPECT_FALSE(g.find_node("a").has_value());
   // The removed record stays readable under its old id.
-  EXPECT_EQ(g.node(a).name, "a");
+  EXPECT_EQ(g.node_name(a), "a");
   EXPECT_TRUE(g.node_removed(a));
   const NodeId again = g.add_compute("a", 3.0);
   EXPECT_NE(again, a);
@@ -304,6 +317,7 @@ TEST(GraphNameIndex, SeededChurnMatchesReferenceMap) {
   util::Rng rng(20260517);
   TopologyGraph g;
   std::unordered_map<std::string, NodeId> ref;
+  std::vector<std::string> names;  // by id, removed nodes' included
   std::vector<std::string> pool;
   for (int i = 0; i < 2000; ++i)
     pool.push_back((i % 3 == 0 ? "host-" : i % 3 == 1 ? "sw" : "p7-e") +
@@ -323,6 +337,7 @@ TEST(GraphNameIndex, SeededChurnMatchesReferenceMap) {
         const NodeId id = g.add_network(name);
         EXPECT_EQ(static_cast<std::size_t>(id) + 1, g.node_count());
         ref.emplace(name, id);
+        names.push_back(name);
       }
     } else if (kind < 8) {
       if (it != ref.end()) {
@@ -337,6 +352,13 @@ TEST(GraphNameIndex, SeededChurnMatchesReferenceMap) {
         EXPECT_EQ(found, std::optional<NodeId>(it->second)) << name;
       }
     }
+    ASSERT_EQ(g.node_count(), names.size());
+    std::size_t wrong = 0;  // the first id whose name differs
+    while (wrong < names.size() &&
+           g.node_name(static_cast<NodeId>(wrong)) == names[wrong])
+      ++wrong;
+    ASSERT_EQ(wrong, names.size()) << "name of id " << wrong << " after op "
+                                   << op;
     if (op % 1000 == 999) {
       for (const auto& n : pool) {
         const auto r = ref.find(n);
@@ -356,10 +378,21 @@ TEST(GraphNameIndex, CopiedGraphLooksUpTheSame) {
   for (int i = 0; i < 300; i += 3) g.remove_node(i);
   const NodeId readded = g.add_network("n0");
   TopologyGraph copy = g;
-  for (int i = 0; i < 300; ++i) {
-    const std::string name = node_name(i);
-    EXPECT_EQ(copy.find_node(name), g.find_node(name)) << name;
+  // Moved into a graph that already holds other names.
+  TopologyGraph moved = tiny();
+  moved = TopologyGraph(g);
+  for (const TopologyGraph* other : {&copy, &moved}) {
+    ASSERT_EQ(other->node_count(), g.node_count());
+    for (std::size_t id = 0; id < g.node_count(); ++id)
+      EXPECT_EQ(other->node_name(static_cast<NodeId>(id)),
+                g.node_name(static_cast<NodeId>(id)))
+          << id;
+    for (int i = 0; i < 300; ++i) {
+      const std::string name = node_name(i);
+      EXPECT_EQ(other->find_node(name), g.find_node(name)) << name;
+    }
   }
+  EXPECT_FALSE(moved.find_node("sw").has_value());
   EXPECT_EQ(copy.find_node("n0"), std::optional<NodeId>(readded));
   // The copy's index is its own: mutating one leaves the other intact.
   copy.remove_node(readded);

@@ -74,9 +74,9 @@ TEST(Integration, SubgraphSelectionAgreesWithFullGraph) {
   auto on_sub = select::select_balanced(sub_snap, sub_opt);
   ASSERT_TRUE(on_sub.feasible);
 
-  std::vector<std::string> full_names, sub_names;
-  for (auto n : full.nodes) full_names.push_back(net.topology().node(n).name);
-  for (auto n : on_sub.nodes) sub_names.push_back(sub.graph.node(n).name);
+  std::vector<std::string_view> full_names, sub_names;
+  for (auto n : full.nodes) full_names.push_back(net.topology().node_name(n));
+  for (auto n : on_sub.nodes) sub_names.push_back(sub.graph.node_name(n));
   EXPECT_EQ(full_names, sub_names);
 }
 

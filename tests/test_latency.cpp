@@ -149,12 +149,14 @@ TEST_P(MinLatencyQuality, NearOptimalOnRandomTrees) {
   // (random_tree has none; rebuild an equivalent graph with latencies.)
   topo::TopologyGraph lg;
   for (std::size_t i = 0; i < g.node_count(); ++i) {
-    const auto& n = g.node(static_cast<topo::NodeId>(i));
-    if (n.kind == topo::NodeKind::Compute) {
-      const auto tags = g.tags(static_cast<topo::NodeId>(i));
-      lg.add_compute(n.name, n.cpu_capacity, {tags.begin(), tags.end()});
+    const auto id = static_cast<topo::NodeId>(i);
+    const auto& n = g.node(id);
+    if (n.kind() == topo::NodeKind::Compute) {
+      const auto tags = g.tags(id);
+      lg.add_compute(g.node_name(id), n.cpu_capacity,
+                     {tags.begin(), tags.end()});
     } else {
-      lg.add_network(n.name);
+      lg.add_network(g.node_name(id));
     }
   }
   for (std::size_t l = 0; l < g.link_count(); ++l) {

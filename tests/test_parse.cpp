@@ -149,8 +149,8 @@ TEST(ParseTopology, RoundTripsThroughFormat) {
   ASSERT_EQ(g1.link_count(), g2.link_count());
   for (std::size_t i = 0; i < g1.node_count(); ++i) {
     auto id = static_cast<NodeId>(i);
-    EXPECT_EQ(g1.node(id).name, g2.node(id).name);
-    EXPECT_EQ(g1.node(id).kind, g2.node(id).kind);
+    EXPECT_EQ(g1.node_name(id), g2.node_name(id));
+    EXPECT_EQ(g1.node(id).kind(), g2.node(id).kind());
     EXPECT_DOUBLE_EQ(g1.node(id).cpu_capacity, g2.node(id).cpu_capacity);
     EXPECT_TRUE(std::ranges::equal(g1.tags(id), g2.tags(id)));
   }

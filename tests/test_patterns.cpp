@@ -46,7 +46,7 @@ TEST(ClientServer, ServerGetsMaxCompute) {
   auto r = select_client_server(snap, opt);
   ASSERT_TRUE(r.feasible);
   ASSERT_EQ(r.servers.size(), 1u);
-  EXPECT_EQ(g.node(r.servers[0]).name, "m-1");  // least loaded
+  EXPECT_EQ(g.node_name(r.servers[0]), "m-1");  // least loaded
   EXPECT_EQ(r.clients.size(), 3u);
   // Clients and servers never overlap.
   for (auto c : r.clients) EXPECT_NE(c, r.servers[0]);
@@ -68,7 +68,7 @@ TEST(ClientServer, ClientsAvoidCongestedDownlinks) {
   ASSERT_TRUE(r.feasible);
   for (auto c : r.clients) {
     for (const char* name : {"m-2", "m-3", "m-4"})
-      EXPECT_NE(g.node(c).name, name);
+      EXPECT_NE(g.node_name(c), name);
   }
 }
 
@@ -79,7 +79,7 @@ TEST(ClientServer, UpstreamCongestionDoesNotMatter) {
   remos::NetworkSnapshot snap(g);
   for (auto n : g.compute_nodes()) {
     // Make m-5 clearly the best client by cpu except for its upstream.
-    snap.set_loadavg(n, g.node(n).name == "m-5" ? 0.0 : 0.5);
+    snap.set_loadavg(n, g.node_name(n) == "m-5" ? 0.0 : 0.5);
   }
   auto m5 = g.find_node("m-5").value();
   snap.set_bw_dir(g.links_of(m5)[0], false, 1e3);  // host->router direction
@@ -140,7 +140,7 @@ TEST(ServiceClientServer, PatternRoutesToDirectionalSelection) {
   // Load a specific node so the server choice is deterministic: everything
   // except m-7 is lightly loaded.
   for (auto n : net.topology().compute_nodes()) {
-    if (net.topology().node(n).name != "m-7")
+    if (net.topology().node_name(n) != "m-7")
       net.host(n).submit(1e9, sim::kBackgroundOwner);
   }
   net.sim().run_until(600.0);
@@ -162,7 +162,7 @@ TEST(ServiceClientServer, PatternRoutesToDirectionalSelection) {
   auto placement = svc.place(spec);
   ASSERT_TRUE(placement.feasible);
   ASSERT_EQ(placement.group_nodes[0].size(), 1u);
-  EXPECT_EQ(net.topology().node(placement.group_nodes[0][0]).name, "m-7");
+  EXPECT_EQ(net.topology().node_name(placement.group_nodes[0][0]), "m-7");
   EXPECT_EQ(placement.group_nodes[1].size(), 4u);
 }
 

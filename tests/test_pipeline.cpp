@@ -132,8 +132,8 @@ TEST(PipelineSelect, AvoidsCongestedInterStageLink) {
   auto r = select::select_pipeline(snap, opt);
   ASSERT_TRUE(r.feasible);
   // Both stages on the same side of the dumbbell.
-  char side0 = g.node(r.stage_nodes[0]).name[0];
-  char side1 = g.node(r.stage_nodes[1]).name[0];
+  char side0 = g.node_name(r.stage_nodes[0])[0];
+  char side1 = g.node_name(r.stage_nodes[1])[0];
   EXPECT_EQ(side0, side1);
   EXPECT_NEAR(r.predicted_period, 1.0, 1e-9);
 }

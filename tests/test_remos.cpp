@@ -434,9 +434,9 @@ TEST_F(RemosFixture, RefreshSkipsNonFiniteForecasts) {
   EXPECT_EQ(snap.cpu(m1), cpu_before);
   EXPECT_EQ(snap.bw_dir(bad_link, true), bw_before);
   for (const topo::NodeId n : g.compute_nodes()) {
-    EXPECT_EQ(snap.free_memory(n), kUsed) << g.node(n).name;
+    EXPECT_EQ(snap.free_memory(n), kUsed) << g.node_name(n);
     if (n != m1) {
-      EXPECT_EQ(snap.cpu(n), 1.0 / (1.0 + kUsed)) << g.node(n).name;
+      EXPECT_EQ(snap.cpu(n), 1.0 / (1.0 + kUsed)) << g.node_name(n);
     }
   }
   for (std::size_t i = 0; i < g.link_count(); ++i) {

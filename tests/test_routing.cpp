@@ -26,7 +26,7 @@ TEST(Routing, StarRoutesThroughHub) {
   auto nodes = rt.route_nodes(h0, h3);
   ASSERT_EQ(nodes.size(), 3u);
   EXPECT_EQ(nodes[0], h0);
-  EXPECT_EQ(g.node(nodes[1]).kind, NodeKind::Network);
+  EXPECT_EQ(g.node(nodes[1]).kind(), NodeKind::Network);
   EXPECT_EQ(nodes[2], h3);
   EXPECT_EQ(rt.hops(h0, h3), 2u);
 }
@@ -39,9 +39,9 @@ TEST(Routing, TestbedCrossRouterPath) {
   auto nodes = rt.route_nodes(m1, m13);
   // m-1 -> panama -> gibraltar -> suez -> m-13
   ASSERT_EQ(nodes.size(), 5u);
-  EXPECT_EQ(g.node(nodes[1]).name, "panama");
-  EXPECT_EQ(g.node(nodes[2]).name, "gibraltar");
-  EXPECT_EQ(g.node(nodes[3]).name, "suez");
+  EXPECT_EQ(g.node_name(nodes[1]), "panama");
+  EXPECT_EQ(g.node_name(nodes[2]), "gibraltar");
+  EXPECT_EQ(g.node_name(nodes[3]), "suez");
   EXPECT_EQ(rt.hops(m1, m13), 4u);
 }
 

@@ -47,11 +47,11 @@ TEST(Balanced, TradesCpuForBandwidthWhenLinksCongested) {
   // Balanced objective: clean pair gives min(0.6, 1.0) = 0.6;
   // idle-but-congested pair gives min(1.0, 0.1) = 0.1.
   for (auto n : bal.nodes)
-    EXPECT_GE(g.node(n).name[1], '2') << "must avoid congested h0/h1";
+    EXPECT_GE(g.node_name(n)[1], '2') << "must avoid congested h0/h1";
   EXPECT_NEAR(bal.objective, 0.6, 1e-12);
   // Max-compute would have picked h0/h1.
   auto cpu = select_max_compute(snap, opt);
-  EXPECT_EQ(g.node(cpu.nodes[0]).name, "h0");
+  EXPECT_EQ(g.node_name(cpu.nodes[0]), "h0");
 }
 
 TEST(Balanced, PaperRuleStallsOnPlateauExhaustiveDoesNot) {
@@ -73,7 +73,7 @@ TEST(Balanced, PaperRuleStallsOnPlateauExhaustiveDoesNot) {
   auto full = select_balanced(snap, opt);
   ASSERT_TRUE(full.feasible);
   EXPECT_NEAR(full.objective, 0.6, 1e-12);
-  for (auto n : full.nodes) EXPECT_GE(g.node(n).name[1], '2');
+  for (auto n : full.nodes) EXPECT_GE(g.node_name(n)[1], '2');
 }
 
 TEST(Balanced, ObjectiveNeverBelowMaxComputeStart) {

@@ -31,8 +31,8 @@ TEST(MaxBandwidth, AvoidsCongestedSubtree) {
   auto r = select_max_bandwidth(snap, opt);
   ASSERT_TRUE(r.feasible);
   for (auto n : r.nodes) {
-    EXPECT_NE(g.node(n).name, "m-16");
-    EXPECT_NE(g.node(n).name, "m-18");
+    EXPECT_NE(g.node_name(n), "m-16");
+    EXPECT_NE(g.node_name(n), "m-18");
   }
   EXPECT_GE(r.objective, 100e6 * 0.999);
 }

@@ -29,10 +29,10 @@ TEST(MaxCompute, PicksLeastLoadedNodes) {
   ASSERT_TRUE(r.feasible);
   ASSERT_EQ(r.nodes.size(), 4u);
   const auto& g = snap.graph();
-  EXPECT_EQ(g.node(r.nodes[0]).name, "m-1");
-  EXPECT_EQ(g.node(r.nodes[1]).name, "m-2");
-  EXPECT_EQ(g.node(r.nodes[2]).name, "m-3");
-  EXPECT_EQ(g.node(r.nodes[3]).name, "m-4");
+  EXPECT_EQ(g.node_name(r.nodes[0]), "m-1");
+  EXPECT_EQ(g.node_name(r.nodes[1]), "m-2");
+  EXPECT_EQ(g.node_name(r.nodes[2]), "m-3");
+  EXPECT_EQ(g.node_name(r.nodes[3]), "m-4");
   EXPECT_NEAR(r.min_cpu, 1.0 / 1.3, 1e-12);  // the m-4 cpu value
   EXPECT_DOUBLE_EQ(r.objective, r.min_cpu);
 }
@@ -87,14 +87,14 @@ TEST(MaxCompute, RespectsMinBwConstraintComponent) {
   snap.set_bw(0, 5e6);  // bottleneck nearly full
   // Left nodes loaded, right nodes idle.
   for (auto n : g.compute_nodes()) {
-    if (g.node(n).name[0] == 'L') snap.set_loadavg(n, 1.0);
+    if (g.node_name(n)[0] == 'L') snap.set_loadavg(n, 1.0);
   }
   SelectionOptions opt;
   opt.num_nodes = 3;
   opt.min_bw_bps = 50e6;
   auto r = select_max_compute(snap, opt);
   ASSERT_TRUE(r.feasible);
-  for (auto n : r.nodes) EXPECT_EQ(g.node(n).name[0], 'R');
+  for (auto n : r.nodes) EXPECT_EQ(g.node_name(n)[0], 'R');
   // Asking for 4 nodes under the same constraint is infeasible.
   opt.num_nodes = 4;
   EXPECT_FALSE(select_max_compute(snap, opt).feasible);
@@ -112,8 +112,8 @@ TEST(MaxCompute, HonoursEligibilityMask) {
   opt.eligible[static_cast<std::size_t>(g.find_node("m-18").value())] = 1;
   auto r = select_max_compute(snap, opt);
   ASSERT_TRUE(r.feasible);
-  EXPECT_EQ(g.node(r.nodes[0]).name, "m-16");
-  EXPECT_EQ(g.node(r.nodes[1]).name, "m-17");
+  EXPECT_EQ(g.node_name(r.nodes[0]), "m-16");
+  EXPECT_EQ(g.node_name(r.nodes[1]), "m-17");
 }
 
 TEST(MaxCompute, OptionValidation) {
@@ -215,9 +215,9 @@ TEST(Baselines, StaticPicksFirstM) {
   auto r = select_static(snap, opt);
   ASSERT_TRUE(r.feasible);
   const auto& g = snap.graph();
-  EXPECT_EQ(g.node(r.nodes[0]).name, "m-1");
-  EXPECT_EQ(g.node(r.nodes[1]).name, "m-2");
-  EXPECT_EQ(g.node(r.nodes[2]).name, "m-3");
+  EXPECT_EQ(g.node_name(r.nodes[0]), "m-1");
+  EXPECT_EQ(g.node_name(r.nodes[1]), "m-2");
+  EXPECT_EQ(g.node_name(r.nodes[2]), "m-3");
 }
 
 TEST(Baselines, InfeasibleWhenPoolTooSmall) {

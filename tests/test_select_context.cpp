@@ -11,6 +11,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <limits>
 #include <memory>
 #include <string>
 #include <vector>
@@ -483,6 +484,66 @@ TEST(DatacenterGolden, CampusWanBalancedMatchesReferenceLoop) {
 TEST(DatacenterGolden, RandomCoreEdgeBalancedMatchesReferenceLoop) {
   expect_balanced_matches_reference(Family::CoreEdge, "random_core_edge",
                                     /*min_bw_filter=*/true);
+}
+
+TEST(GoldenEquivalence, BalancedBreaksRoundedReferenceTiesById) {
+  // Two links whose distinct bandwidths round to one bw / reference_bw, the
+  // faster with the lower id: Fig. 2's (bw, id) order deletes it second,
+  // Fig. 3's (fraction, id) order first. Deleted first, it cuts off switch
+  // t with hosts t0 and t1, which beats the whole graph; deleting the
+  // slower link first only isolates host u, and the paper-exact sweep
+  // stops there.
+  constexpr double kInf = std::numeric_limits<double>::infinity();
+  const double slow = std::nextafter(std::nextafter(30e6, kInf), kInf);
+  const double fast = std::nextafter(slow, kInf);
+  ASSERT_LT(slow, fast);
+  ASSERT_EQ(slow / topo::k100Mbps, fast / topo::k100Mbps);
+  Instance inst;
+  inst.graph = std::make_unique<topo::TopologyGraph>();
+  auto& g = *inst.graph;
+  const topo::NodeId s = g.add_network("s");
+  const topo::NodeId t = g.add_network("t");
+  const topo::LinkId trunk = g.add_link(s, t, topo::k100Mbps);
+  const topo::LinkId to_u = g.add_link(s, g.add_compute("u"), topo::k100Mbps);
+  for (const char* h : {"t0", "t1"})
+    g.add_link(t, g.add_compute(h), topo::k100Mbps);
+  for (const char* h : {"s0", "s1"})
+    g.add_link(s, g.add_compute(h), topo::k100Mbps);
+  g.validate();
+  inst.snap = std::make_unique<remos::NetworkSnapshot>(g);
+  inst.snap->set_bw(trunk, fast);
+  inst.snap->set_bw(to_u, slow);
+  ASSERT_LT(trunk, to_u);
+
+  SelectionContext ctx(*inst.snap);
+  const std::vector<topo::LinkId> by_bw = ctx.links_by_bw();
+  ASSERT_EQ(by_bw[0], to_u);
+  ASSERT_EQ(by_bw[1], trunk);
+  for (bool exhaustive : {false, true}) {
+    SelectionOptions opt;
+    opt.num_nodes = 2;
+    opt.reference_bw = topo::k100Mbps;
+    opt.exhaustive_balanced = exhaustive;
+    const std::string what = exhaustive ? "exhaustive" : "paper";
+    expect_balanced_equal_reference(inst, opt, what);
+    // A second query on a context whose Fig. 2 order is built: the same
+    // result, and that order is left as it was.
+    const auto warm = select_balanced(ctx, opt);
+    const auto ref = detail::reference_select_balanced(*inst.snap, opt);
+    EXPECT_EQ(warm.nodes, ref.nodes) << what;
+    EXPECT_EQ(warm.iterations, ref.iterations) << what;
+    EXPECT_EQ(warm.objective, ref.objective) << what;
+    EXPECT_EQ(ctx.links_by_bw(), by_bw) << what;
+  }
+  // The sweep that deletes the trunk first settles on t0 and t1.
+  SelectionOptions opt;
+  opt.num_nodes = 2;
+  opt.reference_bw = topo::k100Mbps;
+  const auto paper = select_balanced(ctx, opt);
+  EXPECT_EQ(paper.nodes, (std::vector<topo::NodeId>{g.find_node("t0").value(),
+                                                    g.find_node("t1").value()}));
+  EXPECT_EQ(paper.iterations, 2);
+  EXPECT_EQ(paper.objective, 1.0);
 }
 
 TEST(EpochInvalidation, MutationsAreObservedThroughTheContext) {

@@ -47,7 +47,7 @@ TEST(Subgraph, MappingsAreConsistent) {
   for (std::size_t i = 0; i < sub.parent_node.size(); ++i) {
     auto sub_id = static_cast<NodeId>(i);
     NodeId parent_id = sub.parent_node[i];
-    EXPECT_EQ(sub.graph.node(sub_id).name, g.node(parent_id).name);
+    EXPECT_EQ(sub.graph.node_name(sub_id), g.node_name(parent_id));
     EXPECT_EQ(sub.to_sub(parent_id), sub_id);
   }
   EXPECT_EQ(sub.to_sub(g.find_node("m-9").value()), kInvalidNode);

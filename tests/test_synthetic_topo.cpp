@@ -6,8 +6,7 @@
 //
 // The golden files live in tests/golden/ and are regenerated with the CLI:
 //   netsel_cli --generate fat-tree:hosts=6,ports=4,oversub=2,seed=3 --emit-topo
-//   netsel_cli --generate campus-wan:campuses=2,buildings=1,hosts=2,seed=9 \
-//     --emit-topo
+//   netsel_cli --generate campus-wan:campuses=2,buildings=1,hosts=2,seed=9 --emit-topo
 
 #include <gtest/gtest.h>
 
@@ -99,9 +98,10 @@ TEST(FatTree, StructuralInvariantsAcrossSeeds) {
     for (std::size_t i = 0; i < g.node_count(); ++i) {
       const auto n = static_cast<NodeId>(i);
       const Node& node = g.node(n);
-      if (node.name.rfind("core", 0) == 0) {
+      const std::string_view name = g.node_name(n);
+      if (name.rfind("core", 0) == 0) {
         EXPECT_EQ(g.degree(n), static_cast<std::size_t>(opt.edge_switches));
-      } else if (node.name.rfind("edge", 0) == 0) {
+      } else if (name.rfind("edge", 0) == 0) {
         // Uplinks to every core plus one drop per host; the switch's cut
         // towards the core carries core_switches * uplink_bw.
         EXPECT_EQ(g.degree(n), static_cast<std::size_t>(opt.core_switches +
@@ -154,7 +154,8 @@ TEST(CampusWan, StructuralInvariantsAcrossSeeds) {
           << node.memory_bytes;
       // c<k>-b<j>-h<i> carries the campus tag used by placement constraints.
       ASSERT_EQ(g.tags(n).size(), 1u);
-      EXPECT_EQ(g.tags(n)[0], "campus" + node.name.substr(1, 1));
+      EXPECT_EQ(g.tags(n)[0],
+                "campus" + std::string(g.node_name(n).substr(1, 1)));
     }
     // WAN trunk latencies are seeded draws from the configured range.
     auto core = g.find_node("wan-core");
@@ -180,18 +181,17 @@ TEST(RandomCoreEdge, StructuralInvariantsAcrossSeeds) {
     EXPECT_EQ(g.compute_node_count(), 40u);
     for (std::size_t i = 0; i < g.node_count(); ++i) {
       const auto n = static_cast<NodeId>(i);
-      const Node& node = g.node(n);
       if (g.is_compute(n)) {
         EXPECT_EQ(g.degree(n), 1u);
         const LinkId l = g.links_of(n).front();
         EXPECT_GE(g.link(l).capacity_min(), opt.host_bw_min);
         EXPECT_LE(g.link(l).capacity_min(), opt.host_bw_max);
-      } else if (node.name.rfind("edge", 0) == 0) {
+      } else if (g.node_name(n).rfind("edge", 0) == 0) {
         // Multi-homed to `uplinks_per_edge` *distinct* core switches.
         std::set<NodeId> uplinks;
         for (LinkId l : g.links_of(n)) {
           NodeId peer = g.other_end(l, n);
-          if (!g.is_compute(peer) && g.node(peer).name.rfind("core", 0) == 0)
+          if (!g.is_compute(peer) && g.node_name(peer).rfind("core", 0) == 0)
             uplinks.insert(peer);
         }
         EXPECT_EQ(uplinks.size(),
@@ -239,8 +239,8 @@ void expect_roundtrips(const TopologyGraph& g, const std::string& what) {
   ASSERT_EQ(parsed.link_count(), g.link_count()) << what;
   for (std::size_t i = 0; i < g.node_count(); ++i) {
     const auto n = static_cast<NodeId>(i);
-    EXPECT_EQ(parsed.node(n).name, g.node(n).name) << what;
-    EXPECT_EQ(parsed.node(n).kind, g.node(n).kind) << what;
+    EXPECT_EQ(parsed.node_name(n), g.node_name(n)) << what;
+    EXPECT_EQ(parsed.node(n).kind(), g.node(n).kind()) << what;
     EXPECT_TRUE(std::ranges::equal(parsed.tags(n), g.tags(n))) << what;
   }
   for (std::size_t l = 0; l < g.link_count(); ++l) {
