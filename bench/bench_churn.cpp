@@ -16,21 +16,18 @@
 // curve reports migrations-per-hour against placement quality (the
 // criterion score relative to the unconstrained reselection).
 //
-// Headline contract (tracked in BENCH_churn.json and checked in CI):
-// >= 10x warm-path speedup for single-link bandwidth deltas vs. full
-// epoch invalidation on the 10,000-host fat-tree.
+// Headline contract (the exit status): >= 10x warm-path speedup for
+// single-link bandwidth deltas vs. full epoch invalidation on the
+// 10,000-host fat-tree.
 //
 // Usage: bench_churn [reps] [seed] [--csv] [--check] [--threads N]
-//                    [--bench-json PATH] [--metrics-json PATH]
-//                    [--chrome-trace PATH]
+//                    [--metrics-json PATH] [--chrome-trace PATH]
 // Defaults: 3 reps (the delta stream is 20*reps deltas long), seed 4242.
 //   --check          CI smoke: a small fat-tree, a mixed delta stream with
 //                    structural mutations, asserting the warm context stays
 //                    bit-identical to a rebuilt one and that reselect
 //                    honours its budget. Exits 2 on any mismatch.
 //   --csv            append the machine-readable records after the tables.
-//   --bench-json P   write the perf record (warm/cold means, headline,
-//                    budget curve, delta counters) to P.
 //   --metrics-json P enable the obs registry and write its JSON document to
 //                    P after the run.
 //   --chrome-trace P enable the obs registry and write recorded spans as
@@ -43,7 +40,6 @@
 #include <cstring>
 #include <fstream>
 #include <string>
-#include <thread>
 #include <vector>
 
 #include "api/reselect.hpp"
@@ -67,12 +63,6 @@ constexpr double kStepSeconds = 30.0;
 
 double seconds_since(Clock::time_point t0) {
   return std::chrono::duration<double>(Clock::now() - t0).count();
-}
-
-std::uint64_t counter_value(const char* name) {
-  for (const auto& [n, v] : obs::Registry::global().counters())
-    if (n == name) return v;
-  return 0;
 }
 
 std::vector<topo::LinkId> usable_links(const topo::TopologyGraph& g) {
@@ -383,86 +373,6 @@ int run_check(std::uint64_t seed, int m) {
 // Reporting
 // ---------------------------------------------------------------------------
 
-int write_bench_json(const char* path, std::uint64_t seed, int m, int hosts,
-                     std::size_t nodes, std::size_t link_count,
-                     const PhaseResult& bw, const PhaseResult& load,
-                     const std::vector<BudgetPoint>& curve) {
-  std::FILE* f = std::fopen(path, "w");
-  if (!f) {
-    std::fprintf(stderr, "cannot open %s for writing\n", path);
-    return 1;
-  }
-  std::fprintf(f,
-               "{\n"
-               "  \"benchmark\": \"churn\",\n"
-               "  \"hardware_threads\": %u,\n"
-               "  \"seed\": %llu,\n"
-               "  \"m\": %d,\n"
-               "  \"nodes\": %zu,\n"
-               "  \"links\": %zu,\n"
-               "  \"hosts\": %d,\n"
-               "  \"step_seconds\": %.0f,\n",
-               std::thread::hardware_concurrency(),
-               static_cast<unsigned long long>(seed), m, nodes, link_count,
-               hosts, kStepSeconds);
-  auto phase = [&](const char* name, const PhaseResult& p, bool comma) {
-    std::fprintf(f,
-                 "  \"%s\": {\n"
-                 "    \"deltas\": %d,\n"
-                 "    \"warm_mean_seconds\": %.6f,\n"
-                 "    \"cold_mean_seconds\": %.6f,\n"
-                 "    \"speedup\": %.2f,\n"
-                 "    \"identical\": %s\n"
-                 "  }%s\n",
-                 name, p.deltas, p.warm_mean_seconds, p.cold_mean_seconds,
-                 p.speedup(), p.identical ? "true" : "false",
-                 comma ? "," : "");
-  };
-  phase("link_bandwidth_deltas", bw, true);
-  phase("node_load_deltas", load, true);
-  std::fprintf(f,
-               "  \"headline\": {\n"
-               "    \"contract\": \"warm evaluation after a single-link "
-               "bandwidth delta >= 10x faster than full epoch invalidation, "
-               "10k-host fat-tree\",\n"
-               "    \"speedup\": %.2f,\n"
-               "    \"target_speedup\": 10.0,\n"
-               "    \"within_target\": %s\n"
-               "  },\n"
-               "  \"budget_curve\": [\n",
-               bw.speedup(), bw.speedup() >= 10.0 ? "true" : "false");
-  for (std::size_t i = 0; i < curve.size(); ++i) {
-    const BudgetPoint& p = curve[i];
-    std::fprintf(f,
-                 "    { \"budget\": %d, \"steps\": %d, \"migrations\": %ld, "
-                 "\"migrations_per_hour\": %.1f, \"mean_quality\": %.4f, "
-                 "\"mean_objective\": %.6f, \"reselect_seconds\": %.3f }%s\n",
-                 p.budget, p.steps, p.migrations, p.migrations_per_hour,
-                 p.mean_quality, p.mean_objective, p.reselect_seconds,
-                 i + 1 < curve.size() ? "," : "");
-  }
-  std::fprintf(f,
-               "  ],\n"
-               "  \"metrics\": {\n"
-               "    \"deltas_applied\": %llu,\n"
-               "    \"rows_repaired\": %llu,\n"
-               "    \"rows_invalidated_partial\": %llu,\n"
-               "    \"rows_invalidated_full\": %llu\n"
-               "  }\n"
-               "}\n",
-               static_cast<unsigned long long>(
-                   counter_value("select.ctx.delta.applied")),
-               static_cast<unsigned long long>(
-                   counter_value("select.ctx.rows.repaired")),
-               static_cast<unsigned long long>(
-                   counter_value("select.ctx.rows.invalidated.partial")),
-               static_cast<unsigned long long>(
-                   counter_value("select.ctx.rows.invalidated.full")));
-  std::fclose(f);
-  std::fprintf(stderr, "wrote %s\n", path);
-  return 0;
-}
-
 bool write_obs_exports(const char* metrics_path, const char* trace_path) {
   api::register_service_metrics();
   bool ok = true;
@@ -496,7 +406,6 @@ int main(int argc, char** argv) {
   std::uint64_t seed = 4242;
   bool csv = false;
   bool check = false;
-  const char* json_path = nullptr;
   const char* metrics_path = nullptr;
   const char* trace_path = nullptr;
   int positional = 0;
@@ -507,12 +416,14 @@ int main(int argc, char** argv) {
       check = true;
     } else if (std::strcmp(argv[i], "--threads") == 0 && i + 1 < argc) {
       ++i;  // accepted for flag-compatibility; this benchmark is serial
-    } else if (std::strcmp(argv[i], "--bench-json") == 0 && i + 1 < argc) {
-      json_path = argv[++i];
     } else if (std::strcmp(argv[i], "--metrics-json") == 0 && i + 1 < argc) {
       metrics_path = argv[++i];
     } else if (std::strcmp(argv[i], "--chrome-trace") == 0 && i + 1 < argc) {
       trace_path = argv[++i];
+    } else if (std::strncmp(argv[i], "--", 2) == 0) {
+      // A removed or misspelt flag must not be read as a positional.
+      std::fprintf(stderr, "unknown option %s\n", argv[i]);
+      return 1;
     } else if (positional == 0) {
       reps = std::atoi(argv[i]);
       ++positional;
@@ -527,7 +438,7 @@ int main(int argc, char** argv) {
   }
   const int m = 16;
   if (check) return run_check(seed, m);
-  if (json_path || metrics_path || trace_path) obs::set_enabled(true);
+  if (metrics_path || trace_path) obs::set_enabled(true);
 
   std::fprintf(stderr, "bench_churn: generating 10k-host fat-tree (seed "
                        "%llu)...\n",
@@ -611,11 +522,6 @@ int main(int argc, char** argv) {
       std::printf("%d,%d,%ld,%.1f,%.4f,%.6f\n", p.budget, p.steps,
                   p.migrations, p.migrations_per_hour, p.mean_quality,
                   p.mean_objective);
-  }
-  if (json_path) {
-    int rc = write_bench_json(json_path, seed, m, hosts, g.node_count(),
-                              g.link_count(), bw_phase, load_phase, curve);
-    if (rc != 0) return rc;
   }
   if (!write_obs_exports(metrics_path, trace_path)) return 1;
   if (!bw_phase.identical || !load_phase.identical) return 2;

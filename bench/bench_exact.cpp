@@ -7,7 +7,8 @@
 // proved optimality) or with its stop reason (`node_budget`, ...), never
 // silently truncated. Deterministic: node budgets only, seeded load,
 // serial search — the emitted values are bit-identical across machines,
-// so CI gates on them (scripts/check_bench_regression.py, "exact").
+// so CI gates on them against BENCH_exact.json
+// (scripts/check_bench_regression.py).
 //
 // Usage: bench_exact [--seed S] [--hosts N] [--budget N] [--csv]
 //                    [--no-constraints] [--check] [--bench-json PATH]

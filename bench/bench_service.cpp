@@ -11,14 +11,13 @@
 // config, not by thread count, and every lane context catches up through
 // the snapshot's delta journal (the run_table1 idiom).
 //
-// Headline contract (tracked in BENCH_service.json and checked in CI):
-// the pooled and serial runs are bit-identical, and the scheduler sustains
-// > 0 placements/sec with finite p50/p99 placement latency.
+// Headline contract (the exit status): the pooled and serial runs are
+// bit-identical, and the scheduler places at least one job.
 //
 // Usage: bench_service [jobs] [seed] [--csv] [--check] [--threads N]
-//                      [--bench-json PATH] [--metrics-json PATH]
-//                      [--chrome-trace PATH] [--timeseries-json PATH]
-//                      [--timeseries-csv PATH] [--job-trace PATH]
+//                      [--metrics-json PATH] [--chrome-trace PATH]
+//                      [--timeseries-json PATH] [--timeseries-csv PATH]
+//                      [--job-trace PATH]
 // Defaults: 300 jobs, seed 4242, hardware threads.
 //   --check          CI smoke: a small fat-tree, serial vs 2-thread digest
 //                    equality, exclusive-allocation and exact-snapshot-
@@ -29,8 +28,6 @@
 //                    and 4 placement lanes. Dumps the flight-recorder tail
 //                    and exits 2 on any violation.
 //   --csv            append machine-readable per-tenant records.
-//   --bench-json P   write the perf record (placements/sec, latency
-//                    percentiles, job outcomes, ladder counts) to P.
 //   --metrics-json P enable the obs registry and write its JSON to P.
 //   --chrome-trace P enable the obs registry and write spans to P (with
 //                    time-series counter curves and per-job tracks merged
@@ -51,7 +48,6 @@
 #include <map>
 #include <memory>
 #include <string>
-#include <thread>
 #include <vector>
 
 #include "obs/export.hpp"
@@ -92,7 +88,6 @@ struct RunResult {
   std::uint64_t digest = 0;
   sched::SchedulerStats stats;
   double wall_seconds = 0.0;
-  double sim_seconds = 0.0;
   /// Wall-clock placement-decision costs of every placed job, ascending.
   std::vector<double> latencies;
   std::map<std::string, TenantRow> tenants;
@@ -146,7 +141,6 @@ RunResult run_scheduler(const topo::TopologyGraph& g, std::uint64_t seed,
   out.wall_seconds = seconds_since(t0);
   out.digest = sched.state_digest();
   out.stats = sched.stats();
-  out.sim_seconds = sched.now();
   for (const sched::JobRecord& rec : sched.jobs()) {
     if (rec.start_time < 0.0) continue;
     out.latencies.push_back(rec.placement_seconds);
@@ -359,84 +353,6 @@ int run_check(std::uint64_t seed) {
 // Reporting
 // ---------------------------------------------------------------------------
 
-int write_bench_json(const char* path, std::uint64_t seed, int jobs,
-                     int threads, int hosts, std::size_t nodes,
-                     std::size_t links, const RunResult& pooled,
-                     const RunResult& serial, bool identical) {
-  std::FILE* f = std::fopen(path, "w");
-  if (!f) {
-    std::fprintf(stderr, "cannot open %s for writing\n", path);
-    return 1;
-  }
-  const sched::SchedulerStats& st = pooled.stats;
-  std::fprintf(f,
-               "{\n"
-               "  \"benchmark\": \"service\",\n"
-               "  \"hardware_threads\": %u,\n"
-               "  \"threads\": %d,\n"
-               "  \"seed\": %llu,\n"
-               "  \"jobs\": %d,\n"
-               "  \"nodes\": %zu,\n"
-               "  \"links\": %zu,\n"
-               "  \"hosts\": %d,\n"
-               "  \"sim_seconds\": %.1f,\n"
-               "  \"wall_seconds\": %.3f,\n"
-               "  \"outcomes\": {\n"
-               "    \"submitted\": %llu,\n"
-               "    \"admitted\": %llu,\n"
-               "    \"placed\": %llu,\n"
-               "    \"completed\": %llu,\n"
-               "    \"rejected\": %llu,\n"
-               "    \"timed_out\": %llu,\n"
-               "    \"conflicts\": %llu,\n"
-               "    \"infeasible_attempts\": %llu\n"
-               "  },\n",
-               std::thread::hardware_concurrency(), threads,
-               static_cast<unsigned long long>(seed), jobs, nodes, links,
-               hosts, pooled.sim_seconds, pooled.wall_seconds,
-               static_cast<unsigned long long>(st.submitted),
-               static_cast<unsigned long long>(st.admitted),
-               static_cast<unsigned long long>(st.placed),
-               static_cast<unsigned long long>(st.completed),
-               static_cast<unsigned long long>(st.rejected),
-               static_cast<unsigned long long>(st.timed_out),
-               static_cast<unsigned long long>(st.conflicts),
-               static_cast<unsigned long long>(st.infeasible_attempts));
-  std::fprintf(f,
-               "  \"headline\": {\n"
-               "    \"contract\": \"pooled and serial scheduler runs "
-               "bit-identical on the 10k-host fat-tree; sustained placement "
-               "throughput with finite tail latency\",\n"
-               "    \"placements_per_sec\": %.1f,\n"
-               "    \"placement_p50_ms\": %.3f,\n"
-               "    \"placement_p99_ms\": %.3f,\n"
-               "    \"identical\": %s\n"
-               "  },\n"
-               "  \"serial\": {\n"
-               "    \"placements_per_sec\": %.1f,\n"
-               "    \"wall_seconds\": %.3f\n"
-               "  },\n"
-               "  \"tenants\": [\n",
-               pooled.placements_per_sec(),
-               percentile(pooled.latencies, 0.50) * 1e3,
-               percentile(pooled.latencies, 0.99) * 1e3,
-               identical ? "true" : "false", serial.placements_per_sec(),
-               serial.wall_seconds);
-  std::size_t i = 0;
-  for (const auto& [tenant, row] : pooled.tenants) {
-    std::fprintf(f,
-                 "    { \"tenant\": \"%s\", \"placed\": %d, \"full\": %d, "
-                 "\"smoothed\": %d, \"prior\": %d, \"mean_wait_s\": %.2f }%s\n",
-                 tenant.c_str(), row.placed, row.full, row.smoothed, row.prior,
-                 row.placed > 0 ? row.wait_sum / row.placed : 0.0,
-                 ++i < pooled.tenants.size() ? "," : "");
-  }
-  std::fprintf(f, "  ]\n}\n");
-  std::fclose(f);
-  std::fprintf(stderr, "wrote %s\n", path);
-  return 0;
-}
-
 /// Write one telemetry artifact via `fn`; returns false on open failure.
 template <typename Fn>
 bool write_artifact(const char* path, Fn&& fn) {
@@ -475,7 +391,6 @@ int main(int argc, char** argv) {
   int threads = -1;
   bool csv = false;
   bool check = false;
-  const char* json_path = nullptr;
   const char* metrics_path = nullptr;
   const char* trace_path = nullptr;
   const char* ts_json_path = nullptr;
@@ -489,8 +404,6 @@ int main(int argc, char** argv) {
       check = true;
     } else if (std::strcmp(argv[i], "--threads") == 0 && i + 1 < argc) {
       threads = std::atoi(argv[++i]);
-    } else if (std::strcmp(argv[i], "--bench-json") == 0 && i + 1 < argc) {
-      json_path = argv[++i];
     } else if (std::strcmp(argv[i], "--metrics-json") == 0 && i + 1 < argc) {
       metrics_path = argv[++i];
     } else if (std::strcmp(argv[i], "--chrome-trace") == 0 && i + 1 < argc) {
@@ -502,6 +415,10 @@ int main(int argc, char** argv) {
       ts_csv_path = argv[++i];
     } else if (std::strcmp(argv[i], "--job-trace") == 0 && i + 1 < argc) {
       job_trace_path = argv[++i];
+    } else if (std::strncmp(argv[i], "--", 2) == 0) {
+      // A removed or misspelt flag must not be read as a positional.
+      std::fprintf(stderr, "unknown option %s\n", argv[i]);
+      return 1;
     } else if (positional == 0) {
       jobs = std::atoi(argv[i]);
       ++positional;
@@ -515,7 +432,7 @@ int main(int argc, char** argv) {
     return 1;
   }
   if (check) return run_check(seed);
-  if (json_path || metrics_path || trace_path) obs::set_enabled(true);
+  if (metrics_path || trace_path) obs::set_enabled(true);
 
   std::fprintf(stderr,
                "bench_service: generating 10k-host fat-tree (seed %llu)...\n",
@@ -600,12 +517,6 @@ int main(int argc, char** argv) {
       std::printf("%s,%d,%d,%d,%d,%.2f\n", tenant.c_str(), row.placed,
                   row.full, row.smoothed, row.prior,
                   row.placed > 0 ? row.wait_sum / row.placed : 0.0);
-  }
-  if (json_path) {
-    int rc = write_bench_json(json_path, seed, jobs, pool.workers(), hosts,
-                              g.node_count(), g.link_count(), pooled, serial,
-                              identical);
-    if (rc != 0) return rc;
   }
   if (!write_obs_exports(metrics_path, trace_path, ts.get(), jt.get()))
     return 1;

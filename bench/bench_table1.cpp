@@ -4,30 +4,23 @@
 // unloaded reference column — printed side by side with the paper's
 // measurements, followed by the "slowdown roughly halved" analysis.
 //
-// Usage: bench_table1 [trials] [seed] [--csv] [--threads N] [--bench-json PATH]
+// Usage: bench_table1 [trials] [seed] [--csv] [--threads N]
 //                     [--metrics-json PATH] [--chrome-trace PATH]
 // Defaults: 25 trials, seed 1999, serial execution.
 //   --threads N      run the grid on an N-worker pool (N < 0: one worker per
 //                    hardware thread). Statistics are bit-identical to the
-//                    serial run for every N (deterministic reduction).
-//   --bench-json P   perf mode: time the grid serially and with the pool,
-//                    verify the two produce identical statistics, and write
-//                    a BENCH JSON record (wall clock, trials/sec, speedup,
-//                    headline obs counters) to path P. Tables are skipped.
+//                    serial run for every N (deterministic reduction; the
+//                    ParallelExperiment gtests assert it).
 //   --metrics-json P enable the obs registry and write its JSON document
 //                    (schema netsel-metrics-v1) to P after the run.
 //   --chrome-trace P enable the obs registry and write the recorded spans
 //                    as Chrome trace_event JSON to P (load in Perfetto).
 // With --csv, the machine-readable grid is appended after the tables.
 
-#include <chrono>
-#include <cmath>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
 #include <fstream>
-#include <thread>
-#include <vector>
 
 #include "api/service.hpp"
 #include "exp/report.hpp"
@@ -36,14 +29,6 @@
 #include "obs/metrics.hpp"
 
 namespace {
-
-using namespace netsel::exp;
-
-std::uint64_t counter_value(const char* name) {
-  for (const auto& [n, v] : netsel::obs::Registry::global().counters())
-    if (n == name) return v;
-  return 0;
-}
 
 /// Write the requested obs exports; returns false when a path was not
 /// writable. Pre-registers the service metrics so the document always lists
@@ -74,126 +59,6 @@ bool write_obs_exports(const char* metrics_path, const char* trace_path) {
   return ok;
 }
 
-double time_grid(Table1Options opt, int threads,
-                 std::vector<MeasuredRow>* out) {
-  opt.threads = threads;
-  auto t0 = std::chrono::steady_clock::now();
-  auto rows = run_table1(opt);
-  auto t1 = std::chrono::steady_clock::now();
-  if (out) *out = std::move(rows);
-  return std::chrono::duration<double>(t1 - t0).count();
-}
-
-bool identical(const std::vector<MeasuredRow>& a,
-               const std::vector<MeasuredRow>& b) {
-  if (a.size() != b.size()) return false;
-  for (std::size_t r = 0; r < a.size(); ++r) {
-    if (a[r].reference != b[r].reference) return false;
-    for (std::size_t c = 0; c < 3; ++c) {
-      const MeasuredCell& x1 = a[r].random_sel[c];
-      const MeasuredCell& y1 = b[r].random_sel[c];
-      const MeasuredCell& x2 = a[r].auto_sel[c];
-      const MeasuredCell& y2 = b[r].auto_sel[c];
-      if (x1.mean != y1.mean || x1.ci95 != y1.ci95 ||
-          x1.trials != y1.trials || x1.failures != y1.failures)
-        return false;
-      if (x2.mean != y2.mean || x2.ci95 != y2.ci95 ||
-          x2.trials != y2.trials || x2.failures != y2.failures)
-        return false;
-    }
-  }
-  return true;
-}
-
-int bench_json(const Table1Options& opt, int threads, const char* path,
-               const char* metrics_path, const char* trace_path) {
-  unsigned hw = std::thread::hardware_concurrency();
-  int pool_threads = threads != 0 ? threads : -1;
-  int effective = pool_threads < 0 ? static_cast<int>(hw == 0 ? 1 : hw)
-                                   : pool_threads;
-  // 18 measured cells of opt.trials each + 3 single-trial references.
-  const int total_trials = 18 * opt.trials + 3;
-
-  // Perf mode always runs instrumented: the headline counters (cache hit
-  // rate, pool steals, events/sec) ride along in the BENCH record. The obs
-  // layer is observational by contract, so the timings stay honest.
-  netsel::obs::set_enabled(true);
-  netsel::obs::Registry::global().reset();
-
-  std::fprintf(stderr, "bench_table1: %d trials/cell, seed %llu — serial...\n",
-               opt.trials, static_cast<unsigned long long>(opt.seed));
-  std::vector<MeasuredRow> serial_rows, par_rows;
-  double serial_s = time_grid(opt, 0, &serial_rows);
-  std::fprintf(stderr, "  serial: %.2fs — now %d threads...\n", serial_s,
-               effective);
-  // Reset between runs so the exported metrics describe the parallel run
-  // alone (otherwise pool counters would sit next to serial-run cache ones).
-  netsel::obs::Registry::global().reset();
-  double par_s = time_grid(opt, pool_threads, &par_rows);
-  bool same = identical(serial_rows, par_rows);
-  double speedup = par_s > 0.0 ? serial_s / par_s : 0.0;
-  std::fprintf(stderr, "  %d threads: %.2fs  speedup %.2fx  identical=%s\n",
-               effective, par_s, speedup, same ? "true" : "false");
-
-  std::uint64_t row_hits = counter_value("select.ctx.row_hits");
-  std::uint64_t row_misses = counter_value("select.ctx.row_misses");
-  double hit_rate = row_hits + row_misses > 0
-                        ? static_cast<double>(row_hits) /
-                              static_cast<double>(row_hits + row_misses)
-                        : 0.0;
-  std::uint64_t tasks_run = counter_value("pool.tasks_run");
-  std::uint64_t steals = counter_value("pool.steals");
-  std::uint64_t sim_events = counter_value("sim.events");
-
-  std::FILE* f = std::fopen(path, "w");
-  if (!f) {
-    std::fprintf(stderr, "cannot open %s for writing\n", path);
-    return 1;
-  }
-  std::fprintf(f,
-               "{\n"
-               "  \"benchmark\": \"table1\",\n"
-               "  \"hardware_threads\": %u,\n"
-               "  \"grid\": {\n"
-               "    \"apps\": 3,\n"
-               "    \"measured_cells\": 18,\n"
-               "    \"references\": 3,\n"
-               "    \"trials_per_cell\": %d,\n"
-               "    \"total_trials\": %d,\n"
-               "    \"seed\": %llu\n"
-               "  },\n"
-               "  \"serial\": { \"seconds\": %.4f, \"trials_per_sec\": %.2f },\n"
-               "  \"parallel\": { \"threads\": %d, \"seconds\": %.4f, "
-               "\"trials_per_sec\": %.2f },\n"
-               "  \"speedup\": %.3f,\n"
-               "  \"identical_stats\": %s,\n"
-               "  \"metrics\": {\n"
-               "    \"ctx_row_hits\": %llu,\n"
-               "    \"ctx_row_misses\": %llu,\n"
-               "    \"ctx_row_hit_rate\": %.4f,\n"
-               "    \"pool_tasks_run\": %llu,\n"
-               "    \"pool_steals\": %llu,\n"
-               "    \"sim_events\": %llu,\n"
-               "    \"sim_events_per_sec\": %.0f\n"
-               "  }\n"
-               "}\n",
-               hw, opt.trials, total_trials,
-               static_cast<unsigned long long>(opt.seed), serial_s,
-               serial_s > 0.0 ? total_trials / serial_s : 0.0, effective,
-               par_s, par_s > 0.0 ? total_trials / par_s : 0.0, speedup,
-               same ? "true" : "false",
-               static_cast<unsigned long long>(row_hits),
-               static_cast<unsigned long long>(row_misses), hit_rate,
-               static_cast<unsigned long long>(tasks_run),
-               static_cast<unsigned long long>(steals),
-               static_cast<unsigned long long>(sim_events),
-               par_s > 0.0 ? static_cast<double>(sim_events) / par_s : 0.0);
-  std::fclose(f);
-  std::fprintf(stderr, "wrote %s\n", path);
-  if (!write_obs_exports(metrics_path, trace_path)) return 1;
-  return same ? 0 : 2;
-}
-
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -201,7 +66,6 @@ int main(int argc, char** argv) {
   Table1Options opt;
   opt.trials = 25;
   bool csv = false;
-  const char* json_path = nullptr;
   const char* metrics_path = nullptr;
   const char* trace_path = nullptr;
   int positional = 0;
@@ -210,12 +74,14 @@ int main(int argc, char** argv) {
       csv = true;
     } else if (std::strcmp(argv[i], "--threads") == 0 && i + 1 < argc) {
       opt.threads = std::atoi(argv[++i]);
-    } else if (std::strcmp(argv[i], "--bench-json") == 0 && i + 1 < argc) {
-      json_path = argv[++i];
     } else if (std::strcmp(argv[i], "--metrics-json") == 0 && i + 1 < argc) {
       metrics_path = argv[++i];
     } else if (std::strcmp(argv[i], "--chrome-trace") == 0 && i + 1 < argc) {
       trace_path = argv[++i];
+    } else if (std::strncmp(argv[i], "--", 2) == 0) {
+      // A removed or misspelt flag must not be read as a positional.
+      std::fprintf(stderr, "unknown option %s\n", argv[i]);
+      return 1;
     } else if (positional == 0) {
       opt.trials = std::atoi(argv[i]);
       ++positional;
@@ -228,8 +94,6 @@ int main(int argc, char** argv) {
     std::fprintf(stderr, "trials must be >= 1\n");
     return 1;
   }
-  if (json_path)
-    return bench_json(opt, opt.threads, json_path, metrics_path, trace_path);
   if (metrics_path || trace_path) netsel::obs::set_enabled(true);
 
   opt.verbose = true;

@@ -7,8 +7,8 @@
 # marked exact when the search proved optimality, else with its stop
 # reason. The record is bit-identical across machines (node budgets only,
 # no wall-clock budgets), so the regression gate compares its cell and
-# soundness fields directly. The metrics document lands next to it
-# (metrics_exact.json: the select.bnb.* counters and B&B latency
+# soundness fields directly. The metrics document lands in the build tree
+# (build/metrics_exact.json: the select.bnb.* counters and B&B latency
 # histogram).
 #
 # Usage: scripts/bench_exact_json.sh [budget]
@@ -21,6 +21,6 @@ BUDGET="${1:-20000}"
 cmake -B build -S . -DCMAKE_BUILD_TYPE=Release >/dev/null
 cmake --build build -j "$(nproc)" --target bench_exact >/dev/null
 ./build/bench/bench_exact --budget "$BUDGET" \
-  --bench-json BENCH_exact.json --metrics-json metrics_exact.json
-python3 scripts/check_metrics_json.py --profile exact metrics_exact.json
+  --bench-json BENCH_exact.json --metrics-json build/metrics_exact.json
+python3 scripts/check_metrics_json.py --profile exact build/metrics_exact.json
 cat BENCH_exact.json

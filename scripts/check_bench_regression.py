@@ -1,67 +1,35 @@
 #!/usr/bin/env python3
-"""Tolerance-based comparator of fresh bench JSON against the committed
-BENCH_*.json baselines — the CI regression gate.
+"""Gate a fresh bench_exact record against the committed BENCH_exact.json.
 
-Usage:
-  check_bench_regression.py [--tolerance F] NAME FRESH BASELINE \
-                            [NAME FRESH BASELINE ...]
+Usage: check_bench_regression.py FRESH BASELINE
 
-Each triplet names the benchmark (table1 | scale | churn | service |
-exact), the
-freshly produced JSON and the committed baseline. Two kinds of rules run
-per benchmark:
+The exact grid is deterministic (node budgets, never wall-clock budgets),
+so its record is the same on every machine and the rules compare values
+exactly:
 
-  * boolean contracts — machine-independent correctness flags the fresh run
-    must reproduce whenever the baseline asserts them (bit-identical
-    serial-vs-pooled digests, within-target latencies). These never get
-    tolerance: a flipped contract is a regression no matter the hardware.
-  * ratio guards — throughput/latency fields compared as fresh/baseline
-    ratios with deliberately generous windows (CI machines differ from the
-    machine that produced the committed baselines by far more than any real
-    regression we want to catch silently). --tolerance F (default 1.0)
-    scales the windows further: min ratios divide by F, max ratios multiply.
+  * headline.sound must stay true whenever the baseline's is: every cell's
+    bracket greedy <= optimum <= bound holds;
+  * headline.cells and headline.exact_cells must not fall below the
+    baseline's: the fresh run covers and certifies at least as many cells.
 
-Exits non-zero listing every violated rule; prints one line per rule
-otherwise. Missing fields fail loudly — a baseline/bench schema drift must
-not silently disable the gate.
+Timings are not gated here: benchmark/compare.py runs the merge base and
+the change on one machine (CI's benchmark gate job).
+
+Exits 1 listing every violated rule, 2 on bad usage; prints one line per
+rule otherwise. A missing field fails: schema drift must not silently
+disable the gate.
 """
 
 import json
 import sys
 
-# (path, kind, limit): kind "bool_true" requires the fresh flag to be true
-# whenever the baseline's is; "min_ratio" requires fresh/baseline >= limit;
-# "max_ratio" requires fresh/baseline <= limit. Rate fields use ~5x windows
-# (cross-machine), the churn speedup is itself a same-machine ratio so its
-# window is tighter.
-RULES = {
-    "table1": [
-        ("identical_stats", "bool_true", None),
-        ("parallel.trials_per_sec", "min_ratio", 0.2),
-    ],
-    "scale": [
-        ("headline.within_target", "bool_true", None),
-        ("headline.cold_seconds", "max_ratio", 5.0),
-    ],
-    "churn": [
-        ("headline.within_target", "bool_true", None),
-        ("headline.speedup", "min_ratio", 1.0 / 3.0),
-    ],
-    "service": [
-        ("headline.identical", "bool_true", None),
-        ("headline.placements_per_sec", "min_ratio", 0.2),
-        ("headline.placement_p99_ms", "max_ratio", 5.0),
-    ],
-    # The exact grid is deterministic (node budgets, no wall-clock budgets),
-    # so its cell counts are machine-independent: the fresh run must cover at
-    # least as many cells and certify at least as many of them as the
-    # committed baseline, and every cell's bracket must stay sound.
-    "exact": [
-        ("headline.sound", "bool_true", None),
-        ("headline.cells", "min_ratio", 1.0),
-        ("headline.exact_cells", "min_ratio", 1.0),
-    ],
-}
+# (path, kind): "true" requires the fresh flag to be true whenever the
+# baseline's is; "at_least" requires fresh >= baseline.
+RULES = [
+    ("headline.sound", "true"),
+    ("headline.cells", "at_least"),
+    ("headline.exact_cells", "at_least"),
+]
 
 
 def lookup(doc, path):
@@ -73,88 +41,31 @@ def lookup(doc, path):
     return cur
 
 
-def check_one(name, fresh_path, baseline_path, tolerance, failures):
-    with open(fresh_path) as f:
-        fresh = json.load(f)
-    with open(baseline_path) as f:
-        baseline = json.load(f)
-    for path, kind, limit in RULES[name]:
-        fv = lookup(fresh, path)
-        bv = lookup(baseline, path)
-        label = f"{name}:{path}"
-        if fv is None or bv is None:
-            failures.append(
-                f"{label}: field missing "
-                f"(fresh={fv!r}, baseline={bv!r}) — schema drift?"
-            )
-            continue
-        if kind == "bool_true":
-            if bv is True and fv is not True:
-                failures.append(
-                    f"{label}: baseline asserts the contract, fresh run "
-                    f"reports {fv!r}"
-                )
-            else:
-                print(f"check_bench_regression: {label}: OK ({fv!r})")
-            continue
-        if not isinstance(fv, (int, float)) or not isinstance(bv, (int, float)):
-            failures.append(f"{label}: non-numeric ({fv!r} vs {bv!r})")
-            continue
-        if bv == 0:
-            failures.append(f"{label}: baseline value is 0, ratio undefined")
-            continue
-        ratio = fv / bv
-        if kind == "min_ratio":
-            lo = limit / tolerance
-            if ratio < lo:
-                failures.append(
-                    f"{label}: {fv:g} is {ratio:.3f}x the baseline {bv:g} "
-                    f"(floor {lo:.3f}x)"
-                )
-            else:
-                print(
-                    f"check_bench_regression: {label}: OK "
-                    f"({ratio:.3f}x >= {lo:.3f}x)"
-                )
-        elif kind == "max_ratio":
-            hi = limit * tolerance
-            if ratio > hi:
-                failures.append(
-                    f"{label}: {fv:g} is {ratio:.3f}x the baseline {bv:g} "
-                    f"(ceiling {hi:.3f}x)"
-                )
-            else:
-                print(
-                    f"check_bench_regression: {label}: OK "
-                    f"({ratio:.3f}x <= {hi:.3f}x)"
-                )
-
-
 def main(argv):
-    args = argv[1:]
-    tolerance = 1.0
-    if args and args[0] == "--tolerance":
-        if len(args) < 2:
-            print(__doc__, file=sys.stderr)
-            return 2
-        tolerance = float(args[1])
-        if tolerance <= 0:
-            print("--tolerance must be positive", file=sys.stderr)
-            return 2
-        args = args[2:]
-    if not args or len(args) % 3 != 0:
+    if len(argv) != 3:
         print(__doc__, file=sys.stderr)
         return 2
+    with open(argv[1]) as f:
+        fresh = json.load(f)
+    with open(argv[2]) as f:
+        baseline = json.load(f)
     failures = []
-    for i in range(0, len(args), 3):
-        name, fresh, baseline = args[i : i + 3]
-        if name not in RULES:
-            print(f"unknown benchmark {name!r}", file=sys.stderr)
-            return 2
-        check_one(name, fresh, baseline, tolerance, failures)
+    for path, kind in RULES:
+        fv, bv = lookup(fresh, path), lookup(baseline, path)
+        if fv is None or bv is None:
+            failures.append(f"{path}: field missing (fresh={fv!r}, "
+                            f"baseline={bv!r}) — schema drift?")
+        elif kind == "true" and bv is True and fv is not True:
+            failures.append(f"{path}: baseline asserts the contract, fresh "
+                            f"run reports {fv!r}")
+        elif kind == "at_least" and not fv >= bv:
+            failures.append(f"{path}: {fv!r} < baseline {bv!r}")
+        else:
+            print(f"check_bench_regression: {path}: OK ({fv!r}, baseline "
+                  f"{bv!r})")
+    for msg in failures:
+        print(f"check_bench_regression: FAIL: {msg}", file=sys.stderr)
     if failures:
-        for msg in failures:
-            print(f"check_bench_regression: FAIL: {msg}", file=sys.stderr)
         return 1
     print("check_bench_regression: all gates passed")
     return 0

@@ -27,9 +27,8 @@ Profiles pick the required metric set for the producing benchmark:
                     counter delta-decode round trip (first + sum(deltas)
                     == last, len(deltas) == samples - 1)
 
-Exits non-zero with a message on the first violation. Used by CI after the
-bench smoke runs, and by scripts/bench_table1_json.sh /
-scripts/bench_scale_json.sh / scripts/bench_churn_json.sh.
+Exits non-zero with a message on the first violation. Used by CI on the
+documents its bench runs write, and by scripts/bench_exact_json.sh.
 """
 
 import json

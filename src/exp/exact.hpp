@@ -21,8 +21,7 @@
 // Everything is deterministic: node budgets (never wall-clock budgets),
 // seeded synthetic load, serial search. The emitted values are
 // bit-identical across machines and thread counts, which is what lets CI
-// gate on BENCH_exact.json (scripts/check_bench_regression.py, profile
-// "exact").
+// gate on BENCH_exact.json (scripts/check_bench_regression.py).
 
 #include <cstdint>
 #include <string>

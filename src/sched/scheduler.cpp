@@ -87,6 +87,27 @@ std::uint64_t fnv1a_double(std::uint64_t h, double d) {
   return fnv1a(h, bits);
 }
 
+/// `cfg`, or std::invalid_argument naming the first bad field. Runs in the
+/// constructor's initialiser list, before either snapshot is built.
+SchedulerConfig validated(SchedulerConfig cfg) {
+  if (cfg.placement_lanes < 1)
+    throw std::invalid_argument("SchedulerConfig: placement_lanes < 1");
+  if (cfg.backfill_window < 1)
+    throw std::invalid_argument("SchedulerConfig: backfill_window < 1");
+  // NaN fails every comparison, so each check is written to pass only on
+  // a good value.
+  if (!(cfg.queue_timeout >= 0.0))
+    throw std::invalid_argument(
+        "SchedulerConfig: queue_timeout must be >= 0 (infinity = never)");
+  if (!(cfg.schedule_interval >= 0.0 && std::isfinite(cfg.schedule_interval)))
+    throw std::invalid_argument(
+        "SchedulerConfig: schedule_interval must be finite and >= 0");
+  if (std::isnan(cfg.rebalance_min_improvement))
+    throw std::invalid_argument(
+        "SchedulerConfig: rebalance_min_improvement is NaN");
+  return cfg;
+}
+
 }  // namespace
 
 const char* job_state_name(JobState s) {
@@ -121,11 +142,7 @@ void register_scheduler_metrics() {
 
 SchedulerService::SchedulerService(const topo::TopologyGraph& g,
                                    SchedulerConfig cfg)
-    : graph_(&g), cfg_(cfg), cluster_(g), prior_(g) {
-  if (cfg_.placement_lanes < 1)
-    throw std::invalid_argument("SchedulerConfig: placement_lanes < 1");
-  if (cfg_.backfill_window < 1)
-    throw std::invalid_argument("SchedulerConfig: backfill_window < 1");
+    : graph_(&g), cfg_(validated(cfg)), cluster_(g), prior_(g) {
   cluster_.set_delta_journal_capacity(cfg_.journal_capacity);
   lanes_.resize(static_cast<std::size_t>(cfg_.placement_lanes));
   for (Lane& l : lanes_) {

@@ -229,7 +229,11 @@ class SchedulerService {
  public:
   /// The scheduler owns the cluster snapshot (a view of `g`, which must
   /// outlive the scheduler). Seed measured state through snapshot() before
-  /// submitting, or leave the constructor's idle prior.
+  /// submitting, or leave the constructor's idle prior. Throws
+  /// std::invalid_argument, before any state exists, unless
+  /// placement_lanes and backfill_window are >= 1, queue_timeout is >= 0
+  /// (+inf = never), schedule_interval is finite and >= 0, and
+  /// rebalance_min_improvement is not NaN.
   explicit SchedulerService(const topo::TopologyGraph& g,
                             SchedulerConfig cfg = {});
   ~SchedulerService();

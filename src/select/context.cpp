@@ -3,10 +3,8 @@
 #include <algorithm>
 #include <limits>
 #include <stdexcept>
-#include <string>
 
 #include "obs/metrics.hpp"
-#include "util/thread_pool.hpp"
 
 namespace netsel::select {
 
@@ -61,13 +59,6 @@ obs::Gauge& arena_bytes_gauge() {
   static obs::Gauge& g =
       obs::Registry::global().gauge("select.ctx.arena_bytes");
   return g;
-}
-
-/// pair_row()'s and warm_rows()' source check, made before any state change.
-void check_source(const topo::TopologyGraph& g, topo::NodeId src,
-                  const char* what) {
-  if (src < 0 || static_cast<std::size_t>(src) >= g.node_count())
-    throw std::out_of_range(std::string(what) + ": source out of range");
 }
 }  // namespace
 
@@ -572,7 +563,8 @@ std::unique_ptr<SelectionContext::Cell[]> SelectionContext::build_row(
 }
 
 SelectionContext::PairRow SelectionContext::pair_row(topo::NodeId src) const {
-  check_source(graph(), src, "pair_row");
+  if (src < 0 || static_cast<std::size_t>(src) >= graph().node_count())
+    throw std::out_of_range("pair_row: source out of range");
   ensure_layout();
   auto& slot = rows_[static_cast<std::size_t>(src)];
   if (!slot) {
@@ -592,27 +584,6 @@ SelectionContext::PairRow SelectionContext::pair_row(topo::NodeId src) const {
   r.bw_ = bw_.data();
   r.bwfactor_ = bwfactor_.data();
   return r;
-}
-
-void SelectionContext::warm_rows(
-    util::ThreadPool& pool, const std::vector<topo::NodeId>& sources) const {
-  for (topo::NodeId src : sources) check_source(graph(), src, "warm_rows");
-  ensure_layout();
-  std::vector<char> queued(graph().node_count(), 0);
-  std::vector<topo::NodeId> todo;
-  for (topo::NodeId src : sources) {
-    const auto i = static_cast<std::size_t>(src);
-    if (rows_[i] || queued[i]) continue;
-    queued[i] = 1;
-    todo.push_back(src);
-  }
-  if (todo.empty()) return;
-  row_misses().inc(todo.size());
-  // Each task builds one row into its own pre-sized slot and reads only
-  // shared immutable state, so any thread count produces identical rows.
-  util::parallel_for(pool, todo.size(), [&](std::size_t i) {
-    rows_[static_cast<std::size_t>(todo[i])] = build_row(todo[i]);
-  });
 }
 
 std::vector<char> SelectionContext::eligibility(

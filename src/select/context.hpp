@@ -31,9 +31,9 @@
 // PairRow::at() derives them on read with the same std::min and + the
 // BFS kernel applies when it discovers that node, so every value is
 // bit-identical to topo::bottleneck_row. The layout is made by the first
-// pair_row()/warm_rows() call. A stored node stays stored if its degree
-// later falls; an unstored node never gains a second link without a
-// relayout, because only LinkAdded raises a degree and it drops the layout.
+// pair_row() call. A stored node stays stored if its degree later falls;
+// an unstored node never gains a second link without a relayout, because
+// only LinkAdded raises a degree and it drops the layout.
 //
 // Validity contract: the snapshot carries an epoch counter bumped on every
 // mutation plus a bounded journal of typed deltas (remos/delta.hpp). Each
@@ -85,10 +85,6 @@
 #include "select/options.hpp"
 #include "topo/connectivity.hpp"
 #include "topo/graph.hpp"
-
-namespace netsel::util {
-class ThreadPool;
-}
 
 namespace netsel::select {
 
@@ -239,18 +235,6 @@ class SelectionContext {
   /// Per-node eligibility under `opt` (compute, mask, min-cpu, memory).
   /// Options-dependent, so computed per call — O(V), not cached.
   std::vector<char> eligibility(const SelectionOptions& opt) const;
-
-  /// Build the pair_row() cache entries for `sources` on a thread pool
-  /// (duplicates and already-built rows are skipped; each build counts as a
-  /// row miss): the same compact rows pair_row() builds, one BFS per
-  /// missing source, fanned out over the pool. Safe because every row
-  /// lands in its own pre-sized slot; no other accessor may run
-  /// concurrently — warm, then query. Results are identical at any thread
-  /// count, the zero-worker serial mode included. Throws std::out_of_range,
-  /// before any row is built, if any source is outside
-  /// [0, graph().node_count()).
-  void warm_rows(util::ThreadPool& pool,
-                 const std::vector<topo::NodeId>& sources) const;
 
  private:
   /// Catch up with the snapshot: consume the missed deltas fine-grainedly,

@@ -101,7 +101,7 @@ std::vector<char> dominated_candidate_mask(const remos::NetworkSnapshot& snap,
   if (!opt.prune_dominated || opt.num_nodes < 2) return cand;
   // Candidate-count short-circuit: below the threshold the selection is
   // already sub-millisecond, so even a perfect prune cannot pay for its own
-  // O(V + E) grouping pass (BENCH_scale.json showed pruned cold 3x *slower*
+  // O(V + E) grouping pass (bench_scale measured pruned cold 3x *slower*
   // than unpruned on the 567-node fat-tree). Nothing is dropped, so the
   // winner is trivially preserved.
   if (opt.prune_min_candidates > 0) {

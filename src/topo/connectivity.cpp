@@ -6,14 +6,6 @@
 
 namespace netsel::topo {
 
-std::vector<NodeId> Components::members(int c) const {
-  std::vector<NodeId> out;
-  for (std::size_t i = 0; i < comp_of.size(); ++i) {
-    if (comp_of[i] == c) out.push_back(static_cast<NodeId>(i));
-  }
-  return out;
-}
-
 Components connected_components(const TopologyGraph& g,
                                 const std::vector<char>& link_active) {
   if (link_active.size() != g.link_count())
@@ -106,12 +98,11 @@ BottleneckRow bottleneck_row(const TopologyGraph& g, NodeId src,
   row.bottleneck[static_cast<std::size_t>(src)] = kInf;
   if (!weight2.empty()) row.bottleneck2[static_cast<std::size_t>(src)] = kInf;
   row.reached[static_cast<std::size_t>(src)] = 1;
-  row.tree_link.assign(n, kInvalidLink);
   // The FIFO order and links_of() iteration order below must match
   // select::bfs_path exactly: they define the same BFS tree, hence the same
-  // deterministic paths on cyclic graphs. A node enters the flat FIFO at
-  // most once, so the FIFO *is* the discovery order, recorded as row.order.
-  std::vector<NodeId>& fifo = row.order;
+  // deterministic paths on cyclic graphs. A node enters the FIFO at most
+  // once, so it never needs popping: a head index walks it.
+  std::vector<NodeId> fifo;
   fifo.reserve(n);
   fifo.push_back(src);
   for (std::size_t head = 0; head < fifo.size(); ++head) {
@@ -125,7 +116,6 @@ BottleneckRow bottleneck_row(const TopologyGraph& g, NodeId src,
       if (row.reached[iv]) continue;
       row.reached[iv] = 1;
       const auto il = static_cast<std::size_t>(l);
-      row.tree_link[iv] = l;
       row.bottleneck[iv] = std::min(row.bottleneck[iu], weight[il]);
       if (!weight2.empty())
         row.bottleneck2[iv] = std::min(row.bottleneck2[iu], weight2[il]);
@@ -134,18 +124,6 @@ BottleneckRow bottleneck_row(const TopologyGraph& g, NodeId src,
     }
   }
   return row;
-}
-
-int largest_compute_component(const Components& c) {
-  int best = -1;
-  int best_count = 0;
-  for (int i = 0; i < c.count; ++i) {
-    if (c.compute_count[static_cast<std::size_t>(i)] > best_count) {
-      best_count = c.compute_count[static_cast<std::size_t>(i)];
-      best = i;
-    }
-  }
-  return best;
 }
 
 }  // namespace netsel::topo

@@ -14,8 +14,9 @@
 //     select/balanced.cpp.)
 //   - bottleneck_row: per-source widest-path/bottleneck values along the
 //     deterministic BFS tree (on acyclic graphs: the unique path, hence the
-//     true widest path). This is the cached kernel behind the pairwise
-//     min-bandwidth objective.
+//     true widest path). select::SelectionContext caches compact rows of
+//     the same values for the pairwise min-bandwidth objective; this
+//     full-width version is the reference its rows are tested against.
 
 #include <span>
 #include <vector>
@@ -34,9 +35,6 @@ struct Components {
   std::vector<int> compute_count;
   /// total node count per component.
   std::vector<int> node_count;
-
-  /// Nodes belonging to component c, in id order.
-  std::vector<NodeId> members(int c) const;
 };
 
 /// Decompose `g` into connected components considering only links for which
@@ -46,10 +44,6 @@ Components connected_components(const TopologyGraph& g,
 
 /// Convenience: all links active.
 Components connected_components(const TopologyGraph& g);
-
-/// Id of the component with the most compute nodes (ties broken toward the
-/// lower component id, which is deterministic); -1 when there are none.
-int largest_compute_component(const Components& c);
 
 /// Union-find over node ids where each component tracks its *eligible*-node
 /// count (eligibility is whatever mask the caller supplies — typically
@@ -95,14 +89,6 @@ struct BottleneckRow {
   std::vector<double> bottleneck2;  ///< same for weight2 (empty if not given)
   std::vector<double> latency;      ///< summed link latency along path
   std::vector<char> reached;        ///< 0 for nodes in other components
-  /// BFS-tree structure: the link that first reached each node
-  /// (kInvalidLink for src and unreached nodes) and the discovery (FIFO)
-  /// order of the reached nodes, src first — what the batched kernel's
-  /// bit-identity contract compares. Replaying the bottleneck recurrence
-  /// over `order` with updated weights is bit-identical to a rebuild,
-  /// because the tree is weight-independent.
-  std::vector<LinkId> tree_link;
-  std::vector<NodeId> order;
 };
 
 BottleneckRow bottleneck_row(const TopologyGraph& g, NodeId src,

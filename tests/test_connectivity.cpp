@@ -49,37 +49,10 @@ TEST(Components, AllLinksRemovedEveryNodeAlone) {
   EXPECT_EQ(c.count, static_cast<int>(g.node_count()));
 }
 
-TEST(Components, MembersReturnsNodesInOrder) {
-  auto g = star(3);
-  auto c = connected_components(g);
-  auto members = c.members(0);
-  ASSERT_EQ(members.size(), 4u);
-  EXPECT_TRUE(std::is_sorted(members.begin(), members.end()));
-}
-
 TEST(Components, MaskSizeMismatchThrows) {
   auto g = star(3);
   std::vector<char> bad(g.link_count() + 1, 1);
   EXPECT_THROW(connected_components(g, bad), std::invalid_argument);
-}
-
-TEST(LargestComputeComponent, PicksBiggest) {
-  auto g = dumbbell(2, 5);
-  std::vector<char> mask(g.link_count(), 1);
-  mask[0] = 0;  // the bottleneck link is added first
-  auto c = connected_components(g, mask);
-  ASSERT_EQ(c.count, 2);
-  int best = largest_compute_component(c);
-  EXPECT_EQ(c.compute_count[static_cast<std::size_t>(best)], 5);
-}
-
-TEST(LargestComputeComponent, NoComputeNodesGivesMinusOne) {
-  Components c;
-  c.count = 1;
-  c.compute_count = {0};
-  c.node_count = {3};
-  c.comp_of = {0, 0, 0};
-  EXPECT_EQ(largest_compute_component(c), -1);
 }
 
 }  // namespace

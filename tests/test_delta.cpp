@@ -3,15 +3,13 @@
 // fine-grained invalidation (in-place row value repair, per-row drop on
 // link removal) must stay *bit-identical* to a context rebuilt from scratch
 // after arbitrary delta sequences — orders, component decompositions, the
-// half-edge neighbour array, bottleneck rows (built serially and by
-// warm_rows on a pool), selections under every criterion, and set
-// evaluations; every checked row is also compared, node by node, with
-// topo::bottleneck_row over the TopologyGraph. Also covers the journal
-// mechanics (typed emission, bounded trimming, overflow fallback), the
-// graph's CSR patches against a scan of its links, no row rebuild under
-// value-only deltas, one test per compact-row delta rule, the source
-// range check of pair_row and warm_rows, and the bounded-migration
-// reselect layer.
+// half-edge neighbour array, bottleneck rows, selections under every
+// criterion, and set evaluations; every checked row is also compared, node
+// by node, with topo::bottleneck_row over the TopologyGraph. Also covers the
+// journal mechanics (typed emission, bounded trimming, overflow fallback),
+// the graph's CSR patches against a scan of its links, no row rebuild under
+// value-only deltas, one test per compact-row delta rule, the source range
+// check of pair_row, and the bounded-migration reselect layer.
 
 #include <gtest/gtest.h>
 
@@ -30,7 +28,6 @@
 #include "topo/generators.hpp"
 #include "topo/synthetic.hpp"
 #include "util/rng.hpp"
-#include "util/thread_pool.hpp"
 
 namespace netsel {
 namespace {
@@ -583,39 +580,32 @@ TEST(IncrementalOracle, ValueDeltasKeepRowStorage) {
   expect_row_matches_kernel(grown, snap, h[0], "post-add");
 }
 
-/// warm_rows end to end: on a context that consumed value and structural
-/// deltas after building its caches, the rows built on a pool reproduce the
-/// TopologyGraph reference kernel at every node, at every worker count.
-TEST(IncrementalOracle, WarmRowsBitIdenticalAcrossThreadCountsAndDeltas) {
+/// Rows built after deltas: on a context that consumed value and structural
+/// deltas after building its caches, the row pair_row() builds from every
+/// present node reproduces the TopologyGraph reference kernel at every node.
+TEST(IncrementalOracle, RowsBuiltAfterDeltasMatchKernel) {
   for (int family = 0; family < 3; ++family) {
-    for (int workers : {0, 2, 4}) {
-      auto inst = family_instance(family, 7);
-      select::SelectionContext ctx(*inst.snap);
-      (void)ctx.pair_row(present_computes(*inst.graph).front());
-      util::Rng rng(11);
-      int names = 0;
-      for (int step = 0; step < 12; ++step)
-        random_mutation(rng, *inst.graph, *inst.snap, names);
-      std::vector<topo::NodeId> sources;
-      for (std::size_t i = 0; i < inst.graph->node_count(); ++i)
-        if (!inst.graph->node_removed(static_cast<topo::NodeId>(i)))
-          sources.push_back(static_cast<topo::NodeId>(i));
-      util::ThreadPool pool(workers);
-      ctx.warm_rows(pool, sources);
-      EXPECT_GT(ctx.arena_bytes(), 0u);
-      const std::string what = "family " + std::to_string(family) +
-                               " workers " + std::to_string(workers);
-      for (topo::NodeId src : sources)
+    auto inst = family_instance(family, 7);
+    select::SelectionContext ctx(*inst.snap);
+    (void)ctx.pair_row(present_computes(*inst.graph).front());
+    util::Rng rng(11);
+    int names = 0;
+    for (int step = 0; step < 12; ++step)
+      random_mutation(rng, *inst.graph, *inst.snap, names);
+    const std::string what = "family " + std::to_string(family);
+    for (std::size_t i = 0; i < inst.graph->node_count(); ++i) {
+      const auto src = static_cast<topo::NodeId>(i);
+      if (!inst.graph->node_removed(src))
         expect_row_matches_kernel(ctx.pair_row(src), *inst.snap, src, what);
     }
+    EXPECT_GT(ctx.arena_bytes(), 0u);
   }
 }
 
 TEST(IncrementalOracle, WarmedRowsStayConsistentAcrossDeltas) {
   auto inst = family_instance(0, 3);
-  util::ThreadPool pool(2);
   select::SelectionContext ctx(*inst.snap);
-  ctx.warm_rows(pool, present_computes(*inst.graph));
+  for (topo::NodeId h : present_computes(*inst.graph)) (void)ctx.pair_row(h);
   auto links = present_links(*inst.graph);
   inst.snap->set_bw(links[1], 0.5 * inst.snap->maxbw(links[1]));
   inst.snap->set_bw(links[3], 0.25 * inst.snap->maxbw(links[3]));
@@ -774,12 +764,8 @@ TEST(CompactRows, OutOfRangeSourcesAreRejectedBeforeAnyRow) {
   const auto n = static_cast<topo::NodeId>(inst.graph->node_count());
   const topo::NodeId host = present_computes(*inst.graph).front();
   select::SelectionContext ctx(*inst.snap);
-  util::ThreadPool pool(0);
-  for (const topo::NodeId bad : {topo::NodeId{-1}, n}) {
+  for (const topo::NodeId bad : {topo::NodeId{-1}, n})
     EXPECT_THROW((void)ctx.pair_row(bad), std::out_of_range) << bad;
-    // One bad source rejects the whole call, the valid one included.
-    EXPECT_THROW(ctx.warm_rows(pool, {host, bad}), std::out_of_range) << bad;
-  }
   EXPECT_EQ(counters("select.ctx.row_misses"), 0u);
   EXPECT_EQ(ctx.arena_bytes(), 0u);  // nothing was prepared either
   (void)ctx.pair_row(host);

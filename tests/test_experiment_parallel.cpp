@@ -70,9 +70,12 @@ TEST(ParallelExperiment, Table1BitIdenticalAcrossThreadCounts) {
       EXPECT_EQ(serial[r].random_sel[c].mean, pooled[r].random_sel[c].mean);
       EXPECT_EQ(serial[r].random_sel[c].ci95, pooled[r].random_sel[c].ci95);
       EXPECT_EQ(serial[r].random_sel[c].trials, pooled[r].random_sel[c].trials);
+      EXPECT_EQ(serial[r].random_sel[c].failures,
+                pooled[r].random_sel[c].failures);
       EXPECT_EQ(serial[r].auto_sel[c].mean, pooled[r].auto_sel[c].mean);
       EXPECT_EQ(serial[r].auto_sel[c].ci95, pooled[r].auto_sel[c].ci95);
       EXPECT_EQ(serial[r].auto_sel[c].trials, pooled[r].auto_sel[c].trials);
+      EXPECT_EQ(serial[r].auto_sel[c].failures, pooled[r].auto_sel[c].failures);
     }
   }
 }

@@ -4,8 +4,9 @@
 // thread counts (the bench_service headline contract), exact snapshot
 // restore after drain(), the per-tenant degradation ladder under partial
 // measurement coverage, the rebalance path honouring a kept_current
-// reselect, the rejection of bad JobSpecs and arrival times at submit(),
-// and the determinism of the JobStream workload generator.
+// reselect, the rejection of bad JobSpecs and arrival times at submit()
+// and of bad time fields at construction, and the determinism of the
+// JobStream workload generator.
 
 #include <gtest/gtest.h>
 
@@ -420,6 +421,58 @@ TEST(SubmitValidation, CoverageRejectsNaNAndClampsFiniteValues) {
   EXPECT_DOUBLE_EQ(b.sched.measurement_coverage(), 1.0);
   b.sched.set_measurement_coverage(kInf);
   EXPECT_DOUBLE_EQ(b.sched.measurement_coverage(), 1.0);
+}
+
+// ---------------------------------------------------------------------------
+// Config validation: a bad time field is refused by the constructor. A
+// negative queue_timeout would time jobs out before their submission, a NaN
+// schedule_interval would never run a round, and a NaN
+// rebalance_min_improvement would refuse every improvement swap.
+// ---------------------------------------------------------------------------
+
+void expect_config_rejected(const SchedulerConfig& cfg,
+                            const std::string& what) {
+  const auto g = small_fabric();
+  EXPECT_THROW(SchedulerService(g, cfg), std::invalid_argument) << what;
+}
+
+void expect_config_accepted(const SchedulerConfig& cfg,
+                            const std::string& what) {
+  const auto g = small_fabric();
+  EXPECT_NO_THROW(SchedulerService(g, cfg)) << what;
+}
+
+TEST(SchedulerConfigValidation, QueueTimeoutMustBeNonNegative) {
+  for (double t : {-5.0, -kInf, kNaN, 0.0, kInf}) {
+    SchedulerConfig cfg;
+    cfg.queue_timeout = t;
+    const std::string what = "queue_timeout " + std::to_string(t);
+    // 0 times a job out at its arrival instant; +inf never times it out.
+    if (t >= 0.0)
+      expect_config_accepted(cfg, what);
+    else
+      expect_config_rejected(cfg, what);
+  }
+}
+
+TEST(SchedulerConfigValidation, ScheduleIntervalMustBeFiniteAndNonNegative) {
+  for (double dt : {-1.0, kNaN, kInf, 0.0, 2.0}) {
+    SchedulerConfig cfg;
+    cfg.schedule_interval = dt;
+    const std::string what = "schedule_interval " + std::to_string(dt);
+    if (dt >= 0.0 && dt < kInf)
+      expect_config_accepted(cfg, what);
+    else
+      expect_config_rejected(cfg, what);
+  }
+}
+
+TEST(SchedulerConfigValidation, RebalanceMinImprovementMustNotBeNaN) {
+  SchedulerConfig cfg;
+  cfg.rebalance_min_improvement = kNaN;
+  expect_config_rejected(cfg, "rebalance_min_improvement NaN");
+  cfg.rebalance_min_improvement = 0.05;
+  expect_config_accepted(cfg, "rebalance_min_improvement 0.05");
 }
 
 TEST(JobStream, DeterministicAndShaped) {

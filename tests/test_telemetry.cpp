@@ -5,7 +5,9 @@
 //     recorder-off digest equals the recorder-on digest;
 //   * job-trace and time-series digests are identical at 1, 2 and 4
 //     placement lanes (serial and pooled);
-//   * the flight ring under overflow keeps exactly the newest N events.
+//   * the flight ring under overflow keeps exactly the newest N events;
+// and the reconciliation of the exported time series and job traces with
+// the registry counters they mirror.
 
 #include "obs/flight.hpp"
 #include "obs/jobtrace.hpp"
@@ -13,11 +15,14 @@
 
 #include <gtest/gtest.h>
 
+#include <cmath>
 #include <cstdint>
+#include <map>
 #include <sstream>
 #include <string>
 #include <vector>
 
+#include "obs/metrics.hpp"
 #include "remos/snapshot.hpp"
 #include "sched/scheduler.hpp"
 #include "sched/workload.hpp"
@@ -299,6 +304,77 @@ TEST(SchedulerTelemetry, TraceTreesCompleteAndClosed) {
     }
   }
   EXPECT_GT(checked, 0u);
+}
+
+/// The exported telemetry agrees with the registry it mirrors: every
+/// counter series of the time-series document ends on the registry counter
+/// of the same name, and the job-trace JSONL holds exactly obs.trace.spans
+/// spans.
+TEST(SchedulerTelemetry, ExportsReconcileWithRegistry) {
+  struct ScopedRegistry {
+    ScopedRegistry() {
+      obs::set_enabled(true);
+      obs::Registry::global().reset();
+    }
+    ~ScopedRegistry() {
+      obs::Registry::global().reset();
+      obs::set_enabled(false);
+    }
+  } registry;
+  auto g = topo::fat_tree(topo::fat_tree_for_hosts(64, 8, 2.0, 17));
+  obs::TimeSeriesRecorder ts(1.0);
+  obs::JobTraceRecorder jt;
+  sched::SchedulerConfig cfg;
+  cfg.placement_lanes = 2;
+  cfg.schedule_interval = 1.0;
+  cfg.queue_timeout = 400.0;
+  cfg.rebalance_on_release = true;
+  cfg.timeseries = &ts;
+  cfg.job_trace = &jt;
+  sched::SchedulerService sched(g, cfg);
+  remos::apply_synthetic_load(sched.snapshot(), 17 + 7);
+  sched::WorkloadConfig w;
+  w.arrival_rate = 2.0;
+  w.seed = 17;
+  sched::JobStream stream(w);
+  stream.feed(sched, 30);
+  sched.drain();
+  // drain() stops at the last event; the next cadence boundary samples the
+  // state that event left.
+  sched.run_until(std::ceil(sched.now() / ts.cadence()) * ts.cadence());
+  ASSERT_EQ(ts.dropped(), 0u) << "the ring evicted rows: shorten the run";
+
+  std::map<std::string, std::uint64_t> registry_counters;
+  for (const auto& [name, value] : obs::Registry::global().counters())
+    registry_counters[name] = value;
+
+  std::ostringstream doc;
+  ts.write_json(doc);
+  std::istringstream lines(doc.str());
+  std::size_t counter_series = 0;
+  for (std::string line; std::getline(lines, line);) {
+    if (line.find("{\"type\":\"counter\"") == std::string::npos) continue;
+    const std::size_t open = line.find('"');
+    const std::string name =
+        line.substr(open + 1, line.find('"', open + 1) - open - 1);
+    ++counter_series;
+    ASSERT_EQ(registry_counters.count(name), 1u) << name;
+    EXPECT_EQ(ts.values(name).back(),
+              static_cast<double>(registry_counters[name]))
+        << name;
+  }
+  EXPECT_GE(counter_series, 5u);
+  EXPECT_GT(registry_counters["sched.jobs.completed"], 0u);
+
+  std::ostringstream jsonl;
+  jt.write_jsonl(jsonl);
+  const std::string text = jsonl.str();
+  std::uint64_t spans = 0;
+  for (std::size_t at = text.find("{\"id\":"); at != std::string::npos;
+       at = text.find("{\"id\":", at + 1))
+    ++spans;
+  EXPECT_GT(spans, 0u);
+  EXPECT_EQ(spans, registry_counters["obs.trace.spans"]);
 }
 
 TEST(SchedulerTelemetry, FlightRingSeesSchedulerEvents) {
