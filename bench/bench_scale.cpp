@@ -1,9 +1,7 @@
 // Scalability of the selection stack on synthetic datacenter topologies
 // (topo/synthetic.hpp): a grid of topology family x node count x criterion,
 // timing each selection cold (fresh SelectionContext: deletion orders and
-// components built during the call) and warm (orders cached), with
-// dominated-candidate pruning on vs off, asserting the two produce
-// bit-identical selections.
+// components built during the call) and warm (orders cached).
 //
 // Headline contract (the exit status): balanced selection on the largest
 // fat-tree in the run, cold, single-threaded, in under 1 s. The 1M-host
@@ -13,17 +11,16 @@
 //                    [--metrics-json PATH] [--chrome-trace PATH]
 // Defaults: 3 reps per cell, seed 4242, m = 16.
 //   --m M            selection size for every cell (the paper's m).
-//   --check          CI smoke: run a reduced grid once and exit non-zero if
-//                    any pruned selection differs from its unpruned twin or
-//                    any generator output fails to round-trip through the
-//                    .topo serialiser. Tables are skipped.
+//   --check          CI smoke: run every criterion once on a reduced grid
+//                    and exit non-zero if any generator output fails to
+//                    round-trip through the .topo serialiser. Tables are
+//                    skipped.
 //   --csv            append the machine-readable grid after the table.
 //   --metrics-json P enable the obs registry and write its JSON document
 //                    (schema netsel-metrics-v1) to P after the run.
 //   --chrome-trace P enable the obs registry and write the recorded spans
 //                    as Chrome trace_event JSON to P.
-// Exits 2 if a pruned selection differs from its unpruned twin or the
-// headline misses its target.
+// Exits 2 if the headline misses its target.
 
 #include <chrono>
 #include <cstdint>
@@ -139,10 +136,8 @@ bool same_selection(const select::SelectionResult& a,
 
 struct CriterionTiming {
   select::Criterion criterion;
-  double cold_seconds = 0.0;   // first call on a fresh context, pruned
-  double warm_seconds = 0.0;   // mean of the remaining reps, pruned
-  double naive_seconds = 0.0;  // cold call with pruning disabled
-  bool identical = false;
+  double cold_seconds = 0.0;  // first call on a fresh context
+  double warm_seconds = 0.0;  // mean of the remaining reps
 };
 
 struct CellResult {
@@ -168,31 +163,19 @@ CellResult run_cell(const CaseSpec& spec, std::uint64_t seed, int m,
     opt.num_nodes = m;
     CriterionTiming t;
     t.criterion = c;
-    select::SelectionResult pruned;
-    {
-      select::SelectionContext ctx(snap);
-      auto t0 = Clock::now();
-      pruned = select::select_nodes(c, ctx, opt);
-      t.cold_seconds = seconds_since(t0);
-      if (reps > 1) {
-        auto t1 = Clock::now();
-        for (int r = 1; r < reps; ++r) {
-          auto again = select::select_nodes(c, ctx, opt);
-          if (!same_selection(pruned, again)) std::abort();
-        }
-        t.warm_seconds = seconds_since(t1) / (reps - 1);
-      } else {
-        t.warm_seconds = t.cold_seconds;
+    select::SelectionContext ctx(snap);
+    auto t0 = Clock::now();
+    const auto cold = select::select_nodes(c, ctx, opt);
+    t.cold_seconds = seconds_since(t0);
+    if (reps > 1) {
+      auto t1 = Clock::now();
+      for (int r = 1; r < reps; ++r) {
+        auto again = select::select_nodes(c, ctx, opt);
+        if (!same_selection(cold, again)) std::abort();
       }
-    }
-    {
-      select::SelectionOptions naive = opt;
-      naive.prune_dominated = false;
-      select::SelectionContext ctx(snap);
-      auto t0 = Clock::now();
-      auto unpruned = select::select_nodes(c, ctx, naive);
-      t.naive_seconds = seconds_since(t0);
-      t.identical = same_selection(pruned, unpruned);
+      t.warm_seconds = seconds_since(t1) / (reps - 1);
+    } else {
+      t.warm_seconds = t.cold_seconds;
     }
     out.timings.push_back(t);
   }
@@ -212,17 +195,7 @@ int run_check(std::uint64_t seed, int m) {
                    spec.family);
       rc = 2;
     }
-    auto cell = run_cell(spec, seed, m, 1);
-    for (const CriterionTiming& t : cell.timings) {
-      if (!t.identical) {
-        std::fprintf(stderr,
-                     "CHECK FAILED: %s (%zu nodes) %s: pruned selection "
-                     "differs from unpruned\n",
-                     spec.family, spec.graph.node_count(),
-                     select::criterion_name(t.criterion));
-        rc = 2;
-      }
-    }
+    run_cell(spec, seed, m, 1);
   }
   std::fprintf(stderr, rc == 0 ? "check: OK\n" : "check: FAILED\n");
   return rc;
@@ -308,26 +281,21 @@ int main(int argc, char** argv) {
 
   std::printf(
       "== Selection at scale: synthetic fabrics, m=%d, %d reps, seed %llu ==\n"
-      "   cold = fresh context; warm = cached deletion orders;\n"
-      "   unpruned = cold with dominated-candidate pruning disabled\n\n"
-      "%-18s %8s %8s %8s  %-14s %9s %9s %9s  %s\n",
+      "   cold = fresh context; warm = cached deletion orders\n\n"
+      "%-18s %8s %8s %8s  %-14s %9s %9s\n",
       m, reps, static_cast<unsigned long long>(seed), "family", "nodes",
-      "links", "hosts", "criterion", "cold_ms", "warm_ms", "unpr_ms", "same");
+      "links", "hosts", "criterion", "cold_ms", "warm_ms");
   std::vector<CellResult> cells;
   const CriterionTiming* headline = nullptr;
   const CaseSpec* headline_spec = nullptr;
-  bool all_identical = true;
   for (const CaseSpec& spec : cases) {
     cells.push_back(run_cell(spec, seed, m, reps));
     const CellResult& cell = cells.back();
     for (const CriterionTiming& t : cell.timings) {
-      std::printf("%-18s %8zu %8zu %8d  %-14s %9.2f %9.2f %9.2f  %s\n",
-                  spec.family, spec.graph.node_count(),
-                  spec.graph.link_count(), spec.hosts,
-                  select::criterion_name(t.criterion), t.cold_seconds * 1e3,
-                  t.warm_seconds * 1e3, t.naive_seconds * 1e3,
-                  t.identical ? "yes" : "NO");
-      all_identical = all_identical && t.identical;
+      std::printf("%-18s %8zu %8zu %8d  %-14s %9.2f %9.2f\n", spec.family,
+                  spec.graph.node_count(), spec.graph.link_count(),
+                  spec.hosts, select::criterion_name(t.criterion),
+                  t.cold_seconds * 1e3, t.warm_seconds * 1e3);
       if (t.criterion == select::Criterion::Balanced &&
           std::strncmp(spec.family, "fat_tree", 8) == 0 &&
           (!headline_spec ||
@@ -350,14 +318,14 @@ int main(int argc, char** argv) {
               static_cast<double>(peak_rss_bytes()) / (1024.0 * 1024.0));
   if (csv) {
     std::printf("\n-- csv --\nfamily,nodes,links,hosts,criterion,cold_s,"
-                "warm_s,unpruned_cold_s,identical\n");
+                "warm_s\n");
     for (const CellResult& cell : cells)
       for (const CriterionTiming& t : cell.timings)
-        std::printf("%s,%zu,%zu,%d,%s,%.5f,%.5f,%.5f,%d\n",
-                    cell.spec->family, cell.spec->graph.node_count(),
+        std::printf("%s,%zu,%zu,%d,%s,%.5f,%.5f\n", cell.spec->family,
+                    cell.spec->graph.node_count(),
                     cell.spec->graph.link_count(), cell.spec->hosts,
                     select::criterion_name(t.criterion), t.cold_seconds,
-                    t.warm_seconds, t.naive_seconds, t.identical ? 1 : 0);
+                    t.warm_seconds);
   }
   // Export the process footprint alongside the context gauges so the
   // metrics document carries it too (scale profile of
@@ -366,5 +334,5 @@ int main(int argc, char** argv) {
       .gauge("proc.peak_rss_bytes")
       .set(static_cast<double>(peak_rss_bytes()));
   if (!write_obs_exports(metrics_path, trace_path)) return 1;
-  return all_identical && within_target ? 0 : 2;
+  return within_target ? 0 : 2;
 }

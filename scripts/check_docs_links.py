@@ -2,7 +2,8 @@
 """Check that intra-repo links, file references and heading anchors in the
 Markdown docs resolve.
 
-Scans the repo's committed *.md files (top level, docs/, .github/) for
+Scans the repo's committed *.md files (top level, docs/, benchmark/ and
+the dot-directories DOC_GLOBS names) for
 
   * inline Markdown links [text](target) — http(s)/mailto links are
     ignored, everything else must exist relative to the linking file (or
@@ -12,7 +13,7 @@ Scans the repo's committed *.md files (top level, docs/, .github/) for
     Markdown file. Anchors are derived from headings the way GitHub does
     it: lowercase, punctuation stripped, spaces to hyphens, duplicate
     headings suffixed -1, -2, ...;
-  * backtick references like `src/select/prune.hpp`, `docs/TOPO_FORMAT.md`
+  * backtick references like `src/select/bnb.hpp`, `docs/TOPO_FORMAT.md`
     or `scripts/check_docs_links.py` — single-token paths with a known
     directory prefix and file extension must exist.
 
@@ -30,7 +31,8 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 
 # Committed Markdown roots (build/ output and similar are never scanned).
-DOC_GLOBS = ["*.md", "docs/*.md", ".github/**/*.md"]
+DOC_GLOBS = ["*.md", "docs/*.md", "benchmark/*.md", ".github/**/*.md",
+             ".claude/**/*.md"]
 # Generated reference material (paper/snippet retrieval dumps) is not ours
 # to fix and may cite assets that were never retrieved.
 SKIP = {"PAPERS.md", "SNIPPETS.md", "PAPER.md", "ISSUE.md"}

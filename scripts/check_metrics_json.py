@@ -62,7 +62,6 @@ PROFILES = {
         "counters": [
             "select.ctx.row_hits",
             "select.ctx.row_misses",
-            "select.prune.dropped",
             "select.selections",
             "api.degradation.full",
             "api.degradation.smoothed",

@@ -19,6 +19,9 @@ namespace netsel::sched {
 
 namespace {
 
+/// Delta-journal capacity of the cluster snapshot.
+constexpr std::size_t kClusterJournalCapacity = 65536;
+
 struct SchedMetrics {
   obs::Counter& submitted;
   obs::Counter& admitted;
@@ -143,7 +146,10 @@ void register_scheduler_metrics() {
 SchedulerService::SchedulerService(const topo::TopologyGraph& g,
                                    SchedulerConfig cfg)
     : graph_(&g), cfg_(validated(cfg)), cluster_(g), prior_(g) {
-  cluster_.set_delta_journal_capacity(cfg_.journal_capacity);
+  // The journal must cover the mutations between two uses of the *least
+  // recently used* lane, or that lane pays a full rebuild (correct either
+  // way).
+  cluster_.set_delta_journal_capacity(kClusterJournalCapacity);
   lanes_.resize(static_cast<std::size_t>(cfg_.placement_lanes));
   for (Lane& l : lanes_) {
     l.live = std::make_unique<select::SelectionContext>(cluster_);

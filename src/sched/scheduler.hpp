@@ -180,10 +180,6 @@ struct SchedulerConfig {
   int placement_lanes = 4;
   /// Worker pool for the speculative phase; null = serial (bit-identical).
   util::ThreadPool* pool = nullptr;
-  /// Delta-journal capacity of the cluster snapshot: must cover the
-  /// mutations between two uses of the *least recently used* lane, or that
-  /// lane pays a full rebuild (correct either way).
-  std::size_t journal_capacity = 65536;
   /// Rebalance after each release: re-place the worst-scoring running job
   /// through api::reselect under rebalance_budget migrations.
   bool rebalance_on_release = false;

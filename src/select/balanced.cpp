@@ -56,7 +56,6 @@
 #include "select/detail.hpp"
 #include "select/objective.hpp"
 #include "select/obs.hpp"
-#include "select/prune.hpp"
 #include "select/reference.hpp"
 #include "topo/connectivity.hpp"
 
@@ -118,11 +117,10 @@ struct TopPool {
 
 /// The merge forest of a replay over V nodes. Index f < V is the leaf of
 /// node f: eligible = elig[f], min_pos = kNoPos, and top slice
-/// (f, cand[f] ? 1 : 0), which TopPool reads as node f itself. Merge nodes
+/// (f, elig[f] ? 1 : 0), which TopPool reads as node f itself. Merge nodes
 /// are stored from index V on.
 struct MergeForest {
   const std::vector<char>& elig;
-  const std::vector<char>& cand;
   std::vector<ForestNode> merges;
 
   std::size_t leaves() const { return elig.size(); }
@@ -132,7 +130,7 @@ struct MergeForest {
     if (i >= leaves()) return merges[i - leaves()];
     ForestNode leaf;
     leaf.eligible = elig[i] ? 1 : 0;
-    leaf.top_len = cand[i] ? 1 : 0;
+    leaf.top_len = leaf.eligible;
     leaf.top_off = static_cast<std::int64_t>(i);
     return leaf;
   }
@@ -292,10 +290,6 @@ SelectionResult select_balanced_forest(const SelectionContext& ctx,
   const int m = opt.num_nodes;
 
   auto elig = ctx.eligibility(opt);
-  // Feasibility (ForestNode::eligible, feasible_live) uses the full eligible
-  // set; the top-m ranking lists drop dominated candidates
-  // (winner-preserving, see select/prune.hpp).
-  const auto cand = dominated_candidate_mask(snap, opt, elig);
 
   // The deletion order: links ascending by (fraction, id) — the order
   // min_fraction_link produces; the gather below skips those failing the
@@ -362,7 +356,7 @@ SelectionResult select_balanced_forest(const SelectionContext& ctx,
   // fraction minimum, and forward deletion of a cycle link restores the
   // minimum from before its insertion.
   // A merge joins two components, so there are at most V - 1 of them.
-  MergeForest forest{elig, cand, {}};
+  MergeForest forest{elig, {}};
   forest.merges.reserve(std::min(V, steps));
   const auto mm = static_cast<std::size_t>(m);
   // Slice sharing on lopsided merges keeps the pool near

@@ -1,7 +1,6 @@
 #include "select/bnb.hpp"
 
 #include <algorithm>
-#include <chrono>
 #include <cstdint>
 #include <functional>
 #include <limits>
@@ -15,7 +14,6 @@
 #include "select/context.hpp"
 #include "select/objective.hpp"
 #include "select/obs.hpp"
-#include "select/prune.hpp"
 
 namespace netsel::select {
 
@@ -76,6 +74,18 @@ bool explores_before(const Open& a, const Open& b) {
 
 /// std::*_heap comparator ("less": max-heap keeps the next pop at front).
 bool heap_less(const Open& a, const Open& b) { return explores_before(b, a); }
+
+/// Groups larger than this skip the quadratic dominator count: the mask is
+/// always allowed to under-prune, and a 10k-host star must not cost O(k^2).
+constexpr std::size_t kMaxLeafGroup = 4096;
+
+/// An eligible degree-1 host and the keys a dominator must match.
+struct LeafEntry {
+  topo::NodeId node;
+  double bw;
+  double frac;
+  double cpu;
+};
 
 enum class Cut { Keep, Bound, Lex };
 
@@ -395,23 +405,12 @@ struct Search {
     ext_bound.assign(P, 0.0);
     kth.assign(P, 0.0);
     ext_ok.assign(P, 0);
-    const auto t0 = std::chrono::steady_clock::now();
-    std::uint64_t pops = 0;
     while (!open.empty()) {
       if (opt.exact.node_budget != 0 &&
           stats.expanded >= opt.exact.node_budget) {
         stop = BnbStop::NodeBudget;
         budget_stop = true;
         break;
-      }
-      if (opt.exact.time_budget_s > 0.0 && (++pops & 1023) == 0) {
-        const std::chrono::duration<double> dt =
-            std::chrono::steady_clock::now() - t0;
-        if (dt.count() >= opt.exact.time_budget_s) {
-          stop = BnbStop::TimeBudget;
-          budget_stop = true;
-          break;
-        }
       }
       if (opt.exact.gap_tolerance > 0.0 && best > -kInf &&
           (has_set || !floor_nodes.empty())) {
@@ -473,10 +472,71 @@ const char* bnb_stop_name(BnbStop s) {
     case BnbStop::Proven: return "proven";
     case BnbStop::GapReached: return "gap_reached";
     case BnbStop::NodeBudget: return "node_budget";
-    case BnbStop::TimeBudget: return "time_budget";
     case BnbStop::PoolLimit: return "pool_limit";
   }
   return "unknown";
+}
+
+std::vector<char> exact_dominated_candidate_mask(
+    const remos::NetworkSnapshot& snap, const SelectionOptions& opt,
+    const std::vector<char>& eligible) {
+  std::vector<char> cand = eligible;
+  const auto& g = snap.graph();
+  const std::size_t V = g.node_count();
+  const auto m = static_cast<std::size_t>(opt.num_nodes);
+  auto is_leaf = [&](std::size_t i) {
+    return eligible[i] && g.links_of(static_cast<topo::NodeId>(i)).size() == 1;
+  };
+  auto anchor_of = [&](std::size_t i) {
+    const auto n = static_cast<topo::NodeId>(i);
+    return static_cast<std::size_t>(g.other_end(g.links_of(n)[0], n));
+  };
+
+  // Bucket the eligible leaves by attachment switch (flat count / prefix /
+  // fill): the entries of switch a live in entries[head[a] .. head[a+1]),
+  // in id order.
+  std::vector<std::int32_t> head(V + 1, 0);
+  for (std::size_t i = 0; i < eligible.size(); ++i)
+    if (is_leaf(i)) ++head[anchor_of(i) + 1];
+  // The key lookups below are the expensive part: skip them when no switch
+  // holds a prunable group.
+  bool any_prunable = false;
+  for (std::size_t a = 1; a <= V && !any_prunable; ++a) {
+    const auto size = static_cast<std::size_t>(head[a]);
+    any_prunable = size > m && size <= kMaxLeafGroup;
+  }
+  if (!any_prunable) return cand;
+  for (std::size_t a = 0; a < V; ++a) head[a + 1] += head[a];
+  std::vector<LeafEntry> entries(static_cast<std::size_t>(head[V]));
+  std::vector<std::int32_t> cursor(head.begin(), head.end() - 1);
+  for (std::size_t i = 0; i < eligible.size(); ++i) {
+    if (!is_leaf(i)) continue;
+    const auto n = static_cast<topo::NodeId>(i);
+    const topo::LinkId l = g.links_of(n)[0];
+    entries[static_cast<std::size_t>(cursor[anchor_of(i)]++)] = {
+        n, snap.bw(l), link_fraction(snap, l, opt), node_cpu(snap, n, opt)};
+  }
+
+  for (std::size_t a = 0; a < V; ++a) {
+    const auto lo = static_cast<std::size_t>(head[a]);
+    const auto hi = static_cast<std::size_t>(head[a + 1]);
+    if (hi - lo <= m || hi - lo > kMaxLeafGroup) continue;
+    // A candidate's potential dominators (strictly lower id) are exactly
+    // its prefix of the group.
+    for (std::size_t r = lo + m; r < hi; ++r) {
+      const LeafEntry& b = entries[r];
+      std::size_t dominators = 0;
+      for (std::size_t q = lo; q < r && dominators < m; ++q) {
+        const LeafEntry& d = entries[q];
+        // Weak dominance on every objective key suffices: with a lower id
+        // the swap B -> D is value-preserving *and* lexicographically
+        // improving, so ties are prunable.
+        if (d.cpu >= b.cpu && d.bw >= b.bw && d.frac >= b.frac) ++dominators;
+      }
+      if (dominators >= m) cand[static_cast<std::size_t>(b.node)] = 0;
+    }
+  }
+  return cand;
 }
 
 double exact_set_value(const SelectionContext& ctx, const SelectionOptions& opt,

@@ -35,7 +35,7 @@
 // once the lex-first incumbent is in hand.
 //
 // Budgets degrade to a *certified bound*, never to failure: when
-// node/time/open-list budgets trip, the incumbent is returned together
+// node/gap/open-list budgets trip, the incumbent is returned together
 // with upper_bound = max(incumbent, best open bound, best evicted bound),
 // which is sound for the true optimum by admissibility. `certified` is set
 // only when the search drained the tree with nothing evicted — then
@@ -58,7 +58,6 @@ enum class BnbStop {
                ///< instance is infeasible)
   GapReached,  ///< incumbent within gap_tolerance of the running bound
   NodeBudget,  ///< ExactOptions::node_budget expansions reached
-  TimeBudget,  ///< ExactOptions::time_budget_s exceeded
   PoolLimit,   ///< pool > ExactOptions::max_pool: greedy incumbent only
 };
 
@@ -91,6 +90,23 @@ struct BnbResult {
   BnbStop stop = BnbStop::Proven;
   BnbStats stats;
 };
+
+/// Dominance mask for the exact search, which must preserve not just the
+/// optimal objective but the brute-force tie-break: among equal-objective
+/// m-subsets, the lexicographically first (by node id). Host B (eligible,
+/// degree 1, attached to switch S) is cleared when at least m eligible
+/// degree-1 hosts on S have a *strictly lower node id* and weakly dominate
+/// B's link bandwidth, link fraction and cpu: swapping B out for an unused
+/// dominator then never decreases any pairwise bottleneck or the cpu
+/// minimum (the BFS paths beyond the shared switch are identical) and
+/// always produces a lexicographically smaller set, so B cannot appear in
+/// the exact answer. Applies for every m >= 1 (subset semantics have no
+/// per-component feasibility rule). `eligible` has one entry per node (as
+/// returned by SelectionContext::eligibility); the result is a copy of it
+/// with dominated hosts cleared.
+std::vector<char> exact_dominated_candidate_mask(
+    const remos::NetworkSnapshot& snap, const SelectionOptions& opt,
+    const std::vector<char>& eligible);
 
 /// Criterion value of an m-subset `nodes` (ascending ids, all eligible)
 /// under brute-force semantics: -inf when the set violates min_bw_bps,

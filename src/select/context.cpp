@@ -76,10 +76,6 @@ SelectionContext::SelectionContext(const remos::NetworkSnapshot& snap)
   rows_invalidated_full();
   rows_repaired();
   arena_bytes_gauge();
-  // Owned by prune.cpp, but registered here too: the candidate-count
-  // short-circuit can mean no selection ever reaches the pruner, and the
-  // exported document must still carry the counter at 0.
-  obs::Registry::global().counter("select.prune.dropped");
 }
 
 // ---------------------------------------------------------------------------

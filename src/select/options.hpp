@@ -31,10 +31,6 @@ struct ExactOptions {
   /// Search-node expansions before the search degrades to a certified
   /// bound. 0 = unlimited (the search runs to proof).
   std::uint64_t node_budget = 150'000;
-  /// Wall-clock budget in seconds; 0 = none. Nondeterministic by nature —
-  /// leave at 0 wherever bit-reproducible output matters (tests, committed
-  /// benches) and bound work with node_budget instead.
-  double time_budget_s = 0.0;
   /// Stop early once incumbent >= (1 - gap_tolerance) * bound; the result
   /// is then certified to be within that relative gap. 0 = prove exactly.
   double gap_tolerance = 0.0;
@@ -47,8 +43,9 @@ struct ExactOptions {
   /// can then no longer certify exactness, only the bound).
   std::size_t max_open = 2'000'000;
   /// Drop candidates dominated by >= m strictly-lower-id siblings on the
-  /// same leaf switch (select/prune.hpp's keys, id-ordered so the
-  /// brute-force lexicographic tie-break is preserved bit-exactly).
+  /// same leaf switch (exact_dominated_candidate_mask in select/bnb.hpp,
+  /// id-ordered so the brute-force lexicographic tie-break is preserved
+  /// bit-exactly).
   bool prune_dominance = true;
   /// Seed the incumbent from the matching greedy selector before searching.
   bool warm_start = true;
@@ -85,18 +82,6 @@ struct SelectionOptions {
   /// node is eligible). Used by the application-spec layer for pinned or
   /// architecture-constrained groups.
   std::vector<char> eligible;
-
-  /// Drop dominated degree-1 candidates before ranking (select/prune.hpp).
-  /// Provably winner-preserving; exposed so benchmarks and the oracle tests
-  /// can compare pruned vs unpruned runs.
-  bool prune_dominated = true;
-
-  /// Eligible-candidate count below which prune_dominated short-circuits
-  /// (returns the eligibility mask unchanged — trivially winner-preserving):
-  /// small selections finish in well under a millisecond, so the prune
-  /// pass's own O(V + E) grouping cannot pay for itself there. 0 always
-  /// prunes (the unit-test mode).
-  int prune_min_candidates = 512;
 
   /// Ablation: compute the Fig.-3 bandwidth term over only the links on
   /// paths between the chosen nodes (a Steiner restriction) instead of all

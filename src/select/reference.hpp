@@ -10,7 +10,7 @@
 //
 // They serve two purposes: (1) the golden-equivalence oracle — the
 // refactored context-based algorithms must select identical node sets
-// (tests/test_select_context.cpp, tests/test_select_prune.cpp) — and
+// (tests/test_select_context.cpp) — and
 // (2) the general-case fallback for inputs outside the fast kernels'
 // domain (the Steiner-restricted ablation, whose bandwidth term is not a
 // per-component constant).

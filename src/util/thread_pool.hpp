@@ -29,7 +29,6 @@
 #include <deque>
 #include <exception>
 #include <functional>
-#include <future>
 #include <memory>
 #include <mutex>
 #include <thread>
@@ -55,16 +54,6 @@ class ThreadPool {
   /// Pop one pending job (own deque first, then steal) and run it on the
   /// calling thread. Returns false if no job was ready.
   bool try_run_one();
-
-  /// Convenience: submit a callable and get its result as a future.
-  template <class F>
-  auto async(F f) -> std::future<decltype(f())> {
-    using R = decltype(f());
-    auto task = std::make_shared<std::packaged_task<R()>>(std::move(f));
-    std::future<R> fut = task->get_future();
-    submit([task] { (*task)(); });
-    return fut;
-  }
 
  private:
   struct Queue {

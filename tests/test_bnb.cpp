@@ -22,7 +22,6 @@
 #include "select/bnb.hpp"
 #include "select/brute_force.hpp"
 #include "select/context.hpp"
-#include "select/prune.hpp"
 #include "topo/synthetic.hpp"
 
 namespace netsel::select {
@@ -297,10 +296,10 @@ std::vector<char> eligible_mask(const remos::NetworkSnapshot& snap,
 }
 
 TEST(ExactDominatedMask, PrunesTiesTowardLowerIdsUnlikeTheGreedyMask) {
-  // All six hosts tie on every key: the greedy mask must keep them all
-  // (test_select_prune covers that), but the exact mask may — and does —
-  // prune ties, because a strictly-lower-id dominator makes the swap
-  // lexicographically improving at equal value.
+  // All six hosts tie on every key. A value-only dominance rule would have
+  // to keep them all, but the exact mask may — and does — prune ties,
+  // because a strictly-lower-id dominator makes the swap lexicographically
+  // improving at equal value.
   auto s = make_star(/*heterogeneous=*/false);
   remos::NetworkSnapshot snap(s.g);
   SelectionOptions opt;

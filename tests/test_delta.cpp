@@ -273,31 +273,26 @@ void expect_matches_rebuild(const select::SelectionContext& inc,
   }
 
   for (select::Criterion c : kCriteria) {
-    for (bool pruned : {true, false}) {
-      select::SelectionOptions opt;
-      opt.num_nodes = 4;
-      opt.prune_dominated = pruned;
-      auto a = select::select_nodes(c, inc, opt);
-      auto b = select::select_nodes(c, fresh, opt);
-      const std::string tag = what + " criterion " +
-                              select::criterion_name(c) +
-                              (pruned ? " pruned" : " unpruned");
-      ASSERT_EQ(a.feasible, b.feasible) << tag;
-      EXPECT_EQ(a.nodes, b.nodes) << tag;
-      EXPECT_EQ(a.iterations, b.iterations) << tag;
-      if (a.feasible) {
-        EXPECT_EQ(a.min_cpu, b.min_cpu) << tag;
-        EXPECT_EQ(a.min_bw_fraction, b.min_bw_fraction) << tag;
-        EXPECT_EQ(a.objective, b.objective) << tag;
-        auto ea = evaluate_set(inc, a.nodes, opt);
-        auto eb = evaluate_set(fresh, b.nodes, opt);
-        EXPECT_EQ(ea.connected, eb.connected) << tag;
-        EXPECT_EQ(ea.min_cpu, eb.min_cpu) << tag;
-        EXPECT_EQ(ea.min_pair_bw, eb.min_pair_bw) << tag;
-        EXPECT_EQ(ea.min_pair_bw_fraction, eb.min_pair_bw_fraction) << tag;
-        EXPECT_EQ(ea.balanced, eb.balanced) << tag;
-        EXPECT_EQ(ea.max_pair_latency, eb.max_pair_latency) << tag;
-      }
+    select::SelectionOptions opt;
+    opt.num_nodes = 4;
+    auto a = select::select_nodes(c, inc, opt);
+    auto b = select::select_nodes(c, fresh, opt);
+    const std::string tag = what + " criterion " + select::criterion_name(c);
+    ASSERT_EQ(a.feasible, b.feasible) << tag;
+    EXPECT_EQ(a.nodes, b.nodes) << tag;
+    EXPECT_EQ(a.iterations, b.iterations) << tag;
+    if (a.feasible) {
+      EXPECT_EQ(a.min_cpu, b.min_cpu) << tag;
+      EXPECT_EQ(a.min_bw_fraction, b.min_bw_fraction) << tag;
+      EXPECT_EQ(a.objective, b.objective) << tag;
+      auto ea = evaluate_set(inc, a.nodes, opt);
+      auto eb = evaluate_set(fresh, b.nodes, opt);
+      EXPECT_EQ(ea.connected, eb.connected) << tag;
+      EXPECT_EQ(ea.min_cpu, eb.min_cpu) << tag;
+      EXPECT_EQ(ea.min_pair_bw, eb.min_pair_bw) << tag;
+      EXPECT_EQ(ea.min_pair_bw_fraction, eb.min_pair_bw_fraction) << tag;
+      EXPECT_EQ(ea.balanced, eb.balanced) << tag;
+      EXPECT_EQ(ea.max_pair_latency, eb.max_pair_latency) << tag;
     }
   }
 }

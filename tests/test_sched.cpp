@@ -4,9 +4,9 @@
 // thread counts (the bench_service headline contract), exact snapshot
 // restore after drain(), the per-tenant degradation ladder under partial
 // measurement coverage, the rebalance path honouring a kept_current
-// reselect, the rejection of bad JobSpecs and arrival times at submit()
-// and of bad time fields at construction, and the determinism of the
-// JobStream workload generator.
+// reselect, decisions unchanged by delta-journal overflow, the rejection
+// of bad JobSpecs and arrival times at submit() and of bad time fields at
+// construction, and the determinism of the JobStream workload generator.
 
 #include <gtest/gtest.h>
 
@@ -16,6 +16,7 @@
 #include <string>
 #include <vector>
 
+#include "obs/metrics.hpp"
 #include "sched/scheduler.hpp"
 #include "sched/workload.hpp"
 #include "topo/synthetic.hpp"
@@ -149,6 +150,60 @@ TEST(SchedulerService, DigestBitIdenticalAcrossThreadCounts) {
   util::ThreadPool four(4);
   EXPECT_EQ(serial, run_once(&two));
   EXPECT_EQ(serial, run_once(&four));
+}
+
+// Journal overflow inside the scheduler: a lane whose epoch the cluster
+// snapshot's delta journal no longer covers drops its caches and rebuilds.
+// That path must change no decision. bench_service --check's scenario runs
+// with journals of 1, 4 and 16 deltas, serial and on a 2-worker pool, and
+// each run must give the default run's digest; the registry shows that the
+// rebuild path ran.
+TEST(SchedulerService, JournalOverflowChangesNoDecision) {
+  constexpr std::uint64_t kSeed = 4242;
+  auto g = topo::fat_tree(topo::fat_tree_for_hosts(128, 16, 2.0, kSeed));
+  obs::set_enabled(true);
+  struct Run {
+    std::uint64_t digest;
+    std::uint64_t invalidations;
+  };
+  auto run_once = [&](std::size_t journal, util::ThreadPool* pool) {
+    SchedulerConfig cfg;
+    cfg.placement_lanes = 3;
+    cfg.backfill_window = 6;
+    cfg.schedule_interval = 1.0;
+    cfg.max_queue_depth = 24;
+    cfg.queue_timeout = 600.0;
+    cfg.rebalance_on_release = true;
+    cfg.rebalance_budget = 1;
+    cfg.pool = pool;
+    SchedulerService sched(g, cfg);
+    if (journal > 0) sched.snapshot().set_delta_journal_capacity(journal);
+    remos::apply_synthetic_load(sched.snapshot(), kSeed + 7);
+    obs::Registry::global().reset();
+    JobStream stream(pressured_workload(kSeed));
+    stream.feed(sched, 80);
+    sched.drain();
+    EXPECT_GT(sched.stats().placed, 0u);
+    return Run{sched.state_digest(),
+               obs::Registry::global()
+                   .counter("select.ctx.invalidations")
+                   .value()};
+  };
+
+  const Run reference = run_once(0, nullptr);
+  util::ThreadPool two(2);
+  util::ThreadPool* const pools[] = {nullptr, &two};
+  for (std::size_t journal : {1u, 4u, 16u}) {
+    for (util::ThreadPool* pool : pools) {
+      const Run r = run_once(journal, pool);
+      const std::string what = "journal " + std::to_string(journal) +
+                               (pool ? " pooled" : " serial");
+      EXPECT_EQ(r.digest, reference.digest) << what;
+      EXPECT_GT(r.invalidations, reference.invalidations) << what;
+    }
+  }
+  obs::Registry::global().reset();
+  obs::set_enabled(false);
 }
 
 TEST(SchedulerService, DrainRestoresSnapshotExactly) {

@@ -4,7 +4,8 @@
 // evaluate_set and brute force) must reproduce the retained naive reference
 // implementations (select/reference.hpp) *exactly* — identical node sets,
 // bit-identical objective figures, identical iteration counts — across a
-// broad randomized sweep of topologies, loads and option combinations. Also
+// broad randomized sweep of topologies, loads and option combinations, and
+// on every synthetic datacenter family. Also
 // covers the context's epoch-invalidation contract, the cyclic-graph
 // behaviour, and the finite single-node evaluation convention.
 
@@ -14,6 +15,7 @@
 #include <limits>
 #include <memory>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "select/algorithms.hpp"
@@ -484,6 +486,112 @@ TEST(DatacenterGolden, CampusWanBalancedMatchesReferenceLoop) {
 TEST(DatacenterGolden, RandomCoreEdgeBalancedMatchesReferenceLoop) {
   expect_balanced_matches_reference(Family::CoreEdge, "random_core_edge",
                                     /*min_bw_filter=*/true);
+}
+
+/// Every synthetic family at <= 64 nodes, small enough for all three
+/// literal loops, with seeded loads and link availabilities
+/// (remos::apply_synthetic_load).
+std::vector<std::pair<std::string, Instance>> small_family_instances(
+    std::uint64_t seed) {
+  std::vector<std::pair<std::string, Instance>> out;
+  {
+    auto ft = topo::fat_tree_for_hosts(24, 6, 2.0, seed);
+    ft.cpu_jitter = 0.3;  // heterogeneous hosts exercise the cpu ranking
+    Instance inst;
+    inst.graph = std::make_unique<topo::TopologyGraph>(topo::fat_tree(ft));
+    out.emplace_back("fat_tree seed " + std::to_string(seed), std::move(inst));
+  }
+  {
+    topo::CampusWanOptions cw;
+    cw.campuses = 2;
+    cw.buildings_per_campus = 2;
+    cw.hosts_per_building = 3;
+    cw.seed = seed;
+    Instance inst;
+    inst.graph = std::make_unique<topo::TopologyGraph>(topo::campus_wan(cw));
+    out.emplace_back("campus_wan seed " + std::to_string(seed),
+                     std::move(inst));
+  }
+  {
+    topo::RandomCoreEdgeOptions ce;
+    ce.core_switches = 4;
+    ce.edge_switches = 8;
+    ce.hosts = 32;
+    ce.seed = seed;
+    Instance inst;
+    inst.graph =
+        std::make_unique<topo::TopologyGraph>(topo::random_core_edge(ce));
+    out.emplace_back("random_core_edge seed " + std::to_string(seed),
+                     std::move(inst));
+  }
+  for (auto& [what, inst] : out) {
+    EXPECT_LE(inst.graph->node_count(), 64u) << what;
+    inst.snap = std::make_unique<remos::NetworkSnapshot>(*inst.graph);
+    remos::apply_synthetic_load(*inst.snap, seed * 31 + 7);
+  }
+  return out;
+}
+
+/// Option variants covering the knobs that feed the ranking: fractions,
+/// cpu ranking, eligibility, the sweep's stopping rule.
+std::vector<std::pair<std::string, SelectionOptions>> family_option_variants() {
+  std::vector<std::pair<std::string, SelectionOptions>> out;
+  out.emplace_back("base", SelectionOptions{});
+  SelectionOptions opt;
+  opt.min_bw_bps = 40 * topo::kMbps;
+  out.emplace_back("min_bw", opt);
+  opt = {};
+  opt.reference_bw = topo::k100Mbps;
+  out.emplace_back("reference_bw", opt);
+  opt = {};
+  opt.cpu_priority = 2.0;
+  opt.bw_priority = 0.5;
+  out.emplace_back("priorities", opt);
+  opt = {};
+  opt.min_cpu_fraction = 0.6;
+  out.emplace_back("min_cpu", opt);
+  opt = {};
+  opt.exhaustive_balanced = true;
+  out.emplace_back("exhaustive", opt);
+  return out;
+}
+
+SelectionResult reference_select(Criterion c,
+                                 const remos::NetworkSnapshot& snap,
+                                 const SelectionOptions& opt) {
+  switch (c) {
+    case Criterion::MaxCompute:
+      return detail::reference_select_max_compute(snap, opt);
+    case Criterion::MaxBandwidth:
+      return detail::reference_select_max_bandwidth(snap, opt);
+    case Criterion::Balanced:
+      return detail::reference_select_balanced(snap, opt);
+  }
+  return {};
+}
+
+// The fast ≡ naive sweep over family × variant × m × criterion. The suite
+// name dates from when a dominated-candidate prune ran in front of the
+// three selectors; they now rank their whole eligible set.
+TEST(PruneOracle, PrunedPathsMatchNaiveReferencesOnAllFamilies) {
+  for (std::uint64_t seed : {1u, 2u, 3u}) {
+    for (const auto& [iname, inst] : small_family_instances(seed)) {
+      for (const auto& [vname, base] : family_option_variants()) {
+        for (int m : {2, 4, 8}) {
+          for (Criterion c : {Criterion::MaxCompute, Criterion::MaxBandwidth,
+                              Criterion::Balanced}) {
+            SelectionOptions opt = base;
+            opt.num_nodes = m;
+            expect_same_result(select_nodes(c, *inst.snap, opt),
+                               reference_select(c, *inst.snap, opt),
+                               iname + " " + vname + " m=" +
+                                   std::to_string(m) + " " +
+                                   criterion_name(c));
+          }
+        }
+      }
+    }
+  }
 }
 
 TEST(GoldenEquivalence, BalancedBreaksRoundedReferenceTiesById) {

@@ -86,14 +86,6 @@ TEST(ThreadPool, RemainingBodiesStillRunAfterException) {
   for (const auto& h : hits) EXPECT_EQ(h.load(), 1);
 }
 
-TEST(ThreadPool, AsyncReturnsFutureValue) {
-  ThreadPool pool(2);
-  auto f = pool.async([] { return 41 + 1; });
-  EXPECT_EQ(f.get(), 42);
-  auto g = pool.async([]() -> int { throw std::runtime_error("boom"); });
-  EXPECT_THROW(g.get(), std::runtime_error);
-}
-
 TEST(ThreadPool, UnevenJobsAreStolen) {
   // One long job plus many short ones: with stealing, the short jobs finish
   // on other workers while the long one runs, so total wall clock stays
