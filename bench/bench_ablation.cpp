@@ -157,6 +157,15 @@ void niced_load_ablation(int trials) {
       "of nodes even when its magnitude is pessimistic).\n\n");
 }
 
+/// Host h of campus c: "c<c>h<h>".
+std::string host_name(int c, int h) {
+  std::string name = "c";
+  name += std::to_string(c);
+  name += 'h';
+  name += std::to_string(h);
+  return name;
+}
+
 void latency_extension_demo() {
   std::printf(
       "-- 4. latency-aware extension (paper §3.4 future work) on a WAN-ish "
@@ -174,7 +183,7 @@ void latency_extension_demo() {
     trunk.latency = 15e-3;
     if (c > 0) g.add_link(campuses[0], campuses[static_cast<std::size_t>(c)], trunk);
     for (int h = 0; h < 4; ++h) {
-      auto host = g.add_compute("c" + std::to_string(c) + "h" + std::to_string(h));
+      auto host = g.add_compute(host_name(c, h));
       topo::TopologyGraph::LinkSpec access;
       access.capacity_ab = 100e6;
       access.latency = 0.2e-3;
@@ -190,7 +199,7 @@ void latency_extension_demo() {
                               {0.02, 0.55, 0.65, 0.90}};
   for (int c = 0; c < 3; ++c) {
     for (int h = 0; h < 4; ++h) {
-      auto n = g.find_node("c" + std::to_string(c) + "h" + std::to_string(h));
+      auto n = g.find_node(host_name(c, h));
       snap.set_loadavg(*n, loads[c][h]);
     }
   }

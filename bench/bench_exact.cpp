@@ -231,16 +231,17 @@ int check_oracle(std::uint64_t seed) {
   netsel::remos::NetworkSnapshot snap(g);
   netsel::remos::apply_synthetic_load(snap, seed * 31 + 7);
   sel::SelectionContext ctx(snap);
+  sel::BnbBudget to_proof;
+  to_proof.node_budget = 0;
   int rc = 0;
   for (int m : {2, 4}) {
     sel::SelectionOptions opt;
     opt.num_nodes = m;
-    opt.exact.node_budget = 0;
     for (sel::Criterion c :
          {sel::Criterion::MaxCompute, sel::Criterion::MaxBandwidth,
           sel::Criterion::Balanced}) {
       const auto bf = sel::brute_force_select(ctx, opt, c);
-      const auto r = sel::branch_and_bound_select(ctx, opt, c);
+      const auto r = sel::branch_and_bound_select(ctx, opt, c, to_proof);
       if (!r.certified || r.feasible != bf.feasible ||
           r.nodes != bf.nodes || r.objective != bf.objective) {
         std::fprintf(stderr,

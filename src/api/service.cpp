@@ -1,6 +1,7 @@
 #include "api/service.hpp"
 
 #include <algorithm>
+#include <cmath>
 #include <cstdio>
 #include <numeric>
 
@@ -120,22 +121,32 @@ std::vector<char> group_mask(const topo::TopologyGraph& g,
 
 }  // namespace
 
-remos::NetworkSnapshot NodeSelectionService::degraded_snapshot(
-    const remos::QueryOptions& query, const DegradationPolicy& policy,
-    DegradationLevel& level, remos::QueryQuality& quality) const {
+void validate_degradation_policy(const DegradationPolicy& policy) {
+  if (std::isnan(policy.smoothed_below) || std::isnan(policy.prior_below))
+    throw std::invalid_argument("DegradationPolicy: NaN threshold");
   if (policy.prior_below > policy.smoothed_below)
     throw std::invalid_argument(
         "DegradationPolicy: prior_below must be <= smoothed_below");
+}
+
+DegradationLevel degradation_level(double coverage,
+                                   const DegradationPolicy& policy) {
+  return coverage < policy.prior_below      ? DegradationLevel::Prior
+         : coverage < policy.smoothed_below ? DegradationLevel::Smoothed
+                                            : DegradationLevel::Full;
+}
+
+remos::NetworkSnapshot NodeSelectionService::degraded_snapshot(
+    const remos::QueryOptions& query, const DegradationPolicy& policy,
+    DegradationLevel& level, remos::QueryQuality& quality) const {
+  validate_degradation_policy(policy);
   remos::QueryOptions probe = query;
   quality = remos::QueryQuality{};
   probe.quality = &quality;
   auto snap = remos_->snapshot(probe);
   if (query.quality) *query.quality = quality;
 
-  double coverage = quality.coverage();
-  level = coverage < policy.prior_below      ? DegradationLevel::Prior
-          : coverage < policy.smoothed_below ? DegradationLevel::Smoothed
-                                             : DegradationLevel::Full;
+  level = degradation_level(quality.coverage(), policy);
   // Every ladder decision is counted here, whichever entry point asked
   // (place, select, or a diagnostic caller).
   service_metrics().degradation(level).inc();
@@ -295,7 +306,6 @@ Placement NodeSelectionService::place(const AppSpec& spec,
     sel.min_bw_bps = spec.min_bw_bps;
     sel.min_cpu_fraction = spec.min_cpu_fraction;
     sel.min_free_memory_bytes = spec.min_free_memory_bytes;
-    sel.exact = opt.exact;
     sel.eligible = group_mask(g, group, taken);
     GroupPlacementInfo& info = placement.groups[gi];
     info.candidates = mask_count(sel.eligible);
@@ -332,7 +342,6 @@ select::SelectionResult NodeSelectionService::select(
   auto snap = degraded_snapshot(opt.query, opt.degradation, level, quality);
   select::SelectionOptions sel;
   sel.num_nodes = m;
-  sel.exact = opt.exact;
   // The same context path every other entry point takes (place, reselect):
   // cached deletion orders and bottleneck rows, bit-identical results.
   select::SelectionContext ctx(snap);

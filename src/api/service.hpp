@@ -33,17 +33,22 @@ struct DegradationPolicy {
   double smoothed_max_age = 0.0;
 };
 
+/// Throws std::invalid_argument when a threshold is NaN or the ladder is
+/// inverted (prior_below > smoothed_below). Thresholds above 1 are legal:
+/// they force degradation at any coverage.
+void validate_degradation_policy(const DegradationPolicy& policy);
+
+/// The ladder's rung for a measurement coverage under a valid policy:
+/// Prior below prior_below, else Smoothed below smoothed_below, else Full.
+DegradationLevel degradation_level(double coverage,
+                                   const DegradationPolicy& policy);
+
 struct ServiceOptions {
   /// Criterion override; unset -> chosen from the app pattern
   /// (master-slave and loosely-synchronous default to Balanced).
   std::optional<select::Criterion> criterion;
   remos::QueryOptions query;
   DegradationPolicy degradation;
-  /// Exact branch-and-bound mode (select/bnb.hpp), forwarded verbatim to
-  /// every group's SelectionOptions. Off by default: placements keep the
-  /// greedy fast paths; enable for certified-optimal (or certified-bound)
-  /// placements of small groups.
-  select::ExactOptions exact;
 };
 
 /// Default criterion for an application pattern.

@@ -81,11 +81,11 @@ ExactCell run_cell(const select::SelectionContext& ctx,
   if (greedy.feasible)
     cell.greedy_value = select::exact_set_value(ctx, sel, c, greedy.nodes);
 
-  select::SelectionOptions exact = sel;
-  exact.exact.node_budget = opt.node_budget;
-  exact.exact.max_open = opt.max_open;
+  select::BnbBudget budget;
+  budget.node_budget = opt.node_budget;
+  budget.max_open = opt.max_open;
   const auto t0 = std::chrono::steady_clock::now();
-  const auto bnb = select::branch_and_bound_select(ctx, exact, c);
+  const auto bnb = select::branch_and_bound_select(ctx, sel, c, budget);
   const std::chrono::duration<double> dt =
       std::chrono::steady_clock::now() - t0;
   cell.seconds = dt.count();
@@ -113,13 +113,6 @@ double ExactCell::greedy_ratio() const {
       !std::isfinite(upper_bound) || upper_bound <= 0.0)
     return std::numeric_limits<double>::quiet_NaN();
   return greedy_value / upper_bound;
-}
-
-double ExactCell::bracket_ratio() const {
-  if (!exact_feasible || !std::isfinite(exact_value) ||
-      !std::isfinite(upper_bound) || upper_bound <= 0.0)
-    return std::numeric_limits<double>::quiet_NaN();
-  return exact_value / upper_bound;
 }
 
 std::vector<ExactCell> run_exact_grid(const ExactGridOptions& opt) {

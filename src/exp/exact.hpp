@@ -56,8 +56,6 @@ struct ExactCell {
   /// guaranteed lower bound on the greedy optimality ratio (== the true
   /// ratio when certified). NaN when undefined (infeasible greedy).
   double greedy_ratio() const;
-  /// exact_value / upper_bound: 1.0 when certified, < 1 when only bounded.
-  double bracket_ratio() const;
 };
 
 struct ExactGridOptions {

@@ -1,6 +1,7 @@
 #include "obs/export.hpp"
 
 #include "obs/jobtrace.hpp"
+#include "obs/json.hpp"
 #include "obs/timeseries.hpp"
 
 #include <cmath>
@@ -19,30 +20,6 @@ std::string num(double v) {
   char buf[32];
   std::snprintf(buf, sizeof buf, "%.17g", v);
   return buf;
-}
-
-std::string quoted(const std::string& s) {
-  std::string out;
-  out.reserve(s.size() + 2);
-  out.push_back('"');
-  for (char c : s) {
-    switch (c) {
-      case '"': out += "\\\""; break;
-      case '\\': out += "\\\\"; break;
-      case '\n': out += "\\n"; break;
-      case '\t': out += "\\t"; break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof buf, "\\u%04x", c);
-          out += buf;
-        } else {
-          out.push_back(c);
-        }
-    }
-  }
-  out.push_back('"');
-  return out;
 }
 
 void write_histogram_body(const Registry::HistogramView& h, std::ostream& os) {
@@ -106,13 +83,13 @@ std::string to_text(const Registry& r) {
 
 void write_json_lines(const Registry& r, std::ostream& os) {
   for (const auto& [name, v] : r.counters())
-    os << "{\"type\":\"counter\",\"name\":" << quoted(name)
+    os << "{\"type\":\"counter\",\"name\":" << json_quoted(name)
        << ",\"value\":" << v << "}\n";
   for (const auto& [name, v] : r.gauges())
-    os << "{\"type\":\"gauge\",\"name\":" << quoted(name)
+    os << "{\"type\":\"gauge\",\"name\":" << json_quoted(name)
        << ",\"value\":" << num(v) << "}\n";
   for (const auto& h : r.histograms()) {
-    os << "{\"type\":\"histogram\",\"name\":" << quoted(h.name) << ",";
+    os << "{\"type\":\"histogram\",\"name\":" << json_quoted(h.name) << ",";
     std::ostringstream body;
     write_histogram_body(h, body);
     // Splice the histogram object's fields into this line's object.
@@ -131,19 +108,19 @@ void write_json(const Registry& r, std::ostream& os) {
   os << "{\n  \"schema\": \"" << kMetricsSchema << "\",\n  \"counters\": {";
   bool first = true;
   for (const auto& [name, v] : r.counters()) {
-    os << (first ? "" : ",") << "\n    " << quoted(name) << ": " << v;
+    os << (first ? "" : ",") << "\n    " << json_quoted(name) << ": " << v;
     first = false;
   }
   os << (first ? "" : "\n  ") << "},\n  \"gauges\": {";
   first = true;
   for (const auto& [name, v] : r.gauges()) {
-    os << (first ? "" : ",") << "\n    " << quoted(name) << ": " << num(v);
+    os << (first ? "" : ",") << "\n    " << json_quoted(name) << ": " << num(v);
     first = false;
   }
   os << (first ? "" : "\n  ") << "},\n  \"histograms\": {";
   first = true;
   for (const auto& h : r.histograms()) {
-    os << (first ? "" : ",") << "\n    " << quoted(h.name) << ": ";
+    os << (first ? "" : ",") << "\n    " << json_quoted(h.name) << ": ";
     write_histogram_body(h, os);
     first = false;
   }
@@ -187,7 +164,8 @@ void write_chrome_trace_open(const Registry& r, std::ostream& os) {
         "\"args\":{\"name\":\"netsel\"}}";
   for (const SpanRecord& s : r.spans()) {
     os << ",\n{\"ph\":\"X\",\"pid\":1,\"tid\":" << s.tid
-       << ",\"name\":" << quoted(s.name) << ",\"cat\":" << quoted(s.cat)
+       << ",\"name\":" << json_quoted(s.name)
+       << ",\"cat\":" << json_quoted(s.cat)
        << ",\"ts\":" << num(s.ts_us) << ",\"dur\":" << num(s.dur_us)
        << ",\"args\":{";
     bool first = true;
@@ -197,7 +175,7 @@ void write_chrome_trace_open(const Registry& r, std::ostream& os) {
       first = false;
     }
     for (const auto& [k, v] : s.args) {
-      os << (first ? "" : ",") << quoted(k) << ":" << quoted(v);
+      os << (first ? "" : ",") << json_quoted(k) << ":" << json_quoted(v);
       first = false;
     }
     os << "}}";

@@ -1,10 +1,8 @@
 #include "obs/flight.hpp"
 
 #include <algorithm>
-#include <csignal>
 #include <cstdio>
 #include <cstring>
-#include <exception>
 #include <ostream>
 #include <thread>
 
@@ -129,51 +127,6 @@ void FlightRecorder::dump(std::ostream& os, std::size_t last_n) const {
                   static_cast<unsigned long long>(ev.b), ev.detail);
     os << line;
   }
-}
-
-namespace {
-
-void dump_global_to_stderr() {
-  const auto events = FlightRecorder::global().tail(64);
-  std::fprintf(stderr, "== flight recorder: last %zu of %llu events ==\n",
-               events.size(),
-               static_cast<unsigned long long>(
-                   FlightRecorder::global().recorded()));
-  for (const FlightEvent& ev : events)
-    std::fprintf(stderr, "flight[%llu] t=%.3f %-16s a=%llu b=%llu %s\n",
-                 static_cast<unsigned long long>(ev.seq), ev.sim_time,
-                 flight_kind_name(ev.kind),
-                 static_cast<unsigned long long>(ev.a),
-                 static_cast<unsigned long long>(ev.b), ev.detail);
-}
-
-std::terminate_handler g_prev_terminate = nullptr;
-
-[[noreturn]] void terminate_with_dump() {
-  dump_global_to_stderr();
-  if (g_prev_terminate) g_prev_terminate();
-  std::abort();
-}
-
-void (*g_prev_sigabrt)(int) = SIG_DFL;
-
-void sigabrt_with_dump(int sig) {
-  // fprintf after SIGABRT is not strictly async-signal-safe; this is a
-  // best-effort post-mortem on the way down, not a recovery path.
-  dump_global_to_stderr();
-  std::signal(sig, g_prev_sigabrt);
-  std::raise(sig);
-}
-
-}  // namespace
-
-void FlightRecorder::install_crash_dump() {
-  static bool installed = false;
-  if (installed) return;
-  installed = true;
-  g_prev_terminate = std::set_terminate(terminate_with_dump);
-  g_prev_sigabrt = std::signal(SIGABRT, sigabrt_with_dump);
-  if (g_prev_sigabrt == SIG_ERR) g_prev_sigabrt = SIG_DFL;
 }
 
 }  // namespace netsel::obs

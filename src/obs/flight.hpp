@@ -1,7 +1,7 @@
 #pragma once
 // obs::FlightRecorder — an always-on, fixed-capacity, lock-free ring of
-// structured events, kept so that any failure (a --check violation, an
-// assertion, a crash) can dump the last-N events as a post-mortem.
+// structured events, kept so that a failure (a --check violation, a
+// broken invariant) can dump the last-N events as a post-mortem.
 //
 // Unlike the metrics Registry, the flight recorder is NOT gated on
 // obs::enabled(): its whole point is to already hold the recent past when
@@ -90,10 +90,6 @@ class FlightRecorder {
   /// Human-readable post-mortem: one line per event, oldest first.
   ///   flight[seq] t=SIM kind a=A b=B detail
   void dump(std::ostream& os, std::size_t last_n = 64) const;
-
-  /// Install std::terminate and SIGABRT hooks that dump global() to stderr
-  /// before dying, so assertion failures leave a post-mortem. Idempotent.
-  static void install_crash_dump();
 
   static constexpr std::size_t kDefaultCapacity = 256;
 

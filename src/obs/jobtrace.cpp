@@ -2,67 +2,26 @@
 
 #include <cmath>
 #include <cstdio>
-#include <cstring>
 #include <ostream>
 #include <stdexcept>
 
+#include "obs/json.hpp"
 #include "obs/metrics.hpp"
+#include "util/hash.hpp"
 
 namespace netsel::obs {
 
 namespace {
+
+using util::fnv1a;
+using util::fnv1a_double;
+using util::fnv1a_str;
 
 std::string num(double v) {
   if (!std::isfinite(v)) return "-1";
   char buf[32];
   std::snprintf(buf, sizeof buf, "%.17g", v);
   return buf;
-}
-
-std::string quoted(const std::string& s) {
-  std::string out;
-  out.reserve(s.size() + 2);
-  out.push_back('"');
-  for (char c : s) {
-    switch (c) {
-      case '"': out += "\\\""; break;
-      case '\\': out += "\\\\"; break;
-      case '\n': out += "\\n"; break;
-      case '\t': out += "\\t"; break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof buf, "\\u%04x", c);
-          out += buf;
-        } else {
-          out.push_back(c);
-        }
-    }
-  }
-  out.push_back('"');
-  return out;
-}
-
-std::uint64_t fnv1a(std::uint64_t h, std::uint64_t v) {
-  for (int i = 0; i < 8; ++i) {
-    h ^= (v >> (i * 8)) & 0xffu;
-    h *= 1099511628211ULL;
-  }
-  return h;
-}
-
-std::uint64_t fnv1a_double(std::uint64_t h, double d) {
-  std::uint64_t bits;
-  std::memcpy(&bits, &d, sizeof(bits));
-  return fnv1a(h, bits);
-}
-
-std::uint64_t fnv1a_str(std::uint64_t h, const std::string& s) {
-  for (char c : s) {
-    h ^= static_cast<unsigned char>(c);
-    h *= 1099511628211ULL;
-  }
-  return h;
 }
 
 struct TraceMetrics {
@@ -128,7 +87,7 @@ const std::vector<JobSpan>& JobTraceRecorder::trace(
 }
 
 std::uint64_t JobTraceRecorder::digest() const {
-  std::uint64_t h = 1469598103934665603ULL;
+  std::uint64_t h = util::kDigestSeed;
   for (const auto& [id, spans] : traces_) {
     h = fnv1a(h, id);
     h = fnv1a(h, spans.size());
@@ -151,14 +110,14 @@ void JobTraceRecorder::write_jsonl(std::ostream& os) const {
          << (s.parent == JobSpan::kNoParent
                  ? std::string("-1")
                  : std::to_string(s.parent))
-         << ",\"name\":" << quoted(s.name)
+         << ",\"name\":" << json_quoted(s.name)
          << ",\"sim_begin\":" << num(s.sim_begin)
          << ",\"sim_end\":" << num(s.sim_end);
       if (!s.args.empty()) {
         os << ",\"args\":{";
         for (std::size_t a = 0; a < s.args.size(); ++a)
-          os << (a ? "," : "") << quoted(s.args[a].first) << ":"
-             << quoted(s.args[a].second);
+          os << (a ? "," : "") << json_quoted(s.args[a].first) << ":"
+             << json_quoted(s.args[a].second);
         os << "}";
       }
       os << "}";
@@ -178,12 +137,12 @@ void JobTraceRecorder::write_chrome_events(std::ostream& os) const {
       const double begin = s.sim_begin < 0.0 ? 0.0 : s.sim_begin;
       const double end = s.sim_end < begin ? begin : s.sim_end;
       os << ",\n{\"ph\":\"X\",\"pid\":3,\"tid\":" << id
-         << ",\"name\":" << quoted(s.name)
+         << ",\"name\":" << json_quoted(s.name)
          << ",\"cat\":\"job\",\"ts\":" << num(begin * 1e6)
          << ",\"dur\":" << num((end - begin) * 1e6) << ",\"args\":{";
       bool first = true;
       for (const auto& [k, v] : s.args) {
-        os << (first ? "" : ",") << quoted(k) << ":" << quoted(v);
+        os << (first ? "" : ",") << json_quoted(k) << ":" << json_quoted(v);
         first = false;
       }
       os << "}}";

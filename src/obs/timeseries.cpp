@@ -3,43 +3,25 @@
 #include <algorithm>
 #include <cmath>
 #include <cstdio>
-#include <cstring>
 #include <ostream>
 #include <stdexcept>
 
 #include "obs/metrics.hpp"
+#include "util/hash.hpp"
 
 namespace netsel::obs {
 
 namespace {
+
+using util::fnv1a;
+using util::fnv1a_double;
+using util::fnv1a_str;
 
 std::string num(double v) {
   if (!std::isfinite(v)) return "0";
   char buf[32];
   std::snprintf(buf, sizeof buf, "%.17g", v);
   return buf;
-}
-
-std::uint64_t fnv1a(std::uint64_t h, std::uint64_t v) {
-  for (int i = 0; i < 8; ++i) {
-    h ^= (v >> (i * 8)) & 0xffu;
-    h *= 1099511628211ULL;
-  }
-  return h;
-}
-
-std::uint64_t fnv1a_double(std::uint64_t h, double d) {
-  std::uint64_t bits;
-  std::memcpy(&bits, &d, sizeof(bits));
-  return fnv1a(h, bits);
-}
-
-std::uint64_t fnv1a_str(std::uint64_t h, const std::string& s) {
-  for (char c : s) {
-    h ^= static_cast<unsigned char>(c);
-    h *= 1099511628211ULL;
-  }
-  return h;
 }
 
 struct TsMetrics {
@@ -164,7 +146,7 @@ std::vector<double> TimeSeriesRecorder::values(const std::string& name) const {
 }
 
 std::uint64_t TimeSeriesRecorder::digest() const {
-  std::uint64_t h = 1469598103934665603ULL;
+  std::uint64_t h = util::kDigestSeed;
   h = fnv1a(h, total_rows_);
   h = fnv1a(h, rows_);
   h = fnv1a_double(h, cadence_);

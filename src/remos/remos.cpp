@@ -89,13 +89,6 @@ double Remos::forecast_link_used(topo::LinkId l, bool forward,
   return std::max(used, 0.0);
 }
 
-double Remos::path_latency(topo::NodeId src, topo::NodeId dst) const {
-  double total = 0.0;
-  for (topo::LinkId l : net_.routes().route(src, dst))
-    total += net_.topology().link(l).latency;
-  return total;
-}
-
 NetworkSnapshot Remos::snapshot(const QueryOptions& opt) const {
   if (!opt.forecaster) throw std::invalid_argument("Remos: null forecaster");
   const auto& g = net_.topology();

@@ -108,12 +108,6 @@ class Remos {
   /// Measured load average of a node under the given options.
   double load_average(topo::NodeId n, const QueryOptions& opt = {}) const;
 
-  /// One-way latency of the static route between two nodes (sum of link
-  /// latencies). Remos exports "capacity, utilization and latency of
-  /// network links" (§2.2); the paper defers using it to future work, the
-  /// latency-aware selection extension consumes it.
-  double path_latency(topo::NodeId src, topo::NodeId dst) const;
-
   const topo::TopologyGraph& topology() const { return net_.topology(); }
 
   /// Logical-topology query scoped to "the relevant part of the network"

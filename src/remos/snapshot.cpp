@@ -228,12 +228,6 @@ void NetworkSnapshot::set_bw_dir(topo::LinkId l, bool forward,
   record(d);
 }
 
-double NetworkSnapshot::path_bw(const std::vector<topo::LinkId>& links) const {
-  double b = std::numeric_limits<double>::infinity();
-  for (topo::LinkId l : links) b = std::min(b, bw(l));
-  return b;
-}
-
 void apply_synthetic_load(NetworkSnapshot& snap, std::uint64_t seed,
                           double max_loadavg, double max_utilisation) {
   if (max_loadavg < 0.0 || max_utilisation < 0.0 || max_utilisation > 1.0)

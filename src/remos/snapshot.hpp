@@ -78,9 +78,6 @@ class NetworkSnapshot {
   /// Set one direction; bw(l) becomes the min of the two directions.
   void set_bw_dir(topo::LinkId l, bool forward, double bits_per_second);
 
-  /// Bottleneck available bandwidth along a node path given as link ids.
-  double path_bw(const std::vector<topo::LinkId>& links) const;
-
   /// Version counter, bumped on every mutation (set_cpu, set_bw, ...).
   /// Derived caches (select::SelectionContext) key their validity on this:
   /// a cache built at epoch e is valid exactly while epoch() == e. Copies

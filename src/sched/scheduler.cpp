@@ -4,7 +4,6 @@
 #include <cassert>
 #include <chrono>
 #include <cmath>
-#include <cstring>
 #include <stdexcept>
 
 #include "obs/flight.hpp"
@@ -13,11 +12,15 @@
 #include "obs/timeseries.hpp"
 #include "remos/remos.hpp"  // kBwFloor
 #include "select/objective.hpp"
+#include "util/hash.hpp"
 #include "util/thread_pool.hpp"
 
 namespace netsel::sched {
 
 namespace {
+
+using util::fnv1a;
+using util::fnv1a_double;
 
 /// Delta-journal capacity of the cluster snapshot.
 constexpr std::size_t kClusterJournalCapacity = 65536;
@@ -73,21 +76,6 @@ SchedMetrics& metrics() {
                                         obs::exp_buckets(2.0, 2.0, 20)),
   };
   return m;
-}
-
-std::uint64_t fnv1a(std::uint64_t h, std::uint64_t v) {
-  for (int i = 0; i < 8; ++i) {
-    h ^= (v >> (i * 8)) & 0xffu;
-    h *= 1099511628211ULL;
-  }
-  return h;
-}
-
-std::uint64_t fnv1a_double(std::uint64_t h, double d) {
-  std::uint64_t bits;
-  static_assert(sizeof(bits) == sizeof(d));
-  std::memcpy(&bits, &d, sizeof(bits));
-  return fnv1a(h, bits);
 }
 
 /// `cfg`, or std::invalid_argument naming the first bad field. Runs in the
@@ -180,6 +168,7 @@ SchedulerService::~SchedulerService() = default;
 
 void SchedulerService::set_tenant_policy(const std::string& tenant,
                                          TenantPolicy policy) {
+  api::validate_degradation_policy(policy.degradation);
   tenants_[tenant] = std::move(policy);
 }
 
@@ -371,9 +360,7 @@ api::DegradationLevel SchedulerService::ladder_level(
   api::DegradationPolicy policy;  // default thresholds for unknown tenants
   auto it = tenants_.find(tenant);
   if (it != tenants_.end()) policy = it->second.degradation;
-  if (coverage_ >= policy.smoothed_below) return api::DegradationLevel::Full;
-  if (coverage_ >= policy.prior_below) return api::DegradationLevel::Smoothed;
-  return api::DegradationLevel::Prior;
+  return api::degradation_level(coverage_, policy);
 }
 
 select::SelectionOptions SchedulerService::job_options(
@@ -688,7 +675,7 @@ void SchedulerService::maybe_rebalance() {
 }
 
 std::uint64_t SchedulerService::state_digest() const {
-  std::uint64_t h = 1469598103934665603ULL;  // FNV offset basis
+  std::uint64_t h = util::kDigestSeed;
   for (const JobRecord& rec : jobs_) {
     h = fnv1a(h, rec.id);
     h = fnv1a(h, static_cast<std::uint64_t>(rec.state));

@@ -244,7 +244,9 @@ class SchedulerService {
   const topo::TopologyGraph& graph() const { return *graph_; }
 
   /// Register (or replace) a tenant's policy. Unknown tenants run under
-  /// TenantPolicy{}.
+  /// TenantPolicy{}. Throws std::invalid_argument, before any state
+  /// changes, on a NaN threshold or an inverted ladder (prior_below >
+  /// smoothed_below), as api::validate_degradation_policy does.
   void set_tenant_policy(const std::string& tenant, TenantPolicy policy);
 
   /// Cluster measurement coverage consulted by the degradation ladder

@@ -5,15 +5,12 @@
 #include <functional>
 #include <limits>
 #include <queue>
-#include <string>
 #include <utility>
 #include <vector>
 
 #include "obs/metrics.hpp"
 #include "select/algorithms.hpp"
 #include "select/context.hpp"
-#include "select/objective.hpp"
-#include "select/obs.hpp"
 
 namespace netsel::select {
 
@@ -89,10 +86,13 @@ struct LeafEntry {
 
 enum class Cut { Keep, Bound, Lex };
 
+static_assert(kBnbMaxPool <= 65535, "pool indices are uint16_t");
+
 struct Search {
   const SelectionContext& ctx;
   const SelectionOptions& opt;
   Criterion crit;
+  BnbBudget budget;
   std::size_t m;
 
   std::vector<topo::NodeId> pool;  // candidates, ascending by id
@@ -103,7 +103,7 @@ struct Search {
   std::vector<double> best_pair;  // max feasible pair term per index
 
   // Incumbent. Floor mode (has_set false, best > -inf) carries a value
-  // known to be achievable — a greedy warm start that routed through a
+  // known to be achievable — a greedy seed that routed through a
   // dominance-pruned candidate — without a pool-index identity: it prunes
   // strictly worse subtrees but never equal-value ones, so the search can
   // still recover the lexicographically-first optimal set.
@@ -116,25 +116,22 @@ struct Search {
   double dropped_ub = -kInf;
   BnbStats stats;
   BnbStop stop = BnbStop::Proven;
-  bool budget_stop = false;
 
   // expansion scratch, sized P once
   std::vector<double> ext_exact, ext_bound, kth;
   std::vector<char> ext_ok;
 
-  Search(const SelectionContext& c, const SelectionOptions& o, Criterion cr)
-      : ctx(c), opt(o), crit(cr), m(static_cast<std::size_t>(o.num_nodes)) {}
+  Search(const SelectionContext& c, const SelectionOptions& o, Criterion cr,
+         const BnbBudget& b)
+      : ctx(c),
+        opt(o),
+        crit(cr),
+        budget(b),
+        m(static_cast<std::size_t>(o.num_nodes)) {}
 
   double pt(std::size_t i, std::size_t j) const { return pair_term[i * P + j]; }
   bool pok(std::size_t i, std::size_t j) const {
     return pair_ok[i * P + j] != 0;
-  }
-
-  std::size_t effective_max_pool() const {
-    // uint16_t pool indices: 65535 is a hard cap; 0 means "no user cap".
-    const std::size_t hard = 65535;
-    return opt.exact.max_pool == 0 ? hard
-                                   : std::min(opt.exact.max_pool, hard);
   }
 
   void build_pool() {
@@ -142,7 +139,7 @@ struct Search {
     std::size_t eligible_count = 0;
     for (char e : eligible) eligible_count += e ? 1 : 0;
     std::vector<char> cand = eligible;
-    if (opt.exact.prune_dominance && eligible_count >= m)
+    if (eligible_count >= m)
       cand = exact_dominated_candidate_mask(ctx.snapshot(), opt, eligible);
     pool.clear();
     for (std::size_t i = 0; i < cand.size(); ++i)
@@ -205,7 +202,8 @@ struct Search {
     }
   }
 
-  void warm_start() {
+  /// Seed the incumbent from the matching greedy selector.
+  void seed_from_greedy() {
     SelectionResult g;
     switch (crit) {
       case Criterion::MaxCompute: g = select_max_compute(ctx, opt); break;
@@ -220,7 +218,6 @@ struct Search {
     // component-level), in which case it seeds nothing.
     const double v = exact_set_value(ctx, opt, crit, nodes);
     if (v == -kInf) return;
-    stats.warm_started = true;
     std::vector<std::uint16_t> idxs;
     idxs.reserve(m);
     bool all_in_pool = true;
@@ -376,7 +373,7 @@ struct Search {
       return false;
     });
     open.erase(mid, open.end());
-    const std::size_t cap = std::max<std::size_t>(opt.exact.max_open, 2);
+    const std::size_t cap = std::max<std::size_t>(budget.max_open, 2);
     if (open.size() > cap) {
       // Keep the best half under the exploration order (strict total order
       // -> deterministic) and fold the evicted bounds into dropped_ub; the
@@ -406,21 +403,9 @@ struct Search {
     kth.assign(P, 0.0);
     ext_ok.assign(P, 0);
     while (!open.empty()) {
-      if (opt.exact.node_budget != 0 &&
-          stats.expanded >= opt.exact.node_budget) {
+      if (budget.node_budget != 0 && stats.expanded >= budget.node_budget) {
         stop = BnbStop::NodeBudget;
-        budget_stop = true;
         break;
-      }
-      if (opt.exact.gap_tolerance > 0.0 && best > -kInf &&
-          (has_set || !floor_nodes.empty())) {
-        const double bound = frontier_bound();
-        if (bound > best && bound < kInf && bound > 0.0 &&
-            best >= (1.0 - opt.exact.gap_tolerance) * bound) {
-          stop = BnbStop::GapReached;
-          budget_stop = true;
-          break;
-        }
       }
       std::pop_heap(open.begin(), open.end(), heap_less);
       Open node = std::move(open.back());
@@ -434,7 +419,7 @@ struct Search {
       }
       ++stats.expanded;
       expand(node);
-      if (open.size() > opt.exact.max_open) compact();
+      if (open.size() > budget.max_open) compact();
     }
   }
 
@@ -442,9 +427,8 @@ struct Search {
     BnbResult r;
     r.stop = stop;
     r.stats = stats;
-    const bool pool_limited = stop == BnbStop::PoolLimit;
-    r.certified = !budget_stop && !pool_limited && open.empty() &&
-                  dropped_ub == -kInf;
+    r.certified =
+        stop == BnbStop::Proven && open.empty() && dropped_ub == -kInf;
     if (has_set) {
       r.feasible = true;
       r.objective = best;
@@ -455,7 +439,7 @@ struct Search {
       r.objective = best;
       r.nodes = floor_nodes;
     }
-    if (pool_limited)
+    if (stop == BnbStop::PoolLimit)
       r.upper_bound = kInf;
     else if (r.certified)
       r.upper_bound = r.feasible ? r.objective : -kInf;
@@ -470,7 +454,6 @@ struct Search {
 const char* bnb_stop_name(BnbStop s) {
   switch (s) {
     case BnbStop::Proven: return "proven";
-    case BnbStop::GapReached: return "gap_reached";
     case BnbStop::NodeBudget: return "node_budget";
     case BnbStop::PoolLimit: return "pool_limit";
   }
@@ -572,15 +555,15 @@ double exact_set_value(const SelectionContext& ctx, const SelectionOptions& opt,
   return -kInf;
 }
 
-BnbResult BranchAndBoundSelector::select(Criterion c,
-                                         const SelectionOptions& opt) const {
+BnbResult branch_and_bound_select(const SelectionContext& ctx,
+                                  const SelectionOptions& opt, Criterion c,
+                                  const BnbBudget& budget) {
   auto& mm = bnb_metrics();
   mm.selections.inc();
   obs::ScopedTimer timer(mm.latency);
-  const auto& ctx = *ctx_;
   validate_options(ctx.snapshot(), opt);
 
-  Search s(ctx, opt, c);
+  Search s(ctx, opt, c, budget);
   s.build_pool();
   BnbResult result;
   if (s.P < s.m) {
@@ -588,10 +571,9 @@ BnbResult BranchAndBoundSelector::select(Criterion c,
     result.certified = true;
     result.upper_bound = -kInf;
     result.stats = s.stats;
-  } else if (s.P > s.effective_max_pool()) {
+  } else if (s.P > kBnbMaxPool) {
     s.stop = BnbStop::PoolLimit;
-    s.budget_stop = true;
-    if (opt.exact.warm_start) s.warm_start();
+    s.seed_from_greedy();
     // Force floor mode: without the matrices there is no index-space
     // incumbent to hand back, only the greedy answer and an unbounded gap.
     if (s.has_set) {
@@ -603,7 +585,7 @@ BnbResult BranchAndBoundSelector::select(Criterion c,
     result = s.finalize();
   } else {
     s.build_terms();
-    if (opt.exact.warm_start) s.warm_start();
+    s.seed_from_greedy();
     s.run();
     result = s.finalize();
   }
@@ -616,42 +598,6 @@ BnbResult BranchAndBoundSelector::select(Criterion c,
   if (result.certified) mm.certified.inc();
   if (result.stop != BnbStop::Proven) mm.budget_hits.inc();
   return result;
-}
-
-BnbResult branch_and_bound_select(const SelectionContext& ctx,
-                                  const SelectionOptions& opt, Criterion c) {
-  return BranchAndBoundSelector(ctx).select(c, opt);
-}
-
-BnbResult branch_and_bound_select(const remos::NetworkSnapshot& snap,
-                                  const SelectionOptions& opt, Criterion c) {
-  SelectionContext ctx(snap);
-  return branch_and_bound_select(ctx, opt, c);
-}
-
-SelectionResult select_exact(const SelectionContext& ctx,
-                             const SelectionOptions& opt, Criterion c) {
-  detail::selections_counter().inc();
-  const BnbResult b = BranchAndBoundSelector(ctx).select(c, opt);
-  SelectionResult r;
-  r.feasible = b.feasible;
-  r.objective_bound = b.upper_bound;
-  r.exact_certified = b.certified;
-  r.iterations = static_cast<int>(std::min<std::uint64_t>(
-      b.stats.expanded, std::numeric_limits<int>::max()));
-  if (b.feasible) {
-    r.nodes = b.nodes;
-    r.objective = b.objective;
-    const SetEvaluation ev = evaluate_set(ctx, r.nodes, opt);
-    r.min_cpu = ev.min_cpu;
-    r.min_bw_fraction = ev.min_pair_bw_fraction;
-  }
-  if (b.certified)
-    r.note = b.feasible ? "exact: certified optimal" : "exact: proven infeasible";
-  else
-    r.note = std::string("exact: ") + bnb_stop_name(b.stop) +
-             ", incumbent with sound bound";
-  return r;
 }
 
 }  // namespace netsel::select

@@ -34,13 +34,14 @@
 // which preserves the brute-force tie-break without exploring tie plateaus
 // once the lex-first incumbent is in hand.
 //
-// Budgets degrade to a *certified bound*, never to failure: when
-// node/gap/open-list budgets trip, the incumbent is returned together
+// Budgets degrade to a *certified bound*, never to failure: when the
+// node or open-list budget trips, the incumbent is returned together
 // with upper_bound = max(incumbent, best open bound, best evicted bound),
 // which is sound for the true optimum by admissibility. `certified` is set
 // only when the search drained the tree with nothing evicted — then
 // objective IS the brute-force optimum, bit-exactly, nodes and all.
 
+#include <cstddef>
 #include <cstdint>
 #include <vector>
 
@@ -52,13 +53,29 @@ namespace netsel::select {
 
 class SelectionContext;
 
+/// The search's two budgets. Both are deterministic (counts, never
+/// wall-clock time), so a budgeted run returns the same bits everywhere.
+struct BnbBudget {
+  /// Search-node expansions before the search degrades to a certified
+  /// bound. 0 = unlimited (the search runs to proof).
+  std::uint64_t node_budget = 150'000;
+  /// Open-list ceiling: when exceeded, the worst half of the frontier is
+  /// evicted and their best bound is folded into upper_bound (the run can
+  /// then no longer certify exactness, only the bound).
+  std::size_t max_open = 2'000'000;
+};
+
+/// Candidate-pool ceiling: above it the dense pairwise matrices are not
+/// built and the result degrades to the greedy incumbent with an unbounded
+/// (+inf) upper_bound. Pool indices are uint16_t, so it must stay < 65536.
+inline constexpr std::size_t kBnbMaxPool = 1024;
+
 /// Why the search stopped.
 enum class BnbStop {
   Proven,      ///< open list drained: the incumbent is optimal (or the
                ///< instance is infeasible)
-  GapReached,  ///< incumbent within gap_tolerance of the running bound
-  NodeBudget,  ///< ExactOptions::node_budget expansions reached
-  PoolLimit,   ///< pool > ExactOptions::max_pool: greedy incumbent only
+  NodeBudget,  ///< BnbBudget::node_budget expansions reached
+  PoolLimit,   ///< pool > kBnbMaxPool: greedy incumbent only
 };
 
 const char* bnb_stop_name(BnbStop s);
@@ -71,7 +88,6 @@ struct BnbStats {
   std::uint64_t pool_dominated = 0; ///< candidates dropped by dominance
   std::uint64_t open_dropped = 0;   ///< frontier entries evicted (max_open)
   std::size_t pool_size = 0;        ///< candidates after dominance pruning
-  bool warm_started = false;        ///< greedy incumbent seeded the search
 };
 
 struct BnbResult {
@@ -115,28 +131,12 @@ std::vector<char> exact_dominated_candidate_mask(
 double exact_set_value(const SelectionContext& ctx, const SelectionOptions& opt,
                        Criterion c, const std::vector<topo::NodeId>& nodes);
 
-/// Best-first exact selector; reads the budgets from `opt.exact` (the
-/// `enabled` flag is ignored here — calling is opting in).
-class BranchAndBoundSelector {
- public:
-  explicit BranchAndBoundSelector(const SelectionContext& ctx) : ctx_(&ctx) {}
-  BnbResult select(Criterion c, const SelectionOptions& opt) const;
-
- private:
-  const SelectionContext* ctx_;
-};
-
-/// Convenience wrappers mirroring the greedy entry points.
+/// Best-first exact selection of opt.num_nodes nodes under criterion `c`.
+/// The search drops dominated candidates (exact_dominated_candidate_mask)
+/// and seeds its incumbent from the matching greedy selector before it
+/// expands anything; `budget` bounds its work.
 BnbResult branch_and_bound_select(const SelectionContext& ctx,
-                                  const SelectionOptions& opt, Criterion c);
-BnbResult branch_and_bound_select(const remos::NetworkSnapshot& snap,
-                                  const SelectionOptions& opt, Criterion c);
-
-/// select_nodes adapter: runs the B&B and folds the outcome into a
-/// SelectionResult (objective_bound / exact_certified populated, min_cpu
-/// and min_bw_fraction from evaluate_set for report parity with the greedy
-/// paths). Used by the dispatch when opt.exact.enabled.
-SelectionResult select_exact(const SelectionContext& ctx,
-                             const SelectionOptions& opt, Criterion c);
+                                  const SelectionOptions& opt, Criterion c,
+                                  const BnbBudget& budget = {});
 
 }  // namespace netsel::select

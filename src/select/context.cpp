@@ -120,8 +120,8 @@ void SelectionContext::apply_delta(const remos::Delta& d) const {
       // here depends on node sensors.
       return;
     case remos::DeltaKind::LinkBandwidth: return apply_link_bandwidth(d.link);
-    case remos::DeltaKind::NodeAdded: return apply_node_added(d.node);
-    case remos::DeltaKind::NodeRemoved: return apply_node_removed(d.node);
+    case remos::DeltaKind::NodeAdded: return apply_node_added();
+    case remos::DeltaKind::NodeRemoved: return apply_node_removed();
     case remos::DeltaKind::LinkAdded: return apply_link_added(d.link);
     case remos::DeltaKind::LinkRemoved: return apply_link_removed(d.link);
   }
@@ -279,14 +279,12 @@ void SelectionContext::repair_row_values(Cell* cells, topo::NodeId src,
   }
 }
 
-void SelectionContext::apply_node_added(topo::NodeId n) const {
+void SelectionContext::apply_node_added() const {
   nbr_.clear();
   if (base_comps_) {
     // The new node has the highest id and no links, so a rebuild would
     // discover it last as a singleton component: append exactly that.
     base_comps_->comp_of.push_back(base_comps_->count);
-    base_comps_->compute_count.push_back(graph().is_compute(n) ? 1 : 0);
-    base_comps_->node_count.push_back(1);
     ++base_comps_->count;
   }
   // No row grows: the node is unstored (it has no link), so every row
@@ -295,17 +293,14 @@ void SelectionContext::apply_node_added(topo::NodeId n) const {
   // acyclic_ is kept: an isolated node never creates a cycle.
 }
 
-void SelectionContext::apply_node_removed(topo::NodeId n) const {
+void SelectionContext::apply_node_removed() const {
   // Removal requires degree 0, so by the time this delta arrives every
   // incident link has already been removed (and the rows those removals
-  // touched dropped): no built row reaches n except n's own singleton row,
-  // which a rebuild reproduces unchanged. Only the compute flag flips; a
-  // stored n keeps its (unreached) cells.
+  // touched dropped): no built row reaches the node except its own
+  // singleton row, which a rebuild reproduces unchanged. Only the compute
+  // flag flips; a stored node keeps its (unreached) cells and the base
+  // components keep its singleton.
   nbr_.clear();
-  if (base_comps_) {
-    const int c = base_comps_->comp_of[static_cast<std::size_t>(n)];
-    base_comps_->compute_count[c] = 0;  // degree-0 singleton, now tombstoned
-  }
   // acyclic_ and the weight caches are link-shaped: untouched.
 }
 

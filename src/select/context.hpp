@@ -243,8 +243,8 @@ class SelectionContext {
   void invalidate_all() const;
   void apply_delta(const remos::Delta& d) const;
   void apply_link_bandwidth(topo::LinkId l) const;
-  void apply_node_added(topo::NodeId n) const;
-  void apply_node_removed(topo::NodeId n) const;
+  void apply_node_added() const;
+  void apply_node_removed() const;
   void apply_link_added(topo::LinkId l) const;
   void apply_link_removed(topo::LinkId l) const;
   /// Calls f(src, row, child) for every built row whose stored tree

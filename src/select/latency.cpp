@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <limits>
-#include <queue>
 #include <sstream>
 
 #include "select/algorithms.hpp"
@@ -12,34 +11,6 @@
 
 namespace netsel::select {
 
-std::vector<double> all_pairs_latency(const topo::TopologyGraph& g) {
-  const std::size_t n = g.node_count();
-  std::vector<double> dist(n * n, 0.0);
-  // BFS per source accumulates latency along the deterministic BFS tree —
-  // on acyclic graphs this is the unique path; with cycles it follows the
-  // same shortest (hop-count) path as static routing.
-  std::vector<int> hops(n);
-  for (std::size_t src = 0; src < n; ++src) {
-    std::fill(hops.begin(), hops.end(), -1);
-    std::queue<topo::NodeId> q;
-    hops[src] = 0;
-    q.push(static_cast<topo::NodeId>(src));
-    while (!q.empty()) {
-      topo::NodeId u = q.front();
-      q.pop();
-      for (topo::LinkId l : g.links_of(u)) {
-        topo::NodeId v = g.other_end(l, u);
-        if (hops[static_cast<std::size_t>(v)] != -1) continue;
-        hops[static_cast<std::size_t>(v)] = hops[static_cast<std::size_t>(u)] + 1;
-        dist[src * n + static_cast<std::size_t>(v)] =
-            dist[src * n + static_cast<std::size_t>(u)] + g.link(l).latency;
-        q.push(v);
-      }
-    }
-  }
-  return dist;
-}
-
 namespace {
 
 struct Candidate {
@@ -48,14 +19,14 @@ struct Candidate {
   double min_cpu = 0.0;
 };
 
-/// The m eligible compute nodes closest to `center`, ties toward higher cpu
-/// then lower id. Empty when fewer than m are reachable.
+/// The m eligible compute nodes closest to the source of `row` (the
+/// center), by path latency, ties toward higher cpu then lower id. Empty
+/// when fewer than m are eligible. Unreached nodes read latency 0.
 std::vector<topo::NodeId> nearest_m(const remos::NetworkSnapshot& snap,
                                     const SelectionOptions& opt,
-                                    const std::vector<double>& dist,
-                                    topo::NodeId center, int m) {
-  const auto& g = snap.graph();
-  const std::size_t n = g.node_count();
+                                    const SelectionContext::PairRow& row,
+                                    int m) {
+  const std::size_t n = snap.graph().node_count();
   std::vector<topo::NodeId> pool;
   for (std::size_t i = 0; i < n; ++i) {
     auto id = static_cast<topo::NodeId>(i);
@@ -63,8 +34,8 @@ std::vector<topo::NodeId> nearest_m(const remos::NetworkSnapshot& snap,
   }
   if (static_cast<int>(pool.size()) < m) return {};
   std::stable_sort(pool.begin(), pool.end(), [&](topo::NodeId a, topo::NodeId b) {
-    double da = dist[static_cast<std::size_t>(center) * n + static_cast<std::size_t>(a)];
-    double db = dist[static_cast<std::size_t>(center) * n + static_cast<std::size_t>(b)];
+    const double da = row.at(a).latency;
+    const double db = row.at(b).latency;
     if (da != db) return da < db;
     return node_cpu(snap, a, opt) > node_cpu(snap, b, opt);
   });
@@ -73,35 +44,26 @@ std::vector<topo::NodeId> nearest_m(const remos::NetworkSnapshot& snap,
   return pool;
 }
 
-double exact_max_pair(const std::vector<double>& dist, std::size_t n,
-                      const std::vector<topo::NodeId>& nodes) {
-  double mx = 0.0;
-  for (std::size_t i = 0; i + 1 < nodes.size(); ++i) {
-    for (std::size_t j = i + 1; j < nodes.size(); ++j) {
-      mx = std::max(mx, dist[static_cast<std::size_t>(nodes[i]) * n +
-                             static_cast<std::size_t>(nodes[j])]);
-    }
-  }
-  return mx;
-}
-
 }  // namespace
 
 SelectionResult select_min_latency(const remos::NetworkSnapshot& snap,
                                    const SelectionOptions& opt) {
   validate_options(snap, opt);
-  const auto& g = snap.graph();
-  const std::size_t n = g.node_count();
-  auto dist = all_pairs_latency(g);
+  const std::size_t n = snap.graph().node_count();
+  // Path latencies come from the context's cached rows, along the same
+  // deterministic BFS paths evaluate_set reads.
+  SelectionContext ctx(snap);
 
   Candidate best;
   for (std::size_t c = 0; c < n; ++c) {
-    auto center = static_cast<topo::NodeId>(c);
-    auto nodes = nearest_m(snap, opt, dist, center, opt.num_nodes);
+    const SelectionContext::PairRow row =
+        ctx.pair_row(static_cast<topo::NodeId>(c));
+    auto nodes = nearest_m(snap, opt, row, opt.num_nodes);
     if (nodes.empty()) continue;
+    const SetEvaluation ev = evaluate_set(ctx, nodes, opt);
     Candidate cand;
-    cand.max_latency = exact_max_pair(dist, n, nodes);
-    cand.min_cpu = detail::min_cpu_of(snap, opt, nodes);
+    cand.max_latency = ev.max_pair_latency;
+    cand.min_cpu = ev.min_cpu;
     cand.nodes = std::move(nodes);
     bool better = cand.max_latency < best.max_latency ||
                   (cand.max_latency == best.max_latency &&
@@ -118,7 +80,6 @@ SelectionResult select_min_latency(const remos::NetworkSnapshot& snap,
   result.feasible = true;
   result.nodes = best.nodes;
   result.min_cpu = best.min_cpu;
-  SelectionContext ctx(snap);
   auto ev = evaluate_set(ctx, result.nodes, opt);
   result.min_bw_fraction = ev.min_pair_bw_fraction;
   result.objective = -best.max_latency;
@@ -145,26 +106,26 @@ SelectionResult select_balanced_latency_bound(
     if (ev.max_pair_latency <= max_pair_latency) return unconstrained;
   }
 
-  const auto& g = snap.graph();
-  const std::size_t n = g.node_count();
-  auto dist = all_pairs_latency(g);
-
+  const std::size_t n = snap.graph().node_count();
   SelectionResult best;
   double best_value = -std::numeric_limits<double>::infinity();
   for (std::size_t c = 0; c < n; ++c) {
     // Pool: eligible nodes within bound/2 of the center — any two of them
     // are within the bound via the center (exact on trees, conservative
     // with cycles).
+    const SelectionContext::PairRow row =
+        ctx.pair_row(static_cast<topo::NodeId>(c));
     std::vector<topo::NodeId> pool;
     for (std::size_t i = 0; i < n; ++i) {
       auto id = static_cast<topo::NodeId>(i);
       if (!node_eligible(snap, id, opt)) continue;
-      if (dist[c * n + i] <= max_pair_latency / 2.0 + 1e-12) pool.push_back(id);
+      if (row.at(id).latency <= max_pair_latency / 2.0 + 1e-12)
+        pool.push_back(id);
     }
     if (static_cast<int>(pool.size()) < opt.num_nodes) continue;
     auto nodes = detail::top_m_by_cpu(snap, opt, std::move(pool), opt.num_nodes);
-    if (exact_max_pair(dist, n, nodes) > max_pair_latency + 1e-12) continue;
     auto ev = evaluate_set(ctx, nodes, opt);
+    if (ev.max_pair_latency > max_pair_latency + 1e-12) continue;
     if (!ev.connected) continue;
     if (opt.min_bw_bps > 0.0 && ev.min_pair_bw < opt.min_bw_bps) continue;
     if (ev.balanced > best_value) {

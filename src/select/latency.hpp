@@ -37,9 +37,4 @@ SelectionResult select_balanced_latency_bound(
     const remos::NetworkSnapshot& snap, const SelectionOptions& opt,
     double max_pair_latency);
 
-/// All-pairs path latency matrix (row-major, node_count^2), following the
-/// same deterministic BFS paths as evaluate_set. Exposed for tests and for
-/// callers that want to precompute.
-std::vector<double> all_pairs_latency(const topo::TopologyGraph& g);
-
 }  // namespace netsel::select

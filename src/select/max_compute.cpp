@@ -2,7 +2,6 @@
 
 #include "obs/metrics.hpp"
 #include "select/algorithms.hpp"
-#include "select/bnb.hpp"
 #include "select/context.hpp"
 #include "select/detail.hpp"
 #include "select/obs.hpp"
@@ -87,10 +86,6 @@ SelectionResult select_max_compute(const remos::NetworkSnapshot& snap,
 
 SelectionResult select_nodes(Criterion c, const SelectionContext& ctx,
                              const SelectionOptions& opt) {
-  // First-class exact mode: route to the branch-and-bound selector. Its
-  // greedy warm start calls the concrete selectors directly, so there is
-  // no recursion through this dispatch.
-  if (opt.exact.enabled) return select_exact(ctx, opt, c);
   switch (c) {
     case Criterion::MaxCompute: return select_max_compute(ctx, opt);
     case Criterion::MaxBandwidth: return select_max_bandwidth(ctx, opt);

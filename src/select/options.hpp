@@ -1,8 +1,6 @@
 #pragma once
 // Shared types for the node-selection algorithms (paper §3).
 
-#include <cstddef>
-#include <cstdint>
 #include <string>
 #include <vector>
 
@@ -19,37 +17,6 @@ enum class Criterion {
 };
 
 const char* criterion_name(Criterion c);
-
-/// Knobs for the exact branch-and-bound selector (select/bnb.hpp). When
-/// `enabled`, select_nodes routes the criterion to the B&B search instead
-/// of the greedy fast path; the search optimises the *true* pairwise
-/// objective (brute-force semantics) and either proves optimality or, when
-/// a budget is hit, returns the best set found plus a sound upper bound on
-/// the optimum (SelectionResult::objective_bound / exact_certified).
-struct ExactOptions {
-  bool enabled = false;
-  /// Search-node expansions before the search degrades to a certified
-  /// bound. 0 = unlimited (the search runs to proof).
-  std::uint64_t node_budget = 150'000;
-  /// Stop early once incumbent >= (1 - gap_tolerance) * bound; the result
-  /// is then certified to be within that relative gap. 0 = prove exactly.
-  double gap_tolerance = 0.0;
-  /// Candidate-pool ceiling: above it the dense pairwise matrices are not
-  /// built and the result degrades to the greedy incumbent with an
-  /// unbounded (+inf) objective_bound.
-  std::size_t max_pool = 1024;
-  /// Open-list ceiling: when exceeded, the worst half of the frontier is
-  /// evicted and their best bound is folded into objective_bound (the run
-  /// can then no longer certify exactness, only the bound).
-  std::size_t max_open = 2'000'000;
-  /// Drop candidates dominated by >= m strictly-lower-id siblings on the
-  /// same leaf switch (exact_dominated_candidate_mask in select/bnb.hpp,
-  /// id-ordered so the brute-force lexicographic tie-break is preserved
-  /// bit-exactly).
-  bool prune_dominance = true;
-  /// Seed the incumbent from the matching greedy selector before searching.
-  bool warm_start = true;
-};
 
 struct SelectionOptions {
   /// Number of nodes required for execution (the paper's m).
@@ -94,10 +61,6 @@ struct SelectionOptions {
   /// until no component with m eligible nodes remains and the best set seen
   /// is returned (same O(n^2) bound; compared in bench_ablation).
   bool exhaustive_balanced = false;
-
-  /// Exact branch-and-bound mode (select/bnb.hpp); disabled by default, so
-  /// every existing path keeps its greedy selector.
-  ExactOptions exact;
 };
 
 struct SelectionResult {
@@ -113,12 +76,6 @@ struct SelectionResult {
   /// Number of edge-removal iterations performed (complexity diagnostics).
   int iterations = 0;
   std::string note;
-  /// Exact (B&B) mode only: sound upper bound on the optimal objective —
-  /// equal to `objective` when `exact_certified` — and whether the search
-  /// proved optimality before a budget hit. Greedy paths leave the
-  /// defaults (0 / false).
-  double objective_bound = 0.0;
-  bool exact_certified = false;
 };
 
 /// Fractional availability of link `l` under the options' reference rules.

@@ -18,16 +18,12 @@ Components connected_components(const TopologyGraph& g,
   for (std::size_t start = 0; start < g.node_count(); ++start) {
     if (result.comp_of[start] != -1) continue;
     int c = result.count++;
-    result.compute_count.push_back(0);
-    result.node_count.push_back(0);
     stack.push_back(static_cast<NodeId>(start));
     result.comp_of[start] = c;
     while (!stack.empty()) {
       const NodeId u = stack.back();
       const auto iu = static_cast<std::size_t>(u);
       stack.pop_back();
-      result.node_count[static_cast<std::size_t>(c)]++;
-      if (g.is_compute(u)) result.compute_count[static_cast<std::size_t>(c)]++;
       for (auto e = adj.start[iu]; e < adj.start[iu + 1]; ++e) {
         const LinkId l = adj.link[static_cast<std::size_t>(e)];
         if (!link_active[static_cast<std::size_t>(l)]) continue;

@@ -31,10 +31,6 @@ struct Components {
   std::vector<int> comp_of;
   /// number of components.
   int count = 0;
-  /// compute-node count per component.
-  std::vector<int> compute_count;
-  /// total node count per component.
-  std::vector<int> node_count;
 };
 
 /// Decompose `g` into connected components considering only links for which

@@ -30,7 +30,9 @@ TopologyGraph star(int hosts, double host_bw) {
   TopologyGraph g;
   NodeId sw = g.add_network("sw0");
   for (int i = 0; i < hosts; ++i) {
-    NodeId h = g.add_compute("h" + std::to_string(i));
+    std::string name = "h";
+    name += std::to_string(i);
+    NodeId h = g.add_compute(name);
     g.add_link(sw, h, host_bw);
   }
   g.validate();
@@ -46,11 +48,15 @@ TopologyGraph dumbbell(int left, int right, double host_bw,
   NodeId swr = g.add_network("swR");
   g.add_link(swl, swr, bottleneck_bw, bottleneck_bw, "bottleneck");
   for (int i = 0; i < left; ++i) {
-    NodeId h = g.add_compute("L" + std::to_string(i));
+    std::string name = "L";
+    name += std::to_string(i);
+    NodeId h = g.add_compute(name);
     g.add_link(swl, h, host_bw);
   }
   for (int i = 0; i < right; ++i) {
-    NodeId h = g.add_compute("R" + std::to_string(i));
+    std::string name = "R";
+    name += std::to_string(i);
+    NodeId h = g.add_compute(name);
     g.add_link(swr, h, host_bw);
   }
   g.validate();
@@ -67,8 +73,11 @@ TopologyGraph two_level_tree(int switches, int hosts_per_switch,
     NodeId sw = g.add_network("sw" + std::to_string(s));
     g.add_link(root, sw, trunk_bw);
     for (int h = 0; h < hosts_per_switch; ++h) {
-      NodeId host =
-          g.add_compute("h" + std::to_string(s) + "_" + std::to_string(h));
+      std::string name = "h";
+      name += std::to_string(s);
+      name += '_';
+      name += std::to_string(h);
+      NodeId host = g.add_compute(name);
       g.add_link(sw, host, host_bw);
     }
   }
@@ -102,7 +111,9 @@ TopologyGraph random_tree(util::Rng& rng, const RandomTreeOptions& opt) {
       backbone.push_back(s);
     }
     for (int i = 0; i < opt.compute_nodes; ++i) {
-      NodeId h = g.add_compute("h" + std::to_string(i));
+      std::string name = "h";
+      name += std::to_string(i);
+      NodeId h = g.add_compute(name);
       NodeId parent = backbone[static_cast<std::size_t>(
           rng.uniform_int(0, static_cast<std::int64_t>(backbone.size()) - 1))];
       g.add_link(parent, h, draw_bw());
@@ -123,8 +134,9 @@ TopologyGraph random_tree(util::Rng& rng, const RandomTreeOptions& opt) {
                                                    remaining_network));
       NodeId id;
       if (make_compute) {
-        id = g.add_compute("h" + std::to_string(opt.compute_nodes -
-                                                remaining_compute));
+        std::string name = "h";
+        name += std::to_string(opt.compute_nodes - remaining_compute);
+        id = g.add_compute(name);
         --remaining_compute;
       } else {
         id = g.add_network("sw" + std::to_string(opt.network_nodes -

@@ -49,8 +49,11 @@ TopologyGraph fat_tree(const FatTreeOptions& opt) {
       double capacity = 1.0;
       if (opt.cpu_jitter > 0.0)
         capacity = rng.uniform(1.0 - opt.cpu_jitter, 1.0 + opt.cpu_jitter);
-      NodeId host = g.add_compute(
-          "h" + std::to_string(e) + "-" + std::to_string(h), capacity);
+      std::string name = "h";
+      name += std::to_string(e);
+      name += '-';
+      name += std::to_string(h);
+      NodeId host = g.add_compute(name, capacity);
       if (opt.memory_bytes > 0.0) g.set_memory(host, opt.memory_bytes);
       TopologyGraph::LinkSpec spec;
       spec.capacity_ab = opt.host_bw;
@@ -115,7 +118,8 @@ TopologyGraph three_level_fat_tree(const ThreeLevelFatTreeOptions& opt) {
     cores.push_back(g.add_network("core" + std::to_string(c)));
   std::vector<NodeId> aggs(static_cast<std::size_t>(u));
   for (int p = 0; p < opt.pods; ++p) {
-    const std::string pod = "p" + std::to_string(p);
+    std::string pod = "p";
+    pod += std::to_string(p);
     for (int j = 0; j < u; ++j) {
       NodeId agg = g.add_network(pod + "-agg" + std::to_string(j));
       // Plane j: this agg position uplinks to core group j in every pod.
@@ -215,7 +219,8 @@ TopologyGraph campus_wan(const CampusWanOptions& opt) {
   g.reserve(1 + below_core, below_core);
   NodeId core = g.add_network("wan-core");
   for (int c = 0; c < opt.campuses; ++c) {
-    const std::string campus = "c" + std::to_string(c);
+    std::string campus = "c";
+    campus += std::to_string(c);
     NodeId gw = g.add_network(campus + "-gw");
     TopologyGraph::LinkSpec trunk;
     trunk.capacity_ab = opt.wan_bw;
@@ -338,7 +343,9 @@ TopologyGraph random_core_edge(const RandomCoreEdgeOptions& opt) {
   }
 
   for (int h = 0; h < opt.hosts; ++h) {
-    NodeId host = g.add_compute("h" + std::to_string(h));
+    std::string name = "h";
+    name += std::to_string(h);
+    NodeId host = g.add_compute(name);
     NodeId parent = edges[static_cast<std::size_t>(rng.uniform_int(
         0, static_cast<std::int64_t>(edges.size()) - 1))];
     g.add_link(parent, host,

@@ -209,18 +209,25 @@ struct ContentionFixture {
     g.add_link(swA, swB, 100e6);
     g.add_link(swA, swC, 100e6);
     for (int i = 0; i < 4; ++i)
-      g.add_link(swA, g.add_compute("a" + std::to_string(i)), 100e6);
+      g.add_link(swA, g.add_compute(name('a', i)), 100e6);
     for (int i = 0; i < 2; ++i)
-      g.add_link(swB, g.add_compute("b" + std::to_string(i)), 100e6);
+      g.add_link(swB, g.add_compute(name('b', i)), 100e6);
     for (int i = 0; i < 2; ++i)
-      g.add_link(swC, g.add_compute("c" + std::to_string(i)), 100e6);
+      g.add_link(swC, g.add_compute(name('c', i)), 100e6);
     g.validate();
     return std::cref(g);
   }()};
 
   ContentionFixture() {
     for (int i = 0; i < 4; ++i)
-      snap.set_loadavg(g.find_node("a" + std::to_string(i)).value(), 0.5);
+      snap.set_loadavg(g.find_node(name('a', i)).value(), 0.5);
+  }
+
+  /// Host name: the switch's letter and an index.
+  static std::string name(char prefix, int i) {
+    std::string s(1, prefix);
+    s += std::to_string(i);
+    return s;
   }
 
   appsim::LooselySyncConfig app(double work, double bytes) const {

@@ -5,10 +5,10 @@
 // ids, and the same objective bits — including the oracle's lexicographic
 // tie-break (first optimal subset in enumeration order). The fuzz sweep
 // runs every synthetic family at oracle-reachable sizes across seeds,
-// option variants, m values, and criteria. Budget degradation is checked
-// for soundness (incumbent <= bound, optimum <= bound, never a failure),
-// the exact dominance mask for lex-safe winner preservation, and the whole
-// search for determinism across warm-start settings.
+// option variants, m values, and criteria, and checks that no greedy answer
+// beats the optimum on the exact scale. Budget degradation is checked for
+// soundness (incumbent <= bound, optimum <= bound, never a failure), and
+// the exact dominance mask for lex-safe winner preservation.
 
 #include <gtest/gtest.h>
 
@@ -28,6 +28,13 @@ namespace netsel::select {
 namespace {
 
 constexpr double kInf = std::numeric_limits<double>::infinity();
+
+/// Budgets that let every search run to proof.
+BnbBudget to_proof() {
+  BnbBudget b;
+  b.node_budget = 0;
+  return b;
+}
 
 struct Instance {
   std::string what;
@@ -139,7 +146,6 @@ TEST(BnbOracle, MatchesBruteForceBitExactlyOnAllFamilies) {
         for (int m : {1, 2, 4, 6, 8}) {
           SelectionOptions opt = base;
           opt.num_nodes = m;
-          opt.exact.node_budget = 0;  // run to proof
           const std::size_t pool = eligible_count(ctx, opt);
           if (choose(pool, static_cast<std::uint64_t>(m)) > kOracleSubsetCap)
             continue;
@@ -149,37 +155,15 @@ TEST(BnbOracle, MatchesBruteForceBitExactlyOnAllFamilies) {
                                      " m=" + std::to_string(m) + " " +
                                      criterion_name(c);
             const auto bf = brute_force_select(ctx, opt, c);
-            expect_bit_exact(branch_and_bound_select(ctx, opt, c), bf, what);
-          }
-        }
-      }
-    }
-  }
-}
-
-TEST(BnbOracle, DominanceAndWarmStartTogglesPreserveTheAnswer) {
-  for (const auto& inst : instances(1)) {
-    SelectionContext ctx(*inst.snap);
-    for (int m : {2, 4, 8}) {
-      SelectionOptions opt;
-      opt.num_nodes = m;
-      opt.exact.node_budget = 0;
-      const std::size_t pool = eligible_count(ctx, opt);
-      if (choose(pool, static_cast<std::uint64_t>(m)) > kOracleSubsetCap)
-        continue;
-      for (Criterion c : {Criterion::MaxCompute, Criterion::MaxBandwidth,
-                          Criterion::Balanced}) {
-        const std::string what =
-            inst.what + " m=" + std::to_string(m) + " " + criterion_name(c);
-        const auto bf = brute_force_select(ctx, opt, c);
-        for (bool prune : {true, false}) {
-          for (bool warm : {true, false}) {
-            SelectionOptions v = opt;
-            v.exact.prune_dominance = prune;
-            v.exact.warm_start = warm;
-            expect_bit_exact(branch_and_bound_select(ctx, v, c), bf,
-                             what + " prune=" + std::to_string(prune) +
-                                 " warm=" + std::to_string(warm));
+            expect_bit_exact(branch_and_bound_select(ctx, opt, c, to_proof()),
+                             bf, what);
+            // The greedy answer scored on the exact scale never beats the
+            // optimum.
+            const auto g = select_nodes(c, ctx, opt);
+            if (g.feasible && bf.feasible) {
+              EXPECT_LE(exact_set_value(ctx, opt, c, g.nodes), bf.objective)
+                  << what;
+            }
           }
         }
       }
@@ -196,68 +180,44 @@ TEST(BnbBudget, DegradedRunsReturnSoundBounds) {
     if (choose(pool, 6) > kOracleSubsetCap) continue;
     for (Criterion c : {Criterion::MaxCompute, Criterion::MaxBandwidth,
                         Criterion::Balanced}) {
-      SelectionOptions full = opt;
-      full.exact.node_budget = 0;
-      const auto bf = brute_force_select(ctx, full, c);
-      for (std::uint64_t budget : {1u, 4u, 16u, 64u, 1024u}) {
-        for (bool warm : {true, false}) {
-          SelectionOptions v = opt;
-          v.exact.node_budget = budget;
-          v.exact.warm_start = warm;
-          const auto r = branch_and_bound_select(ctx, v, c);
-          const std::string what = inst.what + " " + criterion_name(c) +
-                                   " budget=" + std::to_string(budget) +
-                                   " warm=" + std::to_string(warm);
-          // The incumbent never exceeds the certified bound, and the true
-          // optimum never does either — that is what makes it a bound.
+      const auto bf = brute_force_select(ctx, opt, c);
+      for (std::uint64_t expansions : {1u, 4u, 16u, 64u, 1024u}) {
+        BnbBudget budget;
+        budget.node_budget = expansions;
+        const auto r = branch_and_bound_select(ctx, opt, c, budget);
+        const std::string what = inst.what + " " + criterion_name(c) +
+                                 " budget=" + std::to_string(expansions);
+        // The incumbent never exceeds the certified bound, and the true
+        // optimum never does either — that is what makes it a bound.
+        if (r.feasible) {
+          EXPECT_LE(r.objective, r.upper_bound) << what;
+        }
+        if (bf.feasible) {
+          EXPECT_LE(bf.objective, r.upper_bound) << what;
           if (r.feasible) {
-            EXPECT_LE(r.objective, r.upper_bound) << what;
+            EXPECT_LE(r.objective, bf.objective) << what;
           }
-          if (bf.feasible) {
-            EXPECT_LE(bf.objective, r.upper_bound) << what;
-            if (r.feasible) {
-              EXPECT_LE(r.objective, bf.objective) << what;
-            }
+        }
+        if (r.certified) {
+          ASSERT_EQ(r.feasible, bf.feasible) << what;
+          if (r.feasible) {
+            EXPECT_EQ(r.nodes, bf.nodes) << what;
           }
-          if (r.certified) {
-            ASSERT_EQ(r.feasible, bf.feasible) << what;
-            if (r.feasible) {
-              EXPECT_EQ(r.nodes, bf.nodes) << what;
-            }
-          } else {
-            EXPECT_NE(r.stop, BnbStop::Proven) << what;
-          }
+        } else {
+          EXPECT_NE(r.stop, BnbStop::Proven) << what;
         }
       }
       // A tiny open list forces evictions; the result degrades to a sound
       // bound instead of failing.
-      SelectionOptions v = opt;
-      v.exact.node_budget = 0;
-      v.exact.max_open = 8;
-      const auto r = branch_and_bound_select(ctx, v, c);
+      BnbBudget tiny = to_proof();
+      tiny.max_open = 8;
+      const auto r = branch_and_bound_select(ctx, opt, c, tiny);
       if (bf.feasible) {
         EXPECT_LE(bf.objective, r.upper_bound) << inst.what;
         if (r.feasible) {
           EXPECT_LE(r.objective, bf.objective) << inst.what;
         }
       }
-    }
-  }
-}
-
-TEST(BnbBudget, GapToleranceCertifiesTheStatedGap) {
-  auto insts = instances(1);
-  SelectionContext ctx(*insts[0].snap);
-  SelectionOptions opt;
-  opt.num_nodes = 6;
-  opt.exact.node_budget = 0;
-  opt.exact.gap_tolerance = 0.5;
-  for (Criterion c : {Criterion::MaxCompute, Criterion::Balanced}) {
-    const auto r = branch_and_bound_select(ctx, opt, c);
-    ASSERT_TRUE(r.feasible);
-    EXPECT_LE(r.objective, r.upper_bound);
-    if (r.stop == BnbStop::GapReached) {
-      EXPECT_GE(r.objective, (1.0 - opt.exact.gap_tolerance) * r.upper_bound);
     }
   }
 }
@@ -278,7 +238,9 @@ Star make_star(bool heterogeneous) {
   s.sw = s.g.add_network("sw");
   for (int i = 0; i < 6; ++i) {
     double capacity = heterogeneous ? 2.0 - 0.1 * i : 1.0;
-    auto h = s.g.add_compute("h" + std::to_string(i), capacity);
+    std::string name = "h";
+    name += std::to_string(i);
+    auto h = s.g.add_compute(name, capacity);
     double bw = heterogeneous ? (100.0 - i) * topo::kMbps : topo::k100Mbps;
     s.g.add_link(s.sw, h, bw);
     s.hosts.push_back(h);
@@ -349,44 +311,31 @@ TEST(BnbEdges, InfeasibleAndDegradedModes) {
   EXPECT_TRUE(inf.certified);
   EXPECT_EQ(inf.upper_bound, -kInf);
 
-  // A pool cap below the candidate count degrades to the greedy incumbent
-  // with an unbounded gap — never a failure.
+  // A pool above kBnbMaxPool degrades to the greedy incumbent with an
+  // unbounded gap — never a failure. Every host hangs off both switches, so
+  // none is a degree-1 leaf and the dominance mask keeps the whole pool.
+  topo::TopologyGraph dual;
+  const topo::NodeId left = dual.add_network("left");
+  const topo::NodeId right = dual.add_network("right");
+  for (std::size_t i = 0; i <= kBnbMaxPool; ++i) {
+    std::string name = "h";
+    name += std::to_string(i);
+    const topo::NodeId h = dual.add_compute(name, 1.0);
+    dual.add_link(left, h, topo::k100Mbps);
+    dual.add_link(right, h, topo::k100Mbps);
+  }
+  dual.validate();
+  remos::NetworkSnapshot dual_snap(dual);
+  SelectionContext dual_ctx(dual_snap);
   opt.num_nodes = 4;
-  opt.exact.max_pool = 2;
-  const auto capped = branch_and_bound_select(ctx, opt, Criterion::Balanced);
+  const auto capped =
+      branch_and_bound_select(dual_ctx, opt, Criterion::Balanced);
+  EXPECT_GT(capped.stats.pool_size, kBnbMaxPool);
   EXPECT_EQ(capped.stop, BnbStop::PoolLimit);
   EXPECT_FALSE(capped.certified);
   EXPECT_TRUE(capped.feasible);
   EXPECT_EQ(capped.upper_bound, kInf);
   EXPECT_EQ(capped.nodes.size(), 4u);
-}
-
-TEST(BnbEdges, SelectNodesRoutesExactModeFirstClass) {
-  auto insts = instances(1);
-  SelectionContext ctx(*insts[0].snap);
-  SelectionOptions opt;
-  opt.num_nodes = 4;
-  opt.exact.enabled = true;
-  opt.exact.node_budget = 0;
-  for (Criterion c : {Criterion::MaxCompute, Criterion::MaxBandwidth,
-                      Criterion::Balanced}) {
-    const auto bf = brute_force_select(ctx, opt, c);
-    const auto r = select_nodes(c, ctx, opt);
-    ASSERT_EQ(r.feasible, bf.feasible) << criterion_name(c);
-    EXPECT_EQ(r.nodes, bf.nodes) << criterion_name(c);
-    EXPECT_EQ(r.objective, bf.objective) << criterion_name(c);
-    EXPECT_TRUE(r.exact_certified) << criterion_name(c);
-    EXPECT_EQ(r.objective_bound, r.objective) << criterion_name(c);
-    EXPECT_EQ(r.note, "exact: certified optimal") << criterion_name(c);
-    // The greedy answer scored on the exact scale never beats the optimum.
-    SelectionOptions greedy = opt;
-    greedy.exact.enabled = false;
-    const auto g = select_nodes(c, ctx, greedy);
-    if (g.feasible && bf.feasible) {
-      EXPECT_LE(exact_set_value(ctx, opt, c, g.nodes), bf.objective)
-          << criterion_name(c);
-    }
-  }
 }
 
 }  // namespace

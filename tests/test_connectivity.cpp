@@ -7,12 +7,28 @@
 namespace netsel::topo {
 namespace {
 
+/// Node and compute-node counts of component `c`, read off comp_of.
+struct Sizes {
+  int nodes = 0;
+  int computes = 0;
+};
+
+Sizes sizes_of(const TopologyGraph& g, const Components& comps, int c) {
+  Sizes s;
+  for (std::size_t i = 0; i < comps.comp_of.size(); ++i) {
+    if (comps.comp_of[i] != c) continue;
+    ++s.nodes;
+    if (g.is_compute(static_cast<NodeId>(i))) ++s.computes;
+  }
+  return s;
+}
+
 TEST(Components, SingleComponentWhenAllActive) {
   auto g = testbed();
   auto c = connected_components(g);
   EXPECT_EQ(c.count, 1);
-  EXPECT_EQ(c.node_count[0], 21);
-  EXPECT_EQ(c.compute_count[0], 18);
+  EXPECT_EQ(sizes_of(g, c, 0).nodes, 21);
+  EXPECT_EQ(sizes_of(g, c, 0).computes, 18);
 }
 
 TEST(Components, SplitsWhenBackboneRemoved) {
@@ -25,8 +41,8 @@ TEST(Components, SplitsWhenBackboneRemoved) {
   EXPECT_EQ(c.count, 3);
   // Each router keeps its 6 hosts.
   for (int i = 0; i < 3; ++i) {
-    EXPECT_EQ(c.node_count[static_cast<std::size_t>(i)], 7);
-    EXPECT_EQ(c.compute_count[static_cast<std::size_t>(i)], 6);
+    EXPECT_EQ(sizes_of(g, c, i).nodes, 7);
+    EXPECT_EQ(sizes_of(g, c, i).computes, 6);
   }
 }
 
@@ -38,8 +54,8 @@ TEST(Components, IsolatedHostWhenAccessLinkRemoved) {
   auto c = connected_components(g, mask);
   EXPECT_EQ(c.count, 2);
   int c_of_m1 = c.comp_of[static_cast<std::size_t>(m1)];
-  EXPECT_EQ(c.node_count[static_cast<std::size_t>(c_of_m1)], 1);
-  EXPECT_EQ(c.compute_count[static_cast<std::size_t>(c_of_m1)], 1);
+  EXPECT_EQ(sizes_of(g, c, c_of_m1).nodes, 1);
+  EXPECT_EQ(sizes_of(g, c, c_of_m1).computes, 1);
 }
 
 TEST(Components, AllLinksRemovedEveryNodeAlone) {

@@ -293,6 +293,19 @@ TEST_F(LadderFixture, RejectsInvertedThresholds) {
                std::invalid_argument);
 }
 
+TEST_F(LadderFixture, RejectsNaNThresholds) {
+  DegradationLevel level;
+  remos::QueryQuality quality;
+  DegradationPolicy nan_smoothed;
+  nan_smoothed.smoothed_below = std::numeric_limits<double>::quiet_NaN();
+  EXPECT_THROW(service.degraded_snapshot({}, nan_smoothed, level, quality),
+               std::invalid_argument);
+  DegradationPolicy nan_prior;
+  nan_prior.prior_below = std::numeric_limits<double>::quiet_NaN();
+  EXPECT_THROW(service.degraded_snapshot({}, nan_prior, level, quality),
+               std::invalid_argument);
+}
+
 TEST_F(LadderFixture, PlaceRecordsForcedDegradation) {
   remos.start();
   net.sim().run_until(10.0);

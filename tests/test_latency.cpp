@@ -1,6 +1,6 @@
 // Tests for the latency-aware extension (§3.4 future work): latency in the
-// topology and simulator, the all-pairs latency matrix, min-latency
-// selection against brute force, and the latency-bounded balanced variant.
+// topology and simulator, pairwise path latencies, min-latency selection
+// against brute force, and the latency-bounded balanced variant.
 
 #include <gtest/gtest.h>
 
@@ -11,10 +11,19 @@
 #include "select/latency.hpp"
 #include "select/objective.hpp"
 #include "sim/network_sim.hpp"
+#include "topo/connectivity.hpp"
 #include "topo/generators.hpp"
 
 namespace netsel::select {
 namespace {
+
+/// Path latency from `src` to every node along the deterministic BFS paths
+/// the selectors read (topo::bottleneck_row; 0 for unreached nodes).
+std::vector<double> latency_row(const topo::TopologyGraph& g,
+                                topo::NodeId src) {
+  const std::vector<double> unit(g.link_count(), 1.0);
+  return topo::bottleneck_row(g, src, unit).latency;
+}
 
 /// Two clusters: a "near" switch with low-latency hosts and a "far" switch
 /// reached over a high-latency trunk.
@@ -61,10 +70,8 @@ TEST(LatencyTopo, LinkSpecStoresLatency) {
 
 TEST(LatencyTopo, AllPairsMatrix) {
   Clusters c;
-  auto dist = all_pairs_latency(c.g);
-  std::size_t n = c.g.node_count();
   auto d = [&](topo::NodeId a, topo::NodeId b) {
-    return dist[static_cast<std::size_t>(a) * n + static_cast<std::size_t>(b)];
+    return latency_row(c.g, a)[static_cast<std::size_t>(b)];
   };
   EXPECT_DOUBLE_EQ(d(c.near0, c.near0), 0.0);
   EXPECT_DOUBLE_EQ(d(c.near0, c.near1), 2e-3);
@@ -175,20 +182,22 @@ TEST_P(MinLatencyQuality, NearOptimalOnRandomTrees) {
   double algo_latency = -algo.objective;
 
   // Brute force over all subsets.
-  auto dist = all_pairs_latency(lg);
-  std::size_t n = lg.node_count();
   auto computes = lg.compute_nodes();
+  std::vector<std::vector<double>> dist;  // one latency row per compute node
+  for (topo::NodeId h : computes) dist.push_back(latency_row(lg, h));
   double best = std::numeric_limits<double>::infinity();
   std::vector<int> idx(static_cast<std::size_t>(p.m));
   std::function<void(std::size_t, std::size_t)> rec = [&](std::size_t pos,
                                                           std::size_t from) {
     if (pos == idx.size()) {
       double mx = 0.0;
-      for (std::size_t i = 0; i + 1 < idx.size(); ++i)
-        for (std::size_t j = i + 1; j < idx.size(); ++j)
-          mx = std::max(
-              mx, dist[static_cast<std::size_t>(computes[static_cast<std::size_t>(idx[i])]) * n +
-                       static_cast<std::size_t>(computes[static_cast<std::size_t>(idx[j])])]);
+      for (std::size_t i = 0; i + 1 < idx.size(); ++i) {
+        const auto& row = dist[static_cast<std::size_t>(idx[i])];
+        for (std::size_t j = i + 1; j < idx.size(); ++j) {
+          const topo::NodeId v = computes[static_cast<std::size_t>(idx[j])];
+          mx = std::max(mx, row[static_cast<std::size_t>(v)]);
+        }
+      }
       best = std::min(best, mx);
       return;
     }

@@ -5,8 +5,9 @@
 // restore after drain(), the per-tenant degradation ladder under partial
 // measurement coverage, the rebalance path honouring a kept_current
 // reselect, decisions unchanged by delta-journal overflow, the rejection
-// of bad JobSpecs and arrival times at submit() and of bad time fields at
-// construction, and the determinism of the JobStream workload generator.
+// of bad JobSpecs and arrival times at submit(), of bad tenant ladders at
+// set_tenant_policy() and of bad time fields at construction, and the
+// determinism of the JobStream workload generator.
 
 #include <gtest/gtest.h>
 
@@ -476,6 +477,50 @@ TEST(SubmitValidation, CoverageRejectsNaNAndClampsFiniteValues) {
   EXPECT_DOUBLE_EQ(b.sched.measurement_coverage(), 1.0);
   b.sched.set_measurement_coverage(kInf);
   EXPECT_DOUBLE_EQ(b.sched.measurement_coverage(), 1.0);
+}
+
+// A tenant ladder the service would refuse (inverted) or cannot read (a NaN
+// threshold) is refused before any state changes: the tenant keeps the
+// policy it had. Thresholds above 1 stay legal and force degradation.
+TEST(SchedulerService, TenantPolicyRejectsAnInvertedOrNaNLadder) {
+  auto g = small_fabric(41);
+  SchedulerService sched(g);
+  TenantPolicy strict;
+  strict.degradation.smoothed_below = 0.9;
+  strict.degradation.prior_below = 0.8;
+  sched.set_tenant_policy("t", strict);
+
+  TenantPolicy inverted;
+  inverted.degradation.smoothed_below = 0.3;
+  inverted.degradation.prior_below = 0.8;
+  EXPECT_THROW(sched.set_tenant_policy("t", inverted), std::invalid_argument);
+  TenantPolicy nan_smoothed;
+  nan_smoothed.degradation.smoothed_below = kNaN;
+  EXPECT_THROW(sched.set_tenant_policy("t", nan_smoothed),
+               std::invalid_argument);
+  TenantPolicy nan_prior;
+  nan_prior.degradation.prior_below = kNaN;
+  EXPECT_THROW(sched.set_tenant_policy("t", nan_prior), std::invalid_argument);
+  TenantPolicy forced;
+  forced.degradation.smoothed_below = 1.2;
+  forced.degradation.prior_below = 1.1;
+  EXPECT_NO_THROW(sched.set_tenant_policy("forced", forced));
+
+  // At coverage 0.85 "t" still reads its strict ladder (Smoothed; the
+  // inverted one would give Prior), and "forced" falls to Prior.
+  sched.set_measurement_coverage(0.85);
+  JobSpec spec;
+  spec.nodes = 3;
+  spec.duration = 5.0;
+  spec.tenant = "t";
+  const std::uint64_t t_id = sched.submit(spec, 1.0);
+  spec.tenant = "forced";
+  const std::uint64_t forced_id = sched.submit(spec, 1.0);
+  sched.run_until(2.0);
+  EXPECT_EQ(sched.job(t_id).state, JobState::Running);
+  EXPECT_EQ(sched.job(t_id).ladder, api::DegradationLevel::Smoothed);
+  EXPECT_EQ(sched.job(forced_id).state, JobState::Running);
+  EXPECT_EQ(sched.job(forced_id).ladder, api::DegradationLevel::Prior);
 }
 
 // ---------------------------------------------------------------------------

@@ -12,6 +12,13 @@
 namespace netsel::select {
 namespace {
 
+/// Host "h<i>" of topo::star.
+topo::NodeId host(const topo::TopologyGraph& g, int i) {
+  std::string name = "h";
+  name += std::to_string(i);
+  return g.find_node(name).value();
+}
+
 TEST(Balanced, ReducesToMaxComputeOnIdleNetwork) {
   auto g = topo::testbed();
   remos::NetworkSnapshot snap(g);
@@ -38,8 +45,7 @@ TEST(Balanced, TradesCpuForBandwidthWhenLinksCongested) {
   snap.set_bw(0, 10e6);
   snap.set_bw(1, 12e6);
   // h2..h5: 60% cpu, full links.
-  for (int i = 2; i < 6; ++i)
-    snap.set_cpu(g.find_node("h" + std::to_string(i)).value(), 0.6);
+  for (int i = 2; i < 6; ++i) snap.set_cpu(host(g, i), 0.6);
   SelectionOptions opt;
   opt.num_nodes = 2;
   auto bal = select_balanced(snap, opt);
@@ -62,8 +68,7 @@ TEST(Balanced, PaperRuleStallsOnPlateauExhaustiveDoesNot) {
   remos::NetworkSnapshot snap(g);
   snap.set_bw(0, 10e6);
   snap.set_bw(1, 10e6);  // exact tie with link 0
-  for (int i = 2; i < 6; ++i)
-    snap.set_cpu(g.find_node("h" + std::to_string(i)).value(), 0.6);
+  for (int i = 2; i < 6; ++i) snap.set_cpu(host(g, i), 0.6);
   SelectionOptions opt;
   opt.num_nodes = 2;
   auto paper = select_balanced(snap, opt);

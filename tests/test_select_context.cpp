@@ -222,7 +222,9 @@ Instance cyclic_instance(std::uint64_t seed, bool parallel = false) {
   g.add_link(sw1, sw2, topo::k100Mbps);
   g.add_link(sw2, sw0, topo::k100Mbps);
   for (int i = 0; i < 9; ++i) {
-    auto h = g.add_compute("h" + std::to_string(i));
+    std::string name = "h";
+    name += std::to_string(i);
+    auto h = g.add_compute(name);
     g.add_link(i % 3 == 0 ? sw0 : (i % 3 == 1 ? sw1 : sw2), h,
                topo::k100Mbps);
   }

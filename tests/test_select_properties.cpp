@@ -106,7 +106,9 @@ TEST(Invariance, BalancedScaleInvariantInBandwidth) {
       auto sw1 = g.add_network("sw1");
       g.add_link(sw0, sw1, 50e6 * scale);
       for (int i = 0; i < 8; ++i) {
-        auto h = g.add_compute("h" + std::to_string(i));
+        std::string name = "h";
+        name += std::to_string(i);
+        auto h = g.add_compute(name);
         g.add_link(i % 2 ? sw0 : sw1, h, local.uniform(20e6, 100e6) * scale);
       }
       return g;
