@@ -35,7 +35,6 @@
 #include <fstream>
 #include <limits>
 #include <string>
-#include <thread>
 #include <vector>
 
 #include "exp/exact.hpp"
@@ -122,12 +121,10 @@ int write_bench_json(const char* path, const ExactGridOptions& opt,
   std::fprintf(f,
                "{\n"
                "  \"benchmark\": \"exact\",\n"
-               "  \"hardware_threads\": %u,\n"
                "  \"seed\": %llu,\n"
                "  \"hosts\": %d,\n"
                "  \"node_budget\": %llu,\n"
                "  \"cells\": [\n",
-               std::thread::hardware_concurrency(),
                static_cast<unsigned long long>(opt.seed), opt.hosts,
                static_cast<unsigned long long>(opt.node_budget));
   for (std::size_t i = 0; i < cells.size(); ++i) {

@@ -2,6 +2,7 @@
 
 #include <stdexcept>
 
+#include "api/reselect.hpp"
 #include "select/context.hpp"
 #include "util/log.hpp"
 
@@ -62,17 +63,10 @@ void MigrationController::check() {
 
   // Compare both placements by the same yardstick (exact pairwise
   // evaluation), not the algorithm's internal bookkeeping value.
-  auto pick = [&](const select::SetEvaluation& ev) {
-    switch (policy_.criterion) {
-      case select::Criterion::MaxCompute: return ev.min_cpu;
-      case select::Criterion::MaxBandwidth: return ev.min_pair_bw;
-      case select::Criterion::Balanced: return ev.balanced;
-    }
-    return ev.balanced;
-  };
-  double current_objective =
-      pick(select::evaluate_set(ctx, app_->placement(), base_));
-  double best_objective = pick(select::evaluate_set(ctx, best.nodes, base_));
+  double current_objective = criterion_score(
+      policy_.criterion, select::evaluate_set(ctx, app_->placement(), base_));
+  double best_objective = criterion_score(
+      policy_.criterion, select::evaluate_set(ctx, best.nodes, base_));
 
   if (best_objective >
       current_objective * (1.0 + policy_.improvement_threshold)) {

@@ -353,13 +353,6 @@ select::SelectionResult NodeSelectionService::select(
   return result;
 }
 
-select::SelectionResult NodeSelectionService::select(
-    int m, select::Criterion c, const remos::QueryOptions& q) const {
-  ServiceOptions opt;
-  opt.query = q;
-  return select(m, c, opt);
-}
-
 ReselectResult NodeSelectionService::reselect(
     const std::vector<topo::NodeId>& current, const ReselectOptions& ropt,
     const ServiceOptions& opt) const {

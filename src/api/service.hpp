@@ -77,9 +77,6 @@ class NodeSelectionService {
   /// argument wins over opt.criterion.
   select::SelectionResult select(int m, select::Criterion c,
                                  const ServiceOptions& opt = {}) const;
-  /// Back-compatible form: a bare query under the default policy.
-  select::SelectionResult select(int m, select::Criterion c,
-                                 const remos::QueryOptions& q) const;
 
   /// Churn-aware bounded re-placement (api/reselect.hpp) of a running
   /// application's node set, against the degradation ladder's snapshot:

@@ -4,6 +4,7 @@
 #include <memory>
 #include <stdexcept>
 
+#include "api/service.hpp"
 #include "appsim/presets.hpp"
 #include "obs/metrics.hpp"
 #include "remos/remos.hpp"
@@ -57,7 +58,14 @@ TrialResult run_trial(const AppCase& app, const Scenario& scenario,
   load::HostLoadGenerator loadgen(net, scenario.load, master.fork("load"));
   load::TrafficGenerator trafficgen(net, scenario.traffic,
                                     master.fork("traffic"));
-  remos::Remos remos(net, scenario.monitor);
+  remos::MonitorConfig mcfg = scenario.monitor;
+  // Per-trial fault realisation: severity 0 leaves the plan empty, so the
+  // monitor builds no injector.
+  mcfg.faults = remos::FaultPlan::scaled(
+      scenario.fault_severity,
+      util::SplitMix64(seed ^ util::hash_name("fault-plan")).next(),
+      mcfg.poll_interval);
+  remos::Remos remos(net, mcfg);
 
   if (scenario.load_on) loadgen.start();
   if (scenario.traffic_on) trafficgen.start();
@@ -67,7 +75,18 @@ TrialResult run_trial(const AppCase& app, const Scenario& scenario,
   // --- Node selection. ---
   remos::QueryOptions q;
   if (scenario.forecaster) q.forecaster = scenario.forecaster;
-  auto snap = remos.snapshot(q);
+  // Baselines ignore measured values (they only need connectivity) and
+  // consult no sensor, so their coverage reads 1. The auto policies walk
+  // the degradation ladder: missing measurements degrade the selection
+  // instead of failing it.
+  TrialResult result;
+  remos::QueryQuality quality;
+  remos::NetworkSnapshot snap =
+      policy == Policy::Random || policy == Policy::Static
+          ? remos.snapshot(q)
+          : api::NodeSelectionService(remos).degraded_snapshot(
+                q, {}, result.degradation, quality);
+  result.coverage = quality.coverage();
   select::SelectionContext ctx(snap);
   select::SelectionOptions sel = scenario.selection;
   sel.num_nodes = app.num_nodes();
@@ -112,9 +131,8 @@ TrialResult run_trial(const AppCase& app, const Scenario& scenario,
       throw std::logic_error("run_trial: event queue drained mid-run");
   }
 
-  TrialResult result;
   result.elapsed = application->elapsed();
-  result.nodes = chosen.nodes;
+  result.nodes = std::move(chosen.nodes);
   return result;
 }
 
@@ -123,6 +141,7 @@ namespace {
 struct TrialSlot {
   bool ok = false;
   double elapsed = 0.0;
+  api::DegradationLevel level = api::DegradationLevel::Full;
   std::string error;
 };
 constexpr std::size_t kMaxFailureNotes = 8;
@@ -143,9 +162,10 @@ CellResult run_cell(const AppCase& app, const Scenario& scenario,
     span.arg("app", app.name);
     span.arg("policy", policy_name(policy));
     try {
-      slot.elapsed =
-          run_trial(app, scenario, policy, trial_seed(seed0, static_cast<int>(t)))
-              .elapsed;
+      TrialResult r =
+          run_trial(app, scenario, policy, trial_seed(seed0, static_cast<int>(t)));
+      slot.elapsed = r.elapsed;
+      slot.level = r.degradation;
       slot.ok = true;
       if (span.active()) span.arg("ok", "true");
     } catch (const std::runtime_error& e) {
@@ -170,6 +190,8 @@ CellResult run_cell(const AppCase& app, const Scenario& scenario,
   for (const TrialSlot& slot : slots) {
     if (slot.ok) {
       cell.stats.add(slot.elapsed);
+      if (slot.level == api::DegradationLevel::Smoothed) ++cell.degraded_smoothed;
+      if (slot.level == api::DegradationLevel::Prior) ++cell.degraded_prior;
     } else {
       ++cell.failures;
       if (cell.failure_notes.size() < kMaxFailureNotes)

@@ -12,6 +12,7 @@
 #include <variant>
 #include <vector>
 
+#include "api/appspec.hpp"
 #include "appsim/loosely_synchronous.hpp"
 #include "appsim/master_slave.hpp"
 #include "load/load_generator.hpp"
@@ -59,11 +60,20 @@ struct Scenario {
   select::SelectionOptions selection;
   /// Forecaster used for the Remos query at selection time.
   remos::ForecasterPtr forecaster;  // null -> LastValue
+  /// Measurement-fault severity in [0, 1]: run_trial replaces
+  /// monitor.faults with remos::FaultPlan::scaled(fault_severity), seeded
+  /// per trial. The default 0 builds no injector (the no-fault path).
+  double fault_severity = 0.0;
 };
 
 struct TrialResult {
   double elapsed = 0.0;
   std::vector<topo::NodeId> nodes;
+  /// Rung of the service's degradation ladder the Auto* selection ran on,
+  /// and the measurement coverage that chose it. Random and Static read no
+  /// measurements and keep Full at coverage 1.
+  api::DegradationLevel degradation = api::DegradationLevel::Full;
+  double coverage = 1.0;
 };
 
 // --- Seeding scheme -------------------------------------------------------
@@ -91,7 +101,11 @@ std::uint64_t trial_seed(std::uint64_t cell_seed, int trial);
 std::uint64_t cell_seed(std::uint64_t master_seed, std::string_view app,
                         Policy policy, int condition);
 
-/// Run one trial on a fresh simulated testbed seeded with `seed`.
+/// Run one trial on a fresh simulated testbed seeded with `seed`. The
+/// Auto* policies select on api::NodeSelectionService::degraded_snapshot
+/// under the default DegradationPolicy, which at full coverage is the
+/// measured snapshot itself; Random and Static select on the plain Remos
+/// snapshot.
 TrialResult run_trial(const AppCase& app, const Scenario& scenario,
                       Policy policy, std::uint64_t seed);
 
@@ -104,6 +118,9 @@ struct CellResult {
   util::OnlineStats stats;   ///< elapsed-time stats over successful trials
   int attempted = 0;         ///< trials dispatched
   int failures = 0;          ///< trials that failed (attempted - stats.count())
+  /// Successful trials whose selection ran on the Smoothed / Prior rung.
+  int degraded_smoothed = 0;
+  int degraded_prior = 0;
   std::vector<std::string> failure_notes;  ///< first few failure messages
   /// Wall-clock seconds this cell took (observability only; 0 when the obs
   /// registry is disabled). Excluded from all statistics.

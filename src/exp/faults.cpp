@@ -1,181 +1,15 @@
 #include "exp/faults.hpp"
 
-#include <chrono>
 #include <cstdio>
 #include <memory>
 #include <sstream>
 #include <stdexcept>
 
-#include "api/service.hpp"
 #include "obs/metrics.hpp"
-#include "remos/remos.hpp"
-#include "select/context.hpp"
-#include "topo/generators.hpp"
-#include "util/rng.hpp"
 #include "util/table.hpp"
 #include "util/thread_pool.hpp"
 
 namespace netsel::exp {
-
-namespace {
-
-select::Criterion policy_criterion(Policy p) {
-  switch (p) {
-    case Policy::AutoBalanced: return select::Criterion::Balanced;
-    case Policy::AutoCompute: return select::Criterion::MaxCompute;
-    case Policy::AutoBandwidth: return select::Criterion::MaxBandwidth;
-    default:
-      throw std::invalid_argument("policy_criterion: not an auto policy");
-  }
-}
-
-}  // namespace
-
-FaultTrialResult run_fault_trial(const AppCase& app, const Scenario& scenario,
-                                 Policy policy, double severity,
-                                 std::uint64_t seed) {
-  sim::NetworkSim net(topo::testbed());
-  util::Rng master(seed);
-
-  load::HostLoadGenerator loadgen(net, scenario.load, master.fork("load"));
-  load::TrafficGenerator trafficgen(net, scenario.traffic,
-                                    master.fork("traffic"));
-
-  remos::MonitorConfig mcfg = scenario.monitor;
-  // Per-trial fault realisation: severity 0 leaves the plan empty, so the
-  // monitor builds no injector and the sweep path is the no-fault one.
-  mcfg.faults = remos::FaultPlan::scaled(
-      severity, util::SplitMix64(seed ^ util::hash_name("fault-plan")).next(),
-      mcfg.poll_interval);
-  remos::Remos remos(net, mcfg);
-
-  if (scenario.load_on) loadgen.start();
-  if (scenario.traffic_on) trafficgen.start();
-  remos.start();
-  net.sim().run_until(scenario.warmup);
-
-  // --- Node selection. ---
-  remos::QueryOptions q;
-  if (scenario.forecaster) q.forecaster = scenario.forecaster;
-
-  FaultTrialResult result;
-  if (policy == Policy::Random || policy == Policy::Static) {
-    // Baselines ignore measured values (they only need connectivity), so
-    // they select exactly as run_trial does — the control arm of the sweep.
-    auto snap = remos.snapshot(q);
-    select::SelectionContext ctx(snap);
-    select::SelectionOptions sel = scenario.selection;
-    sel.num_nodes = app.num_nodes();
-    select::SelectionResult chosen;
-    if (policy == Policy::Random) {
-      util::Rng prng = master.fork("placement");
-      chosen = select::select_random(ctx, sel, prng);
-    } else {
-      chosen = select::select_static(ctx, sel);
-    }
-    if (!chosen.feasible)
-      throw std::runtime_error("run_fault_trial: selection infeasible: " +
-                               chosen.note);
-    result.nodes = std::move(chosen.nodes);
-  } else {
-    // Auto policies select through the service: degradation ladder active,
-    // decision recorded on the placement, no throws on missing measurements.
-    api::NodeSelectionService service(remos);
-    api::AppSpec spec = api::AppSpec::spmd(app.name, app.num_nodes(),
-                                           api::AppPattern::LooselySynchronous);
-    spec.cpu_priority = scenario.selection.cpu_priority;
-    spec.bw_priority = scenario.selection.bw_priority;
-    spec.min_bw_bps = scenario.selection.min_bw_bps;
-    spec.min_cpu_fraction = scenario.selection.min_cpu_fraction;
-    spec.min_free_memory_bytes = scenario.selection.min_free_memory_bytes;
-    api::ServiceOptions so;
-    so.criterion = policy_criterion(policy);
-    so.query = q;
-    api::Placement placement = service.place(spec, so);
-    result.degradation = placement.degradation;
-    result.coverage = placement.measurement_coverage;
-    if (!placement.feasible)
-      throw std::runtime_error("run_fault_trial: placement infeasible: " +
-                               placement.note);
-    result.nodes = placement.flat();
-  }
-
-  // --- Execute the application. ---
-  std::unique_ptr<appsim::Application> application;
-  if (const auto* ls = std::get_if<appsim::LooselySyncConfig>(&app.config)) {
-    application =
-        std::make_unique<appsim::LooselySynchronousApp>(net, *ls, app.name);
-  } else {
-    application = std::make_unique<appsim::MasterSlaveApp>(
-        net, std::get<appsim::MasterSlaveConfig>(app.config), app.name);
-  }
-  application->start(result.nodes);
-  while (!application->finished()) {
-    if (net.sim().now() > scenario.max_sim_time)
-      throw std::runtime_error("run_fault_trial: exceeded max_sim_time");
-    if (!net.sim().step())
-      throw std::logic_error("run_fault_trial: event queue drained mid-run");
-  }
-  result.elapsed = application->elapsed();
-  return result;
-}
-
-namespace {
-
-struct FaultSlot {
-  bool ok = false;
-  double elapsed = 0.0;
-  api::DegradationLevel level = api::DegradationLevel::Full;
-  std::string error;
-};
-constexpr std::size_t kMaxFailureNotes = 8;
-
-FaultCell run_fault_cell(const AppCase& app, const Scenario& scenario,
-                         Policy policy, double severity, int trials,
-                         std::uint64_t seed0, util::ThreadPool* pool) {
-  const bool observing = obs::enabled();
-  const auto cell_t0 = observing ? std::chrono::steady_clock::now()
-                                 : std::chrono::steady_clock::time_point{};
-  std::vector<FaultSlot> slots(static_cast<std::size_t>(trials));
-  auto one = [&](std::size_t t) {
-    FaultSlot& slot = slots[t];
-    try {
-      auto r = run_fault_trial(app, scenario, policy, severity,
-                               trial_seed(seed0, static_cast<int>(t)));
-      slot.elapsed = r.elapsed;
-      slot.level = r.degradation;
-      slot.ok = true;
-    } catch (const std::runtime_error& e) {
-      slot.error = e.what();
-    }
-  };
-  if (pool != nullptr) {
-    util::parallel_for(*pool, slots.size(), one);
-  } else {
-    for (std::size_t t = 0; t < slots.size(); ++t) one(t);
-  }
-
-  FaultCell out;
-  out.cell.attempted = trials;
-  for (const FaultSlot& slot : slots) {
-    if (slot.ok) {
-      out.cell.stats.add(slot.elapsed);
-      if (slot.level == api::DegradationLevel::Smoothed) ++out.degraded_smoothed;
-      if (slot.level == api::DegradationLevel::Prior) ++out.degraded_prior;
-    } else {
-      ++out.cell.failures;
-      if (out.cell.failure_notes.size() < kMaxFailureNotes)
-        out.cell.failure_notes.push_back(slot.error);
-    }
-  }
-  if (observing)
-    out.cell.wall_seconds = std::chrono::duration<double>(
-                                std::chrono::steady_clock::now() - cell_t0)
-                                .count();
-  return out;
-}
-
-}  // namespace
 
 std::vector<FaultRow> run_fault_grid(const FaultGridOptions& opt) {
   if (opt.trials < 1)
@@ -199,17 +33,19 @@ std::vector<FaultRow> run_fault_grid(const FaultGridOptions& opt) {
     std::size_t k = j % cells_per_row;
     FaultRow& row = rows[r];
     Policy policy = k == 0 ? Policy::Random : opt.criteria[k - 1];
-    FaultCell& slot = k == 0 ? row.random : row.autos[k - 1];
-    slot = run_fault_cell(
-        opt.app, scenario, policy, row.severity, opt.trials,
+    CellResult& slot = k == 0 ? row.random : row.autos[k - 1];
+    Scenario sc = scenario;
+    sc.fault_severity = row.severity;
+    slot = run_cell(
+        opt.app, sc, policy, opt.trials,
         cell_seed(opt.seed, opt.app.name, policy, 1000 + static_cast<int>(r)),
         pool.get());
     if (opt.verbose)
       std::fprintf(stderr,
                    "  severity %.2f %-14s mean=%7.1fs (n=%zu, %d failed, "
                    "%d smoothed, %d prior)\n",
-                   row.severity, policy_name(policy), slot.cell.stats.mean(),
-                   slot.cell.stats.count(), slot.cell.failures,
+                   row.severity, policy_name(policy), slot.stats.mean(),
+                   slot.stats.count(), slot.failures,
                    slot.degraded_smoothed, slot.degraded_prior);
   };
   const std::size_t tasks = rows.size() * cells_per_row;
@@ -227,14 +63,14 @@ std::vector<FaultRow> run_fault_grid(const FaultGridOptions& opt) {
     obs::Counter& trials = obs::Registry::global().counter("exp.trials");
     obs::Counter& failures =
         obs::Registry::global().counter("exp.trial_failures");
-    auto merge = [&](const FaultCell& c) {
-      cell_s.observe(c.cell.wall_seconds);
-      trials.inc(static_cast<std::uint64_t>(c.cell.attempted));
-      failures.inc(static_cast<std::uint64_t>(c.cell.failures));
+    auto merge = [&](const CellResult& c) {
+      cell_s.observe(c.wall_seconds);
+      trials.inc(static_cast<std::uint64_t>(c.attempted));
+      failures.inc(static_cast<std::uint64_t>(c.failures));
     };
     for (const FaultRow& row : rows) {
       merge(row.random);
-      for (const FaultCell& c : row.autos) merge(c);
+      for (const CellResult& c : row.autos) merge(c);
     }
   }
   return rows;
@@ -247,14 +83,14 @@ std::string format_fault_grid(const std::vector<FaultRow>& rows,
             "failed", "smoothed", "prior"});
   for (std::size_t r = 0; r < rows.size(); ++r) {
     const FaultRow& row = rows[r];
-    double baseline = row.random.cell.stats.mean();
-    auto add = [&](const char* name, const FaultCell& c, bool is_random) {
-      double mean = c.cell.stats.mean();
+    double baseline = row.random.stats.mean();
+    auto add = [&](const char* name, const CellResult& c, bool is_random) {
+      double mean = c.stats.mean();
       t.row({is_random ? util::fmt(row.severity, 2) : "", name,
-             util::fmt(mean, 1), util::fmt(c.cell.ci_halfwidth(0.95), 1),
+             util::fmt(mean, 1), util::fmt(c.ci_halfwidth(0.95), 1),
              is_random ? "1.00"
                        : (baseline > 0.0 ? util::fmt(mean / baseline, 2) : "-"),
-             std::to_string(c.cell.count()), std::to_string(c.cell.failures),
+             std::to_string(c.count()), std::to_string(c.failures),
              std::to_string(c.degraded_smoothed),
              std::to_string(c.degraded_prior)});
     };
@@ -277,11 +113,10 @@ std::string fault_grid_csv(const std::vector<FaultRow>& rows,
   std::ostringstream os;
   os << "severity,policy,mean_s,ci95,trials,failures,degraded_smoothed,"
         "degraded_prior\n";
-  auto line = [&](double severity, Policy p, const FaultCell& c) {
-    os << severity << ',' << policy_name(p) << ',' << c.cell.stats.mean()
-       << ',' << c.cell.ci_halfwidth(0.95) << ',' << c.cell.count() << ','
-       << c.cell.failures << ',' << c.degraded_smoothed << ','
-       << c.degraded_prior << '\n';
+  auto line = [&](double severity, Policy p, const CellResult& c) {
+    os << severity << ',' << policy_name(p) << ',' << c.stats.mean() << ','
+       << c.ci_halfwidth(0.95) << ',' << c.count() << ',' << c.failures << ','
+       << c.degraded_smoothed << ',' << c.degraded_prior << '\n';
   };
   for (const FaultRow& row : rows) {
     line(row.severity, Policy::Random, row.random);

@@ -6,51 +6,24 @@
 // time per cell, slowdown ratio vs random, and how often the service's
 // degradation ladder had to leave the Full level.
 //
-// At severity 0 the grid runs the exact no-fault measurement path: cells
-// are bit-identical to the equivalent run_trial results (asserted in
-// tests and by bench_faults --check).
+// Every cell is an exp::run_cell over the Table-1 scenario with
+// Scenario::fault_severity set, so at severity 0 it is the no-fault
+// measurement path itself.
 
 #include <cstdint>
 #include <string>
 #include <vector>
 
-#include "api/appspec.hpp"
 #include "exp/experiment.hpp"
 
 namespace netsel::exp {
-
-/// One fault-sweep trial outcome: execution time plus the degradation
-/// decision the selection service took.
-struct FaultTrialResult {
-  double elapsed = 0.0;
-  std::vector<topo::NodeId> nodes;
-  api::DegradationLevel degradation = api::DegradationLevel::Full;
-  double coverage = 1.0;
-};
-
-/// Run one trial with measurement faults of the given severity injected
-/// into the monitor. Auto policies select through NodeSelectionService
-/// (degradation ladder active); Random ignores measurements, as in
-/// run_trial. Severity 0 builds no injector and reproduces run_trial's
-/// elapsed time bit-for-bit for every policy.
-FaultTrialResult run_fault_trial(const AppCase& app, const Scenario& scenario,
-                                 Policy policy, double severity,
-                                 std::uint64_t seed);
-
-/// Aggregated cell: execution-time stats plus degradation-level counts
-/// over the successful trials.
-struct FaultCell {
-  CellResult cell;
-  int degraded_smoothed = 0;
-  int degraded_prior = 0;
-};
 
 /// One row of the sweep: a severity level, the random baseline and one
 /// auto cell per criterion (parallel to FaultGridOptions::criteria).
 struct FaultRow {
   double severity = 0.0;
-  FaultCell random;
-  std::vector<FaultCell> autos;
+  CellResult random;
+  std::vector<CellResult> autos;
 };
 
 struct FaultGridOptions {

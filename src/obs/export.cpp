@@ -35,75 +35,6 @@ void write_histogram_body(const Registry::HistogramView& h, std::ostream& os) {
 
 }  // namespace
 
-void write_text(const Registry& r, std::ostream& os) {
-  auto counters = r.counters();
-  auto gauges = r.gauges();
-  auto hists = r.histograms();
-  std::size_t width = 12;
-  for (const auto& [name, v] : counters) width = std::max(width, name.size());
-  for (const auto& [name, v] : gauges) width = std::max(width, name.size());
-  for (const auto& h : hists) width = std::max(width, h.name.size());
-
-  if (!counters.empty()) os << "== counters ==\n";
-  for (const auto& [name, v] : counters) {
-    os << "  " << name;
-    os.width(static_cast<std::streamsize>(width - name.size() + 2));
-    os << ' ' << v << "\n";
-  }
-  if (!gauges.empty()) os << "== gauges ==\n";
-  for (const auto& [name, v] : gauges) {
-    os << "  " << name;
-    os.width(static_cast<std::streamsize>(width - name.size() + 2));
-    os << ' ' << v << "\n";
-  }
-  if (!hists.empty()) os << "== histograms ==\n";
-  for (const auto& h : hists) {
-    os << "  " << h.name << "  count=" << h.count << " sum=" << h.sum
-       << " min=" << h.min << " max=" << h.max
-       << " mean=" << (h.count ? h.sum / static_cast<double>(h.count) : 0.0)
-       << "\n";
-    for (std::size_t i = 0; i < h.counts.size(); ++i) {
-      if (h.counts[i] == 0) continue;
-      os << "    le ";
-      if (i < h.bounds.size())
-        os << h.bounds[i];
-      else
-        os << "+inf";
-      os << ": " << h.counts[i] << "\n";
-    }
-  }
-  os << "spans recorded: " << r.spans().size() << "\n";
-}
-
-std::string to_text(const Registry& r) {
-  std::ostringstream os;
-  write_text(r, os);
-  return os.str();
-}
-
-void write_json_lines(const Registry& r, std::ostream& os) {
-  for (const auto& [name, v] : r.counters())
-    os << "{\"type\":\"counter\",\"name\":" << json_quoted(name)
-       << ",\"value\":" << v << "}\n";
-  for (const auto& [name, v] : r.gauges())
-    os << "{\"type\":\"gauge\",\"name\":" << json_quoted(name)
-       << ",\"value\":" << num(v) << "}\n";
-  for (const auto& h : r.histograms()) {
-    os << "{\"type\":\"histogram\",\"name\":" << json_quoted(h.name) << ",";
-    std::ostringstream body;
-    write_histogram_body(h, body);
-    // Splice the histogram object's fields into this line's object.
-    std::string b = body.str();
-    os << b.substr(1, b.size() - 2) << "}\n";
-  }
-}
-
-std::string to_json_lines(const Registry& r) {
-  std::ostringstream os;
-  write_json_lines(r, os);
-  return os.str();
-}
-
 void write_json(const Registry& r, std::ostream& os) {
   os << "{\n  \"schema\": \"" << kMetricsSchema << "\",\n  \"counters\": {";
   bool first = true;

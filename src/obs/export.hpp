@@ -1,6 +1,5 @@
 #pragma once
-// Exporters for the obs registry: a plain-text table for terminals, JSON
-// lines for log scrapers, a single JSON document for tooling
+// Exporters for the obs registry: a single JSON document for tooling
 // (scripts/check_metrics_json.py validates its schema), and Chrome
 // trace_event format loadable in chrome://tracing or https://ui.perfetto.dev.
 
@@ -13,18 +12,6 @@ namespace netsel::obs {
 
 /// Identifier stamped into the JSON document so schema drift fails fast.
 inline constexpr const char* kMetricsSchema = "netsel-metrics-v1";
-
-/// Human-readable table: counters, gauges, then histograms with their
-/// bucket breakdowns.
-void write_text(const Registry& r, std::ostream& os);
-std::string to_text(const Registry& r);
-
-/// One JSON object per line, one line per metric:
-///   {"type":"counter","name":...,"value":...}
-///   {"type":"gauge","name":...,"value":...}
-///   {"type":"histogram","name":...,"count":...,"sum":...,...}
-void write_json_lines(const Registry& r, std::ostream& os);
-std::string to_json_lines(const Registry& r);
 
 /// Single JSON document:
 ///   {"schema":"netsel-metrics-v1","counters":{...},"gauges":{...},

@@ -13,7 +13,7 @@ bool FaultPlan::any() const {
 
 void FaultPlan::validate() const {
   auto prob = [](double p, const char* what) {
-    if (p < 0.0 || p > 1.0)
+    if (!(p >= 0.0 && p <= 1.0))  // also rejects NaN
       throw std::invalid_argument(std::string("FaultPlan: ") + what +
                                   " must be in [0,1]");
   };
@@ -23,8 +23,10 @@ void FaultPlan::validate() const {
   prob(p_node_repair, "p_node_repair");
   prob(p_link_fail, "p_link_fail");
   prob(p_link_repair, "p_link_repair");
-  if (noise_sigma < 0.0)
-    throw std::invalid_argument("FaultPlan: noise_sigma must be >= 0");
+  if (!std::isfinite(noise_sigma) || noise_sigma < 0.0)
+    throw std::invalid_argument("FaultPlan: noise_sigma must be finite and >= 0");
+  if (!std::isfinite(max_sweep_delay))
+    throw std::invalid_argument("FaultPlan: max_sweep_delay must be finite");
   if (p_sweep_delay > 0.0 && max_sweep_delay <= 0.0)
     throw std::invalid_argument(
         "FaultPlan: p_sweep_delay > 0 needs max_sweep_delay > 0");
@@ -36,8 +38,10 @@ void FaultPlan::validate() const {
 
 FaultPlan FaultPlan::scaled(double severity, std::uint64_t seed,
                             double poll_interval) {
-  if (severity < 0.0 || severity > 1.0)
+  if (!(severity >= 0.0 && severity <= 1.0))  // also rejects NaN
     throw std::invalid_argument("FaultPlan::scaled: severity must be in [0,1]");
+  if (!std::isfinite(poll_interval))
+    throw std::invalid_argument("FaultPlan::scaled: poll_interval must be finite");
   FaultPlan p;
   p.seed = seed;
   if (severity == 0.0) return p;  // any() == false: no injector at all

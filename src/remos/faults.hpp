@@ -52,14 +52,17 @@ struct FaultPlan {
   /// True when any fault process is active; false means the Monitor skips
   /// injector construction entirely.
   bool any() const;
-  /// Throws std::invalid_argument on out-of-range probabilities.
+  /// Throws std::invalid_argument on out-of-range probabilities and on a
+  /// NaN or infinite knob.
   void validate() const;
 
   /// One-knob plan for sweeps: severity 0 is fault-free, severity 1 is a
   /// badly broken measurement plane (≈25% dropped sweeps, sensors down more
   /// than half the time in window-length bursts, 25% noise, late sweeps up
-  /// to 2 intervals). Used by the bench_faults grid; fault probabilities
-  /// interpolate linearly in severity.
+  /// to 2 intervals). Used by exp::run_trial (Scenario::fault_severity);
+  /// fault probabilities interpolate linearly in severity. Throws
+  /// std::invalid_argument unless severity is in [0, 1] and poll_interval
+  /// is finite.
   static FaultPlan scaled(double severity, std::uint64_t seed,
                           double poll_interval = 2.0);
 };

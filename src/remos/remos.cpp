@@ -90,35 +90,10 @@ double Remos::forecast_link_used(topo::LinkId l, bool forward,
 }
 
 NetworkSnapshot Remos::snapshot(const QueryOptions& opt) const {
-  if (!opt.forecaster) throw std::invalid_argument("Remos: null forecaster");
-  const auto& g = net_.topology();
-  NetworkSnapshot snap(g);
-  for (std::size_t i = 0; i < g.node_count(); ++i) {
-    auto id = static_cast<topo::NodeId>(i);
-    if (!g.is_compute(id)) continue;
-    snap.set_loadavg(id, load_average(id, opt));
-    // The memory series rides on the same per-node sensor the load series
-    // already accounted for — bounded, but not double-counted in quality.
-    snap.set_free_memory(
-        id, forecast_aux(monitor_.memory_history(id), g.node(id).memory_bytes,
-                         opt));
-  }
-  for (std::size_t l = 0; l < g.link_count(); ++l) {
-    auto id = static_cast<topo::LinkId>(l);
-    if (g.link_removed(id)) continue;  // tombstoned: stays at 0 availability
-    const topo::Link& lk = g.link(id);
-    double avail_ab = lk.capacity_ab - forecast_link_used(id, true, opt);
-    double avail_ba = lk.capacity_ba - forecast_link_used(id, false, opt);
-    snap.set_bw_dir(id, true, std::max(avail_ab, kBwFloor));
-    snap.set_bw_dir(id, false, std::max(avail_ba, kBwFloor));
-  }
-  // Observability only: one sample per quality-carrying snapshot query, fed
-  // from the same QueryQuality side channel callers already see.
-  if (opt.quality && obs::enabled() && opt.quality->sensors_total > 0) {
-    query_coverage_hist().observe(opt.quality->coverage());
-    query_newest_age_hist().observe(opt.quality->newest_age);
-    query_oldest_age_hist().observe(opt.quality->oldest_age);
-  }
+  // The constructor's capacity/zero-load prior, measured over in place: a
+  // sensor whose forecast equals the prior, or is non-finite, keeps it.
+  NetworkSnapshot snap(net_.topology());
+  refresh_snapshot(snap, opt);
   return snap;
 }
 
@@ -149,6 +124,8 @@ std::size_t Remos::refresh_snapshot(NetworkSnapshot& snap,
     if (la < 0.0) la = 0.0;
     const double cpu = 1.0 / (1.0 + la);  // 0 for an infinite load
     if (finite(cpu) && cpu != snap.cpu(id)) snap.set_loadavg(id, la);
+    // The memory series rides on the same per-node sensor the load series
+    // already accounted for: bounded, but not double-counted in quality.
     double mem = forecast_aux(monitor_.memory_history(id),
                               g.node(id).memory_bytes, opt);
     if (mem < 0.0) mem = 0.0;
@@ -157,7 +134,7 @@ std::size_t Remos::refresh_snapshot(NetworkSnapshot& snap,
   }
   for (std::size_t l = 0; l < g.link_count(); ++l) {
     auto id = static_cast<topo::LinkId>(l);
-    if (g.link_removed(id)) continue;
+    if (g.link_removed(id)) continue;  // tombstoned: stays at 0 availability
     const topo::Link& lk = g.link(id);
     double avail_ab = std::max(
         lk.capacity_ab - forecast_link_used(id, true, opt), kBwFloor);
@@ -173,6 +150,8 @@ std::size_t Remos::refresh_snapshot(NetworkSnapshot& snap,
     obs::FlightRecorder::global().record(obs::FlightKind::NonFiniteForecast,
                                          net_.sim().now(), skipped);
   }
+  // Observability only: one sample per quality-carrying query, fed from
+  // the same QueryQuality side channel callers already see.
   if (opt.quality && obs::enabled() && opt.quality->sensors_total > 0) {
     query_coverage_hist().observe(opt.quality->coverage());
     query_newest_age_hist().observe(opt.quality->newest_age);

@@ -78,18 +78,19 @@ class Remos {
   /// Logical-topology query: the graph annotated with measured cpu and
   /// available-bandwidth values. This is the structural information "that
   /// cannot be captured by measurements between pairs of compute nodes".
+  /// It is refresh_snapshot() over the capacity/zero-load prior, so a
+  /// non-finite forecast leaves that sensor at its prior reading.
   NetworkSnapshot snapshot(const QueryOptions& opt = {}) const;
 
-  /// In-place variant of snapshot(): re-measures the same values into an
-  /// existing snapshot, but writes only the sensors whose reading actually
-  /// changed, so the snapshot's delta journal captures exactly the changed
-  /// measurements. A long-lived select::SelectionContext over `snap` then
-  /// revalidates fine-grainedly (per-link row repair) instead of dropping
-  /// every cache. `snap` must view this Remos's topology. A non-finite
-  /// forecast is not written: its sensor keeps the previous reading, the
-  /// remos.refresh.nonfinite counter counts it, and the refresh records one
-  /// NonFiniteForecast flight event. Returns the number of deltas emitted
-  /// (epoch advance).
+  /// Measures into an existing snapshot, writing only the sensors whose
+  /// reading actually changed, so the snapshot's delta journal captures
+  /// exactly the changed measurements. A long-lived
+  /// select::SelectionContext over `snap` then revalidates fine-grainedly
+  /// (per-link row repair) instead of dropping every cache. `snap` must
+  /// view this Remos's topology. A non-finite forecast is not written: its
+  /// sensor keeps the previous reading, the remos.refresh.nonfinite counter
+  /// counts it, and the refresh records one NonFiniteForecast flight event.
+  /// Returns the number of deltas emitted (epoch advance).
   std::size_t refresh_snapshot(NetworkSnapshot& snap,
                                const QueryOptions& opt = {}) const;
 

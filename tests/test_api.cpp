@@ -288,12 +288,6 @@ TEST_F(ApiFixture, SelectHonoursServiceOptionsAndContextPath) {
   EXPECT_EQ(via_service.nodes, direct.nodes);
   EXPECT_EQ(via_service.objective, direct.objective);
 
-  // The QueryOptions back-compat overload is the same query under the
-  // default policy.
-  auto compat = svc.select(4, select::Criterion::Balanced,
-                           remos::QueryOptions{});
-  EXPECT_EQ(compat.nodes, via_service.nodes);
-
   // And the caller's degradation policy is honoured, not silently replaced
   // with the default: a threshold above full coverage forces the Smoothed
   // rung, annotated in the note.

@@ -59,6 +59,28 @@ TEST(FaultPlan_, ValidateRejectsBadKnobs) {
   p.p_link_fail = 0.5;
   p.p_link_repair = 0.0;
   EXPECT_THROW(p.validate(), std::invalid_argument);
+  // Every knob rejects NaN and infinity, even where the range check alone
+  // would let the value through.
+  constexpr double kNaN = std::numeric_limits<double>::quiet_NaN();
+  constexpr double kInf = std::numeric_limits<double>::infinity();
+  for (double FaultPlan::*knob :
+       {&FaultPlan::p_sweep_drop, &FaultPlan::p_sweep_delay,
+        &FaultPlan::p_node_fail, &FaultPlan::p_node_repair,
+        &FaultPlan::p_link_fail, &FaultPlan::p_link_repair}) {
+    p = FaultPlan{};
+    p.*knob = kNaN;
+    EXPECT_THROW(p.validate(), std::invalid_argument);
+  }
+  for (double bad : {kNaN, kInf}) {
+    p = FaultPlan{};
+    p.p_sweep_drop = 0.1;
+    p.noise_sigma = bad;
+    EXPECT_THROW(p.validate(), std::invalid_argument);
+    p = FaultPlan{};
+    p.p_sweep_delay = 0.5;
+    p.max_sweep_delay = bad;
+    EXPECT_THROW(p.validate(), std::invalid_argument);
+  }
 }
 
 TEST(FaultPlan_, ScaledSeverity) {
@@ -73,6 +95,13 @@ TEST(FaultPlan_, ScaledSeverity) {
   EXPECT_LT(half.noise_sigma, full.noise_sigma);
   EXPECT_THROW(FaultPlan::scaled(-0.1, 1), std::invalid_argument);
   EXPECT_THROW(FaultPlan::scaled(1.1, 1), std::invalid_argument);
+  // A NaN severity is not a silently fault-free run.
+  constexpr double kNaN = std::numeric_limits<double>::quiet_NaN();
+  constexpr double kInf = std::numeric_limits<double>::infinity();
+  EXPECT_THROW(FaultPlan::scaled(kNaN, 1), std::invalid_argument);
+  EXPECT_THROW(FaultPlan::scaled(kInf, 1), std::invalid_argument);
+  EXPECT_THROW(FaultPlan::scaled(0.5, 1, kInf), std::invalid_argument);
+  EXPECT_THROW(FaultPlan::scaled(0.5, 1, kNaN), std::invalid_argument);
 }
 
 TEST(FaultInjectorTest, DeterministicReplay) {
@@ -224,11 +253,19 @@ TEST_F(LadderFixture, FullWhenMeasurementsAreFresh) {
   auto snap = service.degraded_snapshot({}, {}, level, quality);
   EXPECT_EQ(level, DegradationLevel::Full);
   EXPECT_DOUBLE_EQ(quality.coverage(), 1.0);
-  // Full is the probe snapshot itself: identical to a plain query.
+  // Full is the probe snapshot itself: bit-identical to a plain query on
+  // every sensor. exp::run_trial's auto policies rest on this.
   auto direct = remos.snapshot();
-  auto m1 = net.topology().find_node("m-1").value();
-  EXPECT_DOUBLE_EQ(snap.cpu(m1), direct.cpu(m1));
-  EXPECT_DOUBLE_EQ(snap.bw(0), direct.bw(0));
+  const auto& g = net.topology();
+  for (topo::NodeId n : g.compute_nodes()) {
+    EXPECT_EQ(snap.cpu(n), direct.cpu(n)) << g.node_name(n);
+    EXPECT_EQ(snap.free_memory(n), direct.free_memory(n)) << g.node_name(n);
+  }
+  for (std::size_t i = 0; i < g.link_count(); ++i) {
+    const auto l = static_cast<topo::LinkId>(i);
+    EXPECT_EQ(snap.bw_dir(l, true), direct.bw_dir(l, true)) << g.link_name(l);
+    EXPECT_EQ(snap.bw_dir(l, false), direct.bw_dir(l, false)) << g.link_name(l);
+  }
 }
 
 TEST_F(LadderFixture, PriorWhenMonitorNeverPolled) {
@@ -356,21 +393,18 @@ TEST_F(LadderFixture, SelectionNeverThrowsUnderHeavyFaults) {
 namespace netsel::exp {
 namespace {
 
-TEST(FaultGrid, SeverityZeroIsBitIdenticalToRunTrial) {
-  // The no-fault contract: at severity 0 the fault path must reproduce
-  // run_trial's elapsed time bit-for-bit — for the random control arm and
-  // for an auto policy routed through the selection service.
+TEST(FaultGrid, SeverityZeroTrialsRecordFull) {
+  // At severity 0 every sensor is fresh: the control arm reads no
+  // measurements and the auto policy selects on the Full rung.
   const AppCase app = fft_case();
   const Scenario sc = table1_scenario(true, true);
   for (Policy policy : {Policy::Random, Policy::AutoBalanced}) {
     for (int t = 0; t < 2; ++t) {
-      std::uint64_t seed = trial_seed(cell_seed(501, app.name, policy, 0), t);
-      double direct = run_trial(app, sc, policy, seed).elapsed;
-      FaultTrialResult faulted = run_fault_trial(app, sc, policy, 0.0, seed);
-      EXPECT_EQ(direct, faulted.elapsed)
+      TrialResult r = run_trial(
+          app, sc, policy, trial_seed(cell_seed(501, app.name, policy, 0), t));
+      EXPECT_EQ(r.degradation, api::DegradationLevel::Full)
           << policy_name(policy) << " trial " << t;
-      EXPECT_EQ(faulted.degradation, api::DegradationLevel::Full);
-      EXPECT_DOUBLE_EQ(faulted.coverage, 1.0);
+      EXPECT_EQ(r.coverage, 1.0) << policy_name(policy) << " trial " << t;
     }
   }
 }
@@ -390,10 +424,10 @@ TEST(FaultGrid, PooledGridMatchesSerial) {
   ASSERT_EQ(serial.size(), pooled.size());
   for (std::size_t r = 0; r < serial.size(); ++r) {
     EXPECT_DOUBLE_EQ(serial[r].severity, pooled[r].severity);
-    auto same = [&](const FaultCell& a, const FaultCell& b) {
-      EXPECT_EQ(a.cell.count(), b.cell.count());
-      EXPECT_EQ(a.cell.failures, b.cell.failures);
-      EXPECT_EQ(a.cell.stats.mean(), b.cell.stats.mean());
+    auto same = [&](const CellResult& a, const CellResult& b) {
+      EXPECT_EQ(a.count(), b.count());
+      EXPECT_EQ(a.failures, b.failures);
+      EXPECT_EQ(a.stats.mean(), b.stats.mean());
       EXPECT_EQ(a.degraded_smoothed, b.degraded_smoothed);
       EXPECT_EQ(a.degraded_prior, b.degraded_prior);
     };

@@ -4,7 +4,9 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <functional>
+#include <type_traits>
 
 #include "select/algorithms.hpp"
 #include "select/brute_force.hpp"
@@ -135,10 +137,13 @@ TEST(SelectMinLatency, InfeasibleWhenTooFewNodes) {
   EXPECT_FALSE(select_min_latency(snap, opt).feasible);
 }
 
+// No padding: gtest prints the parameter byte by byte into the test name
+// (see SweepParam in test_select_bandwidth.cpp).
 struct LatencySweepParam {
   std::uint64_t seed;
-  int m;
+  std::int64_t m;
 };
+static_assert(std::has_unique_object_representations_v<LatencySweepParam>);
 
 class MinLatencyQuality : public ::testing::TestWithParam<LatencySweepParam> {};
 
@@ -175,7 +180,7 @@ TEST_P(MinLatencyQuality, NearOptimalOnRandomTrees) {
   }
   remos::NetworkSnapshot snap(lg);
   SelectionOptions opt;
-  opt.num_nodes = p.m;
+  opt.num_nodes = static_cast<int>(p.m);
 
   auto algo = select_min_latency(snap, opt);
   ASSERT_TRUE(algo.feasible);

@@ -6,6 +6,7 @@
 #include <cmath>
 #include <limits>
 #include <memory>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -451,6 +452,41 @@ TEST_F(RemosFixture, RefreshSkipsNonFiniteForecasts) {
   }
 
   // One flight event for the refresh, carrying the count.
+  ASSERT_EQ(obs::FlightRecorder::global().recorded(), flights + 1);
+  const obs::FlightEvent ev = obs::FlightRecorder::global().tail(1).at(0);
+  EXPECT_EQ(ev.kind, obs::FlightKind::NonFiniteForecast);
+  EXPECT_EQ(ev.a, 2u);
+}
+
+TEST_F(RemosFixture, SnapshotKeepsPriorAtNonFiniteForecasts) {
+  // snapshot() is a refresh over the capacity/zero-load prior: a poisoned
+  // sensor keeps its prior reading instead of throwing from a setter.
+  Remos remos(net);
+  remos.start();
+  net.sim().run_until(4.0);
+  const topo::LinkId bad_link = net.routes().route(m1, m13)[0];
+
+  obs::set_enabled(true);
+  obs::Registry::global().reset();
+  QueryOptions q;
+  q.forecaster = std::make_shared<PoisonForecaster>(
+      &remos.monitor().load_history(m1),
+      &remos.monitor().link_history(bad_link, true), 1e6);
+  const std::uint64_t flights = obs::FlightRecorder::global().recorded();
+  std::optional<NetworkSnapshot> snap;
+  EXPECT_NO_THROW(snap.emplace(remos.snapshot(q)));
+  const std::uint64_t skipped =
+      obs::Registry::global().counter("remos.refresh.nonfinite").value();
+  obs::Registry::global().reset();
+  obs::set_enabled(false);
+  ASSERT_TRUE(snap.has_value());
+  EXPECT_EQ(skipped, 2u);
+
+  EXPECT_EQ(snap->cpu(m1), 1.0);
+  EXPECT_EQ(snap->bw_dir(bad_link, true),
+            net.topology().link(bad_link).capacity_ab);
+  EXPECT_EQ(snap->cpu(m2), 1.0 / (1.0 + 1e6));
+
   ASSERT_EQ(obs::FlightRecorder::global().recorded(), flights + 1);
   const obs::FlightEvent ev = obs::FlightRecorder::global().tail(1).at(0);
   EXPECT_EQ(ev.kind, obs::FlightKind::NonFiniteForecast);

@@ -5,7 +5,9 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <set>
+#include <type_traits>
 
 #include "select/algorithms.hpp"
 #include "select/brute_force.hpp"
@@ -96,12 +98,16 @@ TEST(MaxBandwidth, ResultIsConnectedAndCorrectSize) {
 
 // ---- Optimality sweep (the paper's central claim for Fig. 2). ----
 
+// gtest names each instance by printing its parameter byte by byte, so the
+// struct must have no padding: padding bytes are indeterminate and would
+// change the test names from build to build.
 struct SweepParam {
   std::uint64_t seed;
   int compute_nodes;
   int network_nodes;
-  int m;
+  std::int64_t m;
 };
+static_assert(std::has_unique_object_representations_v<SweepParam>);
 
 class Fig2Optimality : public ::testing::TestWithParam<SweepParam> {};
 
@@ -121,7 +127,7 @@ TEST_P(Fig2Optimality, MatchesBruteForceOnRandomTrees) {
     snap.set_bw(id, rng.uniform(0.05, 1.0) * snap.maxbw(id));
   }
   SelectionOptions opt;
-  opt.num_nodes = p.m;
+  opt.num_nodes = static_cast<int>(p.m);
   auto algo = select_max_bandwidth(snap, opt);
   auto exact = brute_force_select(snap, opt, Criterion::MaxBandwidth);
   ASSERT_TRUE(algo.feasible);
