@@ -38,14 +38,13 @@
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
-#include <fstream>
 #include <string>
 #include <vector>
 
 #include "api/reselect.hpp"
 #include "api/service.hpp"
-#include "obs/export.hpp"
 #include "obs/metrics.hpp"
+#include "obs_exports.hpp"
 #include "remos/snapshot.hpp"
 #include "select/algorithms.hpp"
 #include "select/context.hpp"
@@ -369,36 +368,6 @@ int run_check(std::uint64_t seed, int m) {
   return rc;
 }
 
-// ---------------------------------------------------------------------------
-// Reporting
-// ---------------------------------------------------------------------------
-
-bool write_obs_exports(const char* metrics_path, const char* trace_path) {
-  api::register_service_metrics();
-  bool ok = true;
-  if (metrics_path) {
-    std::ofstream f(metrics_path);
-    if (f) {
-      obs::write_json(obs::Registry::global(), f);
-      std::fprintf(stderr, "wrote %s\n", metrics_path);
-    } else {
-      std::fprintf(stderr, "cannot open %s for writing\n", metrics_path);
-      ok = false;
-    }
-  }
-  if (trace_path) {
-    std::ofstream f(trace_path);
-    if (f) {
-      obs::write_chrome_trace(obs::Registry::global(), f);
-      std::fprintf(stderr, "wrote %s\n", trace_path);
-    } else {
-      std::fprintf(stderr, "cannot open %s for writing\n", trace_path);
-      ok = false;
-    }
-  }
-  return ok;
-}
-
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -523,7 +492,8 @@ int main(int argc, char** argv) {
                   p.migrations, p.migrations_per_hour, p.mean_quality,
                   p.mean_objective);
   }
-  if (!write_obs_exports(metrics_path, trace_path)) return 1;
+  api::register_service_metrics();
+  if (!bench::write_obs_exports(metrics_path, trace_path)) return 1;
   if (!bw_phase.identical || !load_phase.identical) return 2;
   return bw_phase.speedup() >= 10.0 ? 0 : 2;
 }

@@ -32,14 +32,13 @@
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
-#include <fstream>
 #include <limits>
 #include <string>
 #include <vector>
 
 #include "exp/exact.hpp"
-#include "obs/export.hpp"
 #include "obs/metrics.hpp"
+#include "obs_exports.hpp"
 #include "remos/snapshot.hpp"
 #include "select/bnb.hpp"
 #include "select/brute_force.hpp"
@@ -194,31 +193,6 @@ int write_bench_json(const char* path, const ExactGridOptions& opt,
   return 0;
 }
 
-bool write_obs_exports(const char* metrics_path, const char* trace_path) {
-  bool ok = true;
-  if (metrics_path) {
-    std::ofstream f(metrics_path);
-    if (f) {
-      netsel::obs::write_json(netsel::obs::Registry::global(), f);
-      std::fprintf(stderr, "wrote %s\n", metrics_path);
-    } else {
-      std::fprintf(stderr, "cannot open %s for writing\n", metrics_path);
-      ok = false;
-    }
-  }
-  if (trace_path) {
-    std::ofstream f(trace_path);
-    if (f) {
-      netsel::obs::write_chrome_trace(netsel::obs::Registry::global(), f);
-      std::fprintf(stderr, "wrote %s\n", trace_path);
-    } else {
-      std::fprintf(stderr, "cannot open %s for writing\n", trace_path);
-      ok = false;
-    }
-  }
-  return ok;
-}
-
 /// --check oracle leg: B&B vs brute force on an oracle-reachable fat tree.
 int check_oracle(std::uint64_t seed) {
   namespace sel = netsel::select;
@@ -315,7 +289,7 @@ int main(int argc, char** argv) {
 
   int rc = 0;
   if (json_path) rc |= write_bench_json(json_path, opt, cells, h);
-  if (!write_obs_exports(metrics_path, trace_path)) rc = 1;
+  if (!netsel::bench::write_obs_exports(metrics_path, trace_path)) rc = 1;
 
   if (check) {
     if (!h.sound) {

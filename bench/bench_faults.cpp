@@ -27,42 +27,11 @@
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
-#include <fstream>
 
 #include "api/service.hpp"
 #include "exp/faults.hpp"
-#include "obs/export.hpp"
 #include "obs/metrics.hpp"
-
-namespace {
-
-bool write_obs_exports(const char* metrics_path, const char* trace_path) {
-  netsel::api::register_service_metrics();
-  bool ok = true;
-  if (metrics_path) {
-    std::ofstream f(metrics_path);
-    if (f) {
-      netsel::obs::write_json(netsel::obs::Registry::global(), f);
-      std::fprintf(stderr, "wrote %s\n", metrics_path);
-    } else {
-      std::fprintf(stderr, "cannot open %s for writing\n", metrics_path);
-      ok = false;
-    }
-  }
-  if (trace_path) {
-    std::ofstream f(trace_path);
-    if (f) {
-      netsel::obs::write_chrome_trace(netsel::obs::Registry::global(), f);
-      std::fprintf(stderr, "wrote %s\n", trace_path);
-    } else {
-      std::fprintf(stderr, "cannot open %s for writing\n", trace_path);
-      ok = false;
-    }
-  }
-  return ok;
-}
-
-}  // namespace
+#include "obs_exports.hpp"
 
 int main(int argc, char** argv) {
   using namespace netsel::exp;
@@ -102,7 +71,8 @@ int main(int argc, char** argv) {
   auto rows = run_fault_grid(opt);
   std::printf("%s\n", format_fault_grid(rows, opt).c_str());
   if (csv) std::printf("%s", fault_grid_csv(rows, opt).c_str());
-  if (!write_obs_exports(metrics_path, trace_path)) return 1;
+  netsel::api::register_service_metrics();
+  if (!netsel::bench::write_obs_exports(metrics_path, trace_path)) return 1;
 
   if (check) {
     // No-fault contract: at severity 0 every sensor is fresh, so every

@@ -27,7 +27,6 @@
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
-#include <fstream>
 #include <string>
 #include <vector>
 
@@ -36,8 +35,8 @@
 #endif
 
 #include "api/service.hpp"
-#include "obs/export.hpp"
 #include "obs/metrics.hpp"
+#include "obs_exports.hpp"
 #include "remos/snapshot.hpp"
 #include "select/algorithms.hpp"
 #include "select/context.hpp"
@@ -201,35 +200,6 @@ int run_check(std::uint64_t seed, int m) {
   return rc;
 }
 
-bool write_obs_exports(const char* metrics_path, const char* trace_path) {
-  // Pre-register the service metrics so the exported document carries the
-  // full schema (scripts/check_metrics_json.py requires the degradation
-  // ladder), even though this benchmark never places through the service.
-  api::register_service_metrics();
-  bool ok = true;
-  if (metrics_path) {
-    std::ofstream f(metrics_path);
-    if (f) {
-      obs::write_json(obs::Registry::global(), f);
-      std::fprintf(stderr, "wrote %s\n", metrics_path);
-    } else {
-      std::fprintf(stderr, "cannot open %s for writing\n", metrics_path);
-      ok = false;
-    }
-  }
-  if (trace_path) {
-    std::ofstream f(trace_path);
-    if (f) {
-      obs::write_chrome_trace(obs::Registry::global(), f);
-      std::fprintf(stderr, "wrote %s\n", trace_path);
-    } else {
-      std::fprintf(stderr, "cannot open %s for writing\n", trace_path);
-      ok = false;
-    }
-  }
-  return ok;
-}
-
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -333,6 +303,10 @@ int main(int argc, char** argv) {
   obs::Registry::global()
       .gauge("proc.peak_rss_bytes")
       .set(static_cast<double>(peak_rss_bytes()));
-  if (!write_obs_exports(metrics_path, trace_path)) return 1;
+  // Pre-register the service metrics so the exported document carries the
+  // full schema (scripts/check_metrics_json.py requires the degradation
+  // ladder), even though this benchmark never places through the service.
+  api::register_service_metrics();
+  if (!bench::write_obs_exports(metrics_path, trace_path)) return 1;
   return within_target ? 0 : 2;
 }

@@ -43,14 +43,12 @@
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
-#include <fstream>
 #include <iostream>
 #include <map>
 #include <memory>
 #include <string>
 #include <vector>
 
-#include "obs/export.hpp"
 #include "obs/flight.hpp"
 #include "obs/jobtrace.hpp"
 #include "obs/metrics.hpp"
@@ -61,6 +59,7 @@
 #include "topo/synthetic.hpp"
 #include "util/stats.hpp"
 #include "util/thread_pool.hpp"
+#include "obs_exports.hpp"
 
 namespace {
 
@@ -349,40 +348,6 @@ int run_check(std::uint64_t seed) {
   return rc;
 }
 
-// ---------------------------------------------------------------------------
-// Reporting
-// ---------------------------------------------------------------------------
-
-/// Write one telemetry artifact via `fn`; returns false on open failure.
-template <typename Fn>
-bool write_artifact(const char* path, Fn&& fn) {
-  if (!path) return true;
-  std::ofstream f(path);
-  if (!f) {
-    std::fprintf(stderr, "cannot open %s for writing\n", path);
-    return false;
-  }
-  fn(f);
-  std::fprintf(stderr, "wrote %s\n", path);
-  return true;
-}
-
-bool write_obs_exports(const char* metrics_path, const char* trace_path,
-                       const obs::TimeSeriesRecorder* ts,
-                       const obs::JobTraceRecorder* jt) {
-  sched::register_scheduler_metrics();
-  bool ok = write_artifact(metrics_path, [](std::ostream& f) {
-    obs::write_json(obs::Registry::global(), f);
-  });
-  ok = write_artifact(trace_path,
-                      [&](std::ostream& f) {
-                        obs::write_chrome_trace(obs::Registry::global(), f,
-                                                ts, jt);
-                      }) &&
-       ok;
-  return ok;
-}
-
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -518,17 +483,18 @@ int main(int argc, char** argv) {
                   row.full, row.smoothed, row.prior,
                   row.placed > 0 ? row.wait_sum / row.placed : 0.0);
   }
-  if (!write_obs_exports(metrics_path, trace_path, ts.get(), jt.get()))
+  sched::register_scheduler_metrics();
+  if (!bench::write_obs_exports(metrics_path, trace_path, ts.get(), jt.get()))
     return 1;
   bool artifacts_ok = true;
   if (ts) {
-    artifacts_ok &= write_artifact(
+    artifacts_ok &= bench::write_artifact(
         ts_json_path, [&](std::ostream& f) { ts->write_json(f); });
-    artifacts_ok &= write_artifact(
+    artifacts_ok &= bench::write_artifact(
         ts_csv_path, [&](std::ostream& f) { ts->write_csv(f); });
   }
   if (jt)
-    artifacts_ok &= write_artifact(
+    artifacts_ok &= bench::write_artifact(
         job_trace_path, [&](std::ostream& f) { jt->write_jsonl(f); });
   if (!artifacts_ok) return 1;
   if (!identical) return 2;

@@ -20,46 +20,12 @@
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
-#include <fstream>
 
 #include "api/service.hpp"
 #include "exp/report.hpp"
 #include "exp/table1.hpp"
-#include "obs/export.hpp"
 #include "obs/metrics.hpp"
-
-namespace {
-
-/// Write the requested obs exports; returns false when a path was not
-/// writable. Pre-registers the service metrics so the document always lists
-/// the degradation-ladder counters, even for runs that never placed.
-bool write_obs_exports(const char* metrics_path, const char* trace_path) {
-  netsel::api::register_service_metrics();
-  bool ok = true;
-  if (metrics_path) {
-    std::ofstream f(metrics_path);
-    if (f) {
-      netsel::obs::write_json(netsel::obs::Registry::global(), f);
-      std::fprintf(stderr, "wrote %s\n", metrics_path);
-    } else {
-      std::fprintf(stderr, "cannot open %s for writing\n", metrics_path);
-      ok = false;
-    }
-  }
-  if (trace_path) {
-    std::ofstream f(trace_path);
-    if (f) {
-      netsel::obs::write_chrome_trace(netsel::obs::Registry::global(), f);
-      std::fprintf(stderr, "wrote %s\n", trace_path);
-    } else {
-      std::fprintf(stderr, "cannot open %s for writing\n", trace_path);
-      ok = false;
-    }
-  }
-  return ok;
-}
-
-}  // namespace
+#include "obs_exports.hpp"
 
 int main(int argc, char** argv) {
   using namespace netsel::exp;
@@ -111,6 +77,9 @@ int main(int argc, char** argv) {
     std::fputs("\n-- csv --\n", stdout);
     std::fputs(table1_csv(rows).c_str(), stdout);
   }
-  if (!write_obs_exports(metrics_path, trace_path)) return 1;
+  // The document always lists the degradation-ladder counters, even for
+  // runs that never placed through the service.
+  netsel::api::register_service_metrics();
+  if (!netsel::bench::write_obs_exports(metrics_path, trace_path)) return 1;
   return 0;
 }

@@ -49,7 +49,6 @@ PROFILES = {
             "api.degradation.smoothed",
             "api.degradation.prior",
             "pool.tasks_run",
-            "pool.steals",
             "sim.events",
             "exp.trials",
         ],

@@ -3,6 +3,7 @@
 #include <chrono>
 #include <memory>
 #include <stdexcept>
+#include <utility>
 
 #include "api/service.hpp"
 #include "appsim/presets.hpp"
@@ -11,6 +12,7 @@
 #include "select/context.hpp"
 #include "topo/generators.hpp"
 #include "util/rng.hpp"
+#include "util/thread_pool.hpp"
 
 namespace netsel::exp {
 
@@ -143,27 +145,33 @@ struct TrialSlot {
   double elapsed = 0.0;
   api::DegradationLevel level = api::DegradationLevel::Full;
   std::string error;
+  double wall_seconds = 0.0;
 };
 constexpr std::size_t kMaxFailureNotes = 8;
 }  // namespace
 
-CellResult run_cell(const AppCase& app, const Scenario& scenario,
-                    Policy policy, int trials, std::uint64_t seed0,
-                    util::ThreadPool* pool) {
+std::vector<CellResult> run_cells(const std::vector<Cell>& cells,
+                                  int threads) {
+  // The flat job list: (cell, trial) pairs, cell-major, so reducing the
+  // slots in list order reduces every cell in trial order.
+  std::vector<std::pair<std::size_t, int>> jobs;
+  for (std::size_t c = 0; c < cells.size(); ++c)
+    for (int t = 0; t < cells[c].trials; ++t) jobs.emplace_back(c, t);
   const bool observing = obs::enabled();
-  const auto cell_t0 = observing ? std::chrono::steady_clock::now()
-                                 : std::chrono::steady_clock::time_point{};
-  std::vector<TrialSlot> slots(static_cast<std::size_t>(trials));
-  auto one = [&](std::size_t t) {
-    TrialSlot& slot = slots[t];
+  std::vector<TrialSlot> slots(jobs.size());
+  auto one = [&](std::size_t j) {
+    const Cell& cell = cells[jobs[j].first];
+    TrialSlot& slot = slots[j];
+    const auto t0 = observing ? std::chrono::steady_clock::now()
+                              : std::chrono::steady_clock::time_point{};
     // Trial-granularity span (never per-event): app/policy and the trial's
     // simulated end time ride along into the Chrome trace.
     obs::Span span("exp.trial", "exp");
-    span.arg("app", app.name);
-    span.arg("policy", policy_name(policy));
+    span.arg("app", cell.app.name);
+    span.arg("policy", policy_name(cell.policy));
     try {
-      TrialResult r =
-          run_trial(app, scenario, policy, trial_seed(seed0, static_cast<int>(t)));
+      TrialResult r = run_trial(cell.app, cell.scenario, cell.policy,
+                                trial_seed(cell.seed0, jobs[j].second));
       slot.elapsed = r.elapsed;
       slot.level = r.degradation;
       slot.ok = true;
@@ -172,22 +180,26 @@ CellResult run_cell(const AppCase& app, const Scenario& scenario,
       // Expected, data-dependent failures (infeasible selection under the
       // trial's load, max_sim_time exceeded): degrade the cell, don't kill
       // the grid. std::logic_error and everything else propagate — via
-      // parallel_for's deterministic lowest-index rethrow when pooled.
+      // parallel_for's deterministic lowest-index rethrow.
       slot.error = e.what();
       if (span.active()) span.arg("ok", "false");
     }
+    if (observing)
+      slot.wall_seconds = std::chrono::duration<double>(
+                              std::chrono::steady_clock::now() - t0)
+                              .count();
   };
-  if (pool != nullptr) {
-    util::parallel_for(*pool, slots.size(), one);
-  } else {
-    for (std::size_t t = 0; t < slots.size(); ++t) one(t);
-  }
+  util::ThreadPool pool(threads);
+  util::parallel_for(pool, jobs.size(), one);
 
-  // Reduce in trial-index order, never completion order: the statistics are
+  // Reduce in list order, never completion order: the statistics are
   // bit-identical to the serial run for any worker count.
-  CellResult cell;
-  cell.attempted = trials;
-  for (const TrialSlot& slot : slots) {
+  std::vector<CellResult> out(cells.size());
+  for (std::size_t j = 0; j < jobs.size(); ++j) {
+    const TrialSlot& slot = slots[j];
+    CellResult& cell = out[jobs[j].first];
+    ++cell.attempted;
+    cell.wall_seconds += slot.wall_seconds;
     if (slot.ok) {
       cell.stats.add(slot.elapsed);
       if (slot.level == api::DegradationLevel::Smoothed) ++cell.degraded_smoothed;
@@ -198,11 +210,27 @@ CellResult run_cell(const AppCase& app, const Scenario& scenario,
         cell.failure_notes.push_back(slot.error);
     }
   }
-  if (observing)
-    cell.wall_seconds = std::chrono::duration<double>(
-                            std::chrono::steady_clock::now() - cell_t0)
-                            .count();
-  return cell;
+  // Grid-level observability, merged in cell order after the (possibly
+  // pooled) run, so the registry sees the same observation sequence for
+  // every worker count (float sums are order-sensitive).
+  if (observing) {
+    obs::Histogram& cell_s = obs::Registry::global().histogram(
+        "exp.cell_s", obs::exp_buckets(0.01, 2.0, 14));
+    obs::Counter& trials = obs::Registry::global().counter("exp.trials");
+    obs::Counter& failures =
+        obs::Registry::global().counter("exp.trial_failures");
+    for (const CellResult& cell : out) {
+      cell_s.observe(cell.wall_seconds);
+      trials.inc(static_cast<std::uint64_t>(cell.attempted));
+      failures.inc(static_cast<std::uint64_t>(cell.failures));
+    }
+  }
+  return out;
+}
+
+CellResult run_cell(const AppCase& app, const Scenario& scenario,
+                    Policy policy, int trials, std::uint64_t seed0) {
+  return run_cells({Cell{app, scenario, policy, trials, seed0}}, 0).front();
 }
 
 AppCase fft_case() { return AppCase{"FFT (1K)", appsim::fft1k()}; }

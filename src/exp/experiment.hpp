@@ -21,7 +21,6 @@
 #include "select/algorithms.hpp"
 #include "topo/graph.hpp"
 #include "util/stats.hpp"
-#include "util/thread_pool.hpp"
 
 namespace netsel::exp {
 
@@ -109,11 +108,21 @@ std::uint64_t cell_seed(std::uint64_t master_seed, std::string_view app,
 TrialResult run_trial(const AppCase& app, const Scenario& scenario,
                       Policy policy, std::uint64_t seed);
 
+/// One experiment cell: `trials` trials of `policy` running `app` under
+/// `scenario`, trial t seeded trial_seed(seed0, t).
+struct Cell {
+  AppCase app;
+  Scenario scenario;
+  Policy policy = Policy::Random;
+  int trials = 0;
+  std::uint64_t seed0 = 0;
+};
+
 /// Statistics for one experiment cell plus the per-trial failure record.
 /// A trial that fails for an expected, data-dependent reason (infeasible
 /// selection, `max_sim_time` exceeded) degrades the cell — it is counted
 /// and its note kept — instead of aborting the whole grid; genuine logic
-/// errors still propagate out of run_cell.
+/// errors still propagate out of run_cells.
 struct CellResult {
   util::OnlineStats stats;   ///< elapsed-time stats over successful trials
   int attempted = 0;         ///< trials dispatched
@@ -122,8 +131,9 @@ struct CellResult {
   int degraded_smoothed = 0;
   int degraded_prior = 0;
   std::vector<std::string> failure_notes;  ///< first few failure messages
-  /// Wall-clock seconds this cell took (observability only; 0 when the obs
-  /// registry is disabled). Excluded from all statistics.
+  /// Sum of the wall-clock seconds the cell's trials took (observability
+  /// only; 0 when the obs registry is disabled). Excluded from all
+  /// statistics.
   double wall_seconds = 0.0;
 
   double mean() const { return stats.mean(); }
@@ -134,15 +144,20 @@ struct CellResult {
   std::size_t count() const { return stats.count(); }
 };
 
-/// Run `trials` independent trials (seeds trial_seed(seed0, t)) and return
-/// the execution-time statistics. With a pool, trials run as independent
-/// jobs; results land in index-addressed slots and are reduced in trial
-/// order, so the statistics are bit-identical to the serial run (pool ==
-/// nullptr) for any worker count. Each trial owns its NetworkSim, Rng and
-/// SelectionContext — nothing is shared across concurrent trials.
+/// Run every (cell, trial) pair as one flat list of independent jobs on
+/// `threads` workers (0: serially on the calling thread in list order, < 0:
+/// one worker per hardware thread) and reduce each cell in trial order, so
+/// the results are bit-identical for every thread count. Each trial owns
+/// its NetworkSim, Rng and SelectionContext — nothing is shared across
+/// concurrent trials. With the obs registry enabled, the cells are merged
+/// into exp.cell_s, exp.trials and exp.trial_failures in list order.
+std::vector<CellResult> run_cells(const std::vector<Cell>& cells,
+                                  int threads);
+
+/// One cell, run serially: run_cells({{app, scenario, policy, trials,
+/// seed0}}, 0).front().
 CellResult run_cell(const AppCase& app, const Scenario& scenario,
-                    Policy policy, int trials, std::uint64_t seed0,
-                    util::ThreadPool* pool = nullptr);
+                    Policy policy, int trials, std::uint64_t seed0);
 
 /// The three applications of Table 1 on the Fig. 4 testbed.
 AppCase fft_case();

@@ -1,76 +1,49 @@
 #include "exp/faults.hpp"
 
 #include <cstdio>
-#include <memory>
 #include <sstream>
 #include <stdexcept>
+#include <utility>
 
-#include "obs/metrics.hpp"
 #include "util/table.hpp"
-#include "util/thread_pool.hpp"
 
 namespace netsel::exp {
 
 std::vector<FaultRow> run_fault_grid(const FaultGridOptions& opt) {
   if (opt.trials < 1)
     throw std::invalid_argument("run_fault_grid: trials must be >= 1");
-  const Scenario scenario = table1_scenario(true, true);
-  const std::size_t cells_per_row = 1 + opt.criteria.size();
+  // Per severity: the random baseline, then one auto cell per criterion.
+  // Seeds hash the severity index into the condition so every (severity,
+  // policy) cell is an independent stream.
+  std::vector<Cell> cells;
+  for (std::size_t r = 0; r < opt.severities.size(); ++r) {
+    Scenario sc = table1_scenario(true, true);
+    sc.fault_severity = opt.severities[r];
+    for (std::size_t k = 0; k <= opt.criteria.size(); ++k) {
+      const Policy policy = k == 0 ? Policy::Random : opt.criteria[k - 1];
+      cells.push_back({opt.app, sc, policy, opt.trials,
+                       cell_seed(opt.seed, opt.app.name, policy,
+                                 1000 + static_cast<int>(r))});
+    }
+  }
+  std::vector<CellResult> results = run_cells(cells, opt.threads);
 
   std::vector<FaultRow> rows(opt.severities.size());
+  std::size_t next = 0;
   for (std::size_t r = 0; r < rows.size(); ++r) {
     rows[r].severity = opt.severities[r];
-    rows[r].autos.resize(opt.criteria.size());
-  }
-  std::unique_ptr<util::ThreadPool> pool;
-  if (opt.threads != 0) pool = std::make_unique<util::ThreadPool>(opt.threads);
-
-  // Flat task list, one pre-addressed slot per cell (same bit-identical
-  // dispatch scheme as run_table1). Seeds hash the severity index into the
-  // condition so every (severity, policy) cell is an independent stream.
-  auto run_one = [&](std::size_t j) {
-    std::size_t r = j / cells_per_row;
-    std::size_t k = j % cells_per_row;
-    FaultRow& row = rows[r];
-    Policy policy = k == 0 ? Policy::Random : opt.criteria[k - 1];
-    CellResult& slot = k == 0 ? row.random : row.autos[k - 1];
-    Scenario sc = scenario;
-    sc.fault_severity = row.severity;
-    slot = run_cell(
-        opt.app, sc, policy, opt.trials,
-        cell_seed(opt.seed, opt.app.name, policy, 1000 + static_cast<int>(r)),
-        pool.get());
-    if (opt.verbose)
-      std::fprintf(stderr,
-                   "  severity %.2f %-14s mean=%7.1fs (n=%zu, %d failed, "
-                   "%d smoothed, %d prior)\n",
-                   row.severity, policy_name(policy), slot.stats.mean(),
-                   slot.stats.count(), slot.failures,
-                   slot.degraded_smoothed, slot.degraded_prior);
-  };
-  const std::size_t tasks = rows.size() * cells_per_row;
-  if (pool) {
-    util::parallel_for(*pool, tasks, run_one);
-  } else {
-    for (std::size_t j = 0; j < tasks; ++j) run_one(j);
-  }
-
-  // Same post-loop, index-order observability merge as run_table1 (the
-  // registry sees one deterministic observation sequence per grid).
-  if (obs::enabled()) {
-    obs::Histogram& cell_s = obs::Registry::global().histogram(
-        "exp.cell_s", obs::exp_buckets(0.01, 2.0, 14));
-    obs::Counter& trials = obs::Registry::global().counter("exp.trials");
-    obs::Counter& failures =
-        obs::Registry::global().counter("exp.trial_failures");
-    auto merge = [&](const CellResult& c) {
-      cell_s.observe(c.wall_seconds);
-      trials.inc(static_cast<std::uint64_t>(c.attempted));
-      failures.inc(static_cast<std::uint64_t>(c.failures));
-    };
-    for (const FaultRow& row : rows) {
-      merge(row.random);
-      for (const CellResult& c : row.autos) merge(c);
+    for (std::size_t k = 0; k <= opt.criteria.size(); ++k) {
+      const Policy policy = cells[next].policy;
+      CellResult& slot = k == 0 ? rows[r].random
+                                : rows[r].autos.emplace_back();
+      slot = std::move(results[next++]);
+      if (opt.verbose)
+        std::fprintf(stderr,
+                     "  severity %.2f %-14s mean=%7.1fs (n=%zu, %d failed, "
+                     "%d smoothed, %d prior)\n",
+                     rows[r].severity, policy_name(policy), slot.stats.mean(),
+                     slot.stats.count(), slot.failures,
+                     slot.degraded_smoothed, slot.degraded_prior);
     }
   }
   return rows;

@@ -33,8 +33,8 @@ struct FaultGridOptions {
   std::vector<Policy> criteria = {Policy::AutoBalanced, Policy::AutoCompute,
                                   Policy::AutoBandwidth};
   /// Worker threads; 0 serial, < 0 one per hardware thread. Statistics are
-  /// bit-identical for every setting (pre-addressed slots, ordered
-  /// reduction — same scheme as run_table1).
+  /// bit-identical for every setting (the grid is one run_cells list, as in
+  /// run_table1).
   int threads = 0;
   bool verbose = false;
   /// Application under test (FFT by default: the fastest Table-1 app).

@@ -28,13 +28,14 @@ std::string table1_csv(const std::vector<MeasuredRow>& rows) {
     for (int c = 0; c < 3; ++c) {
       auto cs = static_cast<std::size_t>(c);
       os << csv_escape(m.app) << "," << m.nodes << "," << conds[c]
-         << ",random," << m.random_sel[cs].mean << "," << m.random_sel[cs].ci95
-         << "," << m.random_sel[cs].trials << ","
+         << ",random," << m.random_sel[cs].mean() << ","
+         << m.random_sel[cs].ci_halfwidth(0.95) << ","
+         << m.random_sel[cs].count() << ","
          << (p ? p->random_sel[cs] : 0.0) << "," << m.reference << "\n";
       os << csv_escape(m.app) << "," << m.nodes << "," << conds[c] << ",auto,"
-         << m.auto_sel[cs].mean << "," << m.auto_sel[cs].ci95 << ","
-         << m.auto_sel[cs].trials << "," << (p ? p->auto_sel[cs] : 0.0) << ","
-         << m.reference << "\n";
+         << m.auto_sel[cs].mean() << "," << m.auto_sel[cs].ci_halfwidth(0.95)
+         << "," << m.auto_sel[cs].count() << ","
+         << (p ? p->auto_sel[cs] : 0.0) << "," << m.reference << "\n";
     }
   }
   return os.str();

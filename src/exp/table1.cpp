@@ -1,12 +1,11 @@
 #include "exp/table1.hpp"
 
 #include <cstdio>
-#include <memory>
 #include <sstream>
+#include <stdexcept>
+#include <utility>
 
-#include "obs/metrics.hpp"
 #include "util/table.hpp"
-#include "util/thread_pool.hpp"
 
 namespace netsel::exp {
 
@@ -20,94 +19,52 @@ Scenario condition_scenario(int condition) {
   }
 }
 
-MeasuredCell measure(const AppCase& app, int condition, Policy policy,
-                     const Table1Options& opt, util::ThreadPool* pool) {
-  CellResult result =
-      run_cell(app, condition_scenario(condition), policy, opt.trials,
-               cell_seed(opt.seed, app.name, policy, condition), pool);
-  MeasuredCell cell;
-  cell.mean = result.stats.mean();
-  cell.ci95 = result.stats.ci_halfwidth(0.95);
-  cell.trials = static_cast<int>(result.stats.count());
-  cell.failures = result.failures;
-  cell.wall_seconds = result.wall_seconds;
-  if (opt.verbose) {
-    std::fprintf(stderr,
-                 "  %-9s %-14s %-13s mean=%7.1fs  +-%5.1f (n=%d%s)\n",
-                 app.name.c_str(), policy_name(policy),
-                 condition == kLoadOnly      ? "load"
-                 : condition == kTrafficOnly ? "traffic"
-                                             : "load+traffic",
-                 cell.mean, cell.ci95, cell.trials,
-                 cell.failures > 0
-                     ? (", " + std::to_string(cell.failures) + " failed").c_str()
-                     : "");
-  }
-  return cell;
+const char* condition_name(int condition) {
+  return condition == kLoadOnly      ? "load"
+         : condition == kTrafficOnly ? "traffic"
+                                     : "load+traffic";
 }
 }  // namespace
 
 std::vector<MeasuredRow> run_table1(const Table1Options& opt) {
   const std::vector<AppCase> apps = {fft_case(), airshed_case(), mri_case()};
-  std::vector<MeasuredRow> rows(apps.size());
-  std::unique_ptr<util::ThreadPool> pool;
-  if (opt.threads != 0) pool = std::make_unique<util::ThreadPool>(opt.threads);
+  // Per app and condition: the baseline cell, then the auto cell. Seeds are
+  // derived per cell, never from list order.
+  std::vector<Cell> cells;
+  for (const AppCase& app : apps)
+    for (int cond : {kLoadOnly, kTrafficOnly, kLoadAndTraffic})
+      for (Policy policy : {opt.baseline_policy, opt.auto_policy})
+        cells.push_back({app, condition_scenario(cond), policy, opt.trials,
+                         cell_seed(opt.seed, app.name, policy, cond)});
+  std::vector<CellResult> results = run_cells(cells, opt.threads);
 
-  // Flat task list: per app, the unloaded reference (k == 0) plus the 3x2
-  // condition/policy cells. Each task writes only its own pre-addressed
-  // slot, so tasks run concurrently without ordering effects; seeds are
-  // derived per cell, never from task order.
-  constexpr std::size_t kTasksPerRow = 7;
-  auto run_one = [&](std::size_t j) {
-    std::size_t r = j / kTasksPerRow;
-    int k = static_cast<int>(j % kTasksPerRow);
+  std::vector<MeasuredRow> rows(apps.size());
+  std::size_t next = 0;
+  for (std::size_t r = 0; r < apps.size(); ++r) {
     const AppCase& app = apps[r];
     MeasuredRow& row = rows[r];
-    if (k == 0) {
-      row.app = app.name;
-      row.nodes = app.num_nodes();
-      // Unloaded reference: idle testbed, automatic placement, deterministic.
-      row.reference =
-          run_trial(app, table1_scenario(false, false), opt.auto_policy,
-                    cell_seed(opt.seed, app.name, opt.auto_policy, kReference))
-              .elapsed;
-      if (opt.verbose)
-        std::fprintf(stderr, "  %-9s reference (unloaded) = %7.1fs\n",
-                     app.name.c_str(), row.reference);
-    } else {
-      int cond = (k - 1) / 2;
-      bool is_auto = (k - 1) % 2 != 0;
-      MeasuredCell& slot = is_auto ? row.auto_sel[static_cast<std::size_t>(cond)]
-                                   : row.random_sel[static_cast<std::size_t>(cond)];
-      slot = measure(app, cond, is_auto ? opt.auto_policy : opt.baseline_policy,
-                     opt, pool.get());
-    }
-  };
-  const std::size_t tasks = apps.size() * kTasksPerRow;
-  if (pool) {
-    util::parallel_for(*pool, tasks, run_one);
-  } else {
-    for (std::size_t j = 0; j < tasks; ++j) run_one(j);
-  }
-
-  // Grid-level observability, merged strictly in index order AFTER the
-  // (possibly pooled) grid so the registry sees the same observation
-  // sequence for every worker count (float sums are order-sensitive).
-  if (obs::enabled()) {
-    obs::Histogram& cell_s = obs::Registry::global().histogram(
-        "exp.cell_s", obs::exp_buckets(0.01, 2.0, 14));
-    obs::Counter& trials = obs::Registry::global().counter("exp.trials");
-    obs::Counter& failures =
-        obs::Registry::global().counter("exp.trial_failures");
-    for (const MeasuredRow& row : rows) {
-      for (std::size_t c = 0; c < 3; ++c) {
-        for (const MeasuredCell* cell :
-             {&row.random_sel[c], &row.auto_sel[c]}) {
-          cell_s.observe(cell->wall_seconds);
-          trials.inc(static_cast<std::uint64_t>(cell->trials) +
-                     static_cast<std::uint64_t>(cell->failures));
-          failures.inc(static_cast<std::uint64_t>(cell->failures));
-        }
+    row.app = app.name;
+    row.nodes = app.num_nodes();
+    // Unloaded reference: idle testbed, automatic placement, deterministic.
+    row.reference =
+        run_trial(app, table1_scenario(false, false), opt.auto_policy,
+                  cell_seed(opt.seed, app.name, opt.auto_policy, kReference))
+            .elapsed;
+    if (opt.verbose)
+      std::fprintf(stderr, "  %-9s reference (unloaded) = %7.1fs\n",
+                   app.name.c_str(), row.reference);
+    for (std::size_t cond = 0; cond < 3; ++cond) {
+      for (CellResult* cell : {&row.random_sel[cond], &row.auto_sel[cond]}) {
+        const Cell& spec = cells[next];
+        *cell = std::move(results[next++]);
+        if (opt.verbose)
+          std::fprintf(stderr,
+                       "  %-9s %-14s %-13s mean=%7.1fs  +-%5.1f (n=%zu, %d "
+                       "failed)\n",
+                       app.name.c_str(), policy_name(spec.policy),
+                       condition_name(static_cast<int>(cond)), cell->mean(),
+                       cell->ci_halfwidth(0.95), cell->count(),
+                       cell->failures);
       }
     }
   }
@@ -125,12 +82,13 @@ std::string format_table1(const std::vector<MeasuredRow>& rows) {
     const MeasuredRow& m = rows[r];
     const PaperRow& p = kPaperTable1[r];
     t.row({m.app, std::to_string(m.nodes), "random (measured)",
-           util::fmt(m.random_sel[0].mean, 1), util::fmt(m.random_sel[1].mean, 1),
-           util::fmt(m.random_sel[2].mean, 1), util::fmt(m.reference, 1)});
+           util::fmt(m.random_sel[0].mean(), 1),
+           util::fmt(m.random_sel[1].mean(), 1),
+           util::fmt(m.random_sel[2].mean(), 1), util::fmt(m.reference, 1)});
     t.row({"", "", "auto (measured)",
-           pct(m.random_sel[0].mean, m.auto_sel[0].mean),
-           pct(m.random_sel[1].mean, m.auto_sel[1].mean),
-           pct(m.random_sel[2].mean, m.auto_sel[2].mean), ""});
+           pct(m.random_sel[0].mean(), m.auto_sel[0].mean()),
+           pct(m.random_sel[1].mean(), m.auto_sel[1].mean()),
+           pct(m.random_sel[2].mean(), m.auto_sel[2].mean()), ""});
     t.row({"", "", "random (paper)", util::fmt(p.random_sel[0], 1),
            util::fmt(p.random_sel[1], 1), util::fmt(p.random_sel[2], 1),
            util::fmt(p.reference, 1)});
@@ -155,8 +113,8 @@ std::string format_slowdown_summary(const std::vector<MeasuredRow>& rows) {
     const PaperRow& p = kPaperTable1[r];
     for (int c = 0; c < 3; ++c) {
       auto cs = static_cast<std::size_t>(c);
-      double inc_rand = (m.random_sel[cs].mean - m.reference) / m.reference;
-      double inc_auto = (m.auto_sel[cs].mean - m.reference) / m.reference;
+      double inc_rand = (m.random_sel[cs].mean() - m.reference) / m.reference;
+      double inc_auto = (m.auto_sel[cs].mean() - m.reference) / m.reference;
       double red = inc_rand > 0.0 ? 1.0 - inc_auto / inc_rand : 0.0;
       double p_rand = (p.random_sel[cs] - p.reference) / p.reference;
       double p_auto = (p.auto_sel[cs] - p.reference) / p.reference;

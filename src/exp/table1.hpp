@@ -31,21 +31,11 @@ inline constexpr std::array<PaperRow, 3> kPaperTable1{{
     {"MRI", 4, {683.0, 591.0, 776.0}, {594.0, 571.0, 667.0}, 540.0},
 }};
 
-struct MeasuredCell {
-  double mean = 0.0;
-  double ci95 = 0.0;
-  int trials = 0;    ///< successful trials (mean/ci95 computed over these)
-  int failures = 0;  ///< trials that failed and were excluded
-  /// Wall-clock seconds spent running the cell (observability only; 0 when
-  /// the obs registry is disabled). Never part of the measured statistics.
-  double wall_seconds = 0.0;
-};
-
 struct MeasuredRow {
   std::string app;
   int nodes = 0;
-  std::array<MeasuredCell, 3> random_sel;
-  std::array<MeasuredCell, 3> auto_sel;
+  std::array<CellResult, 3> random_sel;  ///< load, traffic, load+traffic
+  std::array<CellResult, 3> auto_sel;
   double reference = 0.0;
 };
 
@@ -56,16 +46,15 @@ struct Table1Options {
   Policy baseline_policy = Policy::Random;
   /// Worker threads for the grid: 0 runs everything serially on the calling
   /// thread, < 0 uses one worker per hardware thread, > 0 that many workers.
-  /// The statistics are bit-identical for every setting (see run_cell).
+  /// The statistics are bit-identical for every setting (see run_cells).
   int threads = 0;
   /// Print one progress line per cell to stderr.
   bool verbose = false;
 };
 
-/// Run the whole Table-1 experiment grid. With threads != 0 the cells are
-/// dispatched as pool jobs and each cell's trials fan out on the same pool;
-/// every result lands in its pre-addressed slot, so the output is
-/// bit-identical to the serial run regardless of worker count.
+/// Run the whole Table-1 experiment grid: its 18 cells go to run_cells as
+/// one list, and each row's unloaded reference is one run_trial on the
+/// calling thread. The output is bit-identical for every thread count.
 std::vector<MeasuredRow> run_table1(const Table1Options& opt = {});
 
 /// Paper-style table: measured values with % change vs random, paper values

@@ -1,29 +1,26 @@
 #pragma once
-// obs::FlightRecorder — an always-on, fixed-capacity, lock-free ring of
-// structured events, kept so that a failure (a --check violation, a
-// broken invariant) can dump the last-N events as a post-mortem.
+// obs::FlightRecorder — an always-on, fixed-capacity ring of structured
+// events, kept so that a failure (a --check violation, a broken invariant)
+// can dump the last-N events as a post-mortem.
 //
 // Unlike the metrics Registry, the flight recorder is NOT gated on
 // obs::enabled(): its whole point is to already hold the recent past when
-// something goes wrong in a run nobody instrumented. Recording is an
-// atomic slot claim plus a bounded memcpy-sized write; events are plain
+// something goes wrong in a run nobody instrumented. Recording is one
+// uncontended mutex plus a bounded memcpy-sized write; events are plain
 // structs (no allocation), so the cost per event is tens of nanoseconds at
 // decision granularity (admissions, rejections, ladder transitions — never
 // per-BFS-step).
 //
-// Concurrency: writers take sequence numbers with one fetch_add, then claim
-// the slot by CAS on its seqlock-style version, so two writers whose
-// numbers wrap onto one slot never write its payload at once (the older
-// waits out a mid-write, or is dropped once a newer event holds the slot).
-// Readers (tail()/dump(), rare) take no lock: they detect and skip slots
-// that are mid-write or have been overwritten since. Events from
-// concurrent writers interleave by claim order; the scheduler only records
+// Concurrency: one mutex guards the ring. A writer takes its sequence
+// number and writes its slot under it, and tail()/dump() copy the slots
+// under it, so a reader never sees a half-written event. Events from
+// concurrent writers interleave in lock order; the scheduler only records
 // from its serial event loop, so its runs produce a deterministic sequence.
 
-#include <atomic>
 #include <cstdint>
 #include <iosfwd>
 #include <memory>
+#include <mutex>
 #include <string_view>
 #include <vector>
 
@@ -74,17 +71,14 @@ class FlightRecorder {
   void record(FlightKind kind, double sim_time, std::uint64_t a = 0,
               std::uint64_t b = 0, std::string_view detail = {});
 
-  /// The newest min(n, recorded, capacity) events, oldest first. Events
-  /// overwritten or mid-write during the read are skipped.
+  /// The newest min(n, recorded, capacity) events, oldest first.
   std::vector<FlightEvent> tail(std::size_t n = SIZE_MAX) const;
 
   /// Total events ever recorded (including those the ring has dropped).
-  std::uint64_t recorded() const {
-    return next_.load(std::memory_order_relaxed);
-  }
+  std::uint64_t recorded() const;
   std::size_t capacity() const { return mask_ + 1; }
 
-  /// Drop everything recorded so far (tests; not thread-safe vs writers).
+  /// Drop everything recorded so far.
   void clear();
 
   /// Human-readable post-mortem: one line per event, oldest first.
@@ -94,15 +88,10 @@ class FlightRecorder {
   static constexpr std::size_t kDefaultCapacity = 256;
 
  private:
-  struct Slot {
-    /// Even = stable (value is the holding seq * 2), odd = mid-write (the
-    /// writing seq * 2 - 1).
-    std::atomic<std::uint64_t> ver{0};
-    FlightEvent ev;
-  };
+  mutable std::mutex mu_;  // guards slots_ and next_
   std::size_t mask_;
-  std::unique_ptr<Slot[]> slots_;
-  std::atomic<std::uint64_t> next_{0};
+  std::unique_ptr<FlightEvent[]> slots_;
+  std::uint64_t next_ = 0;  // seq of the newest event (0: none yet)
 };
 
 }  // namespace netsel::obs

@@ -1,6 +1,7 @@
 #include "remos/monitor.hpp"
 
 #include <algorithm>
+#include <cmath>
 #include <stdexcept>
 
 #include "obs/flight.hpp"
@@ -38,6 +39,12 @@ obs::Histogram& sweep_seconds_hist() {
 
 Monitor::Monitor(sim::NetworkSim& net, MonitorConfig cfg)
     : net_(net), cfg_(cfg) {
+  // A NaN fails both comparisons below, and a NaN poll interval would
+  // schedule every poll at NaN, so run_until would never return.
+  if (!std::isfinite(cfg_.poll_interval) ||
+      !std::isfinite(cfg_.history_window))
+    throw std::invalid_argument("Monitor: poll_interval and history_window "
+                                "must be finite");
   if (cfg_.poll_interval <= 0.0)
     throw std::invalid_argument("Monitor: poll_interval must be > 0");
   if (cfg_.history_window < cfg_.poll_interval)

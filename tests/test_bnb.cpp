@@ -12,8 +12,10 @@
 
 #include <gtest/gtest.h>
 
+#include <iterator>
 #include <limits>
 #include <memory>
+#include <ostream>
 #include <string>
 #include <vector>
 
@@ -42,45 +44,45 @@ struct Instance {
   std::unique_ptr<remos::NetworkSnapshot> snap;
 };
 
-/// Every generated topology family at oracle-reachable host counts, with
+/// The generated topology families, in instances() order.
+constexpr const char* kFamilies[] = {"fat_tree", "campus_wan",
+                                     "random_core_edge"};
+
+/// One generated topology family at an oracle-reachable host count, with
 /// seeded loads and link availabilities (remos::apply_synthetic_load).
-std::vector<Instance> instances(std::uint64_t seed) {
-  std::vector<Instance> out;
-  {
+Instance make_instance(std::size_t family, std::uint64_t seed) {
+  Instance inst;
+  inst.what = std::string(kFamilies[family]) + " seed " + std::to_string(seed);
+  if (family == 0) {
     auto ft = topo::fat_tree_for_hosts(24, 6, 2.0, seed);
     ft.cpu_jitter = 0.3;  // heterogeneous hosts exercise the cpu terms
-    Instance inst;
-    inst.what = "fat_tree seed " + std::to_string(seed);
     inst.graph = std::make_unique<topo::TopologyGraph>(topo::fat_tree(ft));
-    out.push_back(std::move(inst));
-  }
-  {
+  } else if (family == 1) {
     topo::CampusWanOptions cw;
     cw.campuses = 2;
     cw.buildings_per_campus = 2;
     cw.hosts_per_building = 3;
     cw.seed = seed;
-    Instance inst;
-    inst.what = "campus_wan seed " + std::to_string(seed);
     inst.graph = std::make_unique<topo::TopologyGraph>(topo::campus_wan(cw));
-    out.push_back(std::move(inst));
-  }
-  {
+  } else {
     topo::RandomCoreEdgeOptions ce;
     ce.core_switches = 4;
     ce.edge_switches = 8;
     ce.hosts = 32;  // cyclic: BFS-path bottlenecks, orientation-sensitive
     ce.seed = seed;
-    Instance inst;
-    inst.what = "random_core_edge seed " + std::to_string(seed);
     inst.graph =
         std::make_unique<topo::TopologyGraph>(topo::random_core_edge(ce));
-    out.push_back(std::move(inst));
   }
-  for (auto& inst : out) {
-    inst.snap = std::make_unique<remos::NetworkSnapshot>(*inst.graph);
-    remos::apply_synthetic_load(*inst.snap, seed * 31 + 7);
-  }
+  inst.snap = std::make_unique<remos::NetworkSnapshot>(*inst.graph);
+  remos::apply_synthetic_load(*inst.snap, seed * 31 + 7);
+  return inst;
+}
+
+/// Every generated topology family at oracle-reachable host counts.
+std::vector<Instance> instances(std::uint64_t seed) {
+  std::vector<Instance> out;
+  for (std::size_t f = 0; f < std::size(kFamilies); ++f)
+    out.push_back(make_instance(f, seed));
   return out;
 }
 
@@ -138,38 +140,67 @@ void expect_bit_exact(const BnbResult& bnb, const BruteForceResult& bf,
   EXPECT_EQ(bnb.upper_bound, bnb.objective) << what;
 }
 
-TEST(BnbOracle, MatchesBruteForceBitExactlyOnAllFamilies) {
-  for (std::uint64_t seed : {1u, 2u}) {
-    for (const auto& inst : instances(seed)) {
-      SelectionContext ctx(*inst.snap);
-      for (const auto& [vname, base] : option_variants()) {
-        for (int m : {1, 2, 4, 6, 8}) {
-          SelectionOptions opt = base;
-          opt.num_nodes = m;
-          const std::size_t pool = eligible_count(ctx, opt);
-          if (choose(pool, static_cast<std::uint64_t>(m)) > kOracleSubsetCap)
-            continue;
-          for (Criterion c : {Criterion::MaxCompute, Criterion::MaxBandwidth,
-                              Criterion::Balanced}) {
-            const std::string what = inst.what + " " + vname +
-                                     " m=" + std::to_string(m) + " " +
-                                     criterion_name(c);
-            const auto bf = brute_force_select(ctx, opt, c);
-            expect_bit_exact(branch_and_bound_select(ctx, opt, c, to_proof()),
-                             bf, what);
-            // The greedy answer scored on the exact scale never beats the
-            // optimum.
-            const auto g = select_nodes(c, ctx, opt);
-            if (g.feasible && bf.feasible) {
-              EXPECT_LE(exact_set_value(ctx, opt, c, g.nodes), bf.objective)
-                  << what;
-            }
-          }
-        }
+/// One slice of the oracle sweep: a seed, a family and an option variant.
+/// The slices run apart, so ctest spreads the sweep over its jobs.
+struct OracleSlice {
+  std::uint64_t seed;
+  std::size_t family;   ///< index into kFamilies
+  std::size_t variant;  ///< index into option_variants()
+};
+
+std::vector<OracleSlice> oracle_slices() {
+  std::vector<OracleSlice> out;
+  for (std::uint64_t seed : {1u, 2u})
+    for (std::size_t f = 0; f < std::size(kFamilies); ++f)
+      for (std::size_t v = 0; v < option_variants().size(); ++v)
+        out.push_back({seed, f, v});
+  return out;
+}
+
+/// Names a slice in test output, so the ctest names read
+/// .../fat_tree_seed1_base rather than the struct's bytes.
+void PrintTo(const OracleSlice& s, std::ostream* os) {
+  *os << kFamilies[s.family] << "_seed" << s.seed << "_"
+      << option_variants()[s.variant].first;
+}
+
+class BnbOracle : public testing::TestWithParam<OracleSlice> {};
+
+TEST_P(BnbOracle, MatchesBruteForceBitExactly) {
+  const OracleSlice& slice = GetParam();
+  const Instance inst = make_instance(slice.family, slice.seed);
+  const auto variants = option_variants();
+  const auto& [vname, base] = variants[slice.variant];
+  SelectionContext ctx(*inst.snap);
+  int cells = 0;  // (m, criterion) pairs checked bit-exact
+  for (int m : {1, 2, 4, 6, 8}) {
+    SelectionOptions opt = base;
+    opt.num_nodes = m;
+    const std::size_t pool = eligible_count(ctx, opt);
+    if (choose(pool, static_cast<std::uint64_t>(m)) > kOracleSubsetCap)
+      continue;
+    for (Criterion c : {Criterion::MaxCompute, Criterion::MaxBandwidth,
+                        Criterion::Balanced}) {
+      const std::string what = inst.what + " " + vname + " m=" +
+                               std::to_string(m) + " " + criterion_name(c);
+      const auto bf = brute_force_select(ctx, opt, c);
+      expect_bit_exact(branch_and_bound_select(ctx, opt, c, to_proof()), bf,
+                       what);
+      ++cells;
+      // The greedy answer scored on the exact scale never beats the
+      // optimum.
+      const auto g = select_nodes(c, ctx, opt);
+      if (g.feasible && bf.feasible) {
+        EXPECT_LE(exact_set_value(ctx, opt, c, g.nodes), bf.objective)
+            << what;
       }
     }
   }
+  RecordProperty("cells", cells);
 }
+
+INSTANTIATE_TEST_SUITE_P(AllFamilies, BnbOracle,
+                         testing::ValuesIn(oracle_slices()));
 
 TEST(BnbBudget, DegradedRunsReturnSoundBounds) {
   for (const auto& inst : instances(1)) {

@@ -163,8 +163,8 @@ TEST(Table1, MiniPipelineProducesFormattedTables) {
   for (const auto& row : rows) {
     EXPECT_GT(row.reference, 0.0);
     for (int c = 0; c < 3; ++c) {
-      EXPECT_GT(row.random_sel[static_cast<std::size_t>(c)].mean, 0.0);
-      EXPECT_EQ(row.random_sel[static_cast<std::size_t>(c)].trials, 2);
+      EXPECT_GT(row.random_sel[static_cast<std::size_t>(c)].mean(), 0.0);
+      EXPECT_EQ(row.random_sel[static_cast<std::size_t>(c)].count(), 2u);
     }
   }
   auto table = format_table1(rows);

@@ -1,5 +1,5 @@
 // Determinism and failure-isolation guarantees of the parallel experiment
-// engine: run_cell/run_table1 must produce bit-identical statistics for any
+// engine: run_cells/run_table1 must produce bit-identical statistics for any
 // worker count (reduction is by trial index, not completion order), expected
 // per-trial failures must degrade a cell instead of killing the grid, and
 // concurrent cells must share no mutable state (this file is the target of
@@ -10,7 +10,6 @@
 #include <thread>
 
 #include "exp/table1.hpp"
-#include "util/thread_pool.hpp"
 
 namespace netsel::exp {
 namespace {
@@ -42,17 +41,22 @@ TEST(Seeding, HashedSeedsHaveNoAdjacentCellCollisions) {
 }
 
 TEST(ParallelExperiment, RunCellBitIdenticalAcrossThreadCounts) {
+  // The serial single-cell call against the same cell inside a pooled
+  // list, behind a second cell whose trials interleave with it.
   Scenario s = table1_scenario(true, false);
   CellResult serial = run_cell(fft_case(), s, Policy::Random, 6, 77);
-  util::ThreadPool one(1);
-  util::ThreadPool eight(8);
-  CellResult p1 = run_cell(fft_case(), s, Policy::Random, 6, 77, &one);
-  CellResult p8 = run_cell(fft_case(), s, Policy::Random, 6, 77, &eight);
   ASSERT_EQ(serial.stats.count(), 6u);
-  expect_same_stats(serial.stats, p1.stats);
-  expect_same_stats(serial.stats, p8.stats);
-  EXPECT_EQ(serial.attempted, p8.attempted);
-  EXPECT_EQ(serial.failures, p8.failures);
+  const std::vector<Cell> cells = {
+      {airshed_case(), s, Policy::AutoBalanced, 3, 78},
+      {fft_case(), s, Policy::Random, 6, 77}};
+  for (int threads : {1, 8}) {
+    std::vector<CellResult> pooled = run_cells(cells, threads);
+    ASSERT_EQ(pooled.size(), 2u);
+    expect_same_stats(serial.stats, pooled[1].stats);
+    EXPECT_EQ(serial.attempted, pooled[1].attempted);
+    EXPECT_EQ(serial.failures, pooled[1].failures);
+    EXPECT_EQ(pooled[0].attempted, 3) << threads;
+  }
 }
 
 TEST(ParallelExperiment, Table1BitIdenticalAcrossThreadCounts) {
@@ -67,14 +71,12 @@ TEST(ParallelExperiment, Table1BitIdenticalAcrossThreadCounts) {
     EXPECT_EQ(serial[r].app, pooled[r].app);
     EXPECT_EQ(serial[r].reference, pooled[r].reference);
     for (std::size_t c = 0; c < 3; ++c) {
-      EXPECT_EQ(serial[r].random_sel[c].mean, pooled[r].random_sel[c].mean);
-      EXPECT_EQ(serial[r].random_sel[c].ci95, pooled[r].random_sel[c].ci95);
-      EXPECT_EQ(serial[r].random_sel[c].trials, pooled[r].random_sel[c].trials);
+      expect_same_stats(serial[r].random_sel[c].stats,
+                        pooled[r].random_sel[c].stats);
       EXPECT_EQ(serial[r].random_sel[c].failures,
                 pooled[r].random_sel[c].failures);
-      EXPECT_EQ(serial[r].auto_sel[c].mean, pooled[r].auto_sel[c].mean);
-      EXPECT_EQ(serial[r].auto_sel[c].ci95, pooled[r].auto_sel[c].ci95);
-      EXPECT_EQ(serial[r].auto_sel[c].trials, pooled[r].auto_sel[c].trials);
+      expect_same_stats(serial[r].auto_sel[c].stats,
+                        pooled[r].auto_sel[c].stats);
       EXPECT_EQ(serial[r].auto_sel[c].failures, pooled[r].auto_sel[c].failures);
     }
   }
@@ -101,9 +103,10 @@ TEST(ParallelExperiment, FailedTrialDegradesCellInsteadOfThrowing) {
 
   // Identical degradation under a pool — failures are part of the
   // deterministic result, not a scheduling artifact.
-  util::ThreadPool pool(4);
-  CellResult pooled = run_cell(fft_case(), capped, Policy::Random, 6, 123, &pool);
+  CellResult pooled =
+      run_cells({{fft_case(), capped, Policy::Random, 6, 123}}, 4).front();
   EXPECT_EQ(pooled.failures, cell.failures);
+  EXPECT_EQ(pooled.failure_notes, cell.failure_notes);
   expect_same_stats(pooled.stats, cell.stats);
 }
 

@@ -1,8 +1,8 @@
 // Tests of the obs layer: metric primitives, the registry, exporters, and
 // the load-bearing contracts — concurrent counter updates are exact and
-// concurrent flight-recorder writers never tear an event (both exercised
-// under TSan in CI), and enabling the registry never changes a single bit
-// of any experiment result.
+// concurrent flight-recorder writers and readers never tear an event (both
+// exercised under TSan in CI), and enabling the registry never changes a
+// single bit of any experiment result.
 
 #include "obs/export.hpp"
 #include "obs/flight.hpp"
@@ -10,6 +10,7 @@
 
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <string>
 #include <thread>
 #include <vector>
@@ -211,13 +212,51 @@ TEST_F(Obs, ConcurrentFlightRecordsNeverTear) {
     });
   for (std::thread& w : writers) w.join();
   EXPECT_EQ(fr.recorded(), kThreads * kEvents);
-  // The newest event of each slot is never dropped, so the ring is full.
   const std::vector<FlightEvent> tail = fr.tail();
   EXPECT_EQ(tail.size(), 4u);
   for (const FlightEvent& ev : tail) {
     EXPECT_EQ(ev.b, ev.a * 3 + 1) << "seq " << ev.seq;
     EXPECT_EQ(std::string(ev.detail), std::to_string(ev.a)) << "seq " << ev.seq;
   }
+}
+
+TEST_F(Obs, FlightTailDuringWritesNeverTears) {
+  // A reader copies the ring while four writers wrap it constantly: every
+  // event it returns must be one writer's whole event, and a tail is a run
+  // of consecutive sequence numbers. CI runs this test under TSan too.
+  FlightRecorder fr(4);
+  constexpr std::uint64_t kThreads = 4;
+  constexpr std::uint64_t kEvents = 5000;
+  std::atomic<bool> writing{true};
+  std::uint64_t tails = 0;
+  std::thread reader([&] {
+    do {
+      const std::vector<FlightEvent> tail = fr.tail();
+      ++tails;
+      for (std::size_t i = 0; i < tail.size(); ++i) {
+        const FlightEvent& ev = tail[i];
+        EXPECT_EQ(ev.b, ev.a * 3 + 1) << "seq " << ev.seq;
+        EXPECT_EQ(std::string(ev.detail), std::to_string(ev.a))
+            << "seq " << ev.seq;
+        if (i > 0) {
+          EXPECT_EQ(ev.seq, tail[i - 1].seq + 1);
+        }
+      }
+    } while (writing.load());
+  });
+  std::vector<std::thread> writers;
+  for (std::uint64_t t = 0; t < kThreads; ++t)
+    writers.emplace_back([&fr, t] {
+      for (std::uint64_t i = 0; i < kEvents; ++i) {
+        const std::uint64_t a = t * kEvents + i;
+        fr.record(FlightKind::Custom, 0.0, a, a * 3 + 1, std::to_string(a));
+      }
+    });
+  for (std::thread& w : writers) w.join();
+  writing.store(false);
+  reader.join();
+  EXPECT_GT(tails, 0u);
+  EXPECT_EQ(fr.recorded(), kThreads * kEvents);
 }
 
 /// The tentpole contract: the whole Table-1 pipeline is bit-identical with
@@ -247,11 +286,11 @@ TEST_F(Obs, Table1ResultsBitIdenticalEnabledVsDisabled) {
     for (std::size_t c = 0; c < 3; ++c) {
       for (auto pick : {&exp::MeasuredRow::random_sel,
                         &exp::MeasuredRow::auto_sel}) {
-        const exp::MeasuredCell& a = (base[r].*pick)[c];
-        const exp::MeasuredCell& b = (instrumented[r].*pick)[c];
-        EXPECT_EQ(a.mean, b.mean);
-        EXPECT_EQ(a.ci95, b.ci95);
-        EXPECT_EQ(a.trials, b.trials);
+        const exp::CellResult& a = (base[r].*pick)[c];
+        const exp::CellResult& b = (instrumented[r].*pick)[c];
+        EXPECT_EQ(a.mean(), b.mean());
+        EXPECT_EQ(a.ci_halfwidth(), b.ci_halfwidth());
+        EXPECT_EQ(a.count(), b.count());
         EXPECT_EQ(a.failures, b.failures);
       }
     }

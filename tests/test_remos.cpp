@@ -267,6 +267,23 @@ TEST_F(RemosFixture, MonitorConfigValidation) {
                std::invalid_argument);
 }
 
+TEST_F(RemosFixture, MonitorRejectsNonFiniteIntervals) {
+  // A NaN passes both range checks above, and a monitor built with a NaN
+  // poll interval never lets run_until return. Construction must refuse
+  // it; the monitor is never run here, so a regression fails, not hangs.
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  const double inf = std::numeric_limits<double>::infinity();
+  for (const MonitorConfig& cfg :
+       {MonitorConfig{nan, 30.0, {}}, MonitorConfig{2.0, nan, {}},
+        MonitorConfig{nan, nan, {}}, MonitorConfig{inf, inf, {}},
+        MonitorConfig{2.0, inf, {}}}) {
+    EXPECT_THROW(Monitor(net, cfg), std::invalid_argument)
+        << cfg.poll_interval << " / " << cfg.history_window;
+    EXPECT_THROW(Remos(net, cfg), std::invalid_argument)
+        << cfg.poll_interval << " / " << cfg.history_window;
+  }
+}
+
 TEST_F(RemosFixture, MonitorDoubleStartIsNoOp) {
   Remos remos(net, MonitorConfig{2.0, 30.0, {}});
   remos.start();

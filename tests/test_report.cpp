@@ -25,15 +25,18 @@ TEST(Table1Csv, ShapeAndContent) {
   row.reference = 48.0;
   for (int c = 0; c < 3; ++c) {
     auto cs = static_cast<std::size_t>(c);
-    row.random_sel[cs] = MeasuredCell{100.0 + c, 5.0, 25};
-    row.auto_sel[cs] = MeasuredCell{80.0 + c, 4.0, 25};
+    for (int t = 0; t < 25; ++t) {
+      row.random_sel[cs].stats.add(100.0 + c);
+      row.auto_sel[cs].stats.add(80.0 + c);
+    }
   }
   auto csv = table1_csv({row});
   // Header + 3 conditions x 2 policies.
   EXPECT_EQ(std::count(csv.begin(), csv.end(), '\n'), 7);
   EXPECT_NE(csv.find("app,nodes,condition,policy"), std::string::npos);
   EXPECT_NE(csv.find("\"FFT, transposed\""), std::string::npos);
-  EXPECT_NE(csv.find(",load,random,100,5,25,"), std::string::npos);
+  EXPECT_NE(csv.find(",load,random,100,0,25,"), std::string::npos);
+  EXPECT_NE(csv.find(",traffic,auto,81,0,25,"), std::string::npos);
 }
 
 TEST(Table1Csv, PaperValuesAlongside) {

@@ -19,7 +19,7 @@ TEST(ThreadPool, RunsEveryIndexExactlyOnce) {
   for (const auto& h : hits) EXPECT_EQ(h.load(), 1);
 }
 
-TEST(ThreadPool, ZeroWorkersRunsInlineInSubmissionOrder) {
+TEST(ThreadPool, ZeroWorkersRunsInlineInIndexOrder) {
   ThreadPool pool(0);
   EXPECT_EQ(pool.workers(), 0);
   std::vector<std::size_t> order;
@@ -38,14 +38,39 @@ TEST(ThreadPool, DefaultUsesHardwareConcurrency) {
 }
 
 TEST(ThreadPool, NestedParallelForMakesProgress) {
-  // Cells dispatching trials on the same pool: the outer waiters must help
-  // run inner jobs or a 1-worker pool would deadlock.
+  // A body that calls parallel_for on its own pool: the inner call runs
+  // inline on the body's thread, in index order, so a 1-worker pool whose
+  // only worker is inside a body cannot deadlock.
   ThreadPool pool(1);
   std::atomic<int> total{0};
   parallel_for(pool, 3, [&](std::size_t) {
-    parallel_for(pool, 40, [&](std::size_t) { total.fetch_add(1); });
+    const std::thread::id outer = std::this_thread::get_id();
+    std::size_t expect = 0;
+    parallel_for(pool, 40, [&](std::size_t i) {
+      EXPECT_EQ(std::this_thread::get_id(), outer);
+      EXPECT_EQ(i, expect++);
+      total.fetch_add(1);
+    });
   });
   EXPECT_EQ(total.load(), 3 * 40);
+}
+
+TEST(ThreadPool, ConcurrentCallersTakeTurns) {
+  // Two outside threads share one pool: each call still runs its own range
+  // exactly once.
+  ThreadPool pool(3);
+  std::atomic<long> sums[2] = {0, 0};
+  auto caller = [&](int c) {
+    for (int round = 0; round < 200; ++round)
+      parallel_for(pool, 17, [&](std::size_t i) {
+        sums[c].fetch_add(static_cast<long>(i) + 1);
+      });
+  };
+  std::thread a(caller, 0), b(caller, 1);
+  a.join();
+  b.join();
+  EXPECT_EQ(sums[0].load(), 200L * (17L * 18L / 2));
+  EXPECT_EQ(sums[1].load(), 200L * (17L * 18L / 2));
 }
 
 TEST(ThreadPool, DestroyRightAfterWorkNeverHangs) {
@@ -86,15 +111,20 @@ TEST(ThreadPool, RemainingBodiesStillRunAfterException) {
   for (const auto& h : hits) EXPECT_EQ(h.load(), 1);
 }
 
-TEST(ThreadPool, UnevenJobsAreStolen) {
-  // One long job plus many short ones: with stealing, the short jobs finish
-  // on other workers while the long one runs, so total wall clock stays
-  // well under the serial sum.
+TEST(ThreadPool, OneSlowBodyDoesNotHoldUpTheRest) {
+  // Body 0 waits until every other body has finished: the others must be
+  // claimed by the remaining threads while it blocks. (The wait gives up
+  // after 30 s, so a regression fails instead of hanging.)
   ThreadPool pool(4);
   std::atomic<int> done{0};
   parallel_for(pool, 64, [&](std::size_t i) {
-    if (i == 0)
-      std::this_thread::sleep_for(std::chrono::milliseconds(20));
+    if (i == 0) {
+      const auto give_up =
+          std::chrono::steady_clock::now() + std::chrono::seconds(30);
+      while (done.load() < 63 && std::chrono::steady_clock::now() < give_up)
+        std::this_thread::sleep_for(std::chrono::milliseconds(1));
+      EXPECT_EQ(done.load(), 63);
+    }
     done.fetch_add(1);
   });
   EXPECT_EQ(done.load(), 64);
