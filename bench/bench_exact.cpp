@@ -6,12 +6,12 @@
 // greedy <= optimum <= bound and is marked `exact` (the budgeted search
 // proved optimality) or with its stop reason (`node_budget`, ...), never
 // silently truncated. Deterministic: node budgets only, seeded load,
-// serial search — the emitted values are bit-identical across machines,
-// so CI gates on them against BENCH_exact.json
-// (scripts/check_bench_regression.py).
+// serial search — the default table is the same on every machine and
+// build type, so the ctest Golden.ExactGrid pins it byte for byte
+// (tests/golden/ExactGrid.stdout).
 //
 // Usage: bench_exact [--seed S] [--hosts N] [--budget N] [--csv]
-//                    [--no-constraints] [--check] [--bench-json PATH]
+//                    [--no-constraints] [--check]
 //                    [--metrics-json PATH] [--chrome-trace PATH]
 // Defaults: seed 7177, 120 hosts per family, 20000 expansions per cell.
 //   --check      fast contract smoke for CI: a reduced grid (24 hosts,
@@ -21,7 +21,6 @@
 //                bit-exactly on the small fat-tree at every criterion.
 //                Exits non-zero on violation.
 //   --csv        append the machine-readable grid after the table.
-//   --bench-json P    write the gap record (cells + headline) to P.
 //   --metrics-json P  enable the obs registry and write its JSON document
 //                     (schema netsel-metrics-v1) to P — populates the
 //                     select.bnb.* counters and select.latency_s.bnb.
@@ -50,12 +49,6 @@ namespace {
 using netsel::exp::ExactCell;
 using netsel::exp::ExactGridOptions;
 
-std::uint64_t counter_value(const char* name) {
-  for (const auto& [n, v] : netsel::obs::Registry::global().counters())
-    if (n == name) return v;
-  return 0;
-}
-
 /// Soundness of one cell: nothing ever exceeds the certified bound, and a
 /// certified cell is closed (incumbent == bound).
 bool cell_sound(const ExactCell& c) {
@@ -74,14 +67,12 @@ struct Headline {
   std::size_t bounded_cells = 0;
   bool sound = true;
   double worst_greedy_ratio = std::numeric_limits<double>::infinity();
-  double mean_greedy_ratio = 0.0;
 };
 
 Headline summarize(const std::vector<ExactCell>& cells) {
   Headline h;
   h.cells = cells.size();
-  std::size_t rated = 0;
-  double sum = 0.0;
+  bool rated = false;
   for (const ExactCell& c : cells) {
     if (!cell_sound(c)) h.sound = false;
     if (c.certified)
@@ -91,106 +82,11 @@ Headline summarize(const std::vector<ExactCell>& cells) {
     const double r = c.greedy_ratio();
     if (!std::isnan(r)) {
       h.worst_greedy_ratio = std::min(h.worst_greedy_ratio, r);
-      sum += r;
-      ++rated;
+      rated = true;
     }
   }
-  if (rated > 0) h.mean_greedy_ratio = sum / static_cast<double>(rated);
-  if (rated == 0) h.worst_greedy_ratio = 0.0;
+  if (!rated) h.worst_greedy_ratio = 0.0;
   return h;
-}
-
-void json_number(std::FILE* f, double v) {
-  // Regression tooling parses this with json.load: non-finite values must
-  // become null, not bare inf tokens.
-  if (std::isfinite(v))
-    std::fprintf(f, "%.17g", v);
-  else
-    std::fprintf(f, "null");
-}
-
-int write_bench_json(const char* path, const ExactGridOptions& opt,
-                     const std::vector<ExactCell>& cells,
-                     const Headline& h) {
-  std::FILE* f = std::fopen(path, "w");
-  if (!f) {
-    std::fprintf(stderr, "cannot open %s for writing\n", path);
-    return 1;
-  }
-  std::fprintf(f,
-               "{\n"
-               "  \"benchmark\": \"exact\",\n"
-               "  \"seed\": %llu,\n"
-               "  \"hosts\": %d,\n"
-               "  \"node_budget\": %llu,\n"
-               "  \"cells\": [\n",
-               static_cast<unsigned long long>(opt.seed), opt.hosts,
-               static_cast<unsigned long long>(opt.node_budget));
-  for (std::size_t i = 0; i < cells.size(); ++i) {
-    const ExactCell& c = cells[i];
-    std::fprintf(f,
-                 "    { \"family\": \"%s\", \"variant\": \"%s\", "
-                 "\"criterion\": \"%s\", \"m\": %d, \"pool\": %zu, "
-                 "\"greedy_feasible\": %s, \"greedy_value\": ",
-                 c.family.c_str(), c.variant.c_str(),
-                 netsel::select::criterion_name(c.criterion), c.m, c.pool,
-                 c.greedy_feasible ? "true" : "false");
-    json_number(f, c.greedy_value);
-    std::fprintf(f, ", \"exact_value\": ");
-    json_number(f, c.exact_value);
-    std::fprintf(f, ", \"upper_bound\": ");
-    json_number(f, c.upper_bound);
-    std::fprintf(f, ", \"greedy_ratio\": ");
-    json_number(f, c.greedy_ratio());
-    std::fprintf(f,
-                 ", \"certified\": %s, \"stop\": \"%s\", \"expanded\": %llu, "
-                 "\"seconds\": %.4f }%s\n",
-                 c.certified ? "true" : "false", c.stop.c_str(),
-                 static_cast<unsigned long long>(c.expanded), c.seconds,
-                 i + 1 < cells.size() ? "," : "");
-  }
-  std::fprintf(f,
-               "  ],\n"
-               "  \"headline\": {\n"
-               "    \"contract\": \"every family x m x criterion cell "
-               "carries a sound bracket greedy <= optimum <= bound; "
-               "certified cells are bit-exact brute-force optima\",\n"
-               "    \"cells\": %zu,\n"
-               "    \"exact_cells\": %zu,\n"
-               "    \"bounded_cells\": %zu,\n"
-               "    \"sound\": %s,\n"
-               "    \"worst_greedy_ratio\": ",
-               h.cells, h.exact_cells, h.bounded_cells,
-               h.sound ? "true" : "false");
-  json_number(f, h.worst_greedy_ratio);
-  std::fprintf(f, ",\n    \"mean_greedy_ratio\": ");
-  json_number(f, h.mean_greedy_ratio);
-  std::fprintf(f,
-               "\n  },\n"
-               "  \"metrics\": {\n"
-               "    \"bnb_selections\": %llu,\n"
-               "    \"bnb_expanded\": %llu,\n"
-               "    \"bnb_pruned_bound\": %llu,\n"
-               "    \"bnb_pruned_lex\": %llu,\n"
-               "    \"bnb_certified\": %llu,\n"
-               "    \"bnb_budget_hits\": %llu\n"
-               "  }\n"
-               "}\n",
-               static_cast<unsigned long long>(
-                   counter_value("select.bnb.selections")),
-               static_cast<unsigned long long>(
-                   counter_value("select.bnb.expanded")),
-               static_cast<unsigned long long>(
-                   counter_value("select.bnb.pruned_bound")),
-               static_cast<unsigned long long>(
-                   counter_value("select.bnb.pruned_lex")),
-               static_cast<unsigned long long>(
-                   counter_value("select.bnb.certified")),
-               static_cast<unsigned long long>(
-                   counter_value("select.bnb.budget_hits")));
-  std::fclose(f);
-  std::fprintf(stderr, "wrote %s\n", path);
-  return 0;
 }
 
 /// --check oracle leg: B&B vs brute force on an oracle-reachable fat tree.
@@ -231,7 +127,6 @@ int main(int argc, char** argv) {
   ExactGridOptions opt;
   bool csv = false;
   bool check = false;
-  const char* json_path = nullptr;
   const char* metrics_path = nullptr;
   const char* trace_path = nullptr;
   for (int i = 1; i < argc; ++i) {
@@ -249,8 +144,6 @@ int main(int argc, char** argv) {
     } else if (std::strcmp(argv[i], "--budget") == 0 && i + 1 < argc) {
       opt.node_budget = static_cast<std::uint64_t>(
           std::strtoull(argv[++i], nullptr, 10));
-    } else if (std::strcmp(argv[i], "--bench-json") == 0 && i + 1 < argc) {
-      json_path = argv[++i];
     } else if (std::strcmp(argv[i], "--metrics-json") == 0 && i + 1 < argc) {
       metrics_path = argv[++i];
     } else if (std::strcmp(argv[i], "--chrome-trace") == 0 && i + 1 < argc) {
@@ -288,7 +181,6 @@ int main(int argc, char** argv) {
   if (csv) std::printf("%s", netsel::exp::exact_grid_csv(cells, opt).c_str());
 
   int rc = 0;
-  if (json_path) rc |= write_bench_json(json_path, opt, cells, h);
   if (!netsel::bench::write_obs_exports(metrics_path, trace_path)) rc = 1;
 
   if (check) {

@@ -1,7 +1,7 @@
 #pragma once
-// The bench binaries' writer for --metrics-json / --chrome-trace (and the
-// other telemetry artifacts). Each bench registers the metrics its
-// document must list before calling write_obs_exports.
+// The bench binaries' writer for --metrics-json / --chrome-trace. Each
+// bench registers the metrics its document must list before calling
+// write_obs_exports.
 
 #include <cstdio>
 #include <fstream>
@@ -12,34 +12,27 @@
 
 namespace netsel::bench {
 
-/// Write one artifact through fn(stream); a null path writes nothing.
-/// Returns false when the path cannot be opened.
-template <typename Fn>
-bool write_artifact(const char* path, Fn&& fn) {
-  if (!path) return true;
-  std::ofstream f(path);
-  if (!f) {
-    std::fprintf(stderr, "cannot open %s for writing\n", path);
-    return false;
-  }
-  fn(f);
-  std::fprintf(stderr, "wrote %s\n", path);
-  return true;
-}
-
 /// Write the global registry as a metrics JSON document to `metrics_path`
-/// and as a Chrome trace to `trace_path`, with the time-series and job-trace
-/// tracks merged into the trace when given. A null path skips that export.
+/// and as a Chrome trace to `trace_path`. A null path skips that export.
 /// Returns false when a path was not writable.
-inline bool write_obs_exports(const char* metrics_path, const char* trace_path,
-                              const obs::TimeSeriesRecorder* ts = nullptr,
-                              const obs::JobTraceRecorder* jt = nullptr) {
+inline bool write_obs_exports(const char* metrics_path,
+                              const char* trace_path) {
   const obs::Registry& r = obs::Registry::global();
-  const bool metrics_ok = write_artifact(
-      metrics_path, [&](std::ostream& f) { obs::write_json(r, f); });
-  const bool trace_ok = write_artifact(trace_path, [&](std::ostream& f) {
-    obs::write_chrome_trace(r, f, ts, jt);
-  });
+  const auto write = [](const char* path, auto&& fn) {
+    if (!path) return true;
+    std::ofstream f(path);
+    if (!f) {
+      std::fprintf(stderr, "cannot open %s for writing\n", path);
+      return false;
+    }
+    fn(f);
+    std::fprintf(stderr, "wrote %s\n", path);
+    return true;
+  };
+  const bool metrics_ok =
+      write(metrics_path, [&](std::ostream& f) { obs::write_json(r, f); });
+  const bool trace_ok = write(
+      trace_path, [&](std::ostream& f) { obs::write_chrome_trace(r, f); });
   return metrics_ok && trace_ok;
 }
 

@@ -10,25 +10,22 @@ Profiles pick the required metric set for the producing benchmark:
                     experiment harness, hence no sim.*/exp.* counters)
   churn             delta-stream runs: bench_churn (adds the incremental
                     invalidation counters and the CSR patch histogram)
-  service           scheduler-loop runs: bench_service (adds the sched.*
-                    state-machine counters, the placement-latency and
-                    queue-wait histograms, the obs.ts.* / obs.trace.* /
-                    obs.flight.* telemetry mirrors, requires the
-                    10k-host candidate-set histogram to stay out of its
-                    overflow bucket, and reconciles the job counters; see
-                    reconcile_service)
   exact             optimality-gap certification runs: bench_exact (the
                     select.bnb.* branch-and-bound search counters and the
                     B&B latency histogram; select.selections covers both
                     the exact searches and their greedy warm starts)
   timeseries        the positional file is a netsel-timeseries-v1 document
-                    (bench_service --timeseries-json): validates monotone
+                    (netsel_cli obs --timeseries-json): validates monotone
                     sim time, sample-count vs cadence consistency, and the
                     counter delta-decode round trip (first + sum(deltas)
                     == last, len(deltas) == samples - 1)
 
+The scheduler's metric names and job-accounting identities are asserted
+on the registry itself by the gtest SchedulerTelemetry.
+ExportsReconcileWithRegistry.
+
 Exits non-zero with a message on the first violation. Used by CI on the
-documents its bench runs write, and by scripts/bench_exact_json.sh.
+documents its bench runs write.
 """
 
 import json
@@ -114,81 +111,9 @@ PROFILES = {
             "select.latency_s.bnb",
         ],
     },
-    "service": {
-        "counters": [
-            "sched.jobs.submitted",
-            "sched.jobs.admitted",
-            "sched.jobs.rejected",
-            "sched.jobs.timeout",
-            "sched.jobs.placed",
-            "sched.jobs.completed",
-            "sched.place.conflicts",
-            "sched.place.infeasible",
-            "sched.rebalance.attempts",
-            "sched.rebalance.migrations",
-            "sched.ladder.full",
-            "sched.ladder.smoothed",
-            "sched.ladder.prior",
-            "api.reselect.calls",
-            "api.reselect.migrations",
-            "api.degradation.full",
-            "api.degradation.smoothed",
-            "api.degradation.prior",
-            "select.ctx.row_hits",
-            "select.ctx.row_misses",
-            "select.selections",
-            "obs.ts.samples",
-            "obs.ts.dropped",
-            "obs.trace.traces",
-            "obs.trace.spans",
-            "obs.flight.events",
-        ],
-        "histograms": [
-            "sched.placement_latency_s",
-            "sched.queue_wait_s",
-            "api.candidate_set_size",
-            "select.latency_s.balanced",
-        ],
-        "gauges": [
-            "sched.queue.depth",
-            "sched.jobs.running",
-            "obs.ts.series",
-        ],
-    },
 }
 
 TS_SCHEMA = "netsel-timeseries-v1"
-
-
-def reconcile_service(path, counters, gauges):
-    """Job-accounting identities of a drained scheduler run (bench_service
-    drains every pass; the gauges hold the last pass's end state, and the
-    counters sum over passes, each of which satisfies them)."""
-    c = counters
-    queued = gauges["sched.queue.depth"]
-    running = gauges["sched.jobs.running"]
-    tenant_rungs = sum(v for k, v in c.items()
-                       if k.startswith("sched.ladder.tenant."))
-    identities = [
-        ("sched.jobs.submitted", c["sched.jobs.submitted"],
-         "admitted + rejected",
-         c["sched.jobs.admitted"] + c["sched.jobs.rejected"]),
-        ("sched.jobs.admitted", c["sched.jobs.admitted"],
-         "placed + timeout + sched.queue.depth",
-         c["sched.jobs.placed"] + c["sched.jobs.timeout"] + queued),
-        ("sched.jobs.placed", c["sched.jobs.placed"],
-         "completed + sched.jobs.running",
-         c["sched.jobs.completed"] + running),
-        ("sched.jobs.placed", c["sched.jobs.placed"],
-         "sched.ladder.full + smoothed + prior",
-         c["sched.ladder.full"] + c["sched.ladder.smoothed"]
-         + c["sched.ladder.prior"]),
-        ("sched.jobs.placed", c["sched.jobs.placed"],
-         "sum of sched.ladder.tenant.*", tenant_rungs),
-    ]
-    for name, value, rhs, expected in identities:
-        if value != expected:
-            fail(f"{path}: {name} = {value} != {rhs} = {expected}")
 
 
 def fail(msg):
@@ -235,21 +160,6 @@ def check_metrics(path, profile):
                 f"!= sum(counts)={sum(counts)}"
             )
 
-    if profile == "service":
-        # The candidate-set histogram's exponential buckets (2 .. 2^20) must
-        # cover the 10k-host profile: a populated overflow bucket means the
-        # bounds regressed (the old linear buckets topped out at 32).
-        h = hists.get("api.candidate_set_size", {})
-        counts = h.get("counts") or [0]
-        if h.get("count", 0) == 0:
-            fail(f"{path}: api.candidate_set_size recorded no observations")
-        if counts[-1] != 0:
-            fail(
-                f"{path}: api.candidate_set_size overflowed its bucket "
-                f"bounds ({counts[-1]} observations past "
-                f"{h.get('bounds', [0])[-1]})"
-            )
-
     gauge_names = PROFILES[profile].get("gauges", [])
     if gauge_names:
         gauges = doc.get("gauges")
@@ -260,9 +170,6 @@ def check_metrics(path, profile):
                 fail(f"{path}: required gauge {name!r} missing")
             if not isinstance(gauges[name], (int, float)) or gauges[name] < 0:
                 fail(f"{path}: gauge {name!r} is not a non-negative number")
-
-    if profile == "service":
-        reconcile_service(path, counters, doc["gauges"])
 
     if not isinstance(doc.get("spans"), int):
         fail(f"{path}: 'spans' missing or not an integer")

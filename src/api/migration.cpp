@@ -55,30 +55,27 @@ void MigrationController::check() {
   remos::QueryOptions q;
   q.exclude_owner = app_->owner();
   auto snap = remos_->snapshot(q);
-  // Selection and both evaluations below share one context (same snapshot).
   select::SelectionContext ctx(snap);
 
-  auto best = select::select_nodes(policy_.criterion, ctx, base_);
-  if (!best.feasible) return;
+  // Unbounded reselect: the unconstrained optimum, with both placements
+  // scored by the same yardstick (exact pairwise evaluation).
+  ReselectOptions ropt;
+  ropt.criterion = policy_.criterion;
+  ropt.selection = base_;
+  const ReselectResult r = reselect(ctx, app_->placement(), ropt);
+  if (!r.feasible) return;
 
-  // Compare both placements by the same yardstick (exact pairwise
-  // evaluation), not the algorithm's internal bookkeeping value.
-  double current_objective = criterion_score(
-      policy_.criterion, select::evaluate_set(ctx, app_->placement(), base_));
-  double best_objective = criterion_score(
-      policy_.criterion, select::evaluate_set(ctx, best.nodes, base_));
-
-  if (best_objective >
-      current_objective * (1.0 + policy_.improvement_threshold)) {
+  if (r.objective_after >
+      r.objective_before * (1.0 + policy_.improvement_threshold)) {
     NETSEL_LOG_INFO << "migration triggered at t=" << now << " for app '"
-                    << app_->name() << "': objective " << current_objective
-                    << " -> " << best_objective;
-    app_->migrate(best.nodes, policy_.state_bytes_per_node);
+                    << app_->name() << "': objective " << r.objective_before
+                    << " -> " << r.objective_after;
+    app_->migrate(r.nodes, policy_.state_bytes_per_node);
     ++migrations_;
     last_migration_time_ = now;
   } else {
     NETSEL_LOG_DEBUG << "migration check at t=" << now << ": current "
-                     << current_objective << ", best " << best_objective
+                     << r.objective_before << ", best " << r.objective_after
                      << " (below threshold)";
   }
 }

@@ -3,14 +3,13 @@
 // the problem of dynamic migration to avoid network congestion and busy
 // nodes" (paper §3.3). Periodically re-evaluates a running
 // loosely-synchronous application's placement against the current best
-// selection — with the application's own load and traffic excluded from the
-// query, as the paper requires — and triggers migration when the predicted
-// improvement clears a threshold.
+// selection (api::reselect, unbounded) — with the application's own load and
+// traffic excluded from the query, as the paper requires — and triggers
+// migration when the predicted improvement clears a threshold.
 
 #include "appsim/loosely_synchronous.hpp"
 #include "remos/remos.hpp"
 #include "select/algorithms.hpp"
-#include "select/objective.hpp"
 
 namespace netsel::api {
 

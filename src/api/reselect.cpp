@@ -148,7 +148,7 @@ ReselectResult reselect(const select::SelectionContext& ctx,
           std::vector<topo::NodeId> trial = chosen;
           trial[o] = candidates[i];
           const double s = score(trial);
-          if (s > best_score + opt.min_improvement) {
+          if (s > best_score) {
             best_score = s;
             best_out = o;
             best_in = i;

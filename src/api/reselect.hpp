@@ -2,19 +2,20 @@
 // Churn-aware re-placement (§3.3 dynamic reselection, bounded): given an
 // application's current node set and a fresh SelectionContext, compute a
 // replacement set that keeps as much of the current placement as the
-// migration budget demands. Full re-selection (the MigrationController's
-// baseline) treats every reselection as free; real migrations move process
-// state, so operators cap migrations-per-decision and accept a placement
-// between "keep everything" and the unconstrained optimum.
+// migration budget demands. Full re-selection (the unbounded mode, which
+// the MigrationController uses) treats every reselection as free; real
+// migrations move process state, so operators cap migrations-per-decision
+// and accept a placement between "keep everything" and the unconstrained
+// optimum.
 //
 // The bounded algorithm is keep-k-of-m: run the unconstrained selection,
 // then greedily swap current members for members of that optimal set, one
 // swap at a time, always taking the swap that most improves the criterion
 // score (ties: lowest outgoing id, then lowest incoming id), until the
-// budget is exhausted or no swap improves by more than min_improvement.
-// Members that became ineligible (host removed, below requirements) are
-// replaced first; such forced replacements always happen, count against the
-// reported migration count, and may exceed the budget.
+// budget is exhausted or no swap improves the score. Members that became
+// ineligible (host removed, below requirements) are replaced first; such
+// forced replacements always happen, count against the reported migration
+// count, and may exceed the budget.
 
 #include <string>
 #include <vector>
@@ -32,10 +33,8 @@ namespace netsel::api {
 
 struct ReselectOptions {
   /// Maximum migrations (nodes swapped in) per reselection; < 0 = unbounded
-  /// (adopt the unconstrained optimum, like the MigrationController).
+  /// (adopt the unconstrained optimum; the MigrationController's mode).
   int max_migrations = -1;
-  /// A swap must improve the criterion score by more than this to be taken.
-  double min_improvement = 0.0;
   select::Criterion criterion = select::Criterion::Balanced;
   /// num_nodes is overridden with the current set's size.
   select::SelectionOptions selection;

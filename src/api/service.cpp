@@ -158,13 +158,8 @@ remos::NetworkSnapshot NodeSelectionService::degraded_snapshot(
     case DegradationLevel::Smoothed: {
       remos::QueryOptions smoothed = query;
       smoothed.quality = nullptr;
-      smoothed.forecaster = policy.smoothed_forecaster
-                                ? policy.smoothed_forecaster
-                                : std::make_shared<remos::WindowMean>();
-      smoothed.max_sample_age =
-          policy.smoothed_max_age > 0.0
-              ? policy.smoothed_max_age
-              : remos_->monitor().config().history_window;
+      smoothed.forecaster = std::make_shared<remos::WindowMean>();
+      smoothed.max_sample_age = remos_->monitor().config().history_window;
       return remos_->snapshot(smoothed);
     }
     case DegradationLevel::Prior:

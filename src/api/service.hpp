@@ -13,24 +13,22 @@ namespace netsel::api {
 
 /// Graceful-degradation policy for selection under partial or stale
 /// measurements. The service probes the snapshot query's QueryQuality and
-/// walks the ladder: coverage >= smoothed_below keeps the caller's query
-/// untouched (Full, bit-identical to the policy-less behaviour);
-/// below it the query is re-run with an averaging forecaster and a
-/// staleness bound (Smoothed); below prior_below the measurements are
-/// abandoned for the capacity/zero-load prior snapshot (Prior). Selection
-/// never throws because of missing measurements at any level.
+/// walks the ladder:
+///   * Full: coverage >= smoothed_below keeps the caller's query untouched
+///     (bit-identical to the policy-less behaviour);
+///   * Smoothed: below it the query is re-run with the WindowMean
+///     forecaster, which bridges isolated dropped samples and averages out
+///     measurement noise, and with the monitor's history window as the
+///     staleness bound, so a sensor silent for a full window answers its
+///     per-sensor prior instead of replaying old samples;
+///   * Prior: below prior_below the measurements are abandoned for the
+///     capacity/zero-load prior snapshot.
+/// Selection never throws because of missing measurements at any level.
 struct DegradationPolicy {
   /// Coverage below this switches to the smoothing forecaster.
   double smoothed_below = 0.9;
   /// Coverage below this abandons measurements for the prior snapshot.
   double prior_below = 0.4;
-  /// Forecaster for the Smoothed level; null -> WindowMean (bridges
-  /// isolated dropped samples and averages out measurement noise).
-  remos::ForecasterPtr smoothed_forecaster;
-  /// Staleness bound applied at the Smoothed level; 0 -> the monitor's
-  /// history window (a sensor silent for a full window answers its
-  /// fallback — the per-sensor prior — instead of replaying old samples).
-  double smoothed_max_age = 0.0;
 };
 
 /// Throws std::invalid_argument when a threshold is NaN or the ladder is

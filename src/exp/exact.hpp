@@ -20,8 +20,8 @@
 //
 // Everything is deterministic: node budgets (never wall-clock budgets),
 // seeded synthetic load, serial search. The emitted values are
-// bit-identical across machines and thread counts, which is what lets CI
-// gate on BENCH_exact.json (scripts/check_bench_regression.py).
+// bit-identical across machines and thread counts, which is what lets the
+// ctest Golden.ExactGrid pin bench_exact's table byte for byte.
 
 #include <cstdint>
 #include <string>

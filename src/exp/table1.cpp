@@ -33,7 +33,7 @@ std::vector<MeasuredRow> run_table1(const Table1Options& opt) {
   std::vector<Cell> cells;
   for (const AppCase& app : apps)
     for (int cond : {kLoadOnly, kTrafficOnly, kLoadAndTraffic})
-      for (Policy policy : {opt.baseline_policy, opt.auto_policy})
+      for (Policy policy : {Policy::Random, Policy::AutoBalanced})
         cells.push_back({app, condition_scenario(cond), policy, opt.trials,
                          cell_seed(opt.seed, app.name, policy, cond)});
   std::vector<CellResult> results = run_cells(cells, opt.threads);
@@ -47,8 +47,9 @@ std::vector<MeasuredRow> run_table1(const Table1Options& opt) {
     row.nodes = app.num_nodes();
     // Unloaded reference: idle testbed, automatic placement, deterministic.
     row.reference =
-        run_trial(app, table1_scenario(false, false), opt.auto_policy,
-                  cell_seed(opt.seed, app.name, opt.auto_policy, kReference))
+        run_trial(app, table1_scenario(false, false), Policy::AutoBalanced,
+                  cell_seed(opt.seed, app.name, Policy::AutoBalanced,
+                            kReference))
             .elapsed;
     if (opt.verbose)
       std::fprintf(stderr, "  %-9s reference (unloaded) = %7.1fs\n",

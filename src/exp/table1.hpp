@@ -42,8 +42,6 @@ struct MeasuredRow {
 struct Table1Options {
   int trials = 15;
   std::uint64_t seed = 1999;
-  Policy auto_policy = Policy::AutoBalanced;
-  Policy baseline_policy = Policy::Random;
   /// Worker threads for the grid: 0 runs everything serially on the calling
   /// thread, < 0 uses one worker per hardware thread, > 0 that many workers.
   /// The statistics are bit-identical for every setting (see run_cells).

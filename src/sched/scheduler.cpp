@@ -93,9 +93,6 @@ SchedulerConfig validated(SchedulerConfig cfg) {
   if (!(cfg.schedule_interval >= 0.0 && std::isfinite(cfg.schedule_interval)))
     throw std::invalid_argument(
         "SchedulerConfig: schedule_interval must be finite and >= 0");
-  if (std::isnan(cfg.rebalance_min_improvement))
-    throw std::invalid_argument(
-        "SchedulerConfig: rebalance_min_improvement is NaN");
   return cfg;
 }
 
@@ -121,8 +118,8 @@ void register_scheduler_metrics() {
   obs::Registry::global().counter("api.reselect.calls");
   obs::Registry::global().counter("api.reselect.migrations");
   // Telemetry mirrors (DESIGN.md §13): pre-registered so a zero-event run
-  // still exports every documented name — check_metrics_json.py pins the
-  // set in its service profile.
+  // still exports every documented name — the gtest
+  // SchedulerTelemetry.ExportsReconcileWithRegistry pins the set.
   obs::Registry::global().counter("obs.ts.samples");
   obs::Registry::global().counter("obs.ts.dropped");
   obs::Registry::global().gauge("obs.ts.series");
@@ -637,7 +634,6 @@ void SchedulerService::maybe_rebalance() {
   JobRecord& rec = jobs_[worst];
   api::ReselectOptions ropt;
   ropt.max_migrations = cfg_.rebalance_budget;
-  ropt.min_improvement = cfg_.rebalance_min_improvement;
   ropt.criterion = rec.spec.criterion;
   ropt.selection = job_options(rec.spec, rec.ladder);
   // Eligible: free nodes plus the job's own (a migration target must not

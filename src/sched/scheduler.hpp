@@ -41,7 +41,7 @@
 //   * Release restores exactly the pre-placement sensor readings of the
 //     job's exclusive resources (host cpu, access-link bandwidth), so a
 //     drained scheduler leaves the snapshot bit-identical to its pre-run
-//     state — asserted by bench_service --check.
+//     state — asserted by SchedulerService.DrainRestoresSnapshotExactly.
 //   * Optional churn-aware rebalancing: after a release, the worst-scoring
 //     running job is re-placed through api::reselect under a migration
 //     budget; a kept_current result keeps the job where it runs.
@@ -152,9 +152,8 @@ struct JobRecord {
 /// Per-tenant scheduling policy.
 struct TenantPolicy {
   /// Degradation thresholds compared against the cluster measurement
-  /// coverage (api::DegradationPolicy's smoothed_below / prior_below; its
-  /// forecaster members are unused here — the scheduler has no Remos to
-  /// re-query, the rung instead picks the state view described above).
+  /// coverage (the scheduler has no Remos to re-query; the rung instead
+  /// picks the state view described above).
   api::DegradationPolicy degradation;
 };
 
@@ -184,7 +183,6 @@ struct SchedulerConfig {
   /// through api::reselect under rebalance_budget migrations.
   bool rebalance_on_release = false;
   int rebalance_budget = 2;
-  double rebalance_min_improvement = 0.0;
   /// Observational telemetry (DESIGN.md §13). All three are pure outputs:
   /// seeded runs are bit-identical with any combination attached or not.
   /// Time-series recorder sampled on its sim-time cadence by the event
@@ -228,8 +226,7 @@ class SchedulerService {
   /// submitting, or leave the constructor's idle prior. Throws
   /// std::invalid_argument, before any state exists, unless
   /// placement_lanes and backfill_window are >= 1, queue_timeout is >= 0
-  /// (+inf = never), schedule_interval is finite and >= 0, and
-  /// rebalance_min_improvement is not NaN.
+  /// (+inf = never) and schedule_interval is finite and >= 0.
   explicit SchedulerService(const topo::TopologyGraph& g,
                             SchedulerConfig cfg = {});
   ~SchedulerService();
@@ -285,7 +282,8 @@ class SchedulerService {
 
   /// FNV-1a digest over every decision-relevant field of every job record,
   /// the queue order, the sim clock and the snapshot epoch — the
-  /// bit-identity probe bench_service compares across thread counts.
+  /// bit-identity probe the tests and netsel_bench compare across thread
+  /// counts.
   /// Excludes wall-clock measurements.
   std::uint64_t state_digest() const;
 

@@ -1,12 +1,16 @@
 #include "sched/workload.hpp"
 
-#include <algorithm>
-#include <cmath>
 #include <stdexcept>
 
 #include "appsim/presets.hpp"
 
 namespace netsel::sched {
+
+namespace {
+/// Each job's duration is its template's, scaled by a factor drawn
+/// uniformly from [1 - jitter, 1 + jitter].
+constexpr double kDurationJitter = 0.2;
+}  // namespace
 
 std::vector<JobTemplate> paper_mix() {
   // Node counts come from the calibrated preset configs; durations are the
@@ -74,12 +78,8 @@ JobStream::Arrival JobStream::next() {
   Arrival a;
   a.time = now_;
   a.spec = cfg_.mix[pick].spec;
-  if (cfg_.node_scale != 1.0)
-    a.spec.nodes = std::max(
-        1, static_cast<int>(std::lround(a.spec.nodes * cfg_.node_scale)));
-  if (cfg_.duration_jitter > 0.0)
-    a.spec.duration *= rng_.uniform(1.0 - cfg_.duration_jitter,
-                                    1.0 + cfg_.duration_jitter);
+  a.spec.duration *=
+      rng_.uniform(1.0 - kDurationJitter, 1.0 + kDurationJitter);
   return a;
 }
 

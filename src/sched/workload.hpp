@@ -2,8 +2,9 @@
 // Open-loop workload stream for the scheduler service, sized by the
 // appsim workload models (the paper's Fig. 4 testbed applications): job
 // node counts come from the preset configurations and service times from
-// their calibrated reference runtimes, so the stream exercises the
-// scheduler with the same shapes the selection experiments run.
+// their calibrated reference runtimes, each scaled by a uniform factor in
+// [0.8, 1.2], so the stream exercises the scheduler with the same shapes
+// the selection experiments run.
 //
 // Arrivals are Poisson (exponential inter-arrival times) with a weighted
 // template mix; everything is drawn from one util::Rng, so a (seed, rate,
@@ -29,12 +30,6 @@ struct WorkloadConfig {
   double arrival_rate = 0.1;
   std::uint64_t seed = 1;
   std::vector<JobTemplate> mix;
-  /// Multiplicative jitter on each job's duration: drawn uniformly from
-  /// [1 - jitter, 1 + jitter]. 0 = exact template durations.
-  double duration_jitter = 0.2;
-  /// Scale every template's node count (datacenter jobs are bigger than
-  /// the paper's 4-5 node testbed runs). Rounded, floor 1.
-  double node_scale = 1.0;
 };
 
 /// The paper mix: FFT (4 nodes / 48 s, bandwidth-hungry), Airshed

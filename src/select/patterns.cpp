@@ -127,6 +127,9 @@ ClientServerResult select_client_server(const remos::NetworkSnapshot& snap,
 
 namespace {
 
+/// Hill-climbing bound of select_pipeline; each pass tries every swap once.
+constexpr int kMaxLocalSearchPasses = 20;
+
 void validate_pipeline_options(const remos::NetworkSnapshot& snap,
                                const PipelineOptions& opt) {
   if (opt.stage_work.size() < 2)
@@ -221,7 +224,7 @@ PipelineResult select_pipeline(const remos::NetworkSnapshot& snap,
     }
   };
   refresh_used();
-  for (int pass = 0; pass < opt.max_local_search_passes; ++pass) {
+  for (int pass = 0; pass < kMaxLocalSearchPasses; ++pass) {
     bool improved = false;
     for (std::size_t a = 0; a < assignment.size(); ++a) {
       for (std::size_t b = a + 1; b < assignment.size(); ++b) {

@@ -67,8 +67,6 @@ struct PipelineOptions {
   std::vector<char> eligible;
   /// Candidate nodes considered (top by cpu); 0 means stages + 4.
   int candidate_pool = 0;
-  /// Hill-climbing bound; each pass tries every swap once.
-  int max_local_search_passes = 20;
 };
 
 struct PipelineResult {
@@ -88,9 +86,9 @@ double pipeline_period(const remos::NetworkSnapshot& snap,
                        const std::vector<topo::NodeId>& stage_nodes);
 
 /// Choose nodes and the stage assignment jointly: rate-matching start
-/// (heaviest stage on the fastest node) + swap-based local search over a
-/// top-cpu candidate pool. Certified near-optimal against exhaustive
-/// assignment enumeration on small instances in the tests.
+/// (heaviest stage on the fastest node) + swap-based local search (at most
+/// 20 passes) over a top-cpu candidate pool. Certified near-optimal against
+/// exhaustive assignment enumeration on small instances in the tests.
 PipelineResult select_pipeline(const remos::NetworkSnapshot& snap,
                                const PipelineOptions& opt);
 

@@ -7,7 +7,8 @@
 //     placement lanes (serial and pooled);
 //   * the flight ring under overflow keeps exactly the newest N events;
 // and the reconciliation of the exported time series and job traces with
-// the registry counters they mirror.
+// the registry counters they mirror, and of those counters with the
+// scheduler's job accounting.
 
 #include "obs/flight.hpp"
 #include "obs/jobtrace.hpp"
@@ -309,7 +310,9 @@ TEST(SchedulerTelemetry, TraceTreesCompleteAndClosed) {
 /// The exported telemetry agrees with the registry it mirrors: every
 /// counter series of the time-series document ends on the registry counter
 /// of the same name, and the job-trace JSONL holds exactly obs.trace.spans
-/// spans.
+/// spans. The registry itself lists every name a scheduler run's metrics
+/// document must carry, keeps api.candidate_set_size out of its overflow
+/// bucket, and satisfies the job-accounting identities of a drained run.
 TEST(SchedulerTelemetry, ExportsReconcileWithRegistry) {
   struct ScopedRegistry {
     ScopedRegistry() {
@@ -375,6 +378,59 @@ TEST(SchedulerTelemetry, ExportsReconcileWithRegistry) {
     ++spans;
   EXPECT_GT(spans, 0u);
   EXPECT_EQ(spans, registry_counters["obs.trace.spans"]);
+
+  std::map<std::string, double> gauges;
+  for (const auto& [name, value] : obs::Registry::global().gauges())
+    gauges[name] = value;
+  std::map<std::string, obs::Registry::HistogramView> hists;
+  for (obs::Registry::HistogramView& h : obs::Registry::global().histograms())
+    hists[h.name] = std::move(h);
+  for (const char* name :
+       {"sched.jobs.submitted", "sched.jobs.admitted", "sched.jobs.rejected",
+        "sched.jobs.timeout", "sched.jobs.placed", "sched.jobs.completed",
+        "sched.place.conflicts", "sched.place.infeasible",
+        "sched.rebalance.attempts", "sched.rebalance.migrations",
+        "sched.ladder.full", "sched.ladder.smoothed", "sched.ladder.prior",
+        "api.reselect.calls", "api.reselect.migrations",
+        "api.degradation.full", "api.degradation.smoothed",
+        "api.degradation.prior", "select.ctx.row_hits",
+        "select.ctx.row_misses", "select.selections", "obs.ts.samples",
+        "obs.ts.dropped", "obs.trace.traces", "obs.trace.spans",
+        "obs.flight.events"})
+    EXPECT_EQ(registry_counters.count(name), 1u) << "counter " << name;
+  for (const char* name : {"sched.placement_latency_s", "sched.queue_wait_s",
+                           "api.candidate_set_size",
+                           "select.latency_s.balanced"})
+    EXPECT_EQ(hists.count(name), 1u) << "histogram " << name;
+  for (const char* name :
+       {"sched.queue.depth", "sched.jobs.running", "obs.ts.series"})
+    EXPECT_EQ(gauges.count(name), 1u) << "gauge " << name;
+
+  // The exponential buckets (2 .. 2^20) hold every candidate set of this
+  // 64-host fabric; bounds that stopped at 32 would overflow.
+  const obs::Registry::HistogramView& candidates =
+      hists["api.candidate_set_size"];
+  EXPECT_GT(candidates.count, 0u);
+  ASSERT_FALSE(candidates.counts.empty());
+  EXPECT_EQ(candidates.counts.back(), 0u)
+      << "observations past " << candidates.bounds.back();
+
+  std::map<std::string, std::uint64_t>& c = registry_counters;
+  const auto queued = static_cast<std::uint64_t>(gauges["sched.queue.depth"]);
+  const auto running =
+      static_cast<std::uint64_t>(gauges["sched.jobs.running"]);
+  std::uint64_t tenant_rungs = 0;
+  for (const auto& [name, value] : c)
+    if (name.rfind("sched.ladder.tenant.", 0) == 0) tenant_rungs += value;
+  EXPECT_EQ(c["sched.jobs.submitted"],
+            c["sched.jobs.admitted"] + c["sched.jobs.rejected"]);
+  EXPECT_EQ(c["sched.jobs.admitted"],
+            c["sched.jobs.placed"] + c["sched.jobs.timeout"] + queued);
+  EXPECT_EQ(c["sched.jobs.placed"], c["sched.jobs.completed"] + running);
+  EXPECT_EQ(c["sched.jobs.placed"], c["sched.ladder.full"] +
+                                        c["sched.ladder.smoothed"] +
+                                        c["sched.ladder.prior"]);
+  EXPECT_EQ(c["sched.jobs.placed"], tenant_rungs);
 }
 
 TEST(SchedulerTelemetry, FlightRingSeesSchedulerEvents) {
