@@ -1,11 +1,11 @@
 #include "api/advisor.hpp"
 
 #include <limits>
-#include <queue>
 #include <stdexcept>
 
 #include "select/context.hpp"
 #include "select/objective.hpp"
+#include "topo/routing.hpp"
 
 namespace netsel::api {
 
@@ -58,14 +58,8 @@ double comm_phase_seconds(appsim::CommPattern pattern, double bytes,
   const auto& g = snap.graph();
   std::vector<double> dir_load(g.link_count() * 2, 0.0);
   for (const auto& [src, dst] : pattern_messages(pattern, nodes)) {
-    auto links = select::bfs_path(g, src, dst);
-    topo::NodeId u = src;
-    for (topo::LinkId l : links) {
-      const topo::Link& lk = g.link(l);
-      bool forward = lk.a == u;
-      dir_load[static_cast<std::size_t>(l) * 2 + (forward ? 0 : 1)] += 1.0;
-      u = g.other_end(l, u);
-    }
+    for (const topo::Hop& h : topo::bfs_path(g, src, dst))
+      ++dir_load[static_cast<std::size_t>(h.link) * 2 + (h.forward ? 0 : 1)];
   }
   double worst = 0.0;
   for (std::size_t l = 0; l < g.link_count(); ++l) {
@@ -224,30 +218,17 @@ std::vector<topo::NodeId> hop_cluster(const remos::NetworkSnapshot& snap,
                                       const select::SelectionOptions& opt,
                                       topo::NodeId center, int m) {
   const auto& g = snap.graph();
-  std::vector<int> hops(g.node_count(), -1);
-  std::queue<topo::NodeId> q;
-  hops[static_cast<std::size_t>(center)] = 0;
-  q.push(center);
-  while (!q.empty()) {
-    topo::NodeId u = q.front();
-    q.pop();
-    for (topo::LinkId l : g.links_of(u)) {
-      topo::NodeId v = g.other_end(l, u);
-      if (hops[static_cast<std::size_t>(v)] != -1) continue;
-      hops[static_cast<std::size_t>(v)] = hops[static_cast<std::size_t>(u)] + 1;
-      q.push(v);
-    }
-  }
+  const topo::BfsTree tree(g, center);
   std::vector<topo::NodeId> pool;
   for (std::size_t i = 0; i < g.node_count(); ++i) {
     auto id = static_cast<topo::NodeId>(i);
-    if (hops[i] != -1 && select::node_eligible(snap, id, opt))
+    if (tree.reached(id) && select::node_eligible(snap, id, opt))
       pool.push_back(id);
   }
   if (static_cast<int>(pool.size()) < m) return {};
   std::stable_sort(pool.begin(), pool.end(), [&](topo::NodeId a, topo::NodeId b) {
-    int ha = hops[static_cast<std::size_t>(a)];
-    int hb = hops[static_cast<std::size_t>(b)];
+    const int ha = tree.depth(a);
+    const int hb = tree.depth(b);
     if (ha != hb) return ha < hb;
     return select::node_cpu(snap, a, opt) > select::node_cpu(snap, b, opt);
   });

@@ -163,15 +163,12 @@ std::size_t Remos::refresh_snapshot(NetworkSnapshot& snap,
 double Remos::available_bandwidth(topo::NodeId src, topo::NodeId dst,
                                   const QueryOptions& opt) const {
   if (!opt.forecaster) throw std::invalid_argument("Remos: null forecaster");
-  if (src == dst) return std::numeric_limits<double>::infinity();
-  auto nodes = net_.routes().route_nodes(src, dst);
-  auto links = net_.routes().route(src, dst);
+  // +inf for src == dst: the route has no hop.
   double bw = std::numeric_limits<double>::infinity();
-  for (std::size_t i = 0; i < links.size(); ++i) {
-    const topo::Link& lk = net_.topology().link(links[i]);
-    bool forward = lk.a == nodes[i];
-    double cap = forward ? lk.capacity_ab : lk.capacity_ba;
-    double avail = cap - forecast_link_used(links[i], forward, opt);
+  for (const topo::Hop& h : net_.routes().route(src, dst)) {
+    const topo::Link& lk = net_.topology().link(h.link);
+    double cap = h.forward ? lk.capacity_ab : lk.capacity_ba;
+    double avail = cap - forecast_link_used(h.link, h.forward, opt);
     bw = std::min(bw, std::max(avail, 0.0));
   }
   return bw;
@@ -180,16 +177,14 @@ double Remos::available_bandwidth(topo::NodeId src, topo::NodeId dst,
 double Remos::projected_flow_bandwidth(topo::NodeId src, topo::NodeId dst,
                                        const QueryOptions& opt) const {
   if (!opt.forecaster) throw std::invalid_argument("Remos: null forecaster");
-  if (src == dst) return std::numeric_limits<double>::infinity();
-  auto nodes = net_.routes().route_nodes(src, dst);
-  auto links = net_.routes().route(src, dst);
+  // +inf for src == dst: the route has no hop.
   double bw = std::numeric_limits<double>::infinity();
-  for (std::size_t i = 0; i < links.size(); ++i) {
-    const topo::Link& lk = net_.topology().link(links[i]);
-    bool forward = lk.a == nodes[i];
-    double cap = forward ? lk.capacity_ab : lk.capacity_ba;
-    double residual = std::max(cap - forecast_link_used(links[i], forward, opt), 0.0);
-    int n_flows = net_.network().link_flow_count(links[i], forward);
+  for (const topo::Hop& h : net_.routes().route(src, dst)) {
+    const topo::Link& lk = net_.topology().link(h.link);
+    double cap = h.forward ? lk.capacity_ab : lk.capacity_ba;
+    double residual =
+        std::max(cap - forecast_link_used(h.link, h.forward, opt), 0.0);
+    int n_flows = net_.network().link_flow_count(h.link, h.forward);
     double fair = cap / static_cast<double>(n_flows + 1);
     bw = std::min(bw, std::max(residual, fair));
   }

@@ -96,7 +96,8 @@ class Remos {
 
   /// Flow query: bottleneck *residual* bandwidth on the static route
   /// between two nodes (capacity minus measured traffic, per direction
-  /// traversed).
+  /// traversed); +inf when src == dst. Both flow queries throw
+  /// std::out_of_range for an id outside [0, node count).
   double available_bandwidth(topo::NodeId src, topo::NodeId dst,
                              const QueryOptions& opt = {}) const;
 

@@ -109,7 +109,6 @@ void SelectionContext::invalidate_all() const {
   // go too.
   nbr_.clear();
   arena_bytes_gauge().set(0.0);
-  acyclic_ = -1;
 }
 
 void SelectionContext::apply_delta(const remos::Delta& d) const {
@@ -290,7 +289,6 @@ void SelectionContext::apply_node_added() const {
   // No row grows: the node is unstored (it has no link), so every row
   // reads it as unreached, and pair_row() sizes the row slots.
   if (!slot_of_.empty()) slot_of_.push_back(-1);
-  // acyclic_ is kept: an isolated node never creates a cycle.
 }
 
 void SelectionContext::apply_node_removed() const {
@@ -301,13 +299,12 @@ void SelectionContext::apply_node_removed() const {
   // flag flips; a stored node keeps its (unreached) cells and the base
   // components keep its singleton.
   nbr_.clear();
-  // acyclic_ and the weight caches are link-shaped: untouched.
+  // The weight caches are link-shaped: untouched.
 }
 
 void SelectionContext::apply_link_added(topo::LinkId l) const {
   const auto il = static_cast<std::size_t>(l);
   nbr_.clear();
-  acyclic_ = -1;
   base_comps_.reset();
   if (bw_valid_) {
     if (bw_.size() == il) {
@@ -338,7 +335,6 @@ void SelectionContext::apply_link_added(topo::LinkId l) const {
 void SelectionContext::apply_link_removed(topo::LinkId l) const {
   const auto il = static_cast<std::size_t>(l);
   nbr_.clear();
-  acyclic_ = -1;
   base_comps_.reset();
   if (bw_valid_ && il < bw_.size()) {
     if (by_bw_valid_) order_erase(by_bw_, bw_, l);
@@ -364,12 +360,6 @@ void SelectionContext::apply_link_removed(topo::LinkId l) const {
 // ---------------------------------------------------------------------------
 // Accessors
 // ---------------------------------------------------------------------------
-
-bool SelectionContext::acyclic() const {
-  revalidate();
-  if (acyclic_ == -1) acyclic_ = graph().is_acyclic() ? 1 : 0;
-  return acyclic_ == 1;
-}
 
 const std::vector<topo::NodeId>& SelectionContext::flat() const {
   revalidate();

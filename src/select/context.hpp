@@ -16,11 +16,13 @@
 //
 //   - the edge-deletion orders of Fig. 2 (ascending available bandwidth)
 //     and Fig. 3 (ascending fractional bandwidth), sorted once;
-//   - per-source bottleneck-bandwidth rows along the deterministic BFS
-//     tree (topo::bottleneck_row) — on acyclic graphs these are exactly
-//     the widest-path bottlenecks, and they make the pairwise
-//     min-bandwidth objective an O(1) lookup per pair; rows are built
-//     lazily, so a context costs nothing until queried;
+//   - per-source bottleneck-bandwidth rows along the static routes
+//     (topo::bottleneck_row): the source's BFS tree in links_of() order,
+//     the tree topo::RoutingTable routes simulated flows and Remos flow
+//     queries on (topo/routing.hpp). On acyclic graphs these are exactly
+//     the widest-path bottlenecks. They make the pairwise min-bandwidth
+//     objective an O(1) lookup per pair; rows are built lazily, so a
+//     context costs nothing until queried;
 //   - the base connected-component decomposition (all links active).
 //
 // Row layout: a cached row stores one cell (bottleneck, bottleneck2,
@@ -101,9 +103,6 @@ class SelectionContext {
   /// True while the snapshot has not been mutated since the caches were
   /// (re)built. Accessors below revalidate automatically.
   bool current() const { return epoch_ == snap_->epoch(); }
-
-  /// Cached graph().is_acyclic(); invalidated only by structural deltas.
-  bool acyclic() const;
 
   /// The far end of every half-edge, parallel to graph().adjacency().link:
   /// entry e is the node that link reaches from the node whose CSR row
@@ -218,10 +217,9 @@ class SelectionContext {
 
   /// Cached bottleneck row from `src` over the full graph: bottleneck =
   /// available bandwidth, bottleneck2 = bwfactor, plus path latency and
-  /// reachability, along the same deterministic BFS paths evaluate_set and
-  /// bfs_path trace. Built lazily per source (one O(V + E) BFS over the
-  /// graph's CSR that writes only the stored nodes' cells); the first call
-  /// also makes the row layout. Throws std::out_of_range, before any state
+  /// reachability, along the static routes (topo::bfs_path). Built lazily
+  /// per source (one O(V + E) BFS over the graph's CSR that writes only the
+  /// stored nodes' cells); the first call also makes the row layout. Throws std::out_of_range, before any state
   /// change, unless 0 <= src < graph().node_count().
   PairRow pair_row(topo::NodeId src) const;
 
@@ -271,7 +269,6 @@ class SelectionContext {
 
   const remos::NetworkSnapshot* snap_;
   mutable std::uint64_t epoch_;
-  mutable int acyclic_ = -1;  // tri-state: unknown / no / yes
   mutable std::vector<topo::NodeId> nbr_;  // flat(); empty while not built
   mutable std::vector<double> bw_;
   mutable std::vector<double> bwfactor_;

@@ -3,74 +3,22 @@
 #include <algorithm>
 #include <limits>
 #include <optional>
-#include <queue>
 #include <stdexcept>
 
 #include "select/context.hpp"
+#include "topo/routing.hpp"
 
 namespace netsel::select {
-
-namespace {
-
-/// BFS parents from src under a link mask; parent_link[v] is the link used
-/// to reach v, kInvalidLink for src and unreached nodes.
-std::vector<topo::LinkId> bfs_parents(const topo::TopologyGraph& g,
-                                      const std::vector<char>* link_active,
-                                      topo::NodeId src) {
-  std::vector<topo::LinkId> parent_link(g.node_count(), topo::kInvalidLink);
-  std::vector<char> seen(g.node_count(), 0);
-  std::queue<topo::NodeId> q;
-  q.push(src);
-  seen[static_cast<std::size_t>(src)] = 1;
-  while (!q.empty()) {
-    topo::NodeId u = q.front();
-    q.pop();
-    for (topo::LinkId l : g.links_of(u)) {
-      if (link_active && !(*link_active)[static_cast<std::size_t>(l)]) continue;
-      topo::NodeId v = g.other_end(l, u);
-      if (!seen[static_cast<std::size_t>(v)]) {
-        seen[static_cast<std::size_t>(v)] = 1;
-        parent_link[static_cast<std::size_t>(v)] = l;
-        q.push(v);
-      }
-    }
-  }
-  return parent_link;
-}
-
-std::vector<topo::LinkId> trace_path(const topo::TopologyGraph& g,
-                                     const std::vector<topo::LinkId>& parent_link,
-                                     topo::NodeId src, topo::NodeId dst) {
-  std::vector<topo::LinkId> path;
-  topo::NodeId u = dst;
-  while (u != src) {
-    topo::LinkId l = parent_link[static_cast<std::size_t>(u)];
-    if (l == topo::kInvalidLink) return {};  // unreachable
-    path.push_back(l);
-    u = g.other_end(l, u);
-  }
-  std::reverse(path.begin(), path.end());
-  return path;
-}
-
-}  // namespace
-
-std::vector<topo::LinkId> bfs_path(const topo::TopologyGraph& g,
-                                   topo::NodeId src, topo::NodeId dst) {
-  if (src == dst) return {};
-  auto parents = bfs_parents(g, nullptr, src);
-  return trace_path(g, parents, src, dst);
-}
 
 std::vector<topo::LinkId> steiner_links(const topo::TopologyGraph& g,
                                         const std::vector<char>& link_active,
                                         const std::vector<topo::NodeId>& nodes) {
   std::vector<char> in_union(g.link_count(), 0);
   for (std::size_t i = 0; i + 1 < nodes.size(); ++i) {
-    auto parents = bfs_parents(g, &link_active, nodes[i]);
+    const topo::BfsTree tree(g, nodes[i], &link_active);
     for (std::size_t j = i + 1; j < nodes.size(); ++j) {
-      for (topo::LinkId l : trace_path(g, parents, nodes[i], nodes[j]))
-        in_union[static_cast<std::size_t>(l)] = 1;
+      for (const topo::Hop& h : tree.path_to(nodes[j]))
+        in_union[static_cast<std::size_t>(h.link)] = 1;
     }
   }
   std::vector<topo::LinkId> out;

@@ -35,10 +35,10 @@ struct SetEvaluation {
   double max_pair_latency = 0.0;
 };
 
-/// Evaluate `nodes` on the full graph (paths found by BFS with the same
-/// deterministic tie-break as static routing; on acyclic graphs paths are
-/// unique). Single-node sets use the finite NIC-availability convention
-/// documented on SetEvaluation::min_pair_bw.
+/// Evaluate `nodes` on the full graph, each pair along its static route
+/// (topo/routing.hpp; on acyclic graphs the unique path). Single-node sets
+/// use the finite NIC-availability convention documented on
+/// SetEvaluation::min_pair_bw.
 SetEvaluation evaluate_set(const remos::NetworkSnapshot& snap,
                            const std::vector<topo::NodeId>& nodes,
                            const SelectionOptions& opt = {});
@@ -51,12 +51,8 @@ SetEvaluation evaluate_set(const SelectionContext& ctx,
                            const std::vector<topo::NodeId>& nodes,
                            const SelectionOptions& opt = {});
 
-/// Links on the BFS path between two nodes (empty when src == dst).
-std::vector<topo::LinkId> bfs_path(const topo::TopologyGraph& g,
-                                   topo::NodeId src, topo::NodeId dst);
-
-/// Union of links on all pairwise BFS paths of the set, restricted to an
-/// active-link mask (used by the Steiner-restricted Fig. 3 variant).
+/// Union of links on all pairwise paths of the set in the BFS trees over
+/// an active-link mask (used by the Steiner-restricted Fig. 3 variant).
 std::vector<topo::LinkId> steiner_links(const topo::TopologyGraph& g,
                                         const std::vector<char>& link_active,
                                         const std::vector<topo::NodeId>& nodes);

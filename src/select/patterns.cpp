@@ -2,51 +2,25 @@
 
 #include <algorithm>
 #include <limits>
-#include <queue>
 #include <stdexcept>
 
 #include "select/algorithms.hpp"
 #include "select/detail.hpp"
+#include "topo/routing.hpp"
 
 namespace netsel::select {
 
 DirectionalPathBw directional_path_bw(const remos::NetworkSnapshot& snap,
                                       topo::NodeId src, topo::NodeId dst) {
   const auto& g = snap.graph();
-  if (src == dst) {
-    return DirectionalPathBw{std::numeric_limits<double>::infinity(),
-                             std::numeric_limits<double>::infinity()};
-  }
-  // BFS from src recording the parent link, then walk back from dst noting
-  // the direction each link is traversed in.
-  std::vector<topo::LinkId> parent(g.node_count(), topo::kInvalidLink);
-  std::vector<char> seen(g.node_count(), 0);
-  std::queue<topo::NodeId> q;
-  q.push(src);
-  seen[static_cast<std::size_t>(src)] = 1;
-  while (!q.empty()) {
-    topo::NodeId u = q.front();
-    q.pop();
-    for (topo::LinkId l : g.links_of(u)) {
-      topo::NodeId v = g.other_end(l, u);
-      if (seen[static_cast<std::size_t>(v)]) continue;
-      seen[static_cast<std::size_t>(v)] = 1;
-      parent[static_cast<std::size_t>(v)] = l;
-      q.push(v);
-    }
-  }
-  if (!seen[static_cast<std::size_t>(dst)]) return DirectionalPathBw{0.0, 0.0};
+  const topo::BfsTree tree(g, src);
+  if (!tree.reached(dst)) return DirectionalPathBw{0.0, 0.0};
   DirectionalPathBw out{std::numeric_limits<double>::infinity(),
                         std::numeric_limits<double>::infinity()};
-  topo::NodeId u = dst;
-  while (u != src) {
-    topo::LinkId l = parent[static_cast<std::size_t>(u)];
-    const topo::Link& lk = g.link(l);
-    // The path runs  other_end -> u,  so traversal is forward iff u == b.
-    bool forward = lk.b == u;
-    out.available = std::min(out.available, snap.bw_dir(l, forward));
-    out.peak = std::min(out.peak, forward ? lk.capacity_ab : lk.capacity_ba);
-    u = g.other_end(l, u);
+  for (const topo::Hop& h : tree.path_to(dst)) {
+    const topo::Link& lk = g.link(h.link);
+    out.available = std::min(out.available, snap.bw_dir(h.link, h.forward));
+    out.peak = std::min(out.peak, h.forward ? lk.capacity_ab : lk.capacity_ba);
   }
   return out;
 }

@@ -92,8 +92,11 @@ double pipeline_period(const remos::NetworkSnapshot& snap,
 PipelineResult select_pipeline(const remos::NetworkSnapshot& snap,
                                const PipelineOptions& opt);
 
-/// Bottleneck *directional* bandwidth along the static (BFS) path from src
-/// to dst: current availability and structural peak, in bits/second.
+/// Bottleneck *directional* bandwidth along the static route from src to
+/// dst (topo/routing.hpp): current availability and structural peak, in
+/// bits/second; {+inf, +inf} when src == dst, {0, 0} when dst is
+/// unreachable. Throws std::out_of_range for an id outside
+/// [0, node_count()).
 struct DirectionalPathBw {
   double available = 0.0;
   double peak = 0.0;

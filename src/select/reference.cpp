@@ -2,56 +2,15 @@
 
 #include <algorithm>
 #include <limits>
-#include <queue>
 #include <stdexcept>
 
 #include "select/detail.hpp"
 #include "topo/connectivity.hpp"
+#include "topo/routing.hpp"
 
 namespace netsel::select::detail {
 
 namespace {
-
-/// BFS parents from src under a link mask; parent_link[v] is the link used
-/// to reach v, kInvalidLink for src and unreached nodes.
-std::vector<topo::LinkId> bfs_parents(const topo::TopologyGraph& g,
-                                      const std::vector<char>* link_active,
-                                      topo::NodeId src) {
-  std::vector<topo::LinkId> parent_link(g.node_count(), topo::kInvalidLink);
-  std::vector<char> seen(g.node_count(), 0);
-  std::queue<topo::NodeId> q;
-  q.push(src);
-  seen[static_cast<std::size_t>(src)] = 1;
-  while (!q.empty()) {
-    topo::NodeId u = q.front();
-    q.pop();
-    for (topo::LinkId l : g.links_of(u)) {
-      if (link_active && !(*link_active)[static_cast<std::size_t>(l)]) continue;
-      topo::NodeId v = g.other_end(l, u);
-      if (!seen[static_cast<std::size_t>(v)]) {
-        seen[static_cast<std::size_t>(v)] = 1;
-        parent_link[static_cast<std::size_t>(v)] = l;
-        q.push(v);
-      }
-    }
-  }
-  return parent_link;
-}
-
-std::vector<topo::LinkId> trace_path(
-    const topo::TopologyGraph& g, const std::vector<topo::LinkId>& parent_link,
-    topo::NodeId src, topo::NodeId dst) {
-  std::vector<topo::LinkId> path;
-  topo::NodeId u = dst;
-  while (u != src) {
-    topo::LinkId l = parent_link[static_cast<std::size_t>(u)];
-    if (l == topo::kInvalidLink) return {};  // unreachable
-    path.push_back(l);
-    u = g.other_end(l, u);
-  }
-  std::reverse(path.begin(), path.end());
-  return path;
-}
 
 struct CandidateEval {
   std::vector<topo::NodeId> nodes;
@@ -100,22 +59,21 @@ SetEvaluation reference_evaluate_set(const remos::NetworkSnapshot& snap,
     ev.min_cpu = std::min(ev.min_cpu, node_cpu(snap, n, opt));
   }
   for (std::size_t i = 0; i + 1 < nodes.size(); ++i) {
-    auto parents = bfs_parents(g, nullptr, nodes[i]);
+    const topo::BfsTree tree(g, nodes[i]);
     for (std::size_t j = i + 1; j < nodes.size(); ++j) {
       if (nodes[i] == nodes[j]) continue;
-      auto path = trace_path(g, parents, nodes[i], nodes[j]);
-      if (path.empty()) {
+      if (!tree.reached(nodes[j])) {
         ev.connected = false;
         ev.min_pair_bw = 0.0;
         ev.min_pair_bw_fraction = 0.0;
         continue;
       }
       double latency = 0.0;
-      for (topo::LinkId l : path) {
-        ev.min_pair_bw = std::min(ev.min_pair_bw, snap.bw(l));
+      for (const topo::Hop& h : tree.path_to(nodes[j])) {
+        ev.min_pair_bw = std::min(ev.min_pair_bw, snap.bw(h.link));
         ev.min_pair_bw_fraction =
-            std::min(ev.min_pair_bw_fraction, link_fraction(snap, l, opt));
-        latency += g.link(l).latency;
+            std::min(ev.min_pair_bw_fraction, link_fraction(snap, h.link, opt));
+        latency += g.link(h.link).latency;
       }
       ev.max_pair_latency = std::max(ev.max_pair_latency, latency);
     }

@@ -37,24 +37,16 @@ FlowId Network::start_flow(topo::NodeId src, topo::NodeId dst, double bytes,
                            std::function<void(FlowId)> on_complete) {
   if (bytes <= 0.0)
     throw std::invalid_argument("Network::start_flow: bytes must be > 0");
-  settle();
   Flow f;
+  f.hops = routes_->route(src, dst);  // checks both ids before any change
+  // Local delivery (src == dst) traverses no links.
+  f.remaining = src != dst ? bytes : 0.0;
   f.owner = owner;
   f.on_complete = std::move(on_complete);
-  if (src != dst) {
-    auto nodes = routes_->route_nodes(src, dst);
-    auto links = routes_->route(src, dst);
-    f.hops.reserve(links.size());
-    for (std::size_t i = 0; i < links.size(); ++i) {
-      const topo::Link& lk = graph_->link(links[i]);
-      f.hops.push_back(Hop{links[i], lk.a == nodes[i]});
-    }
-    f.remaining = bytes;
-  } else {
-    f.remaining = 0.0;  // local delivery: no links traversed
-  }
   f.latency_left = cfg_.hop_latency * static_cast<double>(f.hops.size());
-  for (const Hop& h : f.hops) f.latency_left += graph_->link(h.link).latency;
+  for (const topo::Hop& h : f.hops)
+    f.latency_left += graph_->link(h.link).latency;
+  settle();
   FlowId id = next_flow_++;
   flows_.emplace(id, std::move(f));
   recompute();
@@ -97,7 +89,7 @@ double Network::link_used_bw_excluding(topo::LinkId l, bool forward,
   double used = 0.0;
   for (const auto& [id, f] : flows_) {
     if (f.owner == owner) continue;
-    for (const Hop& h : f.hops) {
+    for (const topo::Hop& h : f.hops) {
       if (h.link == l && h.forward == forward) {
         used += f.rate;
         break;
@@ -173,7 +165,8 @@ void Network::recompute() {
       continue;
     }
     ++unfrozen_total;
-    for (const Hop& h : fl[i]->hops) ++unfrozen_on[dir_index(h.link, h.forward)];
+    for (const topo::Hop& h : fl[i]->hops)
+      ++unfrozen_on[dir_index(h.link, h.forward)];
   }
 
   while (unfrozen_total > 0) {
@@ -195,7 +188,7 @@ void Network::recompute() {
     for (std::size_t i = 0; i < fl.size(); ++i) {
       if (frozen[i]) continue;
       bool saturated = false;
-      for (const Hop& h : fl[i]->hops) {
+      for (const topo::Hop& h : fl[i]->hops) {
         std::size_t d = dir_index(h.link, h.forward);
         if (residual[d] <= dir_capacity_[d] * 1e-12 + 1e-9) {
           saturated = true;
@@ -205,7 +198,7 @@ void Network::recompute() {
       if (saturated) {
         frozen[i] = 1;
         --unfrozen_total;
-        for (const Hop& h : fl[i]->hops)
+        for (const topo::Hop& h : fl[i]->hops)
           --unfrozen_on[dir_index(h.link, h.forward)];
       }
     }
@@ -214,7 +207,7 @@ void Network::recompute() {
   // Refresh utilisation cache and schedule the next completion.
   double next_dt = std::numeric_limits<double>::infinity();
   for (auto& [id, f] : flows_) {
-    for (const Hop& h : f.hops) {
+    for (const topo::Hop& h : f.hops) {
       dir_used_[dir_index(h.link, h.forward)] += f.rate;
       dir_count_[dir_index(h.link, h.forward)] += 1;
     }

@@ -29,12 +29,6 @@ namespace netsel::sim {
 
 using FlowId = std::uint64_t;
 
-/// One directional hop of a route: link + direction (true = a->b).
-struct Hop {
-  topo::LinkId link = topo::kInvalidLink;
-  bool forward = true;
-};
-
 struct NetworkConfig {
   /// Fixed per-hop latency added to every transfer's completion time
   /// (models store-and-forward/propagation; the paper treats latency as
@@ -50,7 +44,9 @@ class Network {
   Network& operator=(const Network&) = delete;
 
   /// Start a transfer of `bytes` from src to dst along the static route.
-  /// `on_complete` fires when the last byte arrives.
+  /// `on_complete` fires when the last byte arrives. Throws
+  /// std::out_of_range for an id outside [0, node count), before any state
+  /// change.
   FlowId start_flow(topo::NodeId src, topo::NodeId dst, double bytes,
                     OwnerTag owner, std::function<void(FlowId)> on_complete = {});
 
@@ -85,7 +81,7 @@ class Network {
 
  private:
   struct Flow {
-    std::vector<Hop> hops;
+    std::vector<topo::Hop> hops;
     double remaining = 0.0;  // bytes
     double rate = 0.0;       // bits/second
     OwnerTag owner = kBackgroundOwner;

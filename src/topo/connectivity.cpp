@@ -4,6 +4,8 @@
 #include <limits>
 #include <stdexcept>
 
+#include "topo/routing.hpp"
+
 namespace netsel::topo {
 
 Components connected_components(const TopologyGraph& g,
@@ -83,8 +85,8 @@ BottleneckRow bottleneck_row(const TopologyGraph& g, NodeId src,
   if (!weight2.empty() && weight2.size() != g.link_count())
     throw std::invalid_argument("bottleneck_row: weight2 size mismatch");
   constexpr double kInf = std::numeric_limits<double>::infinity();
+  const BfsTree tree(g, src);
   const std::size_t n = g.node_count();
-  const auto adj = g.adjacency();
   const auto links = g.links();
   BottleneckRow row;
   row.bottleneck.assign(n, 0.0);
@@ -94,30 +96,20 @@ BottleneckRow bottleneck_row(const TopologyGraph& g, NodeId src,
   row.bottleneck[static_cast<std::size_t>(src)] = kInf;
   if (!weight2.empty()) row.bottleneck2[static_cast<std::size_t>(src)] = kInf;
   row.reached[static_cast<std::size_t>(src)] = 1;
-  // The FIFO order and links_of() iteration order below must match
-  // select::bfs_path exactly: they define the same BFS tree, hence the same
-  // deterministic paths on cyclic graphs. A node enters the FIFO at most
-  // once, so it never needs popping: a head index walks it.
-  std::vector<NodeId> fifo;
-  fifo.reserve(n);
-  fifo.push_back(src);
-  for (std::size_t head = 0; head < fifo.size(); ++head) {
-    const NodeId u = fifo[head];
-    const auto iu = static_cast<std::size_t>(u);
-    for (auto e = adj.start[iu]; e < adj.start[iu + 1]; ++e) {
-      const LinkId l = adj.link[static_cast<std::size_t>(e)];
-      const Link& lk = links[static_cast<std::size_t>(l)];
-      const NodeId v = lk.other(u);
-      const auto iv = static_cast<std::size_t>(v);
-      if (row.reached[iv]) continue;
-      row.reached[iv] = 1;
-      const auto il = static_cast<std::size_t>(l);
-      row.bottleneck[iv] = std::min(row.bottleneck[iu], weight[il]);
-      if (!weight2.empty())
-        row.bottleneck2[iv] = std::min(row.bottleneck2[iu], weight2[il]);
-      row.latency[iv] = row.latency[iu] + lk.latency;
-      fifo.push_back(v);
-    }
+  // Discovery order puts every node after its parent, so each value extends
+  // a final one.
+  for (std::size_t k = 1; k < tree.order().size(); ++k) {
+    const NodeId v = tree.order()[k];
+    const auto iv = static_cast<std::size_t>(v);
+    const LinkId l = tree.parent_link(v);
+    const auto il = static_cast<std::size_t>(l);
+    const Link& lk = links[il];
+    const auto iu = static_cast<std::size_t>(lk.other(v));
+    row.reached[iv] = 1;
+    row.bottleneck[iv] = std::min(row.bottleneck[iu], weight[il]);
+    if (!weight2.empty())
+      row.bottleneck2[iv] = std::min(row.bottleneck2[iu], weight2[il]);
+    row.latency[iv] = row.latency[iu] + lk.latency;
   }
   return row;
 }

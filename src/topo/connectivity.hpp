@@ -12,10 +12,12 @@
 //     in near-linear time instead of one O(V+E) sweep per deletion. (Fig. 3's
 //     merge-forest replay keeps its own, leaner union-find in
 //     select/balanced.cpp.)
-//   - bottleneck_row: per-source widest-path/bottleneck values along the
-//     deterministic BFS tree (on acyclic graphs: the unique path, hence the
-//     true widest path). select::SelectionContext caches compact rows of
-//     the same values for the pairwise min-bandwidth objective; this
+//   - bottleneck_row: per-source bottleneck values along the static routes,
+//     read from the source's topo::BfsTree (topo/routing.hpp: BFS from the
+//     source in links_of() order; on acyclic graphs the unique path, hence
+//     the true widest path). Simulated flows and Remos flow queries follow
+//     the same routes. select::SelectionContext caches compact rows of the
+//     same values for the pairwise min-bandwidth objective; this
 //     full-width version is the reference its rows are tested against.
 
 #include <span>
@@ -73,13 +75,13 @@ class EligibleUnionFind {
   int max_eligible_ = 0;
 };
 
-/// Per-source bottleneck values along the deterministic BFS tree of `g`
-/// (FIFO queue, links_of() order — the exact tie-break used by static
-/// routing and by the pairwise set evaluation). `weight` and `weight2` give
-/// per-link widths; the row carries, for every destination, the minimum
-/// weight along the tree path, the sum of link latencies, and reachability.
-/// On acyclic graphs the BFS path is the unique path, so the bottleneck
-/// equals the widest-path (max-bottleneck) value.
+/// Per-source bottleneck values along the tree paths of topo::BfsTree(g,
+/// src), i.e. along the static route to every destination. `weight` and
+/// `weight2` give per-link widths; the row carries, for every destination,
+/// the minimum weight along the path, the sum of link latencies, and
+/// reachability. On acyclic graphs the route is the unique path, so the
+/// bottleneck equals the widest-path (max-bottleneck) value. Throws
+/// std::out_of_range unless 0 <= src < g.node_count().
 struct BottleneckRow {
   std::vector<double> bottleneck;   ///< min weight along path; src = +inf
   std::vector<double> bottleneck2;  ///< same for weight2 (empty if not given)

@@ -1,7 +1,8 @@
 #include "topo/subgraph.hpp"
 
-#include <queue>
 #include <stdexcept>
+
+#include "topo/routing.hpp"
 
 namespace netsel::topo {
 
@@ -20,39 +21,19 @@ LogicalSubgraph extract_subgraph(const TopologyGraph& parent,
       throw std::invalid_argument("extract_subgraph: node id out of range");
   }
 
-  // Mark links on all pairwise BFS paths (same deterministic paths as the
-  // routing table on acyclic graphs).
+  // Mark the links and nodes on all pairwise static routes.
   std::vector<char> link_in(parent.link_count(), 0);
   std::vector<char> node_in(parent.node_count(), 0);
   for (NodeId n : nodes) node_in[static_cast<std::size_t>(n)] = 1;
-
-  std::vector<LinkId> parent_link_of(parent.node_count(), kInvalidLink);
-  std::vector<char> seen(parent.node_count(), 0);
   for (std::size_t i = 0; i + 1 < nodes.size(); ++i) {
-    std::fill(seen.begin(), seen.end(), 0);
-    std::fill(parent_link_of.begin(), parent_link_of.end(), kInvalidLink);
-    std::queue<NodeId> q;
-    q.push(nodes[i]);
-    seen[static_cast<std::size_t>(nodes[i])] = 1;
-    while (!q.empty()) {
-      NodeId u = q.front();
-      q.pop();
-      for (LinkId l : parent.links_of(u)) {
-        NodeId v = parent.other_end(l, u);
-        if (seen[static_cast<std::size_t>(v)]) continue;
-        seen[static_cast<std::size_t>(v)] = 1;
-        parent_link_of[static_cast<std::size_t>(v)] = l;
-        q.push(v);
-      }
-    }
+    const BfsTree tree(parent, nodes[i]);
     for (std::size_t j = i + 1; j < nodes.size(); ++j) {
-      NodeId u = nodes[j];
-      if (!seen[static_cast<std::size_t>(u)]) continue;  // unreachable pair
-      while (u != nodes[i]) {
-        LinkId l = parent_link_of[static_cast<std::size_t>(u)];
-        link_in[static_cast<std::size_t>(l)] = 1;
-        u = parent.other_end(l, u);
-        node_in[static_cast<std::size_t>(u)] = 1;
+      // An unreachable pair has an empty path and contributes nothing.
+      for (const Hop& h : tree.path_to(nodes[j])) {
+        const Link& lk = parent.link(h.link);
+        link_in[static_cast<std::size_t>(h.link)] = 1;
+        node_in[static_cast<std::size_t>(lk.a)] = 1;
+        node_in[static_cast<std::size_t>(lk.b)] = 1;
       }
     }
   }

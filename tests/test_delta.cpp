@@ -236,7 +236,6 @@ void expect_matches_rebuild(const select::SelectionContext& inc,
   select::SelectionContext fresh(snap);
   const auto& g = snap.graph();
 
-  EXPECT_EQ(inc.acyclic(), fresh.acyclic()) << what;
   EXPECT_EQ(inc.link_bw(), fresh.link_bw()) << what;
   EXPECT_EQ(inc.link_bwfactor(), fresh.link_bwfactor()) << what;
   EXPECT_EQ(inc.links_by_bw(), fresh.links_by_bw()) << what;

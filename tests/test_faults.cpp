@@ -210,11 +210,9 @@ TEST_F(FaultMonitorFixture, NoiseKeepsExactZerosAndPerturbsTraffic) {
   const Monitor& mon = remos.monitor();
   // Idle sensors stay exactly zero (lognormal noise is multiplicative).
   EXPECT_DOUBLE_EQ(mon.load_history(m1).latest().value, 0.0);
-  // The loaded route direction measures ~100 Mbps but never exactly
-  // (route[0] may be traversed in either direction of its link).
-  auto route = net.routes().route(m1, m13);
-  double used = std::max(mon.link_history(route[0], true).latest().value,
-                         mon.link_history(route[0], false).latest().value);
+  // The loaded route direction measures ~100 Mbps but never exactly.
+  const topo::Hop h = net.routes().route(m1, m13)[0];
+  const double used = mon.link_history(h.link, h.forward).latest().value;
   EXPECT_GT(used, 0.0);
   EXPECT_NE(used, 100e6);
 }

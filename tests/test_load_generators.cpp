@@ -187,14 +187,12 @@ TEST(BulkStreamTest, HoldsBandwidthContinuously) {
                 0.0,  // transferred counts only completed chunks so far
             0.0);
   // The links on the m-16 -> m-18 route are busy right now.
-  auto links = net.routes().route(m16, m18);
-  auto nodes = net.routes().route_nodes(m16, m18);
-  bool fwd = net.topology().link(links[0]).a == nodes[0];
-  EXPECT_NEAR(net.network().link_used_bw(links[0], fwd), 100e6, 1e3);
+  const topo::Hop h = net.routes().route(m16, m18)[0];
+  EXPECT_NEAR(net.network().link_used_bw(h.link, h.forward), 100e6, 1e3);
   stream.stop();
   EXPECT_NEAR(stream.bytes_transferred(), 125e6, 1e6);
   net.sim().run_until(20.0);
-  EXPECT_NEAR(net.network().link_used_bw(links[0], fwd), 0.0, 1e-9);
+  EXPECT_NEAR(net.network().link_used_bw(h.link, h.forward), 0.0, 1e-9);
 }
 
 TEST(BulkStreamTest, Rejections) {

@@ -142,13 +142,10 @@ TEST(Network, LinkUtilisationTracksFlows) {
   FlowId f = n.net.start_flow(m1, m13, 1e9, kBackgroundOwner);
   double rate = n.net.flow_rate(f);
   EXPECT_NEAR(rate, 100e6, 1.0);
-  auto links = n.routes.route(m1, m13);
-  auto nodes = n.routes.route_nodes(m1, m13);
-  for (std::size_t i = 0; i < links.size(); ++i) {
-    bool fwd = n.g.link(links[i]).a == nodes[i];
-    EXPECT_NEAR(n.net.link_used_bw(links[i], fwd), rate, 1.0);
-    EXPECT_NEAR(n.net.link_used_bw(links[i], !fwd), 0.0, 1e-9);
-    EXPECT_EQ(n.net.link_flow_count(links[i], fwd), 1);
+  for (const topo::Hop& h : n.routes.route(m1, m13)) {
+    EXPECT_NEAR(n.net.link_used_bw(h.link, h.forward), rate, 1.0);
+    EXPECT_NEAR(n.net.link_used_bw(h.link, !h.forward), 0.0, 1e-9);
+    EXPECT_EQ(n.net.link_flow_count(h.link, h.forward), 1);
   }
 }
 
@@ -157,10 +154,9 @@ TEST(Network, UsedBwExcludingOwner) {
   topo::NodeId h0 = host(n, "h0"), h1 = host(n, "h1");
   n.net.start_flow(h0, h1, 1e9, /*owner=*/5);
   n.net.start_flow(h0, h1, 1e9, kBackgroundOwner);
-  auto l = n.routes.route(h0, h1)[0];
-  bool fwd = n.g.link(l).a == h0;
-  EXPECT_NEAR(n.net.link_used_bw(l, fwd), 100e6, 1.0);
-  EXPECT_NEAR(n.net.link_used_bw_excluding(l, fwd, 5), 50e6, 1.0);
+  const topo::Hop h = n.routes.route(h0, h1)[0];
+  EXPECT_NEAR(n.net.link_used_bw(h.link, h.forward), 100e6, 1.0);
+  EXPECT_NEAR(n.net.link_used_bw_excluding(h.link, h.forward, 5), 50e6, 1.0);
 }
 
 TEST(Network, AtmLinkGivesHigherCrossRate) {

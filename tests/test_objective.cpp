@@ -7,13 +7,6 @@
 namespace netsel::select {
 namespace {
 
-TEST(BfsPath, StarPath) {
-  auto g = topo::star(3);
-  auto path = bfs_path(g, 1, 3);
-  EXPECT_EQ(path.size(), 2u);
-  EXPECT_TRUE(bfs_path(g, 1, 1).empty());
-}
-
 TEST(EvaluateSet, SingleNodeReportsNicAvailability) {
   // A size-1 set has no node pairs; the bandwidth figures report the node's
   // best incident link availability instead of the vacuous +inf minimum.

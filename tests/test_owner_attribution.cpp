@@ -54,10 +54,11 @@ TEST_F(Fixture, NetworkOwnerUsage) {
   sim::OwnerTag app = net.new_owner();
   net.network().start_flow(m1, m2, 1e12, app);
   net.network().start_flow(m1, m2, 1e12, sim::kBackgroundOwner);
-  auto l = net.routes().route(m1, m2)[0];
-  bool fwd = net.topology().link(l).a == m1;
-  EXPECT_NEAR(net.network().link_used_bw_by(l, fwd, app), 50e6, 1.0);
-  EXPECT_NEAR(net.network().link_used_bw_by(l, fwd, sim::kBackgroundOwner),
+  const topo::Hop h = net.routes().route(m1, m2)[0];
+  EXPECT_NEAR(net.network().link_used_bw_by(h.link, h.forward, app), 50e6,
+              1.0);
+  EXPECT_NEAR(net.network().link_used_bw_by(h.link, h.forward,
+                                            sim::kBackgroundOwner),
               50e6, 1.0);
   auto owners = net.network().active_owners();
   EXPECT_EQ(owners.size(), 2u);
@@ -109,7 +110,7 @@ TEST_F(Fixture, ExclusionIsTimeAligned) {
   QueryOptions with;
   QueryOptions excl;
   excl.exclude_owner = app;
-  auto l = net.routes().route(m1, m2)[0];
+  const topo::LinkId l = net.routes().route(m1, m2)[0].link;
   auto snap_with = remos.snapshot(with);
   auto snap_excl = remos.snapshot(excl);
   // Without exclusion the stale measurement shows the link busy.
@@ -128,7 +129,7 @@ TEST_F(Fixture, ExclusionDoesNotHideCompetingTraffic) {
   QueryOptions excl;
   excl.exclude_owner = app;
   auto snap = remos.snapshot(excl);
-  auto l = net.routes().route(m1, m2)[0];
+  const topo::LinkId l = net.routes().route(m1, m2)[0].link;
   // Background flow (50 Mbps) must remain visible: available ~50, not 100.
   EXPECT_NEAR(snap.bw(l), 50e6, 2e6);
 }

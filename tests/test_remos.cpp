@@ -166,10 +166,9 @@ TEST_F(RemosFixture, SnapshotSeesLinkTraffic) {
   // Every link on the m-1 -> m-13 route has 100 Mbps used in the forward
   // direction; available = capacity - used (so the 155 Mbps ATM segment
   // still shows 55 Mbps available).
-  auto links = net.routes().route(m1, m13);
-  for (auto l : links) {
-    EXPECT_LE(snap.bw(l), snap.maxbw(l) - 100e6 + 1e4)
-        << "link " << net.topology().link_name(l);
+  for (const topo::Hop& h : net.routes().route(m1, m13)) {
+    EXPECT_LE(snap.bw(h.link), snap.maxbw(h.link) - 100e6 + 1e4)
+        << "link " << net.topology().link_name(h.link);
   }
 }
 
@@ -182,11 +181,11 @@ TEST_F(RemosFixture, MeasurementsAreStaleNotLive) {
   net.network().start_flow(m1, m13, 1e12, sim::kBackgroundOwner);
   net.sim().run_until(5.0);      // next poll is at t=10
   auto snap = remos.snapshot();
-  auto links = net.routes().route(m1, m13);
-  EXPECT_DOUBLE_EQ(snap.bw(links[0]), snap.maxbw(links[0]));
+  const topo::LinkId l = net.routes().route(m1, m13)[0].link;
+  EXPECT_DOUBLE_EQ(snap.bw(l), snap.maxbw(l));
   net.sim().run_until(11.0);     // poll at t=10 saw the flow
   snap = remos.snapshot();
-  EXPECT_LT(snap.bw(links[0]), snap.maxbw(links[0]) * 0.05 + 1e4);
+  EXPECT_LT(snap.bw(l), snap.maxbw(l) * 0.05 + 1e4);
 }
 
 TEST_F(RemosFixture, FlowQueryBottleneckResidual) {
@@ -239,8 +238,8 @@ TEST_F(RemosFixture, OwnerExclusionOnLinks) {
   QueryOptions excl;
   excl.exclude_owner = app;
   auto snap = remos.snapshot(excl);
-  auto links = net.routes().route(m1, m2);
-  EXPECT_NEAR(snap.bw(links[0]), snap.maxbw(links[0]), 1e3)
+  const topo::LinkId l = net.routes().route(m1, m2)[0].link;
+  EXPECT_NEAR(snap.bw(l), snap.maxbw(l), 1e3)
       << "own traffic must be excluded";
 }
 
@@ -360,16 +359,16 @@ TEST_F(RemosFixture, MaxSampleAgeBoundsAnswers) {
   net.sim().run_until(4.0);
   remos.monitor().stop();
   net.sim().run_until(50.0);
-  auto links = net.routes().route(m1, m13);
+  const topo::LinkId l = net.routes().route(m1, m13)[0].link;
 
   QueryOptions stale;  // default: trust the stalled measurement forever
   auto seen = remos.snapshot(stale);
-  EXPECT_LT(seen.bw(links[0]), seen.maxbw(links[0]) * 0.05 + 1e4);
+  EXPECT_LT(seen.bw(l), seen.maxbw(l) * 0.05 + 1e4);
 
   QueryOptions bounded;
   bounded.max_sample_age = 5.0;  // newest sample is ~46 s old
   auto fallback = remos.snapshot(bounded);
-  EXPECT_DOUBLE_EQ(fallback.bw(links[0]), fallback.maxbw(links[0]));
+  EXPECT_DOUBLE_EQ(fallback.bw(l), fallback.maxbw(l));
   EXPECT_DOUBLE_EQ(fallback.cpu(m1), 1.0);
 }
 
@@ -381,8 +380,8 @@ TEST_F(RemosFixture, SaturatedLinkFloorsAtKBwFloor) {
   auto snap = remos.snapshot();
   // The flow consumes m-1's entire uplink; the snapshot reports the public
   // floor, not zero, so selection can still order saturated links.
-  auto links = net.routes().route(m1, m2);
-  EXPECT_DOUBLE_EQ(snap.bw(links[0]), kBwFloor);
+  const topo::LinkId l = net.routes().route(m1, m2)[0].link;
+  EXPECT_DOUBLE_EQ(snap.bw(l), kBwFloor);
 }
 
 TEST_F(RemosFixture, OwnerExclusionClampsToZero) {
@@ -428,7 +427,7 @@ TEST_F(RemosFixture, RefreshSkipsNonFiniteForecasts) {
   net.sim().run_until(4.0);
   NetworkSnapshot snap = remos.snapshot();
   const auto& g = net.topology();
-  const topo::LinkId bad_link = net.routes().route(m1, m13)[0];
+  const topo::LinkId bad_link = net.routes().route(m1, m13)[0].link;
   const double cpu_before = snap.cpu(m1);
   const double bw_before = snap.bw_dir(bad_link, true);
 
@@ -481,7 +480,7 @@ TEST_F(RemosFixture, SnapshotKeepsPriorAtNonFiniteForecasts) {
   Remos remos(net);
   remos.start();
   net.sim().run_until(4.0);
-  const topo::LinkId bad_link = net.routes().route(m1, m13)[0];
+  const topo::LinkId bad_link = net.routes().route(m1, m13)[0].link;
 
   obs::set_enabled(true);
   obs::Registry::global().reset();

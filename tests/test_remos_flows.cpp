@@ -9,6 +9,7 @@
 
 #include "remos/remos.hpp"
 #include "topo/generators.hpp"
+#include "topo/routing.hpp"
 
 namespace netsel::remos {
 namespace {
@@ -103,13 +104,8 @@ TEST(SubgraphQueries, FlowQueryConsistentWithProjection) {
   // Bottleneck along the sub-path == full-graph directional query.
   double full = remos.available_bandwidth(m1, m13);
   double via_sub = std::numeric_limits<double>::infinity();
-  topo::RoutingTable routes(sub.graph);
-  auto nodes = routes.route_nodes(s1, s13);
-  auto links = routes.route(s1, s13);
-  for (std::size_t i = 0; i < links.size(); ++i) {
-    bool fwd = sub.graph.link(links[i]).a == nodes[i];
-    via_sub = std::min(via_sub, snap.bw_dir(links[i], fwd));
-  }
+  for (const topo::Hop& h : topo::bfs_path(sub.graph, s1, s13))
+    via_sub = std::min(via_sub, snap.bw_dir(h.link, h.forward));
   EXPECT_NEAR(via_sub, std::max(full, 1e3), 2e3);
 }
 

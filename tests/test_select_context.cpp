@@ -267,7 +267,7 @@ TEST(CyclicGraphs, BalancedMergeForestHandlesCycles) {
     SelectionOptions opt;
     opt.num_nodes = static_cast<int>(seed % 4) + 2;
     SelectionContext ctx(*inst.snap);
-    EXPECT_FALSE(ctx.acyclic());
+    EXPECT_FALSE(inst.snap->graph().is_acyclic());
     expect_same_result(select_balanced(ctx, opt),
                        detail::reference_select_balanced(*inst.snap, opt),
                        "cyclic fig3 seed " + std::to_string(seed));
