@@ -1,6 +1,7 @@
 #include "api/reselect.hpp"
 
 #include <algorithm>
+#include <limits>
 #include <stdexcept>
 
 #include "obs/metrics.hpp"
@@ -176,6 +177,69 @@ ReselectResult reselect(const select::SelectionContext& ctx,
   res.objective_after = score(chosen);
   reselect_migrations().inc(static_cast<std::uint64_t>(res.migrations));
   return res;
+}
+
+bool reselect_stays(const select::SelectionContext& ctx,
+                    const std::vector<topo::NodeId>& current,
+                    const ReselectOptions& opt) {
+  if (opt.max_migrations < 0 || current.empty()) return false;
+  const select::SelectionOptions& sopt = opt.selection;
+  for (topo::NodeId n : current)
+    if (!select::node_eligible(ctx.snapshot(), n, sopt)) return false;
+  // Nothing forced out and no budget: the swap loop never runs.
+  if (opt.max_migrations == 0) return true;
+  if (current.size() < 2) return false;  // no rest to hold a term
+
+  // The swap loop scores the sorted current set and trials that overwrite
+  // one of its entries in place, so a pair of the rest is read from the row
+  // of its earlier member in both, as here.
+  std::vector<topo::NodeId> nodes = current;
+  std::sort(nodes.begin(), nodes.end());
+  const std::size_t m = nodes.size();
+  const bool balanced = opt.criterion == select::Criterion::Balanced;
+  const bool cpu_terms = opt.criterion != select::Criterion::MaxBandwidth;
+  const bool bw_terms = opt.criterion != select::Criterion::MaxCompute;
+  struct Term {
+    double value;
+    std::size_t a, b;  // the members it involves (b == a: a member term)
+  };
+  std::vector<Term> terms;
+  if (cpu_terms)
+    for (std::size_t i = 0; i < m; ++i) {
+      const double cpu = select::node_cpu(ctx.snapshot(), nodes[i], sopt);
+      terms.push_back({balanced ? cpu / sopt.cpu_priority : cpu, i, i});
+    }
+  for (std::size_t i = 0; i + 1 < m; ++i) {
+    const select::SelectionContext::PairRow row = ctx.pair_row(nodes[i]);
+    for (std::size_t j = i + 1; j < m; ++j) {
+      const select::SelectionContext::PairValue p = row.at(nodes[j]);
+      // An unreached pair disconnects every set holding it: score 0.
+      if (!p.reached)
+        terms.push_back({0.0, i, j});
+      else if (bw_terms)
+        terms.push_back(
+            {balanced ? select::SelectionContext::row_fraction(p, sopt) /
+                            sopt.bw_priority
+                      : p.bottleneck,
+             i, j});
+    }
+  }
+  // criterion_score is exactly the minimum of these terms: evaluate_set
+  // divides each minimum by a positive priority, and division is monotone.
+  double score = std::numeric_limits<double>::infinity();
+  for (const Term& t : terms) score = std::min(score, t.value);
+  // A term at or below the score bounds every trial that keeps its members.
+  // Replacing member o can beat the score only if o is in all of them.
+  std::vector<std::size_t> held(m, 0);
+  std::size_t witnesses = 0;
+  for (const Term& t : terms) {
+    if (t.value > score) continue;
+    ++witnesses;
+    ++held[t.a];
+    if (t.b != t.a) ++held[t.b];
+  }
+  return std::all_of(held.begin(), held.end(),
+                     [&](std::size_t h) { return h < witnesses; });
 }
 
 }  // namespace netsel::api

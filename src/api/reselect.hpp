@@ -33,7 +33,8 @@ namespace netsel::api {
 
 struct ReselectOptions {
   /// Maximum migrations (nodes swapped in) per reselection; < 0 = unbounded
-  /// (adopt the unconstrained optimum; the MigrationController's mode).
+  /// (adopt the unconstrained optimum; the MigrationController's mode). 0
+  /// replaces only the members forced out.
   int max_migrations = -1;
   select::Criterion criterion = select::Criterion::Balanced;
   /// num_nodes is overridden with the current set's size.
@@ -78,5 +79,21 @@ double criterion_score(select::Criterion c, const select::SetEvaluation& ev);
 ReselectResult reselect(const select::SelectionContext& ctx,
                         const std::vector<topo::NodeId>& current,
                         const ReselectOptions& opt);
+
+/// True when reselect(ctx, current, opt) provably returns `current` with 0
+/// migrations, so a caller may skip it (and the O(V) eligibility masks it
+/// would build). That holds when the budget is bounded (>= 0), every member
+/// still passes select::node_eligible under opt.selection (nothing is forced
+/// out), and either the budget is 0 or no single swap can beat the current
+/// score. The criterion score of a set of m >= 2 nodes is the minimum of its
+/// member terms (cpu) and pair terms (path bandwidth, 0 for an unreached
+/// pair), so a swap that replaces member o can raise it only if every term
+/// at or below the current score involves o. Never true when reselect would
+/// move a node; it may be false when reselect keeps the set anyway (no
+/// candidate happens to beat the score). O(m^2) row reads, like one
+/// evaluate_set.
+bool reselect_stays(const select::SelectionContext& ctx,
+                    const std::vector<topo::NodeId>& current,
+                    const ReselectOptions& opt);
 
 }  // namespace netsel::api

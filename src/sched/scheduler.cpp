@@ -140,7 +140,7 @@ SchedulerService::SchedulerService(const topo::TopologyGraph& g,
     l.live = std::make_unique<select::SelectionContext>(cluster_);
     l.prior = std::make_unique<select::SelectionContext>(prior_);
   }
-  taken_.assign(g.node_count(), 0);
+  owner_.assign(g.node_count(), 0);
   register_scheduler_metrics();
   flight_ = cfg_.flight ? cfg_.flight : &obs::FlightRecorder::global();
   if (cfg_.timeseries) {
@@ -378,14 +378,15 @@ select::SelectionOptions SchedulerService::job_options(
 }
 
 SchedulerService::Decision SchedulerService::place_job(
-    const JobRecord& rec, Lane& ln, const std::vector<char>& taken) const {
+    const JobRecord& rec, Lane& ln,
+    const std::vector<std::uint64_t>& owner) const {
   const auto t0 = std::chrono::steady_clock::now();
   Decision d;
   d.level = ladder_level(rec.spec.tenant);
   select::SelectionOptions opt = job_options(rec.spec, d.level);
-  opt.eligible.resize(taken.size());
-  for (std::size_t i = 0; i < taken.size(); ++i)
-    opt.eligible[i] = taken[i] ? 0 : 1;
+  opt.eligible.resize(owner.size());
+  for (std::size_t i = 0; i < owner.size(); ++i)
+    opt.eligible[i] = owner[i] ? 0 : 1;
   const select::SelectionContext& ctx =
       d.level == api::DegradationLevel::Prior ? *ln.prior : *ln.live;
   {
@@ -450,15 +451,15 @@ void SchedulerService::schedule_round() {
     // count (config) fixes the partition; the pool only adds concurrency,
     // so results are bit-identical at any thread count. Lane k serially
     // handles candidates k, k+L, k+2L, ... on its own long-lived contexts;
-    // nothing mutates cluster_ (or taken_) during this phase.
+    // nothing mutates cluster_ (or owner_) during this phase.
     const std::size_t L =
         std::min(window, static_cast<std::size_t>(cfg_.placement_lanes));
     std::vector<Decision> dec(window);
-    const std::vector<char>& taken = taken_;
+    const std::vector<std::uint64_t>& owner = owner_;
     auto lane_body = [&](std::size_t k) {
       Lane& ln = lane(k);
       for (std::size_t i = k; i < window; i += L)
-        dec[i] = place_job(jobs_[cand[i]], ln, taken);
+        dec[i] = place_job(jobs_[cand[i]], ln, owner);
     };
     if (cfg_.pool && L > 1) {
       util::parallel_for(*cfg_.pool, L, lane_body);
@@ -492,7 +493,7 @@ void SchedulerService::schedule_round() {
       if (d.feasible) {
         const bool conflict =
             std::any_of(d.nodes.begin(), d.nodes.end(), [&](topo::NodeId n) {
-              return taken_[static_cast<std::size_t>(n)] != 0;
+              return owner_[static_cast<std::size_t>(n)] != 0;
             });
         if (conflict) {
           ++stats_.conflicts;
@@ -503,7 +504,7 @@ void SchedulerService::schedule_round() {
             cfg_.job_trace->span(rec.id, open->root, "place.conflict", now_,
                                  now_);
           const double spec_seconds = d.seconds;
-          d = place_job(rec, lane(0), taken_);
+          d = place_job(rec, lane(0), owner_);
           d.seconds += spec_seconds;
         }
       }
@@ -565,8 +566,8 @@ void SchedulerService::allocate(JobRecord& rec,
                                 api::DegradationLevel level) {
   Allocation alloc;
   for (topo::NodeId n : nodes) {
-    assert(!taken_[static_cast<std::size_t>(n)]);
-    taken_[static_cast<std::size_t>(n)] = 1;
+    assert(!owner_[static_cast<std::size_t>(n)]);
+    owner_[static_cast<std::size_t>(n)] = rec.id + 1;
     // cpu = 1/(1 + load): stacking the job's load L onto a host currently
     // at cpu c lands at 1/(1 + load0 + L) = c / (1 + L*c).
     const double pre = cluster_.cpu(n);
@@ -603,8 +604,54 @@ void SchedulerService::release(JobRecord& rec) {
   }
   for (auto ni = alloc.node_cpu.rbegin(); ni != alloc.node_cpu.rend(); ++ni)
     cluster_.set_cpu(ni->first, ni->second);
-  for (topo::NodeId n : rec.nodes) taken_[static_cast<std::size_t>(n)] = 0;
+  for (topo::NodeId n : rec.nodes) owner_[static_cast<std::size_t>(n)] = 0;
   allocations_.erase(it);
+}
+
+void SchedulerService::rescore(const select::SelectionContext& ctx) {
+  // Which cached scores can the deltas since the last scan have moved? A
+  // score is the minimum of the job's member terms (host cpu) and pair
+  // terms (bandwidth along the route between two members). A host sensor
+  // moves only the job holding the host. A link with an end of degree <= 1
+  // lies only on routes that start or end at that end, so it moves only the
+  // job holding it. Any other link, a structural change or a journal gap
+  // can move every job.
+  bool all = !score_epoch_;
+  score_deltas_.clear();
+  if (!all) all = !cluster_.deltas_since(*score_epoch_, score_deltas_);
+  const auto unscore = [&](topo::NodeId n) {
+    const std::uint64_t o = owner_[static_cast<std::size_t>(n)];
+    if (o) allocations_.at(o - 1).scored = false;
+  };
+  for (std::size_t i = 0; !all && i < score_deltas_.size(); ++i) {
+    const remos::Delta& d = score_deltas_[i];
+    switch (d.kind) {
+      case remos::DeltaKind::NodeLoad:
+      case remos::DeltaKind::NodeMemory:
+        unscore(d.node);
+        break;
+      case remos::DeltaKind::LinkBandwidth: {
+        const topo::Link& lk = graph_->link(d.link);
+        if (graph_->degree(lk.a) <= 1 || graph_->degree(lk.b) <= 1) {
+          unscore(lk.a);
+          unscore(lk.b);
+        } else {
+          all = true;
+        }
+        break;
+      }
+      default: all = true; break;  // structural
+    }
+  }
+  score_epoch_ = cluster_.epoch();
+  for (auto& [id, alloc] : allocations_) {
+    if (alloc.scored && !all) continue;
+    const JobRecord& rec = jobs_[id];
+    const select::SelectionOptions opt = job_options(rec.spec, rec.ladder);
+    alloc.score = api::criterion_score(
+        rec.spec.criterion, select::evaluate_set(ctx, rec.nodes, opt));
+    alloc.scored = true;
+  }
 }
 
 void SchedulerService::maybe_rebalance() {
@@ -615,37 +662,28 @@ void SchedulerService::maybe_rebalance() {
   // The release just freed capacity: give it to the worst-off running job
   // (lowest criterion score, ties to the lowest id — allocations_ iterates
   // in id order).
-  std::uint64_t worst = 0;
-  double worst_score = 0.0;
-  bool have = false;
-  for (const auto& [id, alloc] : allocations_) {
-    const JobRecord& rec = jobs_[id];
-    const select::SelectionOptions opt = job_options(rec.spec, rec.ladder);
-    const double s = api::criterion_score(
-        rec.spec.criterion, select::evaluate_set(*ln.live, rec.nodes, opt));
-    if (!have || s < worst_score) {
-      have = true;
-      worst = id;
-      worst_score = s;
-    }
-  }
-  if (!have) return;
+  rescore(*ln.live);
+  auto worst = allocations_.begin();
+  for (auto it = allocations_.begin(); it != allocations_.end(); ++it)
+    if (it->second.score < worst->second.score) worst = it;
 
-  JobRecord& rec = jobs_[worst];
+  JobRecord& rec = jobs_[worst->first];
   api::ReselectOptions ropt;
   ropt.max_migrations = cfg_.rebalance_budget;
   ropt.criterion = rec.spec.criterion;
   ropt.selection = job_options(rec.spec, rec.ladder);
+  ++stats_.rebalance_attempts;
+  m.rebalance_attempts.inc();
+  // A reselect that provably keeps the job where it runs is not run.
+  if (api::reselect_stays(*ln.live, rec.nodes, ropt)) return;
   // Eligible: free nodes plus the job's own (a migration target must not
   // evict anyone).
-  ropt.selection.eligible.resize(taken_.size());
-  for (std::size_t i = 0; i < taken_.size(); ++i)
-    ropt.selection.eligible[i] = taken_[i] ? 0 : 1;
+  ropt.selection.eligible.resize(owner_.size());
+  for (std::size_t i = 0; i < owner_.size(); ++i)
+    ropt.selection.eligible[i] = owner_[i] ? 0 : 1;
   for (topo::NodeId n : rec.nodes)
     ropt.selection.eligible[static_cast<std::size_t>(n)] = 1;
 
-  ++stats_.rebalance_attempts;
-  m.rebalance_attempts.inc();
   const api::ReselectResult r = api::reselect(*ln.live, rec.nodes, ropt);
   // kept_current is the journal-trustworthy "nothing moved" signal: the
   // current placement stays in force and there is nothing to re-apply.

@@ -44,7 +44,10 @@
 //     state — asserted by SchedulerService.DrainRestoresSnapshotExactly.
 //   * Optional churn-aware rebalancing: after a release, the worst-scoring
 //     running job is re-placed through api::reselect under a migration
-//     budget; a kept_current result keeps the job where it runs.
+//     budget; a kept_current result keeps the job where it runs. Each
+//     running job's score is cached and recomputed only when the journal
+//     since the last scan touched its terms, and api::reselect_stays skips
+//     a reselect that provably moves nothing (DESIGN.md §12).
 //
 // Time is explicit simulated time (the sim::Engine idiom): run_until(t)
 // processes events up to t. Determinism contract: everything observable —
@@ -180,7 +183,10 @@ struct SchedulerConfig {
   /// Worker pool for the speculative phase; null = serial (bit-identical).
   util::ThreadPool* pool = nullptr;
   /// Rebalance after each release: re-place the worst-scoring running job
-  /// through api::reselect under rebalance_budget migrations.
+  /// through api::reselect under rebalance_budget migrations. 0 replaces
+  /// only members that became ineligible; < 0 is reselect's unbounded mode:
+  /// the job adopts the unconstrained optimum, however many nodes that
+  /// moves.
   bool rebalance_on_release = false;
   int rebalance_budget = 2;
   /// Observational telemetry (DESIGN.md §13). All three are pure outputs:
@@ -321,9 +327,10 @@ class SchedulerService {
   void handle_timeout(std::uint64_t id);
   /// One admit/queue/place round over the backfill window.
   void schedule_round();
-  /// Speculative placement of `rec` against `taken` on `lane`.
+  /// Speculative placement of `rec` on `lane`, on the nodes `owner` marks
+  /// free.
   Decision place_job(const JobRecord& rec, Lane& lane,
-                     const std::vector<char>& taken) const;
+                     const std::vector<std::uint64_t>& owner) const;
   select::SelectionOptions job_options(const JobSpec& spec,
                                        api::DegradationLevel level) const;
   api::DegradationLevel ladder_level(const std::string& tenant) const;
@@ -334,6 +341,10 @@ class SchedulerService {
   void release(JobRecord& rec);
   /// Post-release bounded-migration pass (cfg_.rebalance_on_release).
   void maybe_rebalance();
+  /// Bring every running job's cached criterion score up to the cluster's
+  /// epoch: rescore the jobs whose terms the journal since the last scan
+  /// can have moved, all of them on a journal gap.
+  void rescore(const select::SelectionContext& ctx);
   void remove_queued(std::uint64_t id);
   /// Refresh stats_.queued / stats_.running and their obs gauges.
   void sync_depth_gauges();
@@ -369,9 +380,16 @@ class SchedulerService {
   struct Allocation {
     std::vector<std::pair<topo::NodeId, double>> node_cpu;
     std::vector<LinkState> links;
+    /// The job's criterion score at score_epoch_, valid while `scored`.
+    double score = 0.0;
+    bool scored = false;
   };
   std::map<std::uint64_t, Allocation> allocations_;
-  std::vector<char> taken_;  ///< per node id: 1 = held by a running job
+  /// Per node id: the id + 1 of the running job holding it, 0 while free.
+  std::vector<std::uint64_t> owner_;
+  /// Cluster epoch of the last rescore(); none before the first.
+  std::optional<std::uint64_t> score_epoch_;
+  std::vector<remos::Delta> score_deltas_;  ///< rescore() scratch
   SchedulerStats stats_;
   // --- Telemetry (observational; none of it feeds state_digest) ---------
   obs::FlightRecorder* flight_ = nullptr;  ///< never null after construction

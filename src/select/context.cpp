@@ -216,12 +216,23 @@ void SelectionContext::apply_link_bandwidth(topo::LinkId l) const {
       changed = true;
     }
   }
-  if (!changed) return;
+  if (!changed || slot_of_.empty()) return;
   // Rows whose stored tree does not use l read it, if at all, through a
-  // derived leaf; rows whose tree does are repaired in place (value replay
-  // over the subtree below l, no BFS).
+  // derived leaf. A link with an unstored end is in the stored tree of the
+  // row sourced at that end only, as its first edge, so a replay would
+  // rewrite every cell: that row is dropped and rebuilt if read again. Rows
+  // whose tree holds a link between stored nodes are repaired in place
+  // (value replay over the subtree below l, no BFS).
+  const topo::Link& ln = graph().link(l);
+  const bool leaf_link = slot_of_[static_cast<std::size_t>(ln.a)] < 0 ||
+                         slot_of_[static_cast<std::size_t>(ln.b)] < 0;
   for_rows_using(l, [&](topo::NodeId src, std::unique_ptr<Cell[]>& row,
                         topo::NodeId child) {
+    if (leaf_link) {
+      row.reset();
+      rows_invalidated_partial().inc();
+      return;
+    }
     repair_row_values(row.get(), src, child);
     rows_repaired().inc();
   });

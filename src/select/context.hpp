@@ -47,14 +47,16 @@
 //     cpu rankings are per-call state);
 //   - a link-bandwidth delta repositions the link inside the cached
 //     deletion orders (binary erase + sorted reinsert, identical to a
-//     re-sort) and *repairs* affected rows in place: the BFS tree is
-//     weight-independent, so replaying the min-recurrence over the subtree
-//     below the link with the updated weights is bit-identical to a
-//     rebuild. A link with an unstored end (a host's access link) is in
-//     the stored tree of one row only, the row sourced at that end; every
-//     other row reads that end through the link on the fly. A link between
-//     two stored nodes is in a row's tree iff the tree link of one of its
-//     ends is that link;
+//     re-sort). A link with an unstored end (a host's access link) is in
+//     the stored tree of one row only, the row sourced at that end, as its
+//     first edge: every other row reads that end through the link on the
+//     fly, and that one row is *dropped* (a replay would rewrite every
+//     cell, at the cost of a rebuild) and rebuilt only if read again. A
+//     link between two stored nodes is in a row's tree iff the tree link of
+//     one of its ends is that link, and those rows are *repaired* in place:
+//     the BFS tree is weight-independent, so replaying the min-recurrence
+//     over the subtree below the link with the updated weights is
+//     bit-identical to a rebuild;
 //   - structural deltas: the graph patches its own CSR when it is
 //     mutated; of its own the context keeps only flat(), the far end of
 //     each half-edge, and clears it. Removing a link with an unstored end

@@ -1,15 +1,17 @@
 // The incremental-vs-rebuilt oracle for the typed-delta snapshot path:
 // a long-lived SelectionContext that consumes remos::Delta journals with
 // fine-grained invalidation (in-place row value repair, per-row drop on
-// link removal) must stay *bit-identical* to a context rebuilt from scratch
-// after arbitrary delta sequences — orders, component decompositions, the
-// half-edge neighbour array, bottleneck rows, selections under every
-// criterion, and set evaluations; every checked row is also compared, node
-// by node, with topo::bottleneck_row over the TopologyGraph. Also covers the
-// journal mechanics (typed emission, bounded trimming, overflow fallback),
-// the graph's CSR patches against a scan of its links, no row rebuild under
-// value-only deltas, one test per compact-row delta rule, the source range
-// check of pair_row, and the bounded-migration reselect layer.
+// access-link writes and link removal) must stay *bit-identical* to a
+// context rebuilt from scratch after arbitrary delta sequences — orders,
+// component decompositions, the half-edge neighbour array, bottleneck rows,
+// selections under every criterion, and set evaluations; every checked row
+// is also compared, node by node, with topo::bottleneck_row over the
+// TopologyGraph. Also covers the journal mechanics (typed emission, bounded
+// trimming, overflow fallback), the graph's CSR patches against a scan of
+// its links, no row rebuild under value-only deltas, one test per
+// compact-row delta rule, the source range check of pair_row, and the
+// bounded-migration reselect layer with the exactness of its no-swap test,
+// api::reselect_stays.
 
 #include <gtest/gtest.h>
 
@@ -634,7 +636,7 @@ void expect_rows_match_kernel(const select::SelectionContext& ctx,
     expect_row_matches_kernel(ctx.pair_row(src), snap, src, what);
 }
 
-TEST(CompactRows, AccessLinkBandwidthRepairsOneRow) {
+TEST(CompactRows, AccessLinkBandwidthDropsOneRow) {
   ScopedCounters counters;
   auto inst = compact_fat_tree();
   auto& snap = *inst.snap;
@@ -644,12 +646,26 @@ TEST(CompactRows, AccessLinkBandwidthRepairsOneRow) {
   const std::uint64_t misses = counters("select.ctx.row_misses");
   ASSERT_EQ(misses, hosts.size());
 
-  const topo::LinkId access = inst.graph->links_of(hosts[3])[0];
+  // The access link is the first edge of its host's own tree, so a replay
+  // would rewrite every cell of that row: the row is dropped instead, and
+  // nothing is repaired.
+  const topo::NodeId host = hosts[3];
+  const topo::LinkId access = inst.graph->links_of(host)[0];
   snap.set_bw(access, 0.3 * snap.maxbw(access));
   (void)ctx.link_bw();  // consume the delta
-  EXPECT_EQ(counters("select.ctx.rows.repaired"), 1u);
-  expect_rows_match_kernel(ctx, snap, hosts, "after access-link write");
-  EXPECT_EQ(counters("select.ctx.row_misses"), misses);  // nothing rebuilt
+  EXPECT_EQ(counters("select.ctx.rows.invalidated.partial"), 1u);
+  EXPECT_EQ(counters("select.ctx.rows.repaired"), 0u);
+  EXPECT_EQ(counters("select.ctx.rows.invalidated.full"), 0u);
+  // Every other row is kept as it was and reads the host through the new
+  // link value.
+  for (topo::NodeId h : hosts)
+    if (h != host)
+      expect_row_matches_kernel(ctx.pair_row(h), snap, h,
+                                "after access-link write");
+  EXPECT_EQ(counters("select.ctx.row_misses"), misses);
+  // The dropped row is rebuilt on its next read, equal to the kernel's.
+  expect_row_matches_kernel(ctx.pair_row(host), snap, host, "rebuilt row");
+  EXPECT_EQ(counters("select.ctx.row_misses"), misses + 1);
 }
 
 TEST(CompactRows, RemovingAnAccessLinkDropsOnlyThatHostsRow) {
@@ -893,6 +909,101 @@ TEST(Reselect, InfeasibleSelectionKeepsCurrentAndSaysSo) {
   auto solved = api::reselect(ctx, current, ok);
   ASSERT_TRUE(solved.feasible);
   EXPECT_FALSE(solved.kept_current);
+}
+
+/// api::reselect_stays is exact for the swap loop. On random states of a
+/// small fat-tree and a random core-edge graph, under every criterion and
+/// budgets 0-2: whenever it holds, no member is forced out, reselect
+/// returns the current nodes with 0 migrations, and (budget > 0) no single
+/// swap of a member for any other eligible host beats the current score.
+/// Budget 0 holds exactly when no member is forced out; the unbounded
+/// budget -1 never holds. Sensor values come from small discrete sets so
+/// that the ties the test turns on are common, and a minimum-cpu
+/// requirement forces members out in some trials. With a budget each
+/// criterion must see the predicate both hold and fail, so a predicate
+/// that never holds cannot pass.
+TEST(Reselect, StaysPredicateIsExactForTheSwapLoop) {
+  const select::Criterion criteria[] = {select::Criterion::MaxCompute,
+                                        select::Criterion::MaxBandwidth,
+                                        select::Criterion::Balanced};
+  const double loads[] = {0.0, 1.0, 1.0, 3.0};
+  const double fractions[] = {0.1, 0.5, 0.5, 1.0};
+  int held[3] = {0, 0, 0};
+  int failed[3] = {0, 0, 0};
+  for (int family : {0, 2}) {
+    for (std::uint64_t seed = 0; seed < 12; ++seed) {
+      auto inst = family_instance(family, seed + 60);
+      auto& g = *inst.graph;
+      auto& snap = *inst.snap;
+      util::Rng rng(seed * 3 + static_cast<std::uint64_t>(family));
+      const auto hosts = present_computes(g);
+      for (topo::NodeId h : hosts)
+        snap.set_loadavg(h, loads[rng.uniform_int(0, 3)]);
+      for (topo::LinkId l : present_links(g))
+        if (rng.bernoulli(0.6))
+          snap.set_bw(l, fractions[rng.uniform_int(0, 3)] * snap.maxbw(l));
+      select::SelectionContext ctx(snap);
+      for (int trial = 0; trial < 4; ++trial) {
+        std::vector<topo::NodeId> pool = hosts;
+        std::shuffle(pool.begin(), pool.end(), rng.engine());
+        const auto m = static_cast<std::size_t>(rng.uniform_int(2, 5));
+        std::vector<topo::NodeId> current(pool.begin(), pool.begin() + m);
+        std::vector<topo::NodeId> sorted = current;
+        std::sort(sorted.begin(), sorted.end());
+        for (int c = 0; c < 3; ++c) {
+          for (int budget = -1; budget <= 2; ++budget) {
+            api::ReselectOptions opt;
+            opt.criterion = criteria[c];
+            opt.max_migrations = budget;
+            opt.selection.min_cpu_fraction = trial == 3 ? 0.4 : 0.0;
+            opt.selection.num_nodes = static_cast<int>(m);
+            const std::string what =
+                "family " + std::to_string(family) + " seed " +
+                std::to_string(seed) + " trial " + std::to_string(trial) +
+                " criterion " + std::to_string(c) + " budget " +
+                std::to_string(budget);
+            const bool forced = std::any_of(
+                current.begin(), current.end(), [&](topo::NodeId n) {
+                  return !select::node_eligible(snap, n, opt.selection);
+                });
+            const bool stays = api::reselect_stays(ctx, current, opt);
+            if (budget < 0) {
+              EXPECT_FALSE(stays) << what;
+            } else if (budget == 0) {
+              EXPECT_EQ(stays, !forced) << what;
+            } else if (!forced) {
+              ++(stays ? held[c] : failed[c]);
+            }
+            if (!stays) continue;
+            EXPECT_FALSE(forced) << what;
+            const api::ReselectResult r = api::reselect(ctx, current, opt);
+            EXPECT_EQ(r.nodes, sorted) << what;
+            EXPECT_EQ(r.migrations, 0) << what;
+            if (budget == 0) continue;
+            const auto score = [&](const std::vector<topo::NodeId>& set) {
+              return api::criterion_score(
+                  criteria[c], select::evaluate_set(ctx, set, opt.selection));
+            };
+            const double now = score(sorted);
+            for (std::size_t o = 0; o < m; ++o)
+              for (topo::NodeId in : hosts) {
+                if (std::count(sorted.begin(), sorted.end(), in) ||
+                    !select::node_eligible(snap, in, opt.selection))
+                  continue;
+                std::vector<topo::NodeId> swapped = sorted;
+                swapped[o] = in;
+                EXPECT_LE(score(swapped), now)
+                    << what << ": swapping " << sorted[o] << " for " << in;
+              }
+          }
+        }
+      }
+    }
+  }
+  for (int c = 0; c < 3; ++c) {
+    EXPECT_GT(held[c], 0) << "criterion " << c;
+    EXPECT_GT(failed[c], 0) << "criterion " << c;
+  }
 }
 
 TEST(Reselect, ScoreMatchesCriterion) {

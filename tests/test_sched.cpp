@@ -4,12 +4,15 @@
 // thread counts, node-disjointness of concurrent jobs, exact snapshot
 // restore after drain(), every job terminal after drain(), the per-tenant
 // degradation ladder under partial and collapsed measurement coverage, the
-// rebalance path honouring a kept_current reselect, decisions unchanged by
-// delta-journal overflow, the rejection of bad JobSpecs and arrival times
-// at submit(), of bad tenant ladders at set_tenant_policy() and of bad
-// time fields at construction, and the determinism of the JobStream
-// workload generator. The service's throughput and latency are timed by
-// benchmark/netsel_bench (service_batched, service_event).
+// rebalance path honouring a kept_current reselect, the job a rebalance
+// picks from cached scores being the one a fresh evaluate_set ranks worst
+// after host, access-link and uplink writes and a journal overflow, the
+// rebalance budgets 0 and -1, decisions unchanged by delta-journal
+// overflow, the rejection of bad JobSpecs and arrival times at submit(), of
+// bad tenant ladders at set_tenant_policy() and of bad time fields at
+// construction, and the determinism of the JobStream workload generator.
+// The service's throughput and latency are timed by benchmark/netsel_bench
+// (service_batched, service_event).
 
 #include <gtest/gtest.h>
 
@@ -19,8 +22,11 @@
 #include <string>
 #include <vector>
 
+#include "api/reselect.hpp"
 #include "obs/metrics.hpp"
 #include "sched/scheduler.hpp"
+#include "select/context.hpp"
+#include "select/objective.hpp"
 #include "sched/workload.hpp"
 #include "topo/synthetic.hpp"
 #include "util/thread_pool.hpp"
@@ -379,6 +385,205 @@ TEST(SchedulerService, RebalanceHonoursKeptCurrent) {
   EXPECT_EQ(sched.job(a_id).migrations, 0);
   EXPECT_EQ(sched.job(a_id).nodes, a_nodes);
   EXPECT_EQ(sched.job(a_id).state, JobState::Running);
+}
+
+// ---------------------------------------------------------------------------
+// Rebalance: cached job scores and the skipped reselect. The scheduler keeps
+// each running job's criterion score and rescores only what the journal
+// says can have moved; the job it rebalances must still be the one a fresh
+// evaluate_set ranks worst. Each scenario changes the cluster between two
+// run_until calls and then lets a departure rebalance.
+// ---------------------------------------------------------------------------
+
+/// One core switch over 16 edge switches with one host each. A route
+/// between two hosts crosses their access links and their edge switches'
+/// uplinks, so a write on one uplink moves the pair terms of one host only,
+/// yet the uplink has no end of degree <= 1.
+topo::TopologyGraph star_of_edges() {
+  topo::FatTreeOptions o;
+  o.edge_switches = 16;
+  o.hosts_per_edge = 1;
+  o.core_switches = 1;
+  o.seed = 61;
+  return topo::fat_tree(o);
+}
+
+/// The running job (other than `departing`) with the lowest criterion score
+/// on a fresh context, ties to the lowest id.
+std::uint64_t fresh_worst(const SchedulerService& sched,
+                          std::uint64_t departing) {
+  select::SelectionContext ctx(sched.snapshot());
+  std::uint64_t worst = 0;
+  double worst_score = std::numeric_limits<double>::infinity();
+  for (const JobRecord& rec : sched.jobs()) {
+    if (rec.state != JobState::Running || rec.id == departing) continue;
+    select::SelectionOptions opt;
+    opt.num_nodes = rec.spec.nodes;
+    opt.cpu_priority = rec.spec.cpu_priority;
+    opt.bw_priority = rec.spec.bw_priority;
+    const double s = api::criterion_score(
+        rec.spec.criterion, select::evaluate_set(ctx, rec.nodes, opt));
+    if (s < worst_score) {
+      worst = rec.id;
+      worst_score = s;
+    }
+  }
+  return worst;
+}
+
+/// Three long jobs A, B, C and two short ones on the idle star, rebalancing
+/// under `budget`. Every job runs 3 nodes from t = 0; the first short job's
+/// departure (t = 10) scores every running job while all of them tie. A
+/// test then changes the cluster (t = 15) and lets the second short job's
+/// departure (t = 30) rebalance.
+struct RebalanceScenario {
+  topo::TopologyGraph g = star_of_edges();
+  SchedulerService sched;
+  std::vector<std::uint64_t> longs;
+  std::uint64_t last_short = 0;
+
+  explicit RebalanceScenario(int budget, JobSpec spec = {})
+      : sched(g, config(budget)) {
+    spec.nodes = 3;
+    spec.duration = 1000.0;
+    for (int i = 0; i < 3; ++i) longs.push_back(sched.submit(spec, 0.0));
+    JobSpec brief;
+    brief.nodes = 3;
+    brief.duration = 10.0;
+    sched.submit(brief, 0.0);
+    brief.duration = 30.0;
+    last_short = sched.submit(brief, 0.0);
+    sched.run_until(15.0);
+  }
+  static SchedulerConfig config(int budget) {
+    SchedulerConfig cfg;
+    cfg.rebalance_on_release = true;
+    cfg.rebalance_budget = budget;
+    return cfg;
+  }
+  /// First host of long job i and its access link.
+  topo::NodeId host(int i) const { return sched.job(longs[i]).nodes[0]; }
+  topo::LinkId access(int i) const { return g.links_of(host(i))[0]; }
+  /// Run past the second short job's departure; the long jobs it migrated.
+  std::vector<std::uint64_t> migrated_at_last_departure() {
+    std::vector<int> before;
+    for (std::uint64_t id : longs) before.push_back(sched.job(id).migrations);
+    sched.run_until(35.0);
+    EXPECT_EQ(sched.job(last_short).state, JobState::Completed);
+    std::vector<std::uint64_t> out;
+    for (std::size_t i = 0; i < longs.size(); ++i)
+      if (sched.job(longs[i]).migrations != before[i]) out.push_back(longs[i]);
+    return out;
+  }
+};
+
+/// Turns the obs registry on, zeroed, for one test so that its counters can
+/// be read, and restores the disabled default afterwards.
+struct ScopedRegistry {
+  ScopedRegistry() {
+    obs::set_enabled(true);
+    obs::Registry::global().reset();
+  }
+  ~ScopedRegistry() {
+    obs::Registry::global().reset();
+    obs::set_enabled(false);
+  }
+  std::uint64_t operator()(const char* name) const {
+    return obs::Registry::global().counter(name).value();
+  }
+};
+
+TEST(SchedulerRebalance, HostLoadWriteRescoresItsJob) {
+  RebalanceScenario sc(2);
+  sc.sched.snapshot().set_loadavg(sc.host(1), 99.0);
+  const std::uint64_t worst = fresh_worst(sc.sched, sc.last_short);
+  EXPECT_EQ(worst, sc.longs[1]);
+  EXPECT_EQ(sc.migrated_at_last_departure(),
+            std::vector<std::uint64_t>{worst});
+}
+
+TEST(SchedulerRebalance, AccessLinkWriteRescoresItsJob) {
+  RebalanceScenario sc(2);
+  const topo::LinkId l = sc.access(2);
+  sc.sched.snapshot().set_bw(l, 0.01 * sc.sched.snapshot().maxbw(l));
+  const std::uint64_t worst = fresh_worst(sc.sched, sc.last_short);
+  EXPECT_EQ(worst, sc.longs[2]);
+  EXPECT_EQ(sc.migrated_at_last_departure(),
+            std::vector<std::uint64_t>{worst});
+}
+
+TEST(SchedulerRebalance, SwitchLinkWriteRescoresEveryJob) {
+  RebalanceScenario sc(2);
+  // The uplink of the edge switch above long job 1's first host.
+  const topo::NodeId edge = sc.g.other_end(sc.access(1), sc.host(1));
+  topo::LinkId uplink = topo::kInvalidLink;
+  for (topo::LinkId l : sc.g.links_of(edge))
+    if (l != sc.access(1)) uplink = l;
+  ASSERT_NE(uplink, topo::kInvalidLink);
+  ASSERT_GT(sc.g.degree(sc.g.other_end(uplink, edge)), 1u);
+  ASSERT_GT(sc.g.degree(edge), 1u);
+  sc.sched.snapshot().set_bw(uplink, 0.01 * sc.sched.snapshot().maxbw(uplink));
+  const std::uint64_t worst = fresh_worst(sc.sched, sc.last_short);
+  EXPECT_EQ(worst, sc.longs[1]);
+  EXPECT_EQ(sc.migrated_at_last_departure(),
+            std::vector<std::uint64_t>{worst});
+}
+
+TEST(SchedulerRebalance, JournalOverflowRescoresEveryJob) {
+  RebalanceScenario sc(2);
+  // Too small for the departure's own restore writes: the scan finds a gap.
+  sc.sched.snapshot().set_delta_journal_capacity(2);
+  sc.sched.snapshot().set_loadavg(sc.host(2), 99.0);
+  const std::uint64_t worst = fresh_worst(sc.sched, sc.last_short);
+  EXPECT_EQ(worst, sc.longs[2]);
+  EXPECT_EQ(sc.migrated_at_last_departure(),
+            std::vector<std::uint64_t>{worst});
+}
+
+// rebalance_budget 0 moves a job only to replace members that became
+// ineligible, and without one it does not run reselect at all.
+TEST(SchedulerRebalance, BudgetZeroMovesOnlyForcedMembers) {
+  ScopedRegistry counters;
+  {
+    RebalanceScenario sc(0);
+    sc.sched.snapshot().set_loadavg(sc.host(1), 99.0);
+    ASSERT_EQ(fresh_worst(sc.sched, sc.last_short), sc.longs[1]);
+    EXPECT_TRUE(sc.migrated_at_last_departure().empty());
+    EXPECT_EQ(sc.sched.stats().rebalance_attempts, 2u);
+    EXPECT_EQ(counters("api.reselect.calls"), 0u);
+  }
+  // Each long job needs cpu >= 0.3 and sits at 0.5 under its own load; the
+  // write leaves one of its hosts at 0.01, so that member is forced out.
+  JobSpec needy;
+  needy.min_cpu_fraction = 0.3;
+  RebalanceScenario sc(0, needy);
+  const topo::NodeId loaded = sc.host(1);
+  sc.sched.snapshot().set_loadavg(loaded, 99.0);
+  EXPECT_EQ(sc.migrated_at_last_departure(),
+            std::vector<std::uint64_t>{sc.longs[1]});
+  const JobRecord& moved = sc.sched.job(sc.longs[1]);
+  EXPECT_EQ(moved.migrations, 1);
+  EXPECT_FALSE(std::count(moved.nodes.begin(), moved.nodes.end(), loaded));
+  EXPECT_EQ(sc.sched.stats().rebalance_migrations, 1u);
+}
+
+// A negative rebalance_budget is reselect's unbounded mode: the job adopts
+// the unconstrained optimum, so no rebalance can skip reselect. Under a
+// bounded budget the tied scan at t = 10 is skipped.
+TEST(SchedulerRebalance, NegativeBudgetNeverSkipsReselect) {
+  ScopedRegistry counters;
+  for (int budget : {-1, 2}) {
+    obs::Registry::global().reset();
+    RebalanceScenario sc(budget);
+    sc.sched.snapshot().set_loadavg(sc.host(0), 99.0);
+    sc.sched.drain();
+    const std::uint64_t attempts = sc.sched.stats().rebalance_attempts;
+    ASSERT_GT(attempts, 2u);
+    if (budget < 0)
+      EXPECT_EQ(counters("api.reselect.calls"), attempts);
+    else
+      EXPECT_LT(counters("api.reselect.calls"), attempts);
+  }
 }
 
 // ---------------------------------------------------------------------------
