@@ -18,8 +18,14 @@ the dot-directories DOC_GLOBS names) for
     directory prefix and file extension must exist.
 
 Fenced code blocks are ignored, both as link sources and when collecting
-headings. Exits non-zero listing every broken reference. Run from
-anywhere:
+headings.
+
+It also fails on a numbered ROADMAP reference ("ROADMAP item 3") in the
+code, tests and docs (NUMBERED_SCOPE): item numbers move at every
+re-anchor, so a reference names the item instead. CHANGES.md and ROADMAP.md
+are records and are not scanned for this.
+
+Exits non-zero listing every broken reference. Run from anywhere:
 
   python3 scripts/check_docs_links.py
 """
@@ -36,6 +42,13 @@ DOC_GLOBS = ["*.md", "docs/*.md", "benchmark/*.md", ".github/**/*.md",
 # Generated reference material (paper/snippet retrieval dumps) is not ours
 # to fix and may cite assets that were never retrieved.
 SKIP = {"PAPERS.md", "SNIPPETS.md", "PAPER.md", "ISSUE.md"}
+
+# Where a ROADMAP item must be cited by name, not number: every file under
+# the directories, and the named files. The reference may wrap across
+# comment lines ("ROADMAP\n// item 3").
+NUMBERED_SCOPE = ["src", "bench", "tests", "docs", "README.md", "DESIGN.md",
+                  "EXPERIMENTS.md"]
+NUMBERED_ITEM = re.compile(r"ROADMAP[\s/#*]+items?\s+\d")
 
 INLINE_LINK = re.compile(r"\[[^\]]*\]\(([^)\s]+)\)")
 # `path/to/file.ext` with a recognisable top-level prefix.
@@ -99,8 +112,25 @@ def heading_anchors(md, cache):
     return cache[md]
 
 
+def numbered_items():
+    """Every numbered ROADMAP reference in NUMBERED_SCOPE, one line each."""
+    found = []
+    for entry in NUMBERED_SCOPE:
+        base = ROOT / entry
+        files = sorted(f for f in base.rglob("*") if f.is_file()) \
+            if base.is_dir() else [base]
+        for f in files:
+            text = f.read_text(encoding="utf-8", errors="replace")
+            for m in NUMBERED_ITEM.finditer(text):
+                line = text.count("\n", 0, m.start()) + 1
+                ref = re.sub(r"[\s/#*]+", " ", m.group(0))
+                found.append(f"{f.relative_to(ROOT)}:{line}: numbered "
+                             f"'{ref}': cite the ROADMAP item by name")
+    return found
+
+
 def main():
-    broken = []
+    broken = numbered_items()
     anchor_cache = {}
     files = sorted(
         {f for g in DOC_GLOBS for f in ROOT.glob(g) if f.name not in SKIP}

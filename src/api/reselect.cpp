@@ -58,6 +58,9 @@ ReselectResult reselect(const select::SelectionContext& ctx,
   const std::size_t m = current.size();
   select::SelectionOptions sopt = opt.selection;
   sopt.num_nodes = static_cast<int>(m);
+  // Before anything reads the options: a short eligibility mask would be
+  // read out of bounds.
+  select::validate_options(ctx.snapshot(), sopt);
 
   const auto score = [&](const std::vector<topo::NodeId>& nodes) {
     return criterion_score(opt.criterion, evaluate_set(ctx, nodes, sopt));
@@ -182,8 +185,11 @@ ReselectResult reselect(const select::SelectionContext& ctx,
 bool reselect_stays(const select::SelectionContext& ctx,
                     const std::vector<topo::NodeId>& current,
                     const ReselectOptions& opt) {
-  if (opt.max_migrations < 0 || current.empty()) return false;
-  const select::SelectionOptions& sopt = opt.selection;
+  if (current.empty()) return false;
+  select::SelectionOptions sopt = opt.selection;
+  sopt.num_nodes = static_cast<int>(current.size());
+  select::validate_options(ctx.snapshot(), sopt);  // as reselect does
+  if (opt.max_migrations < 0) return false;
   for (topo::NodeId n : current)
     if (!select::node_eligible(ctx.snapshot(), n, sopt)) return false;
   // Nothing forced out and no budget: the swap loop never runs.

@@ -75,7 +75,9 @@ struct ReselectResult {
 double criterion_score(select::Criterion c, const select::SetEvaluation& ev);
 
 /// Bounded re-placement of `current` (its size fixes m). Pure function of
-/// the context's snapshot; deterministic.
+/// the context's snapshot; deterministic. Throws std::invalid_argument for
+/// an empty `current`, and, before anything reads them, for options that
+/// select::validate_options rejects with num_nodes = current.size().
 ReselectResult reselect(const select::SelectionContext& ctx,
                         const std::vector<topo::NodeId>& current,
                         const ReselectOptions& opt);
@@ -91,7 +93,8 @@ ReselectResult reselect(const select::SelectionContext& ctx,
 /// at or below the current score involves o. Never true when reselect would
 /// move a node; it may be false when reselect keeps the set anyway (no
 /// candidate happens to beat the score). O(m^2) row reads, like one
-/// evaluate_set.
+/// evaluate_set. False for an empty `current`; otherwise throws on the
+/// options reselect rejects, whatever the budget.
 bool reselect_stays(const select::SelectionContext& ctx,
                     const std::vector<topo::NodeId>& current,
                     const ReselectOptions& opt);

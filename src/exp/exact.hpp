@@ -1,6 +1,6 @@
 #pragma once
-// Optimality-gap certification grid (ROADMAP item 3): how far from optimal
-// are the greedy selectors, really?
+// Optimality-gap certification grid (ROADMAP: "Certify the whole exact
+// grid"): how far from optimal are the greedy selectors, really?
 //
 // For every synthetic family x m x criterion cell the grid scores the
 // greedy answer on the *exact* pairwise objective (select::exact_set_value,

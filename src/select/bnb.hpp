@@ -1,5 +1,6 @@
 #pragma once
-// Exact branch-and-bound node selection (ROADMAP item 3).
+// Exact branch-and-bound node selection (ROADMAP: "Certify the whole exact
+// grid").
 //
 // The greedy selectors (select/algorithms.hpp) optimise proxies of the true
 // pairwise objective: Fig. 2's deletion loop maximises a component-level

@@ -1,6 +1,8 @@
 #include "select/context.hpp"
 
 #include <algorithm>
+#include <bit>
+#include <cstdint>
 #include <limits>
 #include <stdexcept>
 
@@ -128,6 +130,10 @@ void SelectionContext::apply_delta(const remos::Delta& d) const {
 
 namespace {
 
+bool same_bits(double a, double b) {
+  return std::bit_cast<std::uint64_t>(a) == std::bit_cast<std::uint64_t>(b);
+}
+
 // (key, id) is a strict total order over links (ids are distinct), and it
 // is exactly the order stable_sort-ascending-by-key produces, so a binary
 // erase + sorted reinsert leaves the order identical to a rebuilt sort.
@@ -164,30 +170,18 @@ template <class F>
 void SelectionContext::for_rows_using(topo::LinkId l, F&& f) const {
   if (slot_of_.empty()) return;  // no layout, no rows
   const topo::Link& ln = graph().link(l);
-  // The stored end the row's tree discovered through l, if any.
-  auto child = [&](const Cell* cells) {
-    for (const topo::NodeId x : {ln.a, ln.b}) {
-      const std::int32_t s = slot_of_[static_cast<std::size_t>(x)];
-      if (s >= 0 && cells[s].tree_link == l) return x;
-    }
-    return topo::kInvalidNode;
-  };
-  auto visit = [&](std::size_t src) {
-    if (!rows_[src]) return;
-    const topo::NodeId c = child(rows_[src].get());
-    if (c != topo::kInvalidNode)
-      f(static_cast<topo::NodeId>(src), rows_[src], c);
-  };
-  bool leaf_end = false;
-  for (const topo::NodeId x : {ln.a, ln.b}) {
-    if (slot_of_[static_cast<std::size_t>(x)] >= 0) continue;
-    // x has no other link: l is the first edge of x's own tree and reaches
-    // a derived leaf in every other row.
-    leaf_end = true;
-    visit(static_cast<std::size_t>(x));
+  const std::int32_t sa = slot_of_[static_cast<std::size_t>(ln.a)];
+  const std::int32_t sb = slot_of_[static_cast<std::size_t>(ln.b)];
+  // Rows are sourced at stored nodes and never queue an unstored one, so a
+  // link with an unstored end discovers no stored node in any row.
+  if (sa < 0 || sb < 0) return;
+  for (Row& row : rows_) {
+    if (!row.cells) continue;
+    if (row.cells[sa].tree_link == l)
+      f(row, ln.a);
+    else if (row.cells[sb].tree_link == l)
+      f(row, ln.b);
   }
-  if (leaf_end) return;
-  for (std::size_t src = 0; src < rows_.size(); ++src) visit(src);
 }
 
 void SelectionContext::apply_link_bandwidth(topo::LinkId l) const {
@@ -197,10 +191,11 @@ void SelectionContext::apply_link_bandwidth(topo::LinkId l) const {
   // the delta's recorded one): repeated deltas for the same link converge,
   // and a later repair always sees final weights. Erase with the old key
   // before writing the new one — the deletion orders are sorted by the
-  // cached key.
+  // cached key. -0.0 and +0.0 compare equal but are different values to a
+  // row, so the test is on the bits.
   if (bw_valid_ && il < bw_.size()) {
     const double nb = snap_->bw(l);
-    if (bw_[il] != nb) {
+    if (!same_bits(bw_[il], nb)) {
       if (by_bw_valid_) order_erase(by_bw_, bw_, l);
       bw_[il] = nb;
       if (by_bw_valid_) order_insert(by_bw_, bw_, l);
@@ -209,36 +204,25 @@ void SelectionContext::apply_link_bandwidth(topo::LinkId l) const {
   }
   if (bwfactor_valid_ && il < bwfactor_.size()) {
     const double nf = snap_->bwfactor(l);
-    if (bwfactor_[il] != nf) {
+    if (!same_bits(bwfactor_[il], nf)) {
       if (by_bwfactor_valid_) order_erase(by_bwfactor_, bwfactor_, l);
       bwfactor_[il] = nf;
       if (by_bwfactor_valid_) order_insert(by_bwfactor_, bwfactor_, l);
       changed = true;
     }
   }
-  if (!changed || slot_of_.empty()) return;
-  // Rows whose stored tree does not use l read it, if at all, through a
-  // derived leaf. A link with an unstored end is in the stored tree of the
-  // row sourced at that end only, as its first edge, so a replay would
-  // rewrite every cell: that row is dropped and rebuilt if read again. Rows
-  // whose tree holds a link between stored nodes are repaired in place
+  if (!changed) return;
+  // A link with an unstored end (a host's access link) is read from the
+  // weight arrays, as a first hop or a derived leaf, and is in no row.
+  // Rows whose tree holds a link between stored nodes are repaired in place
   // (value replay over the subtree below l, no BFS).
-  const topo::Link& ln = graph().link(l);
-  const bool leaf_link = slot_of_[static_cast<std::size_t>(ln.a)] < 0 ||
-                         slot_of_[static_cast<std::size_t>(ln.b)] < 0;
-  for_rows_using(l, [&](topo::NodeId src, std::unique_ptr<Cell[]>& row,
-                        topo::NodeId child) {
-    if (leaf_link) {
-      row.reset();
-      rows_invalidated_partial().inc();
-      return;
-    }
-    repair_row_values(row.get(), src, child);
+  for_rows_using(l, [&](Row& row, topo::NodeId child) {
+    repair_row_values(row.cells.get(), child);
     rows_repaired().inc();
   });
 }
 
-void SelectionContext::repair_row_values(Cell* cells, topo::NodeId src,
+void SelectionContext::repair_row_values(Cell* cells,
                                          topo::NodeId child) const {
   // The BFS tree is weight-independent, so only the values changed, and
   // only inside the subtree hanging below the changed link: `child`, the
@@ -248,13 +232,12 @@ void SelectionContext::repair_row_values(Cell* cells, topo::NodeId src,
   // avoid it entirely. Each recomputation is the exact float operation the
   // build performs, on a parent value that is already final (parents are
   // dequeued before their children below), so the result is bit-identical
-  // to a from-scratch rebuild. latency and reachability are
-  // weight-independent. A stored node's parent is the source or stored:
-  // an unstored node other than the source discovers nothing. The walk
+  // to a from-scratch rebuild. Latency and reachability are
+  // weight-independent. A stored node's parent is stored (the source's
+  // cell reads {+inf, +inf}): an unstored node discovers nothing. The walk
   // reads the graph's final structure (see the validity contract in the
   // header): a child reached through a link removed later in the batch is
   // missed, but that removal drops this row.
-  constexpr double kInf = std::numeric_limits<double>::infinity();
   const auto adj = graph().adjacency();
   const auto links = graph().links();
   repair_queue_.clear();
@@ -264,16 +247,10 @@ void SelectionContext::repair_row_values(Cell* cells, topo::NodeId src,
     const auto iv = static_cast<std::size_t>(v);
     Cell& c = cells[slot_of_[iv]];
     const auto il = static_cast<std::size_t>(c.tree_link);
-    const topo::NodeId p = links[il].other(v);
-    double pb = kInf;
-    double pb2 = kInf;
-    if (p != src) {
-      const Cell& pc = cells[slot_of_[static_cast<std::size_t>(p)]];
-      pb = pc.bottleneck;
-      pb2 = pc.bottleneck2;
-    }
-    c.bottleneck = std::min(pb, bw_[il]);
-    c.bottleneck2 = std::min(pb2, bwfactor_[il]);
+    const Cell& pc =
+        cells[slot_of_[static_cast<std::size_t>(links[il].other(v))]];
+    c.bottleneck = std::min(pc.bottleneck, bw_[il]);
+    c.bottleneck2 = std::min(pc.bottleneck2, bwfactor_[il]);
     for (auto k = adj.start[iv]; k < adj.start[iv + 1]; ++k) {
       // w is v's tree child iff the edge that discovered w is this one. A w
       // past slot_of_ was added later in the batch, and so was its link:
@@ -298,7 +275,7 @@ void SelectionContext::apply_node_added() const {
     ++base_comps_->count;
   }
   // No row grows: the node is unstored (it has no link), so every row
-  // reads it as unreached, and pair_row() sizes the row slots.
+  // reads it as unreached, and its own pair_row() reads no row.
   if (!slot_of_.empty()) slot_of_.push_back(-1);
 }
 
@@ -358,12 +335,11 @@ void SelectionContext::apply_link_removed(topo::LinkId l) const {
   // Removing a non-tree edge never changes a BFS tree (the tree edge into
   // each node is the *first* edge reaching it in scan order; dropping a
   // later edge cannot promote an earlier one). Only rows whose stored tree
-  // used l are dropped: for a link with an unstored end that is the row
-  // sourced at that end, and the other rows stop reaching the leaf because
-  // the graph no longer lists the link.
-  for_rows_using(l, [&](topo::NodeId, std::unique_ptr<Cell[]>& row,
-                        topo::NodeId) {
-    row.reset();
+  // used l are dropped, their columns with them. A link with an unstored
+  // end is in no row: the leaf reads as detached because the graph no
+  // longer lists the link.
+  for_rows_using(l, [&](Row& row, topo::NodeId) {
+    row = Row{};
     rows_invalidated_partial().inc();
   });
 }
@@ -480,101 +456,134 @@ const topo::Components& SelectionContext::base_components() const {
 }
 
 void SelectionContext::ensure_layout() const {
-  // Each revalidates first; rows_ is maintained alongside.
+  revalidate();
+  if (!slot_of_.empty() && bw_valid_ && bwfactor_valid_ && !nbr_.empty())
+    return;  // the warm path of every pair_row()
   (void)link_bw();
   (void)link_bwfactor();
   (void)flat();
+  if (!slot_of_.empty()) return;
   const auto start = graph().adjacency().start;
   const std::size_t n = graph().node_count();
-  if (slot_of_.empty() && n > 0) {
-    slot_of_.assign(n, -1);
-    stored_count_ = 0;
-    for (std::size_t v = 0; v < n; ++v)
-      if (start[v + 1] - start[v] >= 2)
-        slot_of_[v] = static_cast<std::int32_t>(stored_count_++);
-  }
-  if (rows_.size() != n) rows_.resize(n);
+  slot_of_.assign(n, -1);
+  stored_count_ = 0;
+  for (std::size_t v = 0; v < n; ++v)
+    if (start[v + 1] - start[v] >= 2)
+      slot_of_[v] = static_cast<std::int32_t>(stored_count_++);
+  rows_.resize(stored_count_);
 }
 
 void SelectionContext::drop_rows() const {
   std::size_t built = 0;
-  for (const auto& row : rows_)
-    if (row) ++built;
+  for (const Row& row : rows_)
+    if (row.cells) ++built;
   if (built) rows_invalidated_full().inc(built);
   rows_.clear();
   slot_of_.clear();
   stored_count_ = 0;
 }
 
-std::unique_ptr<SelectionContext::Cell[]> SelectionContext::build_row(
-    topo::NodeId src) const {
+void SelectionContext::build_row(topo::NodeId src, Row& row) const {
   // topo::bottleneck_row's BFS over the graph's CSR with the unstored nodes
   // left out of the FIFO: such a node (other than the source) has no link
   // but the one it was discovered through, so it discovers nothing, and
   // dropping it from the queue leaves every stored node's parent, hence its
   // values, unchanged. Reads derive it from its parent's cell. A half-edge
   // reads only its far end (nbr_) and that end's slot until it discovers a
-  // node; the link and its weights are read on a discovery only.
+  // node; the weights are read on a discovery only. The FIFO is the
+  // discovery order the latency columns are filled in.
   constexpr double kInf = std::numeric_limits<double>::infinity();
   const auto adj = graph().adjacency();
-  const auto links = graph().links();
-  auto cells = std::make_unique<Cell[]>(stored_count_);
-  std::vector<topo::NodeId> fifo;
-  fifo.reserve(stored_count_ + 1);
+  row.cells = std::make_unique<Cell[]>(stored_count_);
+  Cell* cells = row.cells.get();
+  std::vector<topo::NodeId>& fifo = row.order;
+  fifo.reserve(stored_count_);
   fifo.push_back(src);
+  cells[slot_of_[static_cast<std::size_t>(src)]] = {kInf, kInf, kSourceLink};
   for (std::size_t head = 0; head < fifo.size(); ++head) {
-    const topo::NodeId u = fifo[head];
-    const auto iu = static_cast<std::size_t>(u);
-    double ub = kInf;
-    double ub2 = kInf;
-    double ulat = 0.0;
-    if (u != src) {
-      const Cell& uc = cells[slot_of_[iu]];
-      ub = uc.bottleneck;
-      ub2 = uc.bottleneck2;
-      ulat = uc.latency;
-    }
+    const auto iu = static_cast<std::size_t>(fifo[head]);
+    const Cell& uc = cells[slot_of_[iu]];
     const auto lo = static_cast<std::size_t>(adj.start[iu]);
     const auto hi = static_cast<std::size_t>(adj.start[iu + 1]);
     for (std::size_t e = lo; e < hi; ++e) {
       const topo::NodeId w = nbr_[e];
       const std::int32_t sw = slot_of_[static_cast<std::size_t>(w)];
-      if (sw < 0 || w == src) continue;
+      if (sw < 0) continue;
       Cell& c = cells[sw];
       if (c.tree_link != topo::kInvalidLink) continue;
       const topo::LinkId l = adj.link[e];
       const auto il = static_cast<std::size_t>(l);
       c.tree_link = l;
-      c.bottleneck = std::min(ub, bw_[il]);
-      c.bottleneck2 = std::min(ub2, bwfactor_[il]);
-      c.latency = ulat + links[il].latency;
+      c.bottleneck = std::min(uc.bottleneck, bw_[il]);
+      c.bottleneck2 = std::min(uc.bottleneck2, bwfactor_[il]);
       fifo.push_back(w);
     }
   }
-  return cells;
+}
+
+const double* SelectionContext::latency_column(Row& row, double key) const {
+  // Keys are 0.0 + a finite latency >= 0, never -0.0 or NaN, so == is
+  // equality of bits.
+  for (const Column& c : row.columns)
+    if (c.key == key) return c.latency.get();
+  // The kernel's sums: the source's latency is the key (0.0 plus the first
+  // hop), and each node in discovery order adds its tree link to its
+  // parent's final value. A sum off the row's own +0.0 column would group
+  // the additions differently.
+  const auto links = graph().links();
+  auto lat = std::make_unique<double[]>(stored_count_);
+  lat[slot_of_[static_cast<std::size_t>(row.order.front())]] = key;
+  for (std::size_t i = 1; i < row.order.size(); ++i) {
+    const topo::NodeId v = row.order[i];
+    const auto s = slot_of_[static_cast<std::size_t>(v)];
+    const topo::Link& lk =
+        links[static_cast<std::size_t>(row.cells[s].tree_link)];
+    lat[s] = lat[slot_of_[static_cast<std::size_t>(lk.other(v))]] + lk.latency;
+  }
+  row.columns.push_back({key, std::move(lat)});
+  return row.columns.back().latency.get();
 }
 
 SelectionContext::PairRow SelectionContext::pair_row(topo::NodeId src) const {
   if (src < 0 || static_cast<std::size_t>(src) >= graph().node_count())
     throw std::out_of_range("pair_row: source out of range");
   ensure_layout();
-  auto& slot = rows_[static_cast<std::size_t>(src)];
-  if (!slot) {
+  const auto is = static_cast<std::size_t>(src);
+  const auto adj = graph().adjacency();
+  const auto links = graph().links();
+  PairRow r;
+  r.src_ = src;
+  r.slot_of_ = slot_of_.data();
+  r.adj_start_ = adj.start.data();
+  r.adj_link_ = adj.link.data();
+  r.links_ = links.data();
+  r.bw_ = bw_.data();
+  r.bwfactor_ = bwfactor_.data();
+  topo::NodeId base = src;
+  double key = 0.0;
+  if (slot_of_[is] < 0) {
+    // A leaf source: the kernel crosses its one link first, min(+inf, w)
+    // is w, and the rest of its tree is the neighbour's.
+    if (adj.start[is] == adj.start[is + 1]) return r;  // reaches only itself
+    const topo::LinkId l = adj.link[static_cast<std::size_t>(adj.start[is])];
+    const auto il = static_cast<std::size_t>(l);
+    base = links[il].other(src);
+    // A neighbour with no other link: the pair is all the source reaches.
+    if (slot_of_[static_cast<std::size_t>(base)] < 0) return r;
+    r.first_bw_ = bw_[il];
+    r.first_bw2_ = bwfactor_[il];
+    key = 0.0 + links[il].latency;
+  }
+  Row& row =
+      rows_[static_cast<std::size_t>(slot_of_[static_cast<std::size_t>(base)])];
+  if (!row.cells) {
     row_misses().inc();
-    slot = build_row(src);
+    build_row(base, row);
   } else {
     row_hits().inc();
   }
-  PairRow r;
-  r.src_ = src;
-  r.cells_ = slot.get();
-  r.slot_of_ = slot_of_.data();
-  const auto adj = graph().adjacency();
-  r.adj_start_ = adj.start.data();
-  r.adj_link_ = adj.link.data();
-  r.links_ = graph().links().data();
-  r.bw_ = bw_.data();
-  r.bwfactor_ = bwfactor_.data();
+  r.cells_ = row.cells.get();
+  r.latency_ = latency_column(row, key);
   return r;
 }
 

@@ -25,17 +25,26 @@
 //     context costs nothing until queried;
 //   - the base connected-component decomposition (all links active).
 //
-// Row layout: a cached row stores one cell (bottleneck, bottleneck2,
-// latency, tree link) per *stored* node — every node with two or more
-// links when the layout was made, which on a fat-tree is the switches
-// only. A node with at most one link is a leaf of every BFS tree but its
-// own, so its values follow from its neighbour's cell and its one link:
-// PairRow::at() derives them on read with the same std::min and + the
-// BFS kernel applies when it discovers that node, so every value is
-// bit-identical to topo::bottleneck_row. The layout is made by the first
-// pair_row() call. A stored node stays stored if its degree later falls;
-// an unstored node never gains a second link without a relayout, because
-// only LinkAdded raises a degree and it drops the layout.
+// Row layout: rows are cached only at *stored* sources — every node with
+// two or more links when the layout was made, which on a fat-tree is the
+// switches only. A row holds one cell (bottleneck, bottleneck2, tree link)
+// per stored node, the stored nodes in BFS discovery order, and latency
+// columns. A node with at most one link is a leaf of every BFS tree but its
+// own, so its values follow from its neighbour's and its one link's:
+// PairRow::at() derives them on read with the std::min and + the BFS kernel
+// applies when it discovers that node. A leaf *source* reads its one
+// neighbour's row: the BFS from the leaf crosses its link first and then
+// grows exactly the neighbour's tree (the leaf discovers nothing more), so
+// a bandwidth value is std::min(first-hop value, cell value) — the first
+// hop first, as the kernel folds it, so a -0.0/+0.0 tie resolves the same
+// way. Latency sums do not regroup that way, so they live in columns: one
+// per key 0.0 + first-hop latency (+0.0 for the row's own source), filled
+// once in the row's discovery order with the kernel's parent + link
+// additions starting from the key. Every value stays bit-identical to
+// topo::bottleneck_row. The layout is made by the first pair_row() call. A
+// stored node stays stored if its degree later falls; an unstored node
+// never gains a second link without a relayout, because only LinkAdded
+// raises a degree and it drops the layout.
 //
 // Validity contract: the snapshot carries an epoch counter bumped on every
 // mutation plus a bounded journal of typed deltas (remos/delta.hpp). Each
@@ -48,22 +57,20 @@
 //   - a link-bandwidth delta repositions the link inside the cached
 //     deletion orders (binary erase + sorted reinsert, identical to a
 //     re-sort). A link with an unstored end (a host's access link) is in
-//     the stored tree of one row only, the row sourced at that end, as its
-//     first edge: every other row reads that end through the link on the
-//     fly, and that one row is *dropped* (a replay would rewrite every
-//     cell, at the cost of a rebuild) and rebuilt only if read again. A
-//     link between two stored nodes is in a row's tree iff the tree link of
-//     one of its ends is that link, and those rows are *repaired* in place:
-//     the BFS tree is weight-independent, so replaying the min-recurrence
-//     over the subtree below the link with the updated weights is
-//     bit-identical to a rebuild;
+//     no row's stored tree — it is a first hop or a derived leaf, both read
+//     from the weight arrays when a row is asked for or read — so it
+//     touches no row. A link between two stored nodes is in a row's tree
+//     iff the tree link of one of its ends is that link, and those rows are
+//     *repaired* in place: the BFS tree is weight-independent, so replaying
+//     the min-recurrence over the subtree below the link with the updated
+//     weights is bit-identical to a rebuild, and the latency columns keep;
 //   - structural deltas: the graph patches its own CSR when it is
 //     mutated; of its own the context keeps only flat(), the far end of
 //     each half-edge, and clears it. Removing a link with an unstored end
-//     drops only that end's row (other rows just stop reaching the leaf);
-//     removing a link between stored nodes drops the rows whose tree used
-//     it; adding a link drops every row and the layout (the tree may
-//     reroute); an added node grows no row and reads as unreached.
+//     touches no row (the leaf reads as detached from then on); removing a
+//     link between stored nodes drops the rows whose tree used it, their
+//     columns with them; adding a link drops every row and the layout (the
+//     tree may reroute); an added node grows no row and reads as unreached.
 //
 // The deltas are replayed against the graph's *final* structure, not the
 // structure each delta saw. Only repair_row_values walks the adjacency
@@ -164,15 +171,16 @@ class SelectionContext {
   struct Cell {
     double bottleneck = 0.0;
     double bottleneck2 = 0.0;
-    double latency = 0.0;
-    /// Link that discovered the node; kInvalidLink while unreached (and
-    /// for the source, whose values PairRow::at() answers directly).
+    /// Link that discovered the node; kInvalidLink while unreached, and
+    /// kSourceLink at the row's own source, whose cell reads {+inf, +inf}.
     topo::LinkId tree_link = topo::kInvalidLink;
   };
+  static constexpr topo::LinkId kSourceLink = -2;
 
  public:
   /// Read-only view of one cached row. Valid until the next mutation of the
-  /// graph or the snapshot; building further rows does not move it.
+  /// graph or the snapshot; building further rows or columns does not move
+  /// it.
   class PairRow {
    public:
     /// The row's values at `v`, bit-identical to topo::bottleneck_row.
@@ -181,11 +189,7 @@ class SelectionContext {
       if (v == src_) return {true, kInf, kInf, 0.0};
       const auto iv = static_cast<std::size_t>(v);
       const std::int32_t s = slot_of_[iv];
-      if (s >= 0) {
-        const Cell& c = cells_[s];
-        if (c.tree_link == topo::kInvalidLink) return {};
-        return {true, c.bottleneck, c.bottleneck2, c.latency};
-      }
+      if (s >= 0) return stored(s);
       // At most one link: v is a leaf hanging off its neighbour, discovered
       // exactly as the BFS kernel discovers it.
       const std::int32_t k = adj_start_[iv];
@@ -197,9 +201,8 @@ class SelectionContext {
       if (u != src_) {
         const std::int32_t su = slot_of_[static_cast<std::size_t>(u)];
         if (su < 0) return {};  // an isolated pair away from the source
-        const Cell& c = cells_[su];
-        if (c.tree_link == topo::kInvalidLink) return {};
-        p = {true, c.bottleneck, c.bottleneck2, c.latency};
+        p = stored(su);
+        if (!p.reached) return {};
       }
       return {true, std::min(p.bottleneck, bw_[l]),
               std::min(p.bottleneck2, bwfactor_[l]), p.latency + lk.latency};
@@ -207,8 +210,26 @@ class SelectionContext {
 
    private:
     friend class SelectionContext;
+    /// Stored node in slot `s`: its cell behind the source's first hop
+    /// (+inf for a stored source, so the cell reads unchanged), first
+    /// operand first as the kernel folds it, and its column entry.
+    PairValue stored(std::int32_t s) const {
+      if (!cells_) return {};  // the source reaches no stored node
+      const Cell& c = cells_[s];
+      if (c.tree_link == topo::kInvalidLink) return {};
+      return {true, std::min(first_bw_, c.bottleneck),
+              std::min(first_bw2_, c.bottleneck2), latency_[s]};
+    }
+
     topo::NodeId src_ = topo::kInvalidNode;
+    /// The weights of a leaf source's one link; +inf for a stored source.
+    double first_bw_ = std::numeric_limits<double>::infinity();
+    double first_bw2_ = std::numeric_limits<double>::infinity();
+    /// The cells of the row read (the source's own, or its neighbour's),
+    /// and that row's column for the source's first-hop latency. Null when
+    /// the source reaches no stored node.
     const Cell* cells_ = nullptr;
+    const double* latency_ = nullptr;
     const std::int32_t* slot_of_ = nullptr;
     const std::int32_t* adj_start_ = nullptr;
     const topo::LinkId* adj_link_ = nullptr;
@@ -219,10 +240,13 @@ class SelectionContext {
 
   /// Cached bottleneck row from `src` over the full graph: bottleneck =
   /// available bandwidth, bottleneck2 = bwfactor, plus path latency and
-  /// reachability, along the static routes (topo::bfs_path). Built lazily
-  /// per source (one O(V + E) BFS over the graph's CSR that writes only the
-  /// stored nodes' cells); the first call also makes the row layout. Throws std::out_of_range, before any state
-  /// change, unless 0 <= src < graph().node_count().
+  /// reachability, along the static routes (topo::bfs_path). A stored
+  /// source's row is built lazily (one O(V + E) BFS over the graph's CSR
+  /// that writes only the stored nodes' cells); a source with one link
+  /// reads its neighbour's row, and one with none, or whose neighbour has
+  /// no other link, reads no row. The first call also makes the row
+  /// layout. Throws std::out_of_range, before any state change, unless
+  /// 0 <= src < graph().node_count().
   PairRow pair_row(topo::NodeId src) const;
 
   /// Fractional bottleneck of a pair_row() value under the options'
@@ -237,6 +261,18 @@ class SelectionContext {
   std::vector<char> eligibility(const SelectionOptions& opt) const;
 
  private:
+  /// Path latencies from one first-hop key, per stored slot.
+  struct Column {
+    double key = 0.0;  ///< 0.0 + first-hop latency, never -0.0
+    std::unique_ptr<double[]> latency;
+  };
+  /// One cached row, sourced at a stored node.
+  struct Row {
+    std::unique_ptr<Cell[]> cells;  ///< stored_count_ cells; null: not built
+    std::vector<topo::NodeId> order;  ///< reached stored nodes, source first
+    std::vector<Column> columns;
+  };
+
   /// Catch up with the snapshot: consume the missed deltas fine-grainedly,
   /// or drop every cache when the journal no longer covers the gap.
   void revalidate() const;
@@ -247,24 +283,26 @@ class SelectionContext {
   void apply_node_removed() const;
   void apply_link_added(topo::LinkId l) const;
   void apply_link_removed(topo::LinkId l) const;
-  /// Calls f(src, row, child) for every built row whose stored tree
-  /// contains link `l`, `child` being the stored end it discovered through
-  /// `l`. Only the rows sourced at an unstored end of `l` can (a host's
-  /// access link is a derived leaf elsewhere); with both ends stored every
-  /// row is asked, an O(1) probe of the two ends' tree links.
+  /// Calls f(row, child) for every built row whose stored tree contains
+  /// link `l`, `child` being the end it discovered through `l`: an O(1)
+  /// probe of the two ends' tree links per row. A link with an unstored end
+  /// is in no stored tree.
   template <class F>
   void for_rows_using(topo::LinkId l, F&& f) const;
   /// Replay the bottleneck min-recurrence with the current weight arrays
   /// over the stored subtree below `child` (tree unchanged -> bit-identical
-  /// to rebuild; nodes outside that subtree cannot have changed, and
-  /// unstored leaves are derived on read).
-  void repair_row_values(Cell* cells, topo::NodeId src,
-                         topo::NodeId child) const;
-  /// One row: a BFS from `src` over the graph's CSR writing the stored
-  /// nodes' cells. Needs the weight arrays, flat() and the layout built.
-  std::unique_ptr<Cell[]> build_row(topo::NodeId src) const;
+  /// to rebuild; nodes outside that subtree cannot have changed, unstored
+  /// leaves are derived on read, and latency is weight-independent).
+  void repair_row_values(Cell* cells, topo::NodeId child) const;
+  /// Build `row`: a BFS from the stored node `src` over the graph's CSR
+  /// writing the stored nodes' cells and discovery order. Needs the weight
+  /// arrays, flat() and the layout built.
+  void build_row(topo::NodeId src, Row& row) const;
+  /// The column of `row` for first-hop latency key `key`, filled now if
+  /// missing.
+  const double* latency_column(Row& row, double key) const;
   /// Build what build_row() reads (the weight arrays, flat() and the row
-  /// layout) where missing, and size the row slots.
+  /// layout) where missing.
   void ensure_layout() const;
   /// Drop every row and the layout, counting the drop as full.
   void drop_rows() const;
@@ -284,12 +322,13 @@ class SelectionContext {
   mutable bool by_bw_valid_ = false;
   mutable bool by_bwfactor_valid_ = false;
   mutable std::unique_ptr<topo::Components> base_comps_;
-  /// Row layout: per node id, its cell index in every row, or -1 for an
-  /// unstored node. Empty while there is no layout.
+  /// Row layout: per node id, its slot (cell index in every row, and the
+  /// index of its own row), or -1 for an unstored node. Empty while there
+  /// is no layout.
   mutable std::vector<std::int32_t> slot_of_;
   mutable std::size_t stored_count_ = 0;
-  /// Per source node id: its row (stored_count_ cells), or null.
-  mutable std::vector<std::unique_ptr<Cell[]>> rows_;
+  /// Per stored slot: the row sourced at that node.
+  mutable std::vector<Row> rows_;
   mutable std::vector<remos::Delta> pending_;      // revalidate scratch
   mutable std::vector<topo::NodeId> repair_queue_;  // repair BFS scratch
 };

@@ -1,22 +1,30 @@
 // The incremental-vs-rebuilt oracle for the typed-delta snapshot path:
 // a long-lived SelectionContext that consumes remos::Delta journals with
 // fine-grained invalidation (in-place row value repair, per-row drop on
-// access-link writes and link removal) must stay *bit-identical* to a
-// context rebuilt from scratch after arbitrary delta sequences — orders,
-// component decompositions, the half-edge neighbour array, bottleneck rows,
-// selections under every criterion, and set evaluations; every checked row
-// is also compared, node by node, with topo::bottleneck_row over the
-// TopologyGraph. Also covers the journal mechanics (typed emission, bounded
-// trimming, overflow fallback), the graph's CSR patches against a scan of
-// its links, no row rebuild under value-only deltas, one test per
-// compact-row delta rule, the source range check of pair_row, and the
-// bounded-migration reselect layer with the exactness of its no-swap test,
-// api::reselect_stays.
+// switch-link removal, no row touched by an access link) must stay
+// *bit-identical* to a context rebuilt from scratch after arbitrary delta
+// sequences — orders, component decompositions, the half-edge neighbour
+// array, bottleneck rows, selections under every criterion, and set
+// evaluations; every checked row is also compared, node by node and bit for
+// bit, with topo::bottleneck_row over the TopologyGraph. Also covers the
+// journal mechanics (typed emission, bounded trimming, overflow fallback),
+// the graph's CSR patches against a scan of its links, no row rebuild
+// under value-only deltas, one test per
+// compact-row delta rule, the source range check of pair_row, leaf sources
+// reading their neighbour's row on hand-built edge cases and the fuzz
+// stream, and the bounded-migration reselect layer with the exactness of
+// its no-swap test, api::reselect_stays, and their option checks.
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <bit>
+#include <cmath>
+#include <cstdint>
+#include <cstdio>
 #include <memory>
+#include <numeric>
+#include <set>
 #include <stdexcept>
 #include <string>
 #include <vector>
@@ -157,16 +165,27 @@ void random_mutation(util::Rng& rng, topo::TopologyGraph& g,
 using PairRow = select::SelectionContext::PairRow;
 using PairValue = select::SelectionContext::PairValue;
 
+/// Bit equality: -0.0 and +0.0 compare equal but are different values.
+bool same_bits(double a, double b) {
+  return std::bit_cast<std::uint64_t>(a) == std::bit_cast<std::uint64_t>(b);
+}
+
 bool same_value(const PairValue& a, const PairValue& b) {
-  return a.reached == b.reached && a.bottleneck == b.bottleneck &&
-         a.bottleneck2 == b.bottleneck2 && a.latency == b.latency;
+  return a.reached == b.reached && same_bits(a.bottleneck, b.bottleneck) &&
+         same_bits(a.bottleneck2, b.bottleneck2) &&
+         same_bits(a.latency, b.latency);
+}
+
+std::string show(double x) {
+  char buf[40];
+  std::snprintf(buf, sizeof buf, "%.17g", x);
+  return buf;
 }
 
 std::string describe(const PairValue& p) {
   return "{reached " + std::to_string(p.reached) + ", bw " +
-         std::to_string(p.bottleneck) + ", bw2 " +
-         std::to_string(p.bottleneck2) + ", lat " +
-         std::to_string(p.latency) + "}";
+         show(p.bottleneck) + ", bw2 " + show(p.bottleneck2) + ", lat " +
+         show(p.latency) + "}";
 }
 
 /// Every node of two cached rows, bit for bit (first mismatch reported).
@@ -636,39 +655,50 @@ void expect_rows_match_kernel(const select::SelectionContext& ctx,
     expect_row_matches_kernel(ctx.pair_row(src), snap, src, what);
 }
 
-TEST(CompactRows, AccessLinkBandwidthDropsOneRow) {
+/// The stored nodes whose rows reading `srcs` builds: a source with two or
+/// more links reads its own row, a source with one link its neighbour's.
+std::set<topo::NodeId> row_bases(const topo::TopologyGraph& g,
+                                 const std::vector<topo::NodeId>& srcs) {
+  std::set<topo::NodeId> out;
+  for (topo::NodeId s : srcs)
+    out.insert(g.degree(s) >= 2 ? s : g.other_end(g.links_of(s)[0], s));
+  return out;
+}
+
+TEST(CompactRows, AccessLinkBandwidthTouchesNoRow) {
   ScopedCounters counters;
   auto inst = compact_fat_tree();
   auto& snap = *inst.snap;
   const auto hosts = present_computes(*inst.graph);
   select::SelectionContext ctx(snap);
   for (topo::NodeId h : hosts) (void)ctx.pair_row(h);
+  // Every host reads its edge switch's row: four builds for 20 hosts.
   const std::uint64_t misses = counters("select.ctx.row_misses");
-  ASSERT_EQ(misses, hosts.size());
+  ASSERT_EQ(misses, row_bases(*inst.graph, hosts).size());
+  ASSERT_EQ(misses, 4u);
 
-  // The access link is the first edge of its host's own tree, so a replay
-  // would rewrite every cell of that row: the row is dropped instead, and
-  // nothing is repaired.
+  // The access link is a first hop or a derived leaf in every read, taken
+  // from the weight arrays: the write drops and repairs nothing.
   const topo::NodeId host = hosts[3];
   const topo::LinkId access = inst.graph->links_of(host)[0];
   snap.set_bw(access, 0.3 * snap.maxbw(access));
   (void)ctx.link_bw();  // consume the delta
-  EXPECT_EQ(counters("select.ctx.rows.invalidated.partial"), 1u);
+  EXPECT_EQ(counters("select.ctx.rows.invalidated.partial"), 0u);
   EXPECT_EQ(counters("select.ctx.rows.repaired"), 0u);
   EXPECT_EQ(counters("select.ctx.rows.invalidated.full"), 0u);
-  // Every other row is kept as it was and reads the host through the new
-  // link value.
+  // Every row reads the new value, the written host's own included, and
+  // that host's next read is a hit.
+  const std::uint64_t hits = counters("select.ctx.row_hits");
+  expect_row_matches_kernel(ctx.pair_row(host), snap, host,
+                            "the written host");
+  EXPECT_EQ(counters("select.ctx.row_hits"), hits + 1);
   for (topo::NodeId h : hosts)
-    if (h != host)
-      expect_row_matches_kernel(ctx.pair_row(h), snap, h,
-                                "after access-link write");
+    expect_row_matches_kernel(ctx.pair_row(h), snap, h,
+                              "after access-link write");
   EXPECT_EQ(counters("select.ctx.row_misses"), misses);
-  // The dropped row is rebuilt on its next read, equal to the kernel's.
-  expect_row_matches_kernel(ctx.pair_row(host), snap, host, "rebuilt row");
-  EXPECT_EQ(counters("select.ctx.row_misses"), misses + 1);
 }
 
-TEST(CompactRows, RemovingAnAccessLinkDropsOnlyThatHostsRow) {
+TEST(CompactRows, RemovingAnAccessLinkTouchesNoRow) {
   ScopedCounters counters;
   auto inst = compact_fat_tree();
   auto& g = *inst.graph;
@@ -683,7 +713,7 @@ TEST(CompactRows, RemovingAnAccessLinkDropsOnlyThatHostsRow) {
   g.remove_link(access);
   snap.notify_link_removed(access);
   (void)ctx.link_bw();
-  EXPECT_EQ(counters("select.ctx.rows.invalidated.partial"), 1u);
+  EXPECT_EQ(counters("select.ctx.rows.invalidated.partial"), 0u);
   EXPECT_EQ(counters("select.ctx.rows.invalidated.full"), 0u);
   for (topo::NodeId h : hosts) {
     if (h == gone) continue;
@@ -692,9 +722,16 @@ TEST(CompactRows, RemovingAnAccessLinkDropsOnlyThatHostsRow) {
     expect_row_matches_kernel(row, snap, h, "after access-link removal");
   }
   EXPECT_EQ(counters("select.ctx.row_misses"), misses);
-  // The detached host's own row is rebuilt: it reaches only itself.
-  expect_row_matches_kernel(ctx.pair_row(gone), snap, gone, "detached row");
-  EXPECT_EQ(counters("select.ctx.row_misses"), misses + 1);
+  // The detached host reads no row and reaches only itself.
+  const std::uint64_t hits = counters("select.ctx.row_hits");
+  const PairRow alone = ctx.pair_row(gone);
+  for (std::size_t v = 0; v < g.node_count(); ++v)
+    EXPECT_EQ(alone.at(static_cast<topo::NodeId>(v)).reached,
+              static_cast<topo::NodeId>(v) == gone)
+        << v;
+  expect_row_matches_kernel(alone, snap, gone, "detached row");
+  EXPECT_EQ(counters("select.ctx.row_misses"), misses);
+  EXPECT_EQ(counters("select.ctx.row_hits"), hits);
 }
 
 TEST(CompactRows, SwitchWhoseDegreeFallsToOneStaysStored) {
@@ -709,6 +746,7 @@ TEST(CompactRows, SwitchWhoseDegreeFallsToOneStaysStored) {
   ASSERT_EQ(g.degree(edge), 7u);
   std::vector<topo::NodeId> srcs = hosts;
   srcs.push_back(edge);
+  const std::set<topo::NodeId> bases = row_bases(g, srcs);
   select::SelectionContext ctx(snap);
   for (topo::NodeId s : srcs) (void)ctx.pair_row(s);
 
@@ -724,14 +762,14 @@ TEST(CompactRows, SwitchWhoseDegreeFallsToOneStaysStored) {
   expect_rows_match_kernel(ctx, snap, srcs, "after detaching the switch");
 
   // Its last link is still a link between two stored nodes: a write on it
-  // repairs every row whose tree reaches the switch through it, not just
-  // the switch's own row.
+  // repairs every built switch row whose tree reaches the switch through
+  // it, not just the switch's own row.
   const topo::LinkId last = incident.front();
   ASSERT_FALSE(g.is_compute(g.other_end(last, edge)));
   std::uint64_t reaching = 0;
   {
     std::vector<double> bw(g.link_count(), 1.0);
-    for (topo::NodeId s : srcs)
+    for (topo::NodeId s : bases)
       if (topo::bottleneck_row(g, s, bw).reached[static_cast<std::size_t>(
               edge)])
         ++reaching;
@@ -750,6 +788,7 @@ TEST(CompactRows, LinkAddedDropsEveryRowAndRelayouts) {
   auto& g = *inst.graph;
   auto& snap = *inst.snap;
   const auto hosts = present_computes(g);
+  const std::size_t built = row_bases(g, hosts).size();
   select::SelectionContext ctx(snap);
   for (topo::NodeId h : hosts) (void)ctx.pair_row(h);
 
@@ -762,7 +801,9 @@ TEST(CompactRows, LinkAddedDropsEveryRowAndRelayouts) {
   snap.notify_link_added(extra);
   snap.set_bw(extra, 0.4 * snap.maxbw(extra));
   (void)ctx.link_bw();
-  EXPECT_EQ(counters("select.ctx.rows.invalidated.full"), hosts.size());
+  // The full drop counts the built rows: the hosts' four edge switches.
+  EXPECT_EQ(counters("select.ctx.rows.invalidated.full"), built);
+  EXPECT_EQ(built, 4u);
   std::vector<topo::NodeId> srcs = hosts;
   srcs.push_back(other_edge);
   expect_rows_match_kernel(ctx, snap, srcs, "after the relayout");
@@ -780,6 +821,131 @@ TEST(CompactRows, OutOfRangeSourcesAreRejectedBeforeAnyRow) {
   EXPECT_EQ(ctx.arena_bytes(), 0u);  // nothing was prepared either
   (void)ctx.pair_row(host);
   EXPECT_EQ(counters("select.ctx.row_misses"), 1u);
+}
+
+// ---------------------------------------------------------------------------
+// Leaf sources: a host reads its switch's row
+// ---------------------------------------------------------------------------
+
+/// Every node's row at every node, bit for bit, against the kernel.
+void expect_every_row_matches_kernel(const select::SelectionContext& ctx,
+                                     const remos::NetworkSnapshot& snap,
+                                     const std::string& what) {
+  std::vector<topo::NodeId> all(snap.graph().node_count());
+  std::iota(all.begin(), all.end(), topo::NodeId{0});
+  expect_rows_match_kernel(ctx, snap, all, what);
+}
+
+/// A small fabric of row edge cases. Switches s0-s1-s2-s3 form a ring whose
+/// latencies do not regroup: from a host of s0 the kernel sums
+/// ((first hop + 0.2) + 0.3) to reach s2, not first hop + (0.2 + 0.3). The
+/// four hosts of s0 sit behind access latencies 0.3, 0.1, -0.0 and 0.3, so
+/// s0's row serves three columns, the -0.0 one shared with s0's own reads.
+/// s4 links s2 and host h9; h6-h7 is a two-leaf component; h8 is isolated.
+struct Zoo {
+  Instance inst;
+  std::vector<topo::NodeId> s;       // switches s0..s4
+  std::vector<topo::NodeId> h;       // hosts h0..h9
+  std::vector<topo::LinkId> access;  // h0..h5's access links
+  topo::LinkId s0s1 = topo::kInvalidLink;
+  topo::LinkId s4s2 = topo::kInvalidLink;
+};
+
+Zoo leaf_zoo() {
+  Zoo z;
+  z.inst.graph = std::make_unique<topo::TopologyGraph>();
+  auto& g = *z.inst.graph;
+  for (int i = 0; i < 5; ++i)
+    z.s.push_back(g.add_network(std::string("s") + std::to_string(i)));
+  for (int i = 0; i < 10; ++i)
+    z.h.push_back(g.add_compute(std::string("h") + std::to_string(i)));
+  auto link = [&](topo::NodeId a, topo::NodeId b, double mbps, double lat) {
+    topo::TopologyGraph::LinkSpec spec;
+    spec.capacity_ab = mbps * topo::kMbps;
+    spec.latency = lat;
+    return g.add_link(a, b, spec);
+  };
+  z.s0s1 = link(z.s[0], z.s[1], 100, 0.2);
+  link(z.s[1], z.s[2], 80, 0.3);
+  link(z.s[2], z.s[3], 60, -0.0);
+  link(z.s[3], z.s[0], 90, 0.7);
+  z.s4s2 = link(z.s[4], z.s[2], 40, 0.25);
+  const double s0_latency[] = {0.3, 0.1, -0.0, 0.3};
+  for (int i = 0; i < 4; ++i)
+    z.access.push_back(link(z.s[0], z.h[static_cast<std::size_t>(i)],
+                            50 + 10 * i, s0_latency[i]));
+  z.access.push_back(link(z.s[1], z.h[4], 70, 1e-3));
+  z.access.push_back(link(z.s[1], z.h[5], 30, 0.7));
+  link(z.h[6], z.h[7], 20, 0.05);
+  link(z.s[4], z.h[9], 45, 0.125);
+  z.inst.snap = std::make_unique<remos::NetworkSnapshot>(g);
+  return z;
+}
+
+TEST(LeafSourceRows, EdgeCasesMatchKernelBitForBit) {
+  ScopedCounters counters;
+  Zoo z = leaf_zoo();
+  auto& g = *z.inst.graph;
+  auto& snap = *z.inst.snap;
+  select::SelectionContext ctx(snap);
+  expect_every_row_matches_kernel(ctx, snap, "fresh");
+  // Rows are built at the five switches only; every host reads one of
+  // them, or none.
+  EXPECT_EQ(counters("select.ctx.row_misses"), 5u);
+
+  // A -0.0 write on an access link next to a +0.0 switch link: from h0 the
+  // kernel keeps the first hop's -0.0 on every path through s0-s1.
+  snap.set_bw(z.s0s1, 0.0);
+  snap.set_bw(z.access[0], -0.0);
+  expect_every_row_matches_kernel(ctx, snap, "-0.0 first hop");
+  EXPECT_TRUE(std::signbit(ctx.pair_row(z.h[0]).at(z.s[1]).bottleneck));
+
+  // +0.0 then -0.0 on one access link: equal as doubles, different values.
+  snap.set_bw(z.access[1], 0.0);
+  expect_every_row_matches_kernel(ctx, snap, "+0.0 first hop");
+  snap.set_bw(z.access[1], -0.0);
+  expect_every_row_matches_kernel(ctx, snap, "+0.0 -> -0.0 on one link");
+
+  // s4 falls to one link, its host's: still stored, it is h9's base.
+  g.remove_link(z.s4s2);
+  snap.notify_link_removed(z.s4s2);
+  ASSERT_EQ(g.degree(z.s[4]), 1u);
+  expect_every_row_matches_kernel(ctx, snap, "a switch of degree 1");
+  EXPECT_TRUE(ctx.pair_row(z.h[9]).at(z.s[4]).reached);
+
+  // A host added, then joined by a link: unreached until the LinkAdded
+  // relayout, then a leaf reading its switch's row.
+  const topo::NodeId joined = g.add_compute("h10");
+  snap.notify_node_added(joined);
+  expect_every_row_matches_kernel(ctx, snap, "host added");
+  topo::TopologyGraph::LinkSpec spec;
+  spec.capacity_ab = 55 * topo::kMbps;
+  spec.latency = 0.4;
+  const topo::LinkId l = g.add_link(z.s[2], joined, spec);
+  snap.notify_link_added(l);
+  expect_every_row_matches_kernel(ctx, snap, "host joined");
+}
+
+TEST(LeafSourceRows, EveryRowMatchesKernelThroughTheFuzzStream) {
+  for (int family = 0; family < 4; ++family) {
+    for (std::uint64_t seed = 0; seed < 3; ++seed) {
+      Instance inst = family < 3 ? family_instance(family, seed + 50)
+                                 : std::move(leaf_zoo().inst);
+      select::SelectionContext ctx(*inst.snap);
+      const std::string what =
+          "family " + std::to_string(family) + " seed " + std::to_string(seed);
+      expect_every_row_matches_kernel(ctx, *inst.snap, what + " fresh");
+      util::Rng rng(seed * 13 + static_cast<std::uint64_t>(family) + 1);
+      int names = 0;
+      for (int batch = 0; batch < 6; ++batch) {
+        for (int k = 0; k < 3; ++k)
+          random_mutation(rng, *inst.graph, *inst.snap, names);
+        expect_every_row_matches_kernel(
+            ctx, *inst.snap, what + " batch " + std::to_string(batch));
+        if (::testing::Test::HasFailure()) return;
+      }
+    }
+  }
 }
 
 // ---------------------------------------------------------------------------
@@ -1003,6 +1169,29 @@ TEST(Reselect, StaysPredicateIsExactForTheSwapLoop) {
   for (int c = 0; c < 3; ++c) {
     EXPECT_GT(held[c], 0) << "criterion " << c;
     EXPECT_GT(failed[c], 0) << "criterion " << c;
+  }
+}
+
+TEST(Reselect, InvalidOptionsThrowBeforeAnyRead) {
+  auto inst = family_instance(0, 9);
+  select::SelectionContext ctx(*inst.snap);
+  const auto hosts = present_computes(*inst.graph);
+  const std::vector<topo::NodeId> current(hosts.begin(), hosts.begin() + 3);
+  api::ReselectOptions short_mask;
+  short_mask.selection.eligible.assign(2, 1);  // shorter than node_count()
+  api::ReselectOptions nan_priority;
+  nan_priority.selection.cpu_priority = std::nan("");
+  for (const api::ReselectOptions* base : {&short_mask, &nan_priority}) {
+    for (const int budget : {-1, 0, 1}) {
+      api::ReselectOptions opt = *base;
+      opt.max_migrations = budget;
+      EXPECT_THROW((void)api::reselect(ctx, current, opt),
+                   std::invalid_argument)
+          << budget;
+      EXPECT_THROW((void)api::reselect_stays(ctx, current, opt),
+                   std::invalid_argument)
+          << budget;
+    }
   }
 }
 
